@@ -2,7 +2,7 @@
 
 import sys as _sys
 
-# torsion expressions of the larger corpus entries nest deeply
+# the parser and calculus.partial recurse on the nesting depth of the input
 if _sys.getrecursionlimit() < 20000:
     _sys.setrecursionlimit(20000)
 
@@ -12,7 +12,6 @@ from .expr import (  # noqa: E402,F401
     EvalContext,
     EvalSingular,
     Expr,
-    Negate,
     Param,
     Power,
     Product,

@@ -62,8 +62,6 @@ def partial(e: Expr, v: VarRef) -> Expr:
             out = ex.neg(ex.mul(ex.apply("sin", e.arg), da))
         else:  # sqrt
             out = ex.quot(da, ex.mul(ex.const(2), e))
-    elif isinstance(e, ex.Negate):
-        out = ex.neg(partial(e.arg, v))
     else:
         raise TypeError(f"not an expression: {e!r}")
 

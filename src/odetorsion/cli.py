@@ -16,7 +16,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from . import expr as ex
 from .oracle import INCONCLUSIVE, NONZERO, ZERO, OracleConfig
 from .parsing import (
     NOT_STRAIGHT,
@@ -141,7 +140,11 @@ def cmd_analyze(args) -> int:
     except (ParseError, ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    cfg = OracleConfig(samples=args.samples, seed=args.seed, rel_tol=args.tol)
+    try:
+        cfg = OracleConfig(samples=args.samples, seed=args.seed, rel_tol=args.tol)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
     try:
         jobs = max(1, args.jobs)
@@ -153,11 +156,6 @@ def cmd_analyze(args) -> int:
     except (DimensionError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-    if args.expect_invert:
-        for r in records:
-            if r["match"] is not None:
-                r["match"] = not r["match"]
 
     if args.json:
         print(json.dumps(records, indent=2))
@@ -187,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="parallel corpus entries (default: logical cores)")
     an.add_argument("--method", choices=["auto", TRESSE, FELS, QUARTIC], default="auto",
                     help="invariant to use (default: auto dispatch on n)")
-    an.add_argument("--expect-invert", action="store_true", help=argparse.SUPPRESS)
     an.set_defaults(func=cmd_analyze)
     return parser
 

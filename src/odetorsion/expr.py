@@ -1,14 +1,21 @@
-"""Immutable expression trees over x, y^I, dy^I and named parameters.
+"""Hash-consed expression DAG over x, y^I, dy^I and named parameters.
 
 Expressions are complex-analytic: rational constants, the variables of a
 second-order ODE system, field operations, integer powers and the
 functions exp, log, sin, cos, sqrt (principal branches).
 
-Canonicalization is deliberately shallow: nested sums/products are
-flattened, rational constants are folded exactly, additive/multiplicative
-units are dropped and ``Power`` exponents of one are collapsed.  Deciding
-whether an expression vanishes identically is the zero oracle's job, not
-the tree's.
+Interned nodes carry their own metadata, computed from their children at
+construction: ``free`` (variables), ``poly`` (polynomial over the
+rationals) and ``fns`` (function names), with equal sets shared.  The
+smart constructors canonicalize, deliberately shallowly: nested
+sums/products are flattened, rational constants folded exactly, units
+dropped and ``Power`` exponents of one collapsed.  Deciding whether an
+expression vanishes is the zero oracle's job.  Canonical nodes are fixed
+points of ``build``, so rebuilding one costs a lookup, not a walk.
+
+Each root gets one program, its distinct nodes in evaluation order, made
+on first use and cached on the root; ``evaluate`` (complex),
+``evaluate_exact`` (rational) and ``node_count`` all run on it.
 """
 
 from __future__ import annotations
@@ -90,15 +97,42 @@ def Param(name: str) -> VarRef:
 
 
 # ---------------------------------------------------------------------------
+# Shared summaries
+
+_EMPTY: frozenset = frozenset()
+_sets: dict = {_EMPTY: _EMPTY}
+
+
+def _shared(s: frozenset) -> frozenset:
+    return _sets.setdefault(s, s)
+
+
+def _union(sets: Iterable[frozenset]) -> frozenset:
+    out = _EMPTY
+    for s in sets:
+        if s is not out and not s <= out:
+            out = out | s if out else s
+    return _shared(out)
+
+
+# ---------------------------------------------------------------------------
 # Nodes
 #
 # Direct construction produces a "raw" node; build() (or the lowercase
 # smart constructors) canonicalizes.  Canonical nodes are interned, so
-# equality of canonical trees is usually an identity check.
+# equality of canonical trees is usually an identity check.  Nodes are
+# never mutated after construction, except that _prog caches the node's
+# evaluation program once it is first needed.
 
 
 class Expr:
-    __slots__ = ("_h",)
+    __slots__ = ("_h", "free", "poly", "fns", "_prog")
+
+    def _summarize(self, kids: tuple, poly: bool, fns: frozenset = _EMPTY) -> None:
+        self.free = _union(k.free for k in kids)
+        self.fns = _union([fns, *(k.fns for k in kids)])
+        self.poly = poly
+        self._prog = None
 
     def __eq__(self, other):
         if self is other:
@@ -128,8 +162,9 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        object.__setattr__(self, "value", _coerce_number(value))
-        object.__setattr__(self, "_h", hash(("c", self.value)))
+        self.value = _coerce_number(value)
+        self._h = hash(("c", self.value))
+        self._summarize((), isinstance(self.value, Fraction))
 
     def _key(self):
         v = self.value
@@ -141,8 +176,10 @@ class Var(Expr):
     __slots__ = ("ref",)
 
     def __init__(self, ref: VarRef):
-        object.__setattr__(self, "ref", ref)
-        object.__setattr__(self, "_h", hash(("v", ref)))
+        self.ref = ref
+        self._h = hash(("v", ref))
+        self._summarize((), True)
+        self.free = _shared(frozenset((ref,)))
 
     def _key(self):
         return ("v", self.ref)
@@ -152,8 +189,9 @@ class Sum(Expr):
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[Expr]):
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "_h", hash(("+",) + tuple(id(t) for t in self.terms)))
+        self.terms = tuple(terms)
+        self._h = hash(("+",) + tuple(id(t) for t in self.terms))
+        self._summarize(self.terms, all(t.poly for t in self.terms))
 
     def _key(self):
         return ("+", self.terms)
@@ -163,8 +201,9 @@ class Product(Expr):
     __slots__ = ("factors",)
 
     def __init__(self, factors: Iterable[Expr]):
-        object.__setattr__(self, "factors", tuple(factors))
-        object.__setattr__(self, "_h", hash(("*",) + tuple(id(f) for f in self.factors)))
+        self.factors = tuple(factors)
+        self._h = hash(("*",) + tuple(id(f) for f in self.factors))
+        self._summarize(self.factors, all(f.poly for f in self.factors))
 
     def _key(self):
         return ("*", self.factors)
@@ -174,9 +213,11 @@ class Power(Expr):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", int(exponent))
-        object.__setattr__(self, "_h", hash(("^", id(base), self.exponent)))
+        self.base = base
+        self.exponent = int(exponent)
+        self._h = hash(("^", id(base), self.exponent))
+        # a variable may not end up in a denominator
+        self._summarize((base,), base.poly and (self.exponent >= 0 or not base.free))
 
     def _key(self):
         return ("^", self.base, self.exponent)
@@ -186,9 +227,11 @@ class Quotient(Expr):
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: Expr, denominator: Expr):
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "_h", hash(("/", id(numerator), id(denominator))))
+        self.numerator = numerator
+        self.denominator = denominator
+        self._h = hash(("/", id(numerator), id(denominator)))
+        self._summarize((numerator, denominator),
+                        numerator.poly and denominator.poly and not denominator.free)
 
     def _key(self):
         return ("/", self.numerator, self.denominator)
@@ -200,25 +243,13 @@ class Apply(Expr):
     def __init__(self, fn: str, arg: Expr):
         if fn not in FUNCTIONS:
             raise ValueError(f"unknown function {fn!r}")
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_h", hash((fn, id(arg))))
+        self.fn = fn
+        self.arg = arg
+        self._h = hash((fn, id(arg)))
+        self._summarize((arg,), False, _shared(frozenset((fn,))))
 
     def _key(self):
         return ("f", self.fn, self.arg)
-
-
-class Negate(Expr):
-    """Raw-input convenience node; build() rewrites it as (-1) * arg."""
-
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_h", hash(("-", id(arg))))
-
-    def _key(self):
-        return ("-", self.arg)
 
 
 def _coerce_number(value) -> Number:
@@ -354,8 +385,6 @@ def pow_(base: Expr, exponent: int) -> Expr:
         v = base.value
         if v == 0 and exponent < 0:
             raise ZeroDivisionError("0 raised to a negative power")
-        if isinstance(v, Fraction):
-            return const(v ** exponent)
         return const(v ** exponent)
     if isinstance(base, Power):
         return pow_(base.base, base.exponent * exponent)
@@ -382,29 +411,13 @@ def apply(fn: str, arg: Expr) -> Expr:
 def build(raw: Expr) -> Expr:
     """Canonicalize an arbitrary well-formed tree.
 
-    Idempotent: build(build(t)) is structurally equal to build(t).
+    A canonical node is returned as it is, so build(build(t)) is build(t).
     """
-    if isinstance(raw, Const):
-        return const(raw.value)
-    if isinstance(raw, Var):
-        return var(raw.ref)
-    if isinstance(raw, Sum):
-        return add(*(build(t) for t in raw.terms))
-    if isinstance(raw, Product):
-        return mul(*(build(f) for f in raw.factors))
-    if isinstance(raw, Power):
-        return pow_(build(raw.base), raw.exponent)
-    if isinstance(raw, Quotient):
-        return quot(build(raw.numerator), build(raw.denominator))
-    if isinstance(raw, Apply):
-        return apply(raw.fn, build(raw.arg))
-    if isinstance(raw, Negate):
-        return neg(build(raw.arg))
-    raise TypeError(f"not an expression: {raw!r}")
+    return substitute(raw, {})
 
 
 # ---------------------------------------------------------------------------
-# Traversal helpers
+# Node summaries
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
@@ -416,91 +429,17 @@ def children(e: Expr) -> tuple[Expr, ...]:
         return (e.base,)
     if isinstance(e, Quotient):
         return (e.numerator, e.denominator)
-    if isinstance(e, (Apply, Negate)):
+    if isinstance(e, Apply):
         return (e.arg,)
     return ()
 
 
 def free_vars(e: Expr) -> frozenset[VarRef]:
-    seen: dict[int, frozenset] = {}
-
-    def go(n: Expr) -> frozenset:
-        got = seen.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, Var):
-            out = frozenset((n.ref,))
-        else:
-            out = frozenset().union(*(go(c) for c in children(n))) if children(n) else frozenset()
-        seen[id(n)] = out
-        return out
-
-    return go(e)
-
-
-def node_count(e: Expr) -> int:
-    """Number of distinct nodes in the (shared) expression DAG."""
-    seen: set[int] = set()
-
-    def go(n):
-        if id(n) in seen:
-            return
-        seen.add(id(n))
-        for c in children(n):
-            go(c)
-
-    go(e)
-    return len(seen)
+    return e.free
 
 
 def contains_fn(e: Expr, fns: tuple[str, ...]) -> bool:
-    seen: set[int] = set()
-
-    def go(n) -> bool:
-        if id(n) in seen:
-            return False
-        seen.add(id(n))
-        if isinstance(n, Apply) and n.fn in fns:
-            return True
-        return any(go(c) for c in children(n))
-
-    return go(e)
-
-
-def substitute(e: Expr, mapping: Mapping[VarRef, Expr]) -> Expr:
-    """Simultaneous substitution, re-canonicalized."""
-    if not mapping:
-        return build(e)
-    memo: dict[int, Expr] = {}
-
-    def go(n: Expr) -> Expr:
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, Var) and n.ref in mapping:
-            out = build(mapping[n.ref])
-        elif isinstance(n, Const):
-            out = const(n.value)
-        elif isinstance(n, Var):
-            out = var(n.ref)
-        elif isinstance(n, Sum):
-            out = add(*(go(t) for t in n.terms))
-        elif isinstance(n, Product):
-            out = mul(*(go(f) for f in n.factors))
-        elif isinstance(n, Power):
-            out = pow_(go(n.base), n.exponent)
-        elif isinstance(n, Quotient):
-            out = quot(go(n.numerator), go(n.denominator))
-        elif isinstance(n, Apply):
-            out = apply(n.fn, go(n.arg))
-        elif isinstance(n, Negate):
-            out = neg(go(n.arg))
-        else:
-            raise TypeError(f"not an expression: {n!r}")
-        memo[id(n)] = out
-        return out
-
-    return go(e)
+    return not e.fns.isdisjoint(fns)
 
 
 def is_polynomial(e: Expr) -> bool:
@@ -509,29 +448,43 @@ def is_polynomial(e: Expr) -> bool:
     No transcendental nodes, no variable in any denominator (explicit
     Quotient or negative Power), all constants exact rationals.
     """
-    memo: dict[int, bool] = {}
+    return e.poly
 
-    def go(n: Expr) -> bool:
+
+def node_count(e: Expr) -> int:
+    """Number of distinct nodes in the (shared) expression DAG."""
+    return len(_program(e))
+
+
+def substitute(e: Expr, mapping: Mapping[VarRef, Expr]) -> Expr:
+    """Simultaneous substitution, canonicalized.
+
+    Canonical subexpressions that mention no mapped variable are kept.
+    """
+    memo: dict[int, Expr] = {}
+
+    def go(n: Expr) -> Expr:
+        if not isinstance(n, Expr):
+            raise TypeError(f"not an expression: {n!r}")
+        if n.free.isdisjoint(mapping) and _intern.get(n._key()) is n:
+            return n
         got = memo.get(id(n))
         if got is not None:
             return got
         if isinstance(n, Const):
-            out = isinstance(n.value, Fraction)
+            out = const(n.value)
         elif isinstance(n, Var):
-            out = True
-        elif isinstance(n, Apply):
-            out = False
-        elif isinstance(n, Quotient):
-            out = go(n.numerator) and go(n.denominator) and not free_vars(n.denominator)
+            out = build(mapping[n.ref]) if n.ref in mapping else var(n.ref)
+        elif isinstance(n, Sum):
+            out = add(*(go(t) for t in n.terms))
+        elif isinstance(n, Product):
+            out = mul(*(go(f) for f in n.factors))
         elif isinstance(n, Power):
-            if n.exponent < 0 and free_vars(n.base):
-                out = False
-            else:
-                out = go(n.base)
-        elif isinstance(n, Negate):
-            out = go(n.arg)
+            out = pow_(go(n.base), n.exponent)
+        elif isinstance(n, Quotient):
+            out = quot(go(n.numerator), go(n.denominator))
         else:
-            out = all(go(c) for c in children(n))
+            out = apply(n.fn, go(n.arg))
         memo[id(n)] = out
         return out
 
@@ -553,16 +506,14 @@ class EvalSingular(ArithmeticError):
 class EvalContext:
     """Single-use assignment of complex values plus conditioning telemetry.
 
-    After evaluate() runs, ``max_abs`` holds the largest intermediate
-    magnitude seen and ``cancellation_scale`` the sum of term magnitudes
-    of the top-level sum (the scale against which the result cancelled).
+    After evaluate() runs, ``cancellation_scale`` holds the sum of term
+    magnitudes of the top-level sum (the scale against which the result
+    cancelled).
     """
 
     def __init__(self, assignment: Mapping[VarRef, complex]):
         self.assignment = {k: complex(v) for k, v in assignment.items()}
-        self.max_abs = 0.0
         self.cancellation_scale = 0.0
-        self._memo: dict[int, complex] = {}
 
     def __getitem__(self, ref: VarRef) -> complex:
         return self.assignment[ref]
@@ -570,103 +521,128 @@ class EvalContext:
 
 _CFUNCS: dict[str, Callable[[complex], complex]] = {
     "exp": cmath.exp,
+    "log": cmath.log,
     "sin": cmath.sin,
     "cos": cmath.cos,
+    "sqrt": cmath.sqrt,
 }
+
+
+def _program(e: Expr) -> list[tuple[Expr, tuple[int, ...]]]:
+    """e's distinct nodes as steps (node, steps of its children()).
+
+    Depth-first post-order, a quotient's denominator before its numerator.
+    A quotient's step also records where its denominator is complete: a
+    zero there is reported before anything its numerator raises.
+    """
+    prog = e._prog
+    if prog is not None:
+        return prog
+    prog = []
+    step: dict[int, int] = {}
+    entered: dict[int, int] = {}
+    stack = [e]
+    while stack:
+        n = stack[-1]
+        if id(n) in step:
+            stack.pop()
+            continue
+        kids = children(n)
+        quotient = type(n) is Quotient
+        if quotient:
+            entered.setdefault(id(n), len(prog))
+            kids = kids[::-1]
+        todo = [k for k in kids if id(k) not in step]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        slots = tuple(step[id(k)] for k in children(n))
+        if quotient:
+            slots += (max(entered[id(n)], slots[1] + 1),)
+        step[id(n)] = len(prog)
+        prog.append((n, slots))
+    e._prog = prog
+    return prog
+
+
+def _run(e: Expr, leaf: Callable[[Expr], Number], zero: Number, one: Number,
+         funcs: Mapping[str, Callable]) -> list:
+    """Every node's value, in program order; the root's value is last."""
+    prog = _program(e)
+    vals: list = []
+    push = vals.append
+    try:
+        for n, kids in prog:
+            t = type(n)
+            if t is Product:
+                v = one
+                for k in kids:
+                    v *= vals[k]
+            elif t is Sum:
+                v = zero
+                for k in kids:
+                    v += vals[k]
+            elif t is Power:
+                v = vals[kids[0]]
+                if v == 0 and n.exponent < 0:
+                    raise EvalSingular("0 raised to a negative power", n)
+                v = v ** n.exponent
+            elif t is Quotient:
+                v = vals[kids[1]]
+                if v == 0:
+                    raise EvalSingular("division by zero", n)
+                v = vals[kids[0]] / v
+            elif t is Apply:
+                v = vals[kids[0]]
+                if v == 0 and n.fn == "log":
+                    raise EvalSingular("log(0)", n)
+                fn = funcs.get(n.fn)
+                if fn is None:
+                    raise TypeError(f"not exactly evaluable: {n!r}")
+                v = fn(v)
+            else:
+                v = leaf(n)
+            push(v)
+    except EvalSingular:
+        # an unfinished quotient whose denominator was complete and zero
+        # before the failing step is the singularity to report
+        i = len(vals)
+        open_ = [(kids[2], -j) for j, (n, kids) in enumerate(prog[i + 1:], i + 1)
+                 if type(n) is Quotient and kids[2] <= i and vals[kids[1]] == 0]
+        if open_:
+            raise EvalSingular("division by zero", prog[-min(open_)[1]][0]) from None
+        raise
+    return vals
 
 
 def evaluate(e: Expr, ctx: EvalContext) -> complex:
     """Evaluate with standard complex arithmetic; principal branches."""
+    assignment = ctx.assignment
 
-    def note(v: complex) -> complex:
-        m = abs(v)
-        if m > ctx.max_abs:
-            ctx.max_abs = m
-        return v
+    def leaf(n: Expr) -> complex:
+        if type(n) is Const:
+            return _to_complex(n.value)
+        try:
+            return assignment[n.ref]
+        except KeyError:
+            raise KeyError(f"no assignment for {n.ref}") from None
 
-    def go(n: Expr) -> complex:
-        got = ctx._memo.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, Const):
-            out = _to_complex(n.value)
-        elif isinstance(n, Var):
-            try:
-                out = ctx.assignment[n.ref]
-            except KeyError:
-                raise KeyError(f"no assignment for {n.ref}") from None
-        elif isinstance(n, Sum):
-            out = 0j
-            for t in n.terms:
-                out += go(t)
-        elif isinstance(n, Product):
-            out = 1 + 0j
-            for f in n.factors:
-                out *= go(f)
-        elif isinstance(n, Power):
-            b = go(n.base)
-            if b == 0 and n.exponent < 0:
-                raise EvalSingular("0 raised to a negative power", n)
-            out = b ** n.exponent
-        elif isinstance(n, Quotient):
-            den = go(n.denominator)
-            if den == 0:
-                raise EvalSingular("division by zero", n)
-            out = go(n.numerator) / den
-        elif isinstance(n, Apply):
-            a = go(n.arg)
-            if n.fn == "log":
-                if a == 0:
-                    raise EvalSingular("log(0)", n)
-                out = cmath.log(a)
-            elif n.fn == "sqrt":
-                out = cmath.sqrt(a)
-            else:
-                out = _CFUNCS[n.fn](a)
-        elif isinstance(n, Negate):
-            out = -go(n.arg)
-        else:
-            raise TypeError(f"not an expression: {n!r}")
-        ctx._memo[id(n)] = note(out)
-        return out
-
-    value = go(e)
-    if isinstance(e, Sum):
-        ctx.cancellation_scale = sum(abs(go(t)) for t in e.terms)
+    vals = _run(e, leaf, 0j, 1 + 0j, _CFUNCS)
+    if type(e) is Sum:
+        ctx.cancellation_scale = sum(abs(vals[k]) for k in _program(e)[-1][1])
     else:
-        ctx.cancellation_scale = abs(value)
-    return value
+        ctx.cancellation_scale = abs(vals[-1])
+    return vals[-1]
+
+
+_FRACTION_ZERO, _FRACTION_ONE = Fraction(0), Fraction(1)
 
 
 def evaluate_exact(e: Expr, assignment: Mapping[VarRef, Fraction]) -> Fraction:
     """Exact rational evaluation; e must satisfy is_polynomial()."""
-    memo: dict[int, Fraction] = {}
 
-    def go(n: Expr) -> Fraction:
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        if isinstance(n, Const):
-            out = n.value
-        elif isinstance(n, Var):
-            out = assignment[n.ref]
-        elif isinstance(n, Sum):
-            out = Fraction(0)
-            for t in n.terms:
-                out += go(t)
-        elif isinstance(n, Product):
-            out = Fraction(1)
-            for f in n.factors:
-                out *= go(f)
-        elif isinstance(n, Power):
-            out = go(n.base) ** n.exponent
-        elif isinstance(n, Quotient):
-            out = go(n.numerator) / go(n.denominator)
-        elif isinstance(n, Negate):
-            out = -go(n.arg)
-        else:
-            raise TypeError(f"not exactly evaluable: {n!r}")
-        memo[id(n)] = out
-        return out
+    def leaf(n: Expr) -> Fraction:
+        return n.value if type(n) is Const else assignment[n.ref]
 
-    return go(e)
+    return _run(e, leaf, _FRACTION_ZERO, _FRACTION_ONE, {})[-1]

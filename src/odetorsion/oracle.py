@@ -11,10 +11,10 @@ top-level sum terms that produced it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, pi, sin
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import expr as ex
 from .expr import EvalContext, EvalSingular, Expr, VarRef
@@ -99,7 +99,6 @@ def _exact_path_ok(e: Expr, bound) -> bool:
 
 def is_zero(e: Expr, params: Sequence[ParamDecl] = (), cfg: OracleConfig = OracleConfig()) -> Verdict:
     """Decide whether e vanishes identically under the parameter policies."""
-    e = ex.build(e)
     rng = random.Random(cfg.seed)
     plain, bound = _split_vars(e, params)
     branch_limited = ex.contains_fn(e, ("sqrt", "log"))

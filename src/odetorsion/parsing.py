@@ -18,8 +18,9 @@ beginning with ``#`` are ignored.
 
 from __future__ import annotations
 
+import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -230,8 +231,6 @@ def to_str(e: Expr) -> str:
         return f"{num}/({to_str(e.denominator)})"
     if isinstance(e, ex.Apply):
         return f"{e.fn}({to_str(e.arg)})"
-    if isinstance(e, ex.Negate):
-        return f"-{_wrap(e.arg, also=(ex.Quotient,))}"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -290,6 +289,7 @@ class OdeSystem:
                 raise ValidationError(f"{self.name}: parameter name {name!r} is reserved")
         for f in self.rhs:
             self.validate_expr(f)
+        self._check_evaluable()
 
     def validate_expr(self, e: Expr):
         declared = {p.name for p in self.params}
@@ -299,6 +299,31 @@ class OdeSystem:
                     raise ValidationError(f"{self.name}: variable index {ref.index} outside 1..{self.n}")
             elif ref.kind == VarRef.PARAM and ref.name not in declared:
                 raise ValidationError(f"{self.name}: undeclared parameter {ref.name!r}")
+
+    def _check_evaluable(self):
+        """Reject a right-hand side that no sample point evaluates.
+
+        Such an input is undefined (y/0, log(0*y)), however its torsion
+        might cancel.  The points come from a generator of their own, so
+        validation leaves the oracle's seeded draws untouched.
+        """
+        from .oracle import OracleConfig, _sample_annulus
+
+        cfg, rng, points = OracleConfig(), random.Random(0), 8
+        fixed = {ex.Param(p.name): complex(p.value) for p in self.params if p.policy == FIXED}
+        for k, f in enumerate(self.rhs, start=1):
+            refs = sorted(ex.free_vars(f), key=str)
+            for _ in range(points):
+                point = {r: fixed[r] if r in fixed else _sample_annulus(rng, cfg) for r in refs}
+                try:
+                    ex.evaluate(f, ex.EvalContext(point))
+                    break
+                except ArithmeticError:
+                    continue
+            else:
+                raise ValidationError(
+                    f"{self.name}: f{k} cannot be evaluated at any of {points} sample points"
+                )
 
     def param_map(self) -> dict[str, ParamDecl]:
         return {p.name: p for p in self.params}

@@ -194,8 +194,9 @@ def is_straight(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionRe
 
 def check_conserved(sys: OdeSystem, g: Expr, cfg: OracleConfig = OracleConfig()) -> Verdict:
     """Zero iff g is constant along integral curves of sys."""
-    sys.validate_expr(ex.build(g))
-    return is_zero(total_derivative(ex.build(g), sys), sys.params, cfg)
+    g = ex.build(g)
+    sys.validate_expr(g)
+    return is_zero(total_derivative(g, sys), sys.params, cfg)
 
 
 # ---------------------------------------------------------------------------

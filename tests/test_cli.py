@@ -69,6 +69,20 @@ class TestInline:
         code, out, err = run(capsys, "analyze", "--rhs", "y2")
         assert code == 2
 
+    @pytest.mark.parametrize("rhs", ["y/0", "1/(y-y)", "log(0*y)"])
+    def test_undefined_rhs_exit_2(self, capsys, rhs):
+        code, out, err = run(capsys, "analyze", "--rhs", rhs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: inline: f1 ")
+
+    @pytest.mark.parametrize("option", [("--samples", "0"), ("--tol", "2"), ("--tol", "1e-20")])
+    def test_bad_oracle_option_exit_2(self, capsys, option):
+        code, out, err = run(capsys, "analyze", "--rhs", "6*y^2", *option)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCorpus:
     def test_straight_table_all_match(self, capsys):
@@ -115,13 +129,6 @@ class TestCorpus:
         code, records, _ = run_json(capsys, "analyze", str(corpus))
         assert code == 1
         assert records[0]["match"] is False
-
-    def test_expect_invert_flips(self, capsys, tmp_path):
-        corpus = tmp_path / "bad"
-        corpus.write_text("system bad\n n 1\n f1 = 6*y^2\n expect straight\nend\n")
-        code, records, _ = run_json(capsys, "analyze", str(corpus), "--expect-invert")
-        assert code == 0
-        assert records[0]["match"] is True
 
     def test_missing_file_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "no-such-file")

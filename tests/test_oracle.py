@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from odetorsion.oracle import (
     is_zero,
     is_zero_matrix,
 )
-from odetorsion.parsing import FIXED, GENERIC, GENERIC_NONZERO, ParamDecl, parse_expr
+from odetorsion.parsing import FIXED, GENERIC, GENERIC_NONZERO, ParamDecl, parse_corpus, parse_expr
+from odetorsion.torsion import tresse_torsion
 
 x = ex.var(X)
 y = ex.var(Y(1))
@@ -120,6 +122,20 @@ class TestDeterminism:
             assert v.is_nonzero
             got = ex.evaluate(e, EvalContext(dict(v.witness)))
             assert abs(got - v.value) <= 1e-9 * max(abs(v.value), 1.0)
+
+
+class TestCanonicalInput:
+    def test_is_zero_does_not_rebuild_its_input(self, monkeypatch):
+        corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "duals"
+        (entry,) = [e for e in parse_corpus(corpus.read_text()) if e.system.name == "hitchin-dual"]
+        invariant = tresse_torsion(entry.system).invariant
+        before = len(ex._intern)
+        made = []
+        mk = ex._mk
+        monkeypatch.setattr(ex, "_mk", lambda node: made.append(node) or mk(node))
+        assert is_zero(invariant, entry.system.params).is_zero
+        assert len(ex._intern) == before
+        assert made == []
 
 
 class TestConfig:

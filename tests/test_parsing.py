@@ -129,6 +129,17 @@ class TestOdeSystem:
         with pytest.raises(ValidationError):
             OdeSystem(n=2, rhs=(y,))
 
+    @pytest.mark.parametrize("text", ["y/0", "1/(y-y)", "log(0*y)"])
+    def test_undefined_rhs_rejected(self, text):
+        with pytest.raises(ValidationError, match="^undefined: f2 "):
+            OdeSystem(n=2, rhs=(parse_expr("y2"), parse_expr(text)), name="undefined")
+
+    def test_fixed_parameter_takes_declared_value(self):
+        f = parse_expr("y/(a - 2)")
+        OdeSystem(n=1, rhs=(f,), params=(ParamDecl("a", GENERIC),))
+        with pytest.raises(ValidationError, match="f1"):
+            OdeSystem(n=1, rhs=(f,), params=(ParamDecl("a", FIXED, Fraction(2)),))
+
     def test_fixed_policy_needs_value(self):
         with pytest.raises(ValueError):
             ParamDecl("a", FIXED)
