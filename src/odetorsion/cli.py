@@ -4,7 +4,8 @@
     odetorsion analyze --rhs "6*y^2 + x"
 
 Exit codes: 0 when every entry matches its expectation (or has none),
-1 on any mismatch, 2 on parse or validation errors.
+1 on any mismatch, 2 on parse or validation errors and on a number
+overflowing the float range during classification.
 """
 
 from __future__ import annotations
@@ -146,13 +147,19 @@ def cmd_analyze(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
+    def analyze(entry: CorpusEntry) -> dict:
+        try:
+            return analyze_entry(entry, cfg, args.method)
+        except OverflowError as err:
+            raise ValidationError(f"{entry.system.name}: {err}") from None
+
     try:
         jobs = max(1, args.jobs)
         if jobs == 1 or len(entries) <= 1:
-            records = [analyze_entry(e, cfg, args.method) for e in entries]
+            records = [analyze(e) for e in entries]
         else:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                records = list(pool.map(lambda e: analyze_entry(e, cfg, args.method), entries))
+                records = list(pool.map(analyze, entries))
     except (DimensionError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -15,13 +15,19 @@ points of ``build``, so rebuilding one costs a lookup, not a walk.
 
 Each root gets one program, its distinct nodes in evaluation order, made
 on first use and cached on the root; ``evaluate`` (complex),
-``evaluate_exact`` (rational) and ``node_count`` all run on it.
+``evaluate_exact`` (rational) and ``node_count`` all run on it.  A
+polynomial program (constants, variables, sums, products and
+non-negative powers: every canonical polynomial) is evaluated exactly in
+integers over one common denominator S: a step of degree d holds its
+value times S^d, so no step builds or reduces a ``Fraction``.  The
+step degrees are cached on the root beside its program.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Union
 
 Number = Union[Fraction, complex]
@@ -121,18 +127,19 @@ def _union(sets: Iterable[frozenset]) -> frozenset:
 # Direct construction produces a "raw" node; build() (or the lowercase
 # smart constructors) canonicalizes.  Canonical nodes are interned, so
 # equality of canonical trees is usually an identity check.  Nodes are
-# never mutated after construction, except that _prog caches the node's
-# evaluation program once it is first needed.
+# never mutated after construction, except that _prog and _degs cache the
+# node's evaluation program and its step degrees once first needed.
 
 
 class Expr:
-    __slots__ = ("_h", "free", "poly", "fns", "_prog")
+    __slots__ = ("_h", "free", "poly", "fns", "_prog", "_degs")
 
     def _summarize(self, kids: tuple, poly: bool, fns: frozenset = _EMPTY) -> None:
         self.free = _union(k.free for k in kids)
         self.fns = _union([fns, *(k.fns for k in kids)])
         self.poly = poly
         self._prog = None
+        self._degs = None
 
     def __eq__(self, other):
         if self is other:
@@ -274,12 +281,8 @@ _intern: dict = {}
 
 
 def _mk(node: Expr) -> Expr:
-    key = node._key()
-    got = _intern.get(key)
-    if got is None:
-        _intern[key] = node
-        return node
-    return got
+    # one dict operation, so two threads interning equal nodes get one node
+    return _intern.setdefault(node._key(), node)
 
 
 ZERO = _mk(Const(0))
@@ -566,9 +569,50 @@ def _program(e: Expr) -> list[tuple[Expr, tuple[int, ...]]]:
     return prog
 
 
+def _degrees(e: Expr) -> Union[tuple[list, int], None]:
+    """(degree of each step of e's program, lcm of its constant
+    denominators), or None when integer evaluation cannot run the program:
+    it has a quotient, a negative power, a function or a complex constant.
+
+    Leaves have degree 1, a product the sum of its children's degrees, a
+    sum their maximum and a power e times its base's.
+    """
+    got = e._degs
+    if got is None:
+        degs: list = []
+        den = 1
+        for n, kids in _program(e):
+            t = type(n)
+            if t is Const and isinstance(n.value, Fraction):
+                den = lcm(den, n.value.denominator)
+                d = 1
+            elif t is Var:
+                d = 1
+            elif t is Sum:
+                d = max((degs[k] for k in kids), default=0)
+            elif t is Product:
+                d = sum(degs[k] for k in kids)
+            elif t is Power and n.exponent >= 0:
+                d = n.exponent * degs[kids[0]]
+            else:
+                got = False
+                break
+            degs.append(d)
+        else:
+            got = (degs, den)
+        e._degs = got
+    return got or None
+
+
 def _run(e: Expr, leaf: Callable[[Expr], Number], zero: Number, one: Number,
-         funcs: Mapping[str, Callable]) -> list:
-    """Every node's value, in program order; the root's value is last."""
+         funcs: Mapping[str, Callable], degs: Union[list, None] = None,
+         scale: int = 1) -> list:
+    """Every node's value, in program order; the root's value is last.
+
+    With step degrees ``degs`` (from ``_degrees``) the leaves are
+    integers, each value times ``scale``, and a sum brings each term up to
+    its own degree, so every step holds its value times scale^degree.
+    """
     prog = _program(e)
     vals: list = []
     push = vals.append
@@ -581,8 +625,14 @@ def _run(e: Expr, leaf: Callable[[Expr], Number], zero: Number, one: Number,
                     v *= vals[k]
             elif t is Sum:
                 v = zero
-                for k in kids:
-                    v += vals[k]
+                if degs is None:
+                    for k in kids:
+                        v += vals[k]
+                else:
+                    d = degs[len(vals)]
+                    for k in kids:
+                        gap = d - degs[k]
+                        v += vals[k] * scale ** gap if gap else vals[k]
             elif t is Power:
                 v = vals[kids[0]]
                 if v == 0 and n.exponent < 0:
@@ -640,9 +690,28 @@ _FRACTION_ZERO, _FRACTION_ONE = Fraction(0), Fraction(1)
 
 
 def evaluate_exact(e: Expr, assignment: Mapping[VarRef, Fraction]) -> Fraction:
-    """Exact rational evaluation; e must satisfy is_polynomial()."""
+    """Exact rational evaluation; e must satisfy is_polynomial().
+
+    A polynomial program runs in integers over S, the lcm of its constant
+    denominators and the assigned values' denominators: the root holds N
+    with value N / S^d, reduced once.  Raw trees with a quotient or a
+    negative power run in ``Fraction`` arithmetic.
+    """
 
     def leaf(n: Expr) -> Fraction:
         return n.value if type(n) is Const else assignment[n.ref]
 
-    return _run(e, leaf, _FRACTION_ZERO, _FRACTION_ONE, {})[-1]
+    homogeneous = _degrees(e)
+    if homogeneous is None:
+        return _run(e, leaf, _FRACTION_ZERO, _FRACTION_ONE, {})[-1]
+    degs, den = homogeneous
+    s = lcm(den, *(v.denominator for v in assignment.values()))
+
+    def scaled(n: Expr) -> int:
+        v = n.value if type(n) is Const else assignment[n.ref]
+        return v.numerator * (s // v.denominator)
+
+    num = _run(e, scaled, 0, 1, {}, degs, s)[-1]
+    if not num:
+        return _FRACTION_ZERO
+    return Fraction(num, s ** degs[-1])

@@ -1,23 +1,30 @@
 """Randomized zero oracle for analytic expressions.
 
-Polynomials over the rationals get an exact Schwartz-Zippel style test at
-random rational points.  Everything else is sampled at random complex
+A constant is decided from its value, without sampling.  Polynomials
+over the rationals get an exact Schwartz-Zippel style test at random
+rational points, evaluated in integers over one common denominator (see
+``expr.evaluate_exact``).  Everything else is sampled at random complex
 points drawn from an annulus (avoiding both the origin's coordinate
 singularities and huge magnitudes), with a cancellation-aware relative
 tolerance: a value counts as zero only relative to the magnitudes of the
 top-level sum terms that produced it.
+
+An exact witness value outside the float range is reported as an
+infinity of its sign; the verdict rests on the exact value, never on the
+float.
 """
 
 from __future__ import annotations
 
+import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, pi, sin
+from math import cos, inf, pi, sin
 from typing import Optional, Sequence
 
 from . import expr as ex
-from .expr import EvalContext, EvalSingular, Expr, VarRef
+from .expr import Const, EvalContext, EvalSingular, Expr, VarRef
 from .parsing import FIXED, GENERIC, GENERIC_NONZERO, ParamDecl
 
 ZERO = "zero"
@@ -97,8 +104,26 @@ def _exact_path_ok(e: Expr, bound) -> bool:
     return True
 
 
+def _float(value: Fraction) -> complex:
+    """complex(value), or an infinity of value's sign outside the float range."""
+    try:
+        return complex(value)
+    except OverflowError:
+        return complex(inf if value > 0 else -inf)
+
+
 def is_zero(e: Expr, params: Sequence[ParamDecl] = (), cfg: OracleConfig = OracleConfig()) -> Verdict:
     """Decide whether e vanishes identically under the parameter policies."""
+    if type(e) is Const:
+        # what sampling would return, without drawing a point; a
+        # non-finite complex constant keeps the sampling loop
+        v = e.value
+        if v == 0:
+            return Verdict(ZERO, seed=cfg.seed, samples_passed=cfg.samples, exact=True)
+        if isinstance(v, Fraction):
+            return Verdict(NONZERO, seed=cfg.seed, witness={}, value=_float(v), exact=True)
+        if cmath.isfinite(v):
+            return Verdict(NONZERO, seed=cfg.seed, witness={}, value=v)
     rng = random.Random(cfg.seed)
     plain, bound = _split_vars(e, params)
     branch_limited = ex.contains_fn(e, ("sqrt", "log"))
@@ -122,8 +147,8 @@ def _is_zero_exact(e, plain, bound, cfg, rng) -> Verdict:
         if value != 0:
             return Verdict(
                 NONZERO, seed=cfg.seed, samples_passed=k,
-                witness={r: complex(v) for r, v in assignment.items()},
-                value=complex(value), exact=True,
+                witness={r: _float(v) for r, v in assignment.items()},
+                value=_float(value), exact=True,
             )
     return Verdict(ZERO, seed=cfg.seed, samples_passed=cfg.samples, exact=True)
 

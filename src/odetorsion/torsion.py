@@ -167,10 +167,14 @@ def quartic_test(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionR
     inconclusive = None
     for i in range(n):
         for combo in combinations_with_replacement(dys, 4):
+            # every partial is built, so expr_nodes covers all of them,
+            # but none is tested once one is nonzero
             d4 = nth_partial(sys.rhs[i], combo)
             invariant.append(d4)
+            if verdict is not None:
+                continue
             v = is_zero(d4, sys.params, cfg)
-            if v.is_nonzero and verdict is None:
+            if v.is_nonzero:
                 verdict = Verdict(
                     NONZERO, seed=cfg.seed, samples_passed=passed,
                     witness=v.witness, value=v.value, exact=v.exact,

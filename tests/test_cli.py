@@ -84,6 +84,22 @@ class TestInline:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    def test_exact_witness_beyond_float_range(self, capsys):
+        code, out, err = run(capsys, "analyze", "--rhs", "y1^300*y2^300*dy1 + x",
+                             "--rhs", "dy2^2*y1", "--json")
+        assert code == 0 and err == ""
+        (r,) = json.loads(out)
+        assert r["classification"] == "not-straight"
+        assert abs(r["witness_value"][0]) == float("inf")
+        assert "Infinity" in out
+
+    def test_numeric_overflow_exit_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "--rhs", "exp(y^400)")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: inline: ") and err.count("\n") == 1
+
+
 class TestCorpus:
     def test_straight_table_all_match(self, capsys):
         code, records, _ = run_json(capsys, "analyze", str(CORPUS_DIR / "table1.straight"))

@@ -1,4 +1,7 @@
 import cmath
+import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -171,6 +174,84 @@ def test_node_summaries_and_one_evaluator(raw, values):
         except (EvalSingular, OverflowError):
             continue
         assert abs(value - complex(exact)) <= 1e-9 * max(scale, 1)
+
+
+def _reference_exact(n, point):
+    """n's value by a plain recursive walk in Fraction arithmetic."""
+    if isinstance(n, Const):
+        return n.value
+    if isinstance(n, Var):
+        return point[n.ref]
+    kids = [_reference_exact(c, point) for c in ex.children(n)]
+    if isinstance(n, Sum):
+        return sum(kids, Fraction(0))
+    if isinstance(n, Product):
+        return math.prod(kids, start=Fraction(1))
+    if isinstance(n, Power):
+        return kids[0] ** n.exponent
+    return kids[0] / kids[1]
+
+
+# small values make exact zeros common, large ones make big denominators
+_exact_values = st.one_of(
+    _point_values,
+    st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)).map(lambda t: Fraction(*t)),
+)
+
+
+@given(raw_trees, st.lists(_exact_values, min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_integer_exact_evaluation_matches_fraction_reference(raw, values):
+    try:
+        canonical = build(raw)
+    except ZeroDivisionError:
+        return
+    if not canonical.poly:
+        return
+    point = dict(zip([X, Y(1), YDot(1), ex.Param("a")], values))
+    # a canonical sum with a term and its negation is zero at every point
+    for root in (canonical, ex.sub(canonical, canonical)):
+        try:
+            got = evaluate_exact(root, point)
+        except EvalSingular:  # a quotient by the constant 0 stays canonical
+            with pytest.raises(ZeroDivisionError):
+                _reference_exact(root, point)
+            return
+        assert type(got) is Fraction
+        assert got == _reference_exact(root, point)
+    if raw.poly:
+        # a raw tree with quotients runs in Fraction arithmetic
+        try:
+            assert evaluate_exact(raw, point) == evaluate_exact(canonical, point)
+        except EvalSingular:
+            pass
+
+
+def test_interning_is_race_free():
+    """Two threads interning the same new nodes get one node per key."""
+    a = ex.var(ex.Param("race"))
+    results = ([], [])
+    start = threading.Barrier(2)
+
+    def work(out):
+        start.wait(timeout=10)
+        out.extend(ex.mul(ex.const(k), a) for k in range(2, 20002))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    first, second = results
+    assert len(first) == len(second) == 20000
+    assert all(p is q for p, q in zip(first, second))
+    assert all(ex._intern[p._key()] is p for p in first)
 
 
 class TestSubstitute:

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_polynomial
 from odetorsion import expr as ex
 from odetorsion.expr import EvalContext, X, Y, YDot
+from odetorsion import oracle
 from odetorsion.oracle import (
     INCONCLUSIVE,
     NONZERO,
@@ -39,6 +40,35 @@ class TestExactPath:
         v = is_zero(ex.const(72))
         assert v.is_nonzero and v.exact
         assert v.value == 72
+
+    @pytest.mark.parametrize("value", [0, Fraction(3, 2), 1 + 2j])
+    def test_constant_decided_as_sampling_would(self, monkeypatch, value):
+        c = ex.const(value)
+        cfg = OracleConfig(seed=5)
+        if isinstance(c.value, Fraction):
+            sampled = oracle._is_zero_exact(c, [], {}, cfg, random.Random(cfg.seed))
+        else:
+            sampled = oracle._is_zero_numeric(c, [], {}, cfg, random.Random(cfg.seed), False)
+
+        def unused(*_):
+            raise AssertionError("a constant needs no sample")
+
+        for name in ("evaluate", "evaluate_exact"):
+            monkeypatch.setattr(ex, name, unused)
+        monkeypatch.setattr(oracle.random, "Random", unused)
+        assert is_zero(c, cfg=cfg) == sampled
+
+    @pytest.mark.parametrize("coefficient, expected", [(10 ** 400, float("inf")),
+                                                       (-10 ** 400, float("-inf"))])
+    def test_witness_value_beyond_float_range(self, coefficient, expected):
+        v = is_zero(ex.mul(ex.const(coefficient), y))
+        assert v.is_nonzero and v.exact
+        assert v.value == complex(expected)
+
+    def test_witness_value_below_float_range_stays_nonzero(self):
+        v = is_zero(ex.mul(ex.const(Fraction(1, 10 ** 400)), y))
+        assert v.is_nonzero and v.exact
+        assert v.value == 0j
 
     def test_nonzero_gives_witness(self):
         v = is_zero(parse_expr("y^2 - dy"))

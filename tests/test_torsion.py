@@ -6,7 +6,7 @@ import pytest
 from conftest import rand_fraction, random_point, random_polynomial
 from odetorsion import expr as ex
 from odetorsion.expr import EvalContext, X, Y, YDot
-from odetorsion.oracle import INCONCLUSIVE, OracleConfig
+from odetorsion.oracle import INCONCLUSIVE, OracleConfig, is_zero
 from odetorsion.parsing import GENERIC, OdeSystem, ParamDecl, parse_expr
 from odetorsion.torsion import (
     DimensionError,
@@ -200,6 +200,19 @@ class TestQuartic:
         sys = OdeSystem(n=2, rhs=(parse_expr("dy1^2*dy2^2"), ex.ZERO))
         report = quartic_test(sys)
         assert report.straight is False
+
+
+    def test_no_oracle_call_after_nonzero(self, monkeypatch):
+        from odetorsion import torsion
+
+        calls = []
+        monkeypatch.setattr(torsion, "is_zero", lambda *a: calls.append(a) or is_zero(*a))
+        sys = OdeSystem(n=2, rhs=(parse_expr("dy1^4"), parse_expr("dy2^4")))
+        report = quartic_test(sys)
+        assert report.straight is False
+        assert len(calls) == 1
+        # every fourth partial is still built: 2 * C(5, 4)
+        assert len(report.invariant) == 10
 
 
 class TestConserved:
