@@ -23,6 +23,9 @@ _cache_pins: dict[int, Expr] = {}  # keep cached keys' id()s stable
 
 def partial(e: Expr, v: VarRef) -> Expr:
     """Exact symbolic partial derivative, canonicalized."""
+    if v not in e.free:
+        # every rule below gives ZERO here; skip the walk and the memo
+        return ex.ZERO
     key = (id(e), v)
     got = _partial_cache.get(key)
     if got is not None:

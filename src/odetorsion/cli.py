@@ -4,8 +4,10 @@
     odetorsion analyze --rhs "6*y^2 + x"
 
 Exit codes: 0 when every entry matches its expectation (or has none),
-1 on any mismatch, 2 on parse or validation errors and on a number
-overflowing the float range during classification.
+1 on any mismatch, 2 on parse or validation errors (an undefined
+right-hand side or conserved quantity among them), on input nested too
+deeply to read and on a number overflowing the float range while
+reading or classifying.
 """
 
 from __future__ import annotations
@@ -17,13 +19,16 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from .expr import VarRef, free_vars
 from .oracle import INCONCLUSIVE, NONZERO, ZERO, OracleConfig
 from .parsing import (
+    GENERIC,
     NOT_STRAIGHT,
     STRAIGHT,
     UNSPECIFIED,
     CorpusEntry,
     OdeSystem,
+    ParamDecl,
     ParseError,
     ValidationError,
     parse_corpus,
@@ -99,9 +104,6 @@ def analyze_entry(entry: CorpusEntry, cfg: OracleConfig, method: str = "auto") -
 def _load_entries(args) -> list[CorpusEntry]:
     if args.rhs:
         rhs = tuple(parse_expr(t) for t in args.rhs)
-        from .expr import VarRef, free_vars
-        from .parsing import GENERIC, ParamDecl
-
         params = sorted(
             {r.name for f in rhs for r in free_vars(f) if r.kind == VarRef.PARAM}
         )
@@ -138,7 +140,8 @@ def _text_row(r: dict) -> str:
 def cmd_analyze(args) -> int:
     try:
         entries = _load_entries(args)
-    except (ParseError, ValidationError, OSError) as err:
+    except (ParseError, ValidationError, OSError, OverflowError, RecursionError) as err:
+        # RecursionError: input nested deeper than the parser's recursion
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:

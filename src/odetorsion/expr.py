@@ -15,12 +15,13 @@ points of ``build``, so rebuilding one costs a lookup, not a walk.
 
 Each root gets one program, its distinct nodes in evaluation order, made
 on first use and cached on the root; ``evaluate`` (complex),
-``evaluate_exact`` (rational) and ``node_count`` all run on it.  A
-polynomial program (constants, variables, sums, products and
-non-negative powers: every canonical polynomial) is evaluated exactly in
-integers over one common denominator S: a step of degree d holds its
-value times S^d, so no step builds or reduces a ``Fraction``.  The
-step degrees are cached on the root beside its program.
+``exact_ratio`` and ``evaluate_exact`` (rational), and ``node_count``
+all run on it.  A polynomial program (constants, variables, sums,
+products and non-negative powers: every canonical polynomial) is
+evaluated exactly in integers over one common denominator S: a step of
+degree d holds its value times S^d, so no step builds or reduces a
+``Fraction``.  The step degrees are cached on the root beside its
+program.
 """
 
 from __future__ import annotations
@@ -268,6 +269,9 @@ def _coerce_number(value) -> Number:
         # Decimal-point literals convert exactly (0.5 -> 1/2).
         return Fraction(value)
     if isinstance(value, complex):
+        if not cmath.isfinite(value):
+            # a fold that left the float range; no sample could test it
+            raise OverflowError(f"constant {value} outside the float range")
         if value.imag == 0.0:
             return Fraction(value.real)
         return value
@@ -689,13 +693,13 @@ def evaluate(e: Expr, ctx: EvalContext) -> complex:
 _FRACTION_ZERO, _FRACTION_ONE = Fraction(0), Fraction(1)
 
 
-def evaluate_exact(e: Expr, assignment: Mapping[VarRef, Fraction]) -> Fraction:
-    """Exact rational evaluation; e must satisfy is_polynomial().
+def exact_ratio(e: Expr, assignment: Mapping[VarRef, Fraction]) -> tuple[int, int]:
+    """(N, D), D > 0 and not reduced, with e's exact value N / D.
 
     A polynomial program runs in integers over S, the lcm of its constant
-    denominators and the assigned values' denominators: the root holds N
-    with value N / S^d, reduced once.  Raw trees with a quotient or a
-    negative power run in ``Fraction`` arithmetic.
+    denominators and the assigned values' denominators: D is S^d.  Raw
+    trees with a quotient or a negative power run in ``Fraction``
+    arithmetic.
     """
 
     def leaf(n: Expr) -> Fraction:
@@ -703,7 +707,8 @@ def evaluate_exact(e: Expr, assignment: Mapping[VarRef, Fraction]) -> Fraction:
 
     homogeneous = _degrees(e)
     if homogeneous is None:
-        return _run(e, leaf, _FRACTION_ZERO, _FRACTION_ONE, {})[-1]
+        v = _run(e, leaf, _FRACTION_ZERO, _FRACTION_ONE, {})[-1]
+        return v.numerator, v.denominator
     degs, den = homogeneous
     s = lcm(den, *(v.denominator for v in assignment.values()))
 
@@ -711,7 +716,10 @@ def evaluate_exact(e: Expr, assignment: Mapping[VarRef, Fraction]) -> Fraction:
         v = n.value if type(n) is Const else assignment[n.ref]
         return v.numerator * (s // v.denominator)
 
-    num = _run(e, scaled, 0, 1, {}, degs, s)[-1]
-    if not num:
-        return _FRACTION_ZERO
-    return Fraction(num, s ** degs[-1])
+    return _run(e, scaled, 0, 1, {}, degs, s)[-1], s ** degs[-1]
+
+
+def evaluate_exact(e: Expr, assignment: Mapping[VarRef, Fraction]) -> Fraction:
+    """Exact rational evaluation; e must satisfy is_polynomial()."""
+    num, den = exact_ratio(e, assignment)
+    return Fraction(num, den) if num else _FRACTION_ZERO

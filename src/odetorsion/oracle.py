@@ -2,12 +2,18 @@
 
 A constant is decided from its value, without sampling.  Polynomials
 over the rationals get an exact Schwartz-Zippel style test at random
-rational points, evaluated in integers over one common denominator (see
-``expr.evaluate_exact``).  Everything else is sampled at random complex
-points drawn from an annulus (avoiding both the origin's coordinate
-singularities and huge magnitudes), with a cancellation-aware relative
-tolerance: a value counts as zero only relative to the magnitudes of the
-top-level sum terms that produced it.
+rational points, evaluated in integers over one common denominator and
+never reduced (see ``expr.exact_ratio``).  Everything else is sampled at random complex
+points drawn from the annulus R_MIN <= |z| <= R_MAX (avoiding both the
+origin's coordinate singularities and huge magnitudes), with a
+cancellation-aware relative tolerance: a value counts as zero only
+relative to the magnitudes of the top-level sum terms that produced it.
+A point where the expression is singular or not finite is redrawn, up to
+MAX_RETRIES times.
+
+``sample_point`` is the one place points are drawn, under the parameter
+policies; the oracle's exact and numeric paths, ``OdeSystem``
+validation and the autonomous cross-check all use it.
 
 An exact witness value outside the float range is reported as an
 infinity of its sign; the verdict rests on the exact value, never on the
@@ -21,32 +27,46 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, inf, pi, sin
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import expr as ex
-from .expr import Const, EvalContext, EvalSingular, Expr, VarRef
-from .parsing import FIXED, GENERIC, GENERIC_NONZERO, ParamDecl
+from .expr import Const, EvalContext, EvalSingular, Expr, Param, VarRef
 
 ZERO = "zero"
 NONZERO = "nonzero"
 INCONCLUSIVE = "inconclusive"
+
+R_MIN, R_MAX = 0.3, 2.0  # radii of the sampling annulus
+NOISE_FLOOR = 1e-13  # relative magnitude below which a value is plainly zero
+MAX_RETRIES = 8  # draws per numeric sample before it counts as invalid
+
+GENERIC = "generic"
+GENERIC_NONZERO = "generic-nonzero"
+FIXED = "fixed"
+
+
+@dataclass(frozen=True)
+class ParamDecl:
+    name: str
+    policy: str = GENERIC  # generic | generic-nonzero | fixed
+    value: object = None  # Fraction or complex when fixed
+
+    def __post_init__(self):
+        if self.policy not in (GENERIC, GENERIC_NONZERO, FIXED):
+            raise ValueError(f"bad parameter policy {self.policy!r}")
+        if (self.policy == FIXED) != (self.value is not None):
+            raise ValueError("fixed policy requires a value, others forbid one")
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     samples: int = 32
     seed: int = 0
-    r_min: float = 0.3
-    r_max: float = 2.0
     rel_tol: float = 1e-9
-    noise_floor: float = 1e-13
-    max_retries: int = 8
 
     def __post_init__(self):
-        if not 0 < self.r_min < self.r_max:
-            raise ValueError("need 0 < r_min < r_max")
-        if not 0 < self.noise_floor < self.rel_tol < 1:
-            raise ValueError("need 0 < noise_floor < rel_tol < 1")
+        if not NOISE_FLOOR < self.rel_tol < 1:
+            raise ValueError(f"need {NOISE_FLOOR} < rel_tol < 1")
         if self.samples < 1:
             raise ValueError("need at least one sample")
 
@@ -76,27 +96,31 @@ def _sample_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
 
 
-def _sample_annulus(rng: random.Random, cfg: OracleConfig) -> complex:
-    r = rng.uniform(cfg.r_min, cfg.r_max)
+def _sample_annulus(rng: random.Random) -> complex:
+    r = rng.uniform(R_MIN, R_MAX)
     t = rng.uniform(0.0, 2.0 * pi)
     return complex(r * cos(t), r * sin(t))
 
 
-def _split_vars(e: Expr, params: Sequence[ParamDecl]):
-    decls = {p.name: p for p in params}
-    plain, bound = [], {}
-    for ref in sorted(ex.free_vars(e), key=str):
-        if ref.kind == VarRef.PARAM:
-            bound[ref] = decls.get(ref.name, ParamDecl(ref.name, GENERIC))
-        else:
-            plain.append(ref)
-    return plain, bound
+def sample_point(rng: random.Random, refs: Sequence[VarRef], params: Sequence[ParamDecl] = (),
+                 draw: Callable = _sample_annulus, number: Callable = complex) -> dict:
+    """One point for refs, drawn in their order.
+
+    A FIXED parameter takes number(value); every other ref, including a
+    GENERIC_NONZERO one (the annulus already excludes |v| < R_MIN), is
+    draw(rng).  The defaults are the numeric path's; the exact path draws
+    ``_sample_rational`` and keeps fixed values as ``Fraction``.
+    """
+    fixed = {Param(p.name): p.value for p in params if p.policy == FIXED}
+    return {r: number(fixed[r]) if r in fixed else draw(rng) for r in refs}
 
 
-def _exact_path_ok(e: Expr, bound) -> bool:
+def _exact_path_ok(e: Expr, params: Sequence[ParamDecl]) -> bool:
     if not ex.is_polynomial(e):
         return False
-    for decl in bound.values():
+    for decl in params:
+        if Param(decl.name) not in e.free:
+            continue
         if decl.policy == GENERIC_NONZERO:
             return False
         if decl.policy == FIXED and not isinstance(decl.value, (Fraction, int)):
@@ -104,90 +128,76 @@ def _exact_path_ok(e: Expr, bound) -> bool:
     return True
 
 
-def _float(value: Fraction) -> complex:
-    """complex(value), or an infinity of value's sign outside the float range."""
+def _float(num: int, den: int) -> complex:
+    """complex(num / den) for den > 0, or an infinity of num's sign outside
+    the float range.
+
+    Integer true division is correctly rounded, so num and den need no
+    common factor removed first.
+    """
     try:
-        return complex(value)
+        return complex(num / den)
     except OverflowError:
-        return complex(inf if value > 0 else -inf)
+        return complex(inf if num > 0 else -inf)
 
 
 def is_zero(e: Expr, params: Sequence[ParamDecl] = (), cfg: OracleConfig = OracleConfig()) -> Verdict:
     """Decide whether e vanishes identically under the parameter policies."""
     if type(e) is Const:
-        # what sampling would return, without drawing a point; a
-        # non-finite complex constant keeps the sampling loop
+        # what sampling would return, without drawing a point
         v = e.value
         if v == 0:
             return Verdict(ZERO, seed=cfg.seed, samples_passed=cfg.samples, exact=True)
         if isinstance(v, Fraction):
-            return Verdict(NONZERO, seed=cfg.seed, witness={}, value=_float(v), exact=True)
-        if cmath.isfinite(v):
-            return Verdict(NONZERO, seed=cfg.seed, witness={}, value=v)
+            return Verdict(NONZERO, seed=cfg.seed, witness={},
+                           value=_float(v.numerator, v.denominator), exact=True)
+        return Verdict(NONZERO, seed=cfg.seed, witness={}, value=v)
     rng = random.Random(cfg.seed)
-    plain, bound = _split_vars(e, params)
-    branch_limited = ex.contains_fn(e, ("sqrt", "log"))
+    # parameters after the other variables, each group in name order
+    refs = sorted(ex.free_vars(e), key=lambda r: (r.kind == VarRef.PARAM, str(r)))
+    if _exact_path_ok(e, params):
+        return _is_zero_exact(e, refs, params, cfg, rng)
+    return _is_zero_numeric(e, refs, params, cfg, rng, ex.contains_fn(e, ("sqrt", "log")))
 
-    if _exact_path_ok(e, bound):
-        return _is_zero_exact(e, plain, bound, cfg, rng)
-    return _is_zero_numeric(e, plain, bound, cfg, rng, branch_limited)
 
-
-def _is_zero_exact(e, plain, bound, cfg, rng) -> Verdict:
+def _is_zero_exact(e, refs, params, cfg, rng) -> Verdict:
     for k in range(cfg.samples):
-        assignment = {}
-        for ref in plain:
-            assignment[ref] = _sample_rational(rng)
-        for ref, decl in bound.items():
-            if decl.policy == FIXED:
-                assignment[ref] = Fraction(decl.value)
-            else:
-                assignment[ref] = _sample_rational(rng)
-        value = ex.evaluate_exact(e, assignment)
-        if value != 0:
+        point = sample_point(rng, refs, params, _sample_rational, Fraction)
+        num, den = ex.exact_ratio(e, point)
+        if num:
             return Verdict(
                 NONZERO, seed=cfg.seed, samples_passed=k,
-                witness={r: _float(v) for r, v in assignment.items()},
-                value=_float(value), exact=True,
+                witness={r: _float(v.numerator, v.denominator) for r, v in point.items()},
+                value=_float(num, den), exact=True,
             )
     return Verdict(ZERO, seed=cfg.seed, samples_passed=cfg.samples, exact=True)
 
 
-def _is_zero_numeric(e, plain, bound, cfg, rng, branch_limited) -> Verdict:
+def _is_zero_numeric(e, refs, params, cfg, rng, branch_limited) -> Verdict:
     clear_zero = 0
     gray = 0
     valid = 0
     for k in range(cfg.samples):
-        result = None
-        for _ in range(cfg.max_retries):
-            assignment = {}
-            for ref in plain:
-                assignment[ref] = _sample_annulus(rng, cfg)
-            for ref, decl in bound.items():
-                if decl.policy == FIXED:
-                    assignment[ref] = complex(decl.value)
-                else:
-                    # annulus sampling already excludes |v| < r_min, which
-                    # is all generic-nonzero additionally demands
-                    assignment[ref] = _sample_annulus(rng, cfg)
-            ctx = EvalContext(assignment)
+        for _ in range(MAX_RETRIES):
+            point = sample_point(rng, refs, params)
+            ctx = EvalContext(point)
             try:
                 value = ex.evaluate(e, ctx)
             except EvalSingular:
                 continue
-            result = (assignment, value, ctx.cancellation_scale)
-            break
-        if result is None:
+            if cmath.isfinite(value):
+                break
+        else:
             continue
         valid += 1
-        assignment, value, scale = result
         mag = abs(value)
+        scale = ctx.cancellation_scale
         if mag > cfg.rel_tol * scale:
             return Verdict(
                 NONZERO, seed=cfg.seed, samples_passed=valid - 1,
-                witness=assignment, value=value, branch_limited=branch_limited,
+                witness=point, value=value, branch_limited=branch_limited,
             )
-        if mag <= cfg.noise_floor * scale:
+        if mag <= NOISE_FLOOR * scale:
             clear_zero += 1
         else:
             gray += 1

@@ -26,6 +26,7 @@ from typing import Optional
 
 from . import expr as ex
 from .expr import Expr, VarRef
+from .oracle import FIXED, GENERIC, GENERIC_NONZERO, ParamDecl, sample_point
 
 
 class ParseError(ValueError):
@@ -245,24 +246,8 @@ def _wrap(e: Expr, also=()) -> str:
 # ---------------------------------------------------------------------------
 # Systems and corpus entries
 
-GENERIC = "generic"
-GENERIC_NONZERO = "generic-nonzero"
-FIXED = "fixed"
-
 _RESERVED = {"x", "y", "dy", "i"} | set(ex.FUNCTIONS)
-
-
-@dataclass(frozen=True)
-class ParamDecl:
-    name: str
-    policy: str = GENERIC  # generic | generic-nonzero | fixed
-    value: object = None  # Fraction or complex when fixed
-
-    def __post_init__(self):
-        if self.policy not in (GENERIC, GENERIC_NONZERO, FIXED):
-            raise ValueError(f"bad parameter policy {self.policy!r}")
-        if (self.policy == FIXED) != (self.value is not None):
-            raise ValueError("fixed policy requires a value, others forbid one")
+_POINTS = 8  # sample points an expression gets to show it is defined
 
 
 @dataclass(frozen=True)
@@ -289,7 +274,7 @@ class OdeSystem:
                 raise ValidationError(f"{self.name}: parameter name {name!r} is reserved")
         for f in self.rhs:
             self.validate_expr(f)
-        self._check_evaluable()
+        self.require_evaluable((f"f{k}", f) for k, f in enumerate(self.rhs, start=1))
 
     def validate_expr(self, e: Expr):
         declared = {p.name for p in self.params}
@@ -300,29 +285,26 @@ class OdeSystem:
             elif ref.kind == VarRef.PARAM and ref.name not in declared:
                 raise ValidationError(f"{self.name}: undeclared parameter {ref.name!r}")
 
-    def _check_evaluable(self):
-        """Reject a right-hand side that no sample point evaluates.
+    def require_evaluable(self, labelled) -> None:
+        """Reject an expression that no sample point evaluates.
 
-        Such an input is undefined (y/0, log(0*y)), however its torsion
-        might cancel.  The points come from a generator of their own, so
-        validation leaves the oracle's seeded draws untouched.
+        labelled holds (label, expression) pairs.  Such an input is
+        undefined (y/0, log(0*y)), however its torsion might cancel.  The
+        points come from a generator of their own, so validation leaves
+        the oracle's seeded draws untouched.
         """
-        from .oracle import OracleConfig, _sample_annulus
-
-        cfg, rng, points = OracleConfig(), random.Random(0), 8
-        fixed = {ex.Param(p.name): complex(p.value) for p in self.params if p.policy == FIXED}
-        for k, f in enumerate(self.rhs, start=1):
-            refs = sorted(ex.free_vars(f), key=str)
-            for _ in range(points):
-                point = {r: fixed[r] if r in fixed else _sample_annulus(rng, cfg) for r in refs}
+        rng = random.Random(0)
+        for label, e in labelled:
+            refs = sorted(ex.free_vars(e), key=str)
+            for _ in range(_POINTS):
                 try:
-                    ex.evaluate(f, ex.EvalContext(point))
+                    ex.evaluate(e, ex.EvalContext(sample_point(rng, refs, self.params)))
                     break
                 except ArithmeticError:
                     continue
             else:
                 raise ValidationError(
-                    f"{self.name}: f{k} cannot be evaluated at any of {points} sample points"
+                    f"{self.name}: {label} cannot be evaluated at any of {_POINTS} sample points"
                 )
 
     def param_map(self) -> dict[str, ParamDecl]:
@@ -434,11 +416,13 @@ def _finish_entry(state) -> CorpusEntry:
         params=tuple(state["params"]),
         name=name,
     )
-    for g in state["conserved"]:
+    conserved = tuple(ex.build(g) for g in state["conserved"])
+    for g in conserved:
         sys.validate_expr(g)
+    sys.require_evaluable((f"conserved quantity {k}", g) for k, g in enumerate(conserved, start=1))
     return CorpusEntry(
         system=sys,
         expect=state["expect"],
-        conserved=tuple(ex.build(g) for g in state["conserved"]),
+        conserved=conserved,
         notes=tuple(state["notes"]),
     )

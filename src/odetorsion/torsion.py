@@ -24,6 +24,7 @@ identically; the vanishing decision is delegated to the zero oracle.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,7 +34,7 @@ from typing import Optional, Sequence
 from . import expr as ex
 from .calculus import nth_partial, partial, total_derivative
 from .expr import EvalContext, EvalSingular, Expr
-from .oracle import INCONCLUSIVE, NONZERO, ZERO, OracleConfig, Verdict, is_zero, is_zero_matrix
+from .oracle import NONZERO, ZERO, OracleConfig, Verdict, is_zero, is_zero_matrix, sample_point
 from .parsing import OdeSystem, ParamDecl
 
 TRESSE = "tresse"
@@ -157,35 +158,16 @@ def tresse_torsion(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> Torsio
 
 
 def quartic_test(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionReport:
-    """All distinct fourth dy-partials of each right-hand side."""
+    """All distinct fourth dy-partials of each right-hand side.
+
+    Tested as one row per f^I, its partials in combinations_with_replacement
+    order, so a witness entry (I, k) names f^I's k-th partial.
+    """
     started = time.perf_counter()
-    n = sys.n
-    dys = [ex.YDot(j + 1) for j in range(n)]
-    invariant = []
-    verdict = None
-    passed = 0
-    inconclusive = None
-    for i in range(n):
-        for combo in combinations_with_replacement(dys, 4):
-            # every partial is built, so expr_nodes covers all of them,
-            # but none is tested once one is nonzero
-            d4 = nth_partial(sys.rhs[i], combo)
-            invariant.append(d4)
-            if verdict is not None:
-                continue
-            v = is_zero(d4, sys.params, cfg)
-            if v.is_nonzero:
-                verdict = Verdict(
-                    NONZERO, seed=cfg.seed, samples_passed=passed,
-                    witness=v.witness, value=v.value, exact=v.exact,
-                    branch_limited=v.branch_limited,
-                )
-            if v.outcome == INCONCLUSIVE and inconclusive is None:
-                inconclusive = v
-            passed += v.samples_passed
-    if verdict is None:
-        verdict = inconclusive if inconclusive is not None else Verdict(
-            ZERO, seed=cfg.seed, samples_passed=passed)
+    combos = list(combinations_with_replacement([ex.YDot(j + 1) for j in range(sys.n)], 4))
+    rows = [[nth_partial(f, combo) for combo in combos] for f in sys.rhs]
+    verdict = is_zero_matrix(rows, sys.params, cfg)
+    invariant = [d4 for row in rows for d4 in row]
     return TorsionReport(QUARTIC, invariant, verdict, _telemetry(invariant, started))
 
 
@@ -200,6 +182,7 @@ def check_conserved(sys: OdeSystem, g: Expr, cfg: OracleConfig = OracleConfig())
     """Zero iff g is constant along integral curves of sys."""
     g = ex.build(g)
     sys.validate_expr(g)
+    sys.require_evaluable([("conserved quantity", g)])
     return is_zero(total_derivative(g, sys), sys.params, cfg)
 
 
@@ -239,22 +222,18 @@ def tresse_autonomous(f: Expr, params: Sequence[ParamDecl] = (),
         raise InputError("autonomous right-hand side must not depend on x")
     sys = OdeSystem(n=1, rhs=(f,), params=tuple(params), name="autonomous")
     report = tresse_torsion(sys, cfg)
-    report.telemetry.update(_autonomous_agreement(report.invariant, f, params, cfg))
+    report.telemetry.update(_autonomous_agreement(report.invariant, f, cfg))
     return report
 
 
-def _autonomous_agreement(invariant: Expr, f: Expr, params, cfg, points: int = 8) -> dict:
-    import random
-
-    from .oracle import _sample_annulus
-
+def _autonomous_agreement(invariant: Expr, f: Expr, cfg, points: int = 8) -> dict:
     displayed = _autonomous_condition(f)
     rng = random.Random(cfg.seed ^ 0x5EED)
     refs = sorted(ex.free_vars(invariant) | ex.free_vars(displayed), key=str)
     worst = 0.0
     compared = 0
     for _ in range(points):
-        assignment = {r: _sample_annulus(rng, cfg) for r in refs}
+        assignment = sample_point(rng, refs)
         try:
             a = ex.evaluate(invariant, EvalContext(assignment))
             b = ex.evaluate(displayed, EvalContext(assignment))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_point, random_polynomial
+from odetorsion import calculus
 from odetorsion import expr as ex
 from odetorsion.calculus import nth_partial, partial, total_derivative
 from odetorsion.expr import EvalContext, EvalSingular, X, Y, YDot
@@ -59,6 +60,12 @@ class TestPartial:
     def test_memoized(self):
         e = parse_expr("exp(x)*y^5 + dy^3/x")
         assert partial(e, Y(1)) is partial(e, Y(1))
+
+    def test_absent_variable_not_memoized(self):
+        e = parse_expr("exp(x)*y^5 + absent_var_probe*x^3")
+        before = len(calculus._partial_cache)
+        assert partial(e, YDot(1)) is ex.ZERO
+        assert len(calculus._partial_cache) == before
 
 
 @pytest.mark.parametrize("trial", range(25))

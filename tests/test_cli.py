@@ -100,6 +100,16 @@ class TestInline:
         assert err.startswith("error: inline: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("rhs", ["(2+i)^100000*y", "(10^308+10^308*i)*(10^308+10^308*i)*y",
+                                     "(" * 6000 + "y" + ")" * 6000],
+                             ids=["complex-power-overflow", "complex-fold-overflow", "deep-nesting"])
+    def test_unreadable_input_exit_2(self, capsys, rhs):
+        code, out, err = run(capsys, "analyze", "--rhs", rhs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestCorpus:
     def test_straight_table_all_match(self, capsys):
         code, records, _ = run_json(capsys, "analyze", str(CORPUS_DIR / "table1.straight"))
@@ -145,6 +155,14 @@ class TestCorpus:
         code, records, _ = run_json(capsys, "analyze", str(corpus))
         assert code == 1
         assert records[0]["match"] is False
+
+    def test_undefined_conserved_quantity_exit_2(self, capsys, tmp_path):
+        corpus = tmp_path / "undefined"
+        corpus.write_text("system s\n n 1\n f1 = 6*y^2\n conserved y/0\n expect not-straight\nend\n")
+        code, out, err = run(capsys, "analyze", str(corpus))
+        assert code == 2
+        assert out == ""
+        assert err == "error: s: conserved quantity 1 cannot be evaluated at any of 8 sample points\n"
 
     def test_missing_file_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "no-such-file")

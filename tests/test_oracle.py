@@ -1,5 +1,9 @@
+import ast
+import math
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -70,6 +74,24 @@ class TestExactPath:
         assert v.is_nonzero and v.exact
         assert v.value == 0j
 
+    @pytest.mark.parametrize("text", ["y^2 - dy", "y^300*dy^7/3 - x", "10^400*y - dy",
+                                      "-(10^400)*y^5*dy"])
+    def test_value_matches_evaluate_exact_at_the_seeded_point(self, text):
+        e = parse_expr(text)
+        cfg = OracleConfig(seed=11)
+        refs = sorted(e.free, key=str)
+        point = oracle.sample_point(random.Random(cfg.seed), refs, (),
+                                    oracle._sample_rational, Fraction)
+        exact = ex.evaluate_exact(e, point)
+        try:
+            expected = complex(exact)
+        except OverflowError:
+            expected = complex(math.inf if exact > 0 else -math.inf)
+        v = is_zero(e, cfg=cfg)
+        assert v.is_nonzero and v.exact and v.samples_passed == 0
+        assert v.value == expected
+        assert v.witness == {r: complex(q) for r, q in point.items()}
+
     def test_nonzero_gives_witness(self):
         v = is_zero(parse_expr("y^2 - dy"))
         assert v.is_nonzero and v.exact
@@ -107,10 +129,9 @@ class TestNumericPath:
         assert not v.branch_limited
 
     def test_nonzero_with_witness_in_annulus(self):
-        cfg = OracleConfig()
-        v = is_zero(parse_expr("exp(y) - 1 - y"), cfg=cfg)
+        v = is_zero(parse_expr("exp(y) - 1 - y"))
         assert v.is_nonzero
-        assert cfg.r_min <= abs(v.witness[Y(1)]) <= cfg.r_max
+        assert oracle.R_MIN <= abs(v.witness[Y(1)]) <= oracle.R_MAX
 
     def test_retries_past_singularities(self):
         # singular on a measure-zero set only; retries find valid samples
@@ -121,6 +142,18 @@ class TestNumericPath:
         v = is_zero(parse_expr("log(y - y)"))
         assert v.outcome == INCONCLUSIVE
         assert "valid samples" in v.reason
+
+    def test_non_finite_values_are_redrawn_not_zero(self):
+        # 1.7e308 * |y^2 + 10| overflows at every annulus point
+        v = is_zero(parse_expr("17*10^307*(y^2+10)*exp(x)"))
+        assert v.outcome == INCONCLUSIVE
+        assert v.samples_passed == 0 and "valid samples" in v.reason
+
+    def test_overflowing_complex_constant_rejected(self):
+        with pytest.raises(OverflowError):
+            parse_expr("(10^308+10^308*i)*(10^308+10^308*i)")
+        with pytest.raises(OverflowError):
+            ex.const(complex(math.inf, 1.0))
 
     def test_huge_coefficient_cancellation_still_zero(self):
         big = 10 ** 12
@@ -169,17 +202,44 @@ class TestCanonicalInput:
 
 
 class TestConfig:
-    def test_rejects_bad_annulus(self):
-        with pytest.raises(ValueError):
-            OracleConfig(r_min=2.0, r_max=0.3)
-
     def test_rejects_floor_above_tol(self):
         with pytest.raises(ValueError):
-            OracleConfig(rel_tol=1e-14, noise_floor=1e-13)
+            OracleConfig(rel_tol=1e-14)
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             OracleConfig(samples=0)
+
+
+class TestSampler:
+    def test_fixed_parameter_takes_its_value_and_draws_nothing(self):
+        a, b = ex.Param("a"), ex.Param("b")
+        params = (ParamDecl("a", FIXED, Fraction(1, 2)), ParamDecl("b", GENERIC_NONZERO))
+        point = oracle.sample_point(random.Random(3), [Y(1), a, b], params)
+        rng = random.Random(3)
+        assert point == {Y(1): oracle._sample_annulus(rng), a: 0.5 + 0j,
+                         b: oracle._sample_annulus(rng)}
+        exact = oracle.sample_point(random.Random(3), [a], params, oracle._sample_rational, Fraction)
+        assert exact == {a: Fraction(1, 2)}
+
+    @pytest.mark.parametrize("module", ["expr", "calculus", "oracle", "parsing", "torsion", "cli"])
+    def test_module_imports_alone(self, module):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        subprocess.run([sys.executable, "-c", f"import odetorsion.{module}"],
+                       check=True, timeout=60, env={"PYTHONPATH": str(src)})
+
+    def test_no_cycle_and_no_local_imports(self):
+        src = pathlib.Path(oracle.__file__).parent
+
+        def imports(module):
+            tree = ast.parse((src / f"{module}.py").read_text())
+            top = {id(node) for node in tree.body}
+            return [(getattr(node, "module", None), id(node) in top) for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+        assert all(name != "parsing" for name, _ in imports("oracle"))
+        for module in ("parsing", "torsion", "cli"):
+            assert all(at_top for _, at_top in imports(module)), module
 
 
 class TestMatrix:

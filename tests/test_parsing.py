@@ -201,6 +201,12 @@ class TestParseCorpus:
         with pytest.raises(ParseError):
             parse_corpus("system s\n n 1\n f1 = y\n expect maybe\nend")
 
+    @pytest.mark.parametrize("text", ["y/0", "log(0*y)"])
+    def test_undefined_conserved_quantity_rejected(self, text):
+        block = f"system s\n n 1\n f1 = y\n conserved dy\n conserved {text}\n expect straight\nend"
+        with pytest.raises(ValidationError, match="^s: conserved quantity 2 cannot be evaluated"):
+            parse_corpus(block)
+
     def test_shipped_corpus_parses(self):
         import pathlib
 

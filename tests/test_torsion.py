@@ -203,16 +203,25 @@ class TestQuartic:
 
 
     def test_no_oracle_call_after_nonzero(self, monkeypatch):
-        from odetorsion import torsion
+        from odetorsion import oracle
 
         calls = []
-        monkeypatch.setattr(torsion, "is_zero", lambda *a: calls.append(a) or is_zero(*a))
+        monkeypatch.setattr(oracle, "is_zero", lambda *a: calls.append(a) or is_zero(*a))
         sys = OdeSystem(n=2, rhs=(parse_expr("dy1^4"), parse_expr("dy2^4")))
         report = quartic_test(sys)
         assert report.straight is False
         assert len(calls) == 1
         # every fourth partial is still built: 2 * C(5, 4)
         assert len(report.invariant) == 10
+
+    def test_witness_names_row_and_partial(self):
+        # f2's partials in combinations_with_replacement order: the 3rd is
+        # d^4/(ddy1 ddy1 ddy2 ddy2), the first nonzero one of dy1^2*dy2^2
+        sys = OdeSystem(n=2, rhs=(parse_expr("dy1^3"), parse_expr("dy1^2*dy2^2")))
+        report = quartic_test(sys)
+        assert report.straight is False
+        assert report.verdict.entry == (2, 3)
+        assert report.verdict.value == 4
 
 
 class TestConserved:
@@ -234,6 +243,13 @@ class TestConserved:
 
         with pytest.raises(ValidationError):
             check_conserved(_sys1("6*y^2"), parse_expr("y2"))
+
+    @pytest.mark.parametrize("text", ["y/0", "log(0*y)"])
+    def test_undefined_quantity_rejected(self, text):
+        from odetorsion.parsing import ValidationError
+
+        with pytest.raises(ValidationError, match="conserved quantity cannot be evaluated"):
+            check_conserved(_sys1("6*y^2"), parse_expr(text))
 
 
 class TestAutonomous:
