@@ -13,15 +13,19 @@ dropped and ``Power`` exponents of one collapsed.  Deciding whether an
 expression vanishes is the zero oracle's job.  Canonical nodes are fixed
 points of ``build``, so rebuilding one costs a lookup, not a walk.
 
-Each root gets one program, its distinct nodes in evaluation order, made
-on first use and cached on the root; ``evaluate`` (complex),
-``exact_ratio`` and ``evaluate_exact`` (rational), and ``node_count``
-all run on it.  A polynomial program (constants, variables, sums,
-products and non-negative powers: every canonical polynomial) is
-evaluated exactly in integers over one common denominator S: a step of
-degree d holds its value times S^d, so no step builds or reduces a
-``Fraction``.  The step degrees are cached on the root beside its
-program.
+A program lists the distinct nodes of a tuple of roots in evaluation
+order, a node shared between roots once.  Each root caches its own
+program on first use; the oracle builds one over all the entries of a
+matrix.  ``evaluate`` and ``evaluate_roots`` (complex), ``exact_ratio``,
+``exact_ratios`` and ``evaluate_exact`` (rational), ``residues`` (modulo a
+prime) and ``node_count`` all run on programs, through one loop.  A
+polynomial program (constants, variables, sums, products and
+non-negative powers: every canonical polynomial) is evaluated exactly in
+integers over one common denominator S: a step of degree d holds its
+value times S^d, so no step builds or reduces a ``Fraction``.  The step
+degrees are cached on the program.  ``residues`` runs the same integer
+program with every sum and power reduced modulo a prime, so no step
+grows with the degree.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Number = Union[Fraction, complex]
 
@@ -128,19 +132,18 @@ def _union(sets: Iterable[frozenset]) -> frozenset:
 # Direct construction produces a "raw" node; build() (or the lowercase
 # smart constructors) canonicalizes.  Canonical nodes are interned, so
 # equality of canonical trees is usually an identity check.  Nodes are
-# never mutated after construction, except that _prog and _degs cache the
-# node's evaluation program and its step degrees once first needed.
+# never mutated after construction, except that _prog caches the node's
+# evaluation program once first needed.
 
 
 class Expr:
-    __slots__ = ("_h", "free", "poly", "fns", "_prog", "_degs")
+    __slots__ = ("_h", "free", "poly", "fns", "_prog")
 
     def _summarize(self, kids: tuple, poly: bool, fns: frozenset = _EMPTY) -> None:
         self.free = _union(k.free for k in kids)
         self.fns = _union([fns, *(k.fns for k in kids)])
         self.poly = poly
         self._prog = None
-        self._degs = None
 
     def __eq__(self, other):
         if self is other:
@@ -460,7 +463,7 @@ def is_polynomial(e: Expr) -> bool:
 
 def node_count(e: Expr) -> int:
     """Number of distinct nodes in the (shared) expression DAG."""
-    return len(_program(e))
+    return len(program(e).steps)
 
 
 def substitute(e: Expr, mapping: Mapping[VarRef, Expr]) -> Expr:
@@ -535,93 +538,115 @@ _CFUNCS: dict[str, Callable[[complex], complex]] = {
 }
 
 
-def _program(e: Expr) -> list[tuple[Expr, tuple[int, ...]]]:
-    """e's distinct nodes as steps (node, steps of its children()).
+class Program:
+    """The distinct nodes of a tuple of roots as steps (node, steps of its
+    children()), and the step of each root.
 
-    Depth-first post-order, a quotient's denominator before its numerator.
-    A quotient's step also records where its denominator is complete: a
-    zero there is reported before anything its numerator raises.
+    Depth-first post-order from each root in turn, a quotient's
+    denominator before its numerator, so a node shared between roots is
+    one step.  A quotient's step also records where its denominator is
+    complete: a zero there is reported before anything its numerator
+    raises.
     """
+
+    __slots__ = ("steps", "roots", "_degs")
+
+    def __init__(self, roots: Iterable[Expr]):
+        roots = tuple(roots)
+        steps: list = []
+        step: dict[int, int] = {}
+        entered: dict[int, int] = {}
+        for root in roots:
+            stack = [root]
+            while stack:
+                n = stack[-1]
+                if id(n) in step:
+                    stack.pop()
+                    continue
+                kids = children(n)
+                quotient = type(n) is Quotient
+                if quotient:
+                    entered.setdefault(id(n), len(steps))
+                    kids = kids[::-1]
+                todo = [k for k in kids if id(k) not in step]
+                if todo:
+                    stack.extend(reversed(todo))
+                    continue
+                stack.pop()
+                slots = tuple(step[id(k)] for k in children(n))
+                if quotient:
+                    slots += (max(entered[id(n)], slots[1] + 1),)
+                step[id(n)] = len(steps)
+                steps.append((n, slots))
+        self.steps = steps
+        self.roots = tuple(step[id(r)] for r in roots)
+        self._degs = None
+
+    def degrees(self) -> Union[tuple[list, int], None]:
+        """(degree of each step, lcm of the constant denominators), or None
+        when integer evaluation cannot run the program: it has a quotient,
+        a negative power, a function or a complex constant.
+
+        Leaves have degree 1, a product the sum of its children's degrees,
+        a sum their maximum and a power e times its base's.
+        """
+        got = self._degs
+        if got is None:
+            degs: list = []
+            den = 1
+            for n, kids in self.steps:
+                t = type(n)
+                if t is Const and isinstance(n.value, Fraction):
+                    den = lcm(den, n.value.denominator)
+                    d = 1
+                elif t is Var:
+                    d = 1
+                elif t is Sum:
+                    d = max((degs[k] for k in kids), default=0)
+                elif t is Product:
+                    d = sum(degs[k] for k in kids)
+                elif t is Power and n.exponent >= 0:
+                    d = n.exponent * degs[kids[0]]
+                else:
+                    got = False
+                    break
+                degs.append(d)
+            else:
+                got = (degs, den)
+            self._degs = got
+        return got or None
+
+
+def program(e: Expr) -> Program:
+    """e's own program, made on first use and cached on e."""
     prog = e._prog
-    if prog is not None:
-        return prog
-    prog = []
-    step: dict[int, int] = {}
-    entered: dict[int, int] = {}
-    stack = [e]
-    while stack:
-        n = stack[-1]
-        if id(n) in step:
-            stack.pop()
-            continue
-        kids = children(n)
-        quotient = type(n) is Quotient
-        if quotient:
-            entered.setdefault(id(n), len(prog))
-            kids = kids[::-1]
-        todo = [k for k in kids if id(k) not in step]
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
-        slots = tuple(step[id(k)] for k in children(n))
-        if quotient:
-            slots += (max(entered[id(n)], slots[1] + 1),)
-        step[id(n)] = len(prog)
-        prog.append((n, slots))
-    e._prog = prog
+    if prog is None:
+        prog = e._prog = Program((e,))
     return prog
 
 
-def _degrees(e: Expr) -> Union[tuple[list, int], None]:
-    """(degree of each step of e's program, lcm of its constant
-    denominators), or None when integer evaluation cannot run the program:
-    it has a quotient, a negative power, a function or a complex constant.
-
-    Leaves have degree 1, a product the sum of its children's degrees, a
-    sum their maximum and a power e times its base's.
-    """
-    got = e._degs
-    if got is None:
-        degs: list = []
-        den = 1
-        for n, kids in _program(e):
-            t = type(n)
-            if t is Const and isinstance(n.value, Fraction):
-                den = lcm(den, n.value.denominator)
-                d = 1
-            elif t is Var:
-                d = 1
-            elif t is Sum:
-                d = max((degs[k] for k in kids), default=0)
-            elif t is Product:
-                d = sum(degs[k] for k in kids)
-            elif t is Power and n.exponent >= 0:
-                d = n.exponent * degs[kids[0]]
-            else:
-                got = False
-                break
-            degs.append(d)
-        else:
-            got = (degs, den)
-        e._degs = got
-    return got or None
+def batch(roots: Sequence[Expr]) -> Program:
+    """One program over roots: a single root's cached one, else a new one."""
+    return program(roots[0]) if len(roots) == 1 else Program(roots)
 
 
-def _run(e: Expr, leaf: Callable[[Expr], Number], zero: Number, one: Number,
+def _run(prog: Program, leaf: Callable[[Expr], Number], zero: Number, one: Number,
          funcs: Mapping[str, Callable], degs: Union[list, None] = None,
-         scale: int = 1) -> list:
-    """Every node's value, in program order; the root's value is last.
+         scale: int = 1, mod: Union[int, None] = None) -> list:
+    """Every step's value, in program order.
 
-    With step degrees ``degs`` (from ``_degrees``) the leaves are
+    With step degrees ``degs`` (from ``Program.degrees``) the leaves are
     integers, each value times ``scale``, and a sum brings each term up to
     its own degree, so every step holds its value times scale^degree.
+    With degrees and a prime ``mod`` as well, every sum and power is
+    reduced modulo ``mod``; a product of reduced values stays within a
+    constant factor of their size.
     """
-    prog = _program(e)
+    steps = prog.steps
     vals: list = []
     push = vals.append
     try:
-        for n, kids in prog:
+        for n, kids in steps:
             t = type(n)
             if t is Product:
                 v = one
@@ -637,11 +662,13 @@ def _run(e: Expr, leaf: Callable[[Expr], Number], zero: Number, one: Number,
                     for k in kids:
                         gap = d - degs[k]
                         v += vals[k] * scale ** gap if gap else vals[k]
+                    if mod:
+                        v %= mod
             elif t is Power:
                 v = vals[kids[0]]
                 if v == 0 and n.exponent < 0:
                     raise EvalSingular("0 raised to a negative power", n)
-                v = v ** n.exponent
+                v = pow(v, n.exponent, mod) if mod else v ** n.exponent
             elif t is Quotient:
                 v = vals[kids[1]]
                 if v == 0:
@@ -662,17 +689,17 @@ def _run(e: Expr, leaf: Callable[[Expr], Number], zero: Number, one: Number,
         # an unfinished quotient whose denominator was complete and zero
         # before the failing step is the singularity to report
         i = len(vals)
-        open_ = [(kids[2], -j) for j, (n, kids) in enumerate(prog[i + 1:], i + 1)
+        open_ = [(kids[2], -j) for j, (n, kids) in enumerate(steps[i + 1:], i + 1)
                  if type(n) is Quotient and kids[2] <= i and vals[kids[1]] == 0]
         if open_:
-            raise EvalSingular("division by zero", prog[-min(open_)[1]][0]) from None
+            raise EvalSingular("division by zero", steps[-min(open_)[1]][0]) from None
         raise
     return vals
 
 
-def evaluate(e: Expr, ctx: EvalContext) -> complex:
-    """Evaluate with standard complex arithmetic; principal branches."""
-    assignment = ctx.assignment
+def evaluate_roots(prog: Program, assignment: Mapping[VarRef, complex]) -> list[tuple[complex, float]]:
+    """Each root's complex value and cancellation scale: the sum of its
+    terms' magnitudes for a sum, its own magnitude otherwise."""
 
     def leaf(n: Expr) -> complex:
         if type(n) is Const:
@@ -682,33 +709,61 @@ def evaluate(e: Expr, ctx: EvalContext) -> complex:
         except KeyError:
             raise KeyError(f"no assignment for {n.ref}") from None
 
-    vals = _run(e, leaf, 0j, 1 + 0j, _CFUNCS)
-    if type(e) is Sum:
-        ctx.cancellation_scale = sum(abs(vals[k]) for k in _program(e)[-1][1])
-    else:
-        ctx.cancellation_scale = abs(vals[-1])
-    return vals[-1]
+    vals = _run(prog, leaf, 0j, 1 + 0j, _CFUNCS)
+    out = []
+    for r in prog.roots:
+        n, kids = prog.steps[r]
+        v = vals[r]
+        out.append((v, sum(abs(vals[k]) for k in kids) if type(n) is Sum else abs(v)))
+    return out
+
+
+def evaluate(e: Expr, ctx: EvalContext) -> complex:
+    """Evaluate with standard complex arithmetic; principal branches."""
+    ((value, ctx.cancellation_scale),) = evaluate_roots(program(e), ctx.assignment)
+    return value
 
 
 _FRACTION_ZERO, _FRACTION_ONE = Fraction(0), Fraction(1)
 
 
-def exact_ratio(e: Expr, assignment: Mapping[VarRef, Fraction]) -> tuple[int, int]:
-    """(N, D), D > 0 and not reduced, with e's exact value N / D.
+def exact_ratios(prog: Program, assignment: Mapping[VarRef, Fraction]) -> list[tuple[int, int]]:
+    """Each root's (N, D), D > 0 and not reduced, with exact value N / D.
 
     A polynomial program runs in integers over S, the lcm of its constant
-    denominators and the assigned values' denominators: D is S^d.  Raw
-    trees with a quotient or a negative power run in ``Fraction``
-    arithmetic.
+    denominators and the assigned values' denominators: D is S^d for a
+    root of degree d.  Raw trees with a quotient or a negative power run
+    in ``Fraction`` arithmetic.
     """
-
-    def leaf(n: Expr) -> Fraction:
-        return n.value if type(n) is Const else assignment[n.ref]
-
-    homogeneous = _degrees(e)
+    homogeneous = prog.degrees()
     if homogeneous is None:
-        v = _run(e, leaf, _FRACTION_ZERO, _FRACTION_ONE, {})[-1]
-        return v.numerator, v.denominator
+        vals = _run(prog, lambda n: n.value if type(n) is Const else assignment[n.ref],
+                    _FRACTION_ZERO, _FRACTION_ONE, {})
+        return [(vals[r].numerator, vals[r].denominator) for r in prog.roots]
+    degs, s, vals = _homogeneous_run(prog, assignment, homogeneous)
+    return [(vals[r], s ** degs[r]) for r in prog.roots]
+
+
+def residues(prog: Program, assignment: Mapping[VarRef, Fraction], mod: int) -> list[int]:
+    """Each root's N from ``exact_ratios`` modulo the prime mod: 0 when
+    the root's value is 0, so a nonzero residue proves a nonzero value.
+
+    ZeroDivisionError when residues cannot decide: mod divides S, or the
+    program is no polynomial one (a raw quotient or negative power).
+    """
+    homogeneous = prog.degrees()
+    if homogeneous is None:
+        raise ZeroDivisionError("a quotient has no residue here")
+    _, s, vals = _homogeneous_run(prog, assignment, homogeneous, mod)
+    if not s % mod:
+        raise ZeroDivisionError(f"the common denominator is 0 mod {mod}")
+    return [vals[r] % mod for r in prog.roots]
+
+
+def _homogeneous_run(prog: Program, assignment: Mapping[VarRef, Fraction], homogeneous,
+                     mod: Union[int, None] = None) -> tuple[list, int, list]:
+    """(step degrees, S, every step's value times S^degree, modulo mod
+    when given) for a polynomial program."""
     degs, den = homogeneous
     s = lcm(den, *(v.denominator for v in assignment.values()))
 
@@ -716,7 +771,12 @@ def exact_ratio(e: Expr, assignment: Mapping[VarRef, Fraction]) -> tuple[int, in
         v = n.value if type(n) is Const else assignment[n.ref]
         return v.numerator * (s // v.denominator)
 
-    return _run(e, scaled, 0, 1, {}, degs, s)[-1], s ** degs[-1]
+    return degs, s, _run(prog, scaled, 0, 1, {}, degs, s % mod if mod else s, mod)
+
+
+def exact_ratio(e: Expr, assignment: Mapping[VarRef, Fraction]) -> tuple[int, int]:
+    """(N, D), D > 0 and not reduced, with e's exact value N / D."""
+    return exact_ratios(program(e), assignment)[0]
 
 
 def evaluate_exact(e: Expr, assignment: Mapping[VarRef, Fraction]) -> Fraction:

@@ -1,15 +1,28 @@
 """Randomized zero oracle for analytic expressions.
 
-A constant is decided from its value, without sampling.  Polynomials
-over the rationals get an exact Schwartz-Zippel style test at random
-rational points, evaluated in integers over one common denominator and
-never reduced (see ``expr.exact_ratio``).  Everything else is sampled at random complex
-points drawn from the annulus R_MIN <= |z| <= R_MAX (avoiding both the
-origin's coordinate singularities and huge magnitudes), with a
-cancellation-aware relative tolerance: a value counts as zero only
-relative to the magnitudes of the top-level sum terms that produced it.
-A point where the expression is singular or not finite is redrawn, up to
-MAX_RETRIES times.
+``is_zero`` decides one expression and ``is_zero_matrix`` a matrix of
+them, through one verdict loop: one expression is the 1x1 case.  A
+constant is decided from its value, without sampling.  The other entries
+split into two paths, each with one program over all its entries (a node
+they share is evaluated once) and one stream of points:
+
+* polynomials over the rationals get a Schwartz-Zippel test at random
+  rational points.  The first point is decided on exact values (see
+  ``expr.exact_ratios``), which catches an entry whose coefficients all
+  share the factor P: its residue is 0 everywhere.  Every later point is
+  decided on residues modulo the prime P, which do not grow with the
+  degree.  A nonzero residue proves a nonzero value, which is then
+  computed exactly to be reported.  A point where residues cannot decide
+  is decided exactly;
+* everything else is sampled at random complex points drawn from the
+  annulus R_MIN <= |z| <= R_MAX (avoiding both the origin's coordinate
+  singularities and huge magnitudes), with a cancellation-aware relative
+  tolerance: a value counts as zero only relative to the magnitudes of
+  the top-level sum terms of its own entry.
+
+A point where any entry of the path is singular or not finite is redrawn
+for the whole path, up to MAX_RETRIES times.  At each sample the first
+entry, in row-major order, that either path finds nonzero wins.
 
 ``sample_point`` is the one place points are drawn, under the parameter
 policies; the oracle's exact and numeric paths, ``OdeSystem``
@@ -24,13 +37,13 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import cos, inf, pi, sin
 from typing import Callable, Optional, Sequence
 
 from . import expr as ex
-from .expr import Const, EvalContext, EvalSingular, Expr, Param, VarRef
+from .expr import Const, EvalSingular, Expr, Param, VarRef
 
 ZERO = "zero"
 NONZERO = "nonzero"
@@ -38,7 +51,8 @@ INCONCLUSIVE = "inconclusive"
 
 R_MIN, R_MAX = 0.3, 2.0  # radii of the sampling annulus
 NOISE_FLOOR = 1e-13  # relative magnitude below which a value is plainly zero
-MAX_RETRIES = 8  # draws per numeric sample before it counts as invalid
+MAX_RETRIES = 8  # draws per sample before it counts as invalid
+P = 2 ** 61 - 1  # the prime the exact path's residues are taken modulo
 
 GENERIC = "generic"
 GENERIC_NONZERO = "generic-nonzero"
@@ -75,6 +89,8 @@ class OracleConfig:
 class Verdict:
     outcome: str  # zero | nonzero | inconclusive
     seed: int
+    # valid points before the witness, or in all when none was found; a
+    # matrix counts points, not entries (the fewer of its two paths')
     samples_passed: int = 0
     witness: Optional[dict] = None  # VarRef -> complex
     value: Optional[complex] = None
@@ -143,107 +159,177 @@ def _float(num: int, den: int) -> complex:
 
 def is_zero(e: Expr, params: Sequence[ParamDecl] = (), cfg: OracleConfig = OracleConfig()) -> Verdict:
     """Decide whether e vanishes identically under the parameter policies."""
-    if type(e) is Const:
-        # what sampling would return, without drawing a point
-        v = e.value
-        if v == 0:
-            return Verdict(ZERO, seed=cfg.seed, samples_passed=cfg.samples, exact=True)
-        if isinstance(v, Fraction):
-            return Verdict(NONZERO, seed=cfg.seed, witness={},
-                           value=_float(v.numerator, v.denominator), exact=True)
-        return Verdict(NONZERO, seed=cfg.seed, witness={}, value=v)
-    rng = random.Random(cfg.seed)
-    # parameters after the other variables, each group in name order
-    refs = sorted(ex.free_vars(e), key=lambda r: (r.kind == VarRef.PARAM, str(r)))
-    if _exact_path_ok(e, params):
-        return _is_zero_exact(e, refs, params, cfg, rng)
-    return _is_zero_numeric(e, refs, params, cfg, rng, ex.contains_fn(e, ("sqrt", "log")))
-
-
-def _is_zero_exact(e, refs, params, cfg, rng) -> Verdict:
-    for k in range(cfg.samples):
-        point = sample_point(rng, refs, params, _sample_rational, Fraction)
-        num, den = ex.exact_ratio(e, point)
-        if num:
-            return Verdict(
-                NONZERO, seed=cfg.seed, samples_passed=k,
-                witness={r: _float(v.numerator, v.denominator) for r, v in point.items()},
-                value=_float(num, den), exact=True,
-            )
-    return Verdict(ZERO, seed=cfg.seed, samples_passed=cfg.samples, exact=True)
-
-
-def _is_zero_numeric(e, refs, params, cfg, rng, branch_limited) -> Verdict:
-    clear_zero = 0
-    gray = 0
-    valid = 0
-    for k in range(cfg.samples):
-        for _ in range(MAX_RETRIES):
-            point = sample_point(rng, refs, params)
-            ctx = EvalContext(point)
-            try:
-                value = ex.evaluate(e, ctx)
-            except EvalSingular:
-                continue
-            if cmath.isfinite(value):
-                break
-        else:
-            continue
-        valid += 1
-        mag = abs(value)
-        scale = ctx.cancellation_scale
-        if mag > cfg.rel_tol * scale:
-            return Verdict(
-                NONZERO, seed=cfg.seed, samples_passed=valid - 1,
-                witness=point, value=value, branch_limited=branch_limited,
-            )
-        if mag <= NOISE_FLOOR * scale:
-            clear_zero += 1
-        else:
-            gray += 1
-    if valid < cfg.samples / 2:
-        return Verdict(
-            INCONCLUSIVE, seed=cfg.seed, samples_passed=valid,
-            reason=f"only {valid}/{cfg.samples} valid samples after retries",
-            branch_limited=branch_limited,
-        )
-    if gray:
-        # gray-zone samples are resolved by majority; ties are never
-        # silently converted into a classification
-        if clear_zero > gray:
-            return Verdict(ZERO, seed=cfg.seed, samples_passed=valid,
-                           reason=f"{gray} gray-zone samples outvoted",
-                           branch_limited=branch_limited)
-        return Verdict(
-            INCONCLUSIVE, seed=cfg.seed, samples_passed=valid,
-            reason=f"{gray} of {valid} samples in the gray zone",
-            branch_limited=branch_limited,
-        )
-    return Verdict(ZERO, seed=cfg.seed, samples_passed=valid, branch_limited=branch_limited)
+    return _decide([e], params, cfg)[1]
 
 
 def is_zero_matrix(entries: Sequence[Sequence[Expr]], params: Sequence[ParamDecl] = (),
                    cfg: OracleConfig = OracleConfig()) -> Verdict:
-    """Zero iff every entry is; first NonZero entry wins, with its index."""
-    inconclusive: Optional[Verdict] = None
-    passed = 0
-    branch_limited = False
-    for i, row in enumerate(entries):
-        for j, entry in enumerate(row):
-            v = is_zero(entry, params, cfg)
-            branch_limited = branch_limited or v.branch_limited
-            if v.is_nonzero:
-                return Verdict(
-                    NONZERO, seed=cfg.seed, samples_passed=passed,
-                    witness=v.witness, value=v.value, entry=(i + 1, j + 1),
-                    branch_limited=branch_limited, exact=v.exact,
-                )
-            if v.outcome == INCONCLUSIVE and inconclusive is None:
-                inconclusive = Verdict(
-                    INCONCLUSIVE, seed=cfg.seed, reason=f"entry ({i + 1},{j + 1}): {v.reason}",
-                    entry=(i + 1, j + 1), branch_limited=branch_limited,
-                )
-            passed += v.samples_passed
-    if inconclusive is not None:
-        return inconclusive
-    return Verdict(ZERO, seed=cfg.seed, samples_passed=passed, branch_limited=branch_limited)
+    """Zero iff every entry is; the first entry, in row-major order, found
+    nonzero at the first point where any is, wins, with its index."""
+    index = [(i + 1, j + 1) for i, row in enumerate(entries) for j in range(len(row))]
+    k, v = _decide([e for row in entries for e in row], params, cfg)
+    if k is None:
+        # a zero matrix reports no entry's gray-zone note
+        return replace(v, reason="") if v.reason else v
+    i, j = index[k]
+    return replace(v, entry=(i, j), reason=v.reason and f"entry ({i},{j}): {v.reason}")
+
+
+def _decide(roots: Sequence[Expr], params, cfg) -> tuple[Optional[int], Verdict]:
+    """The verdict that every root vanishes, and the index of the root it
+    names (None for zero).
+
+    A constant root is decided from its value.  The other roots go to the
+    exact path when ``_exact_path_ok`` and to the numeric path otherwise,
+    one program and one point stream per path, and each point decides
+    every root of its path.  At each sample the first root, in order, that
+    either path finds nonzero wins.  A nonzero constant is nonzero at the
+    first point, so nothing after it is tested.
+    """
+    first = None
+    exact, numeric = [], []
+    for k, e in enumerate(roots):
+        if type(e) is Const:
+            if e.value != 0:
+                first = k
+                break
+        elif _exact_path_ok(e, params):
+            exact.append(k)
+        else:
+            numeric.append(k)
+    limited = [k for k in numeric if ex.contains_fn(roots[k], ("sqrt", "log"))]
+
+    def nonzero(k, **fields) -> tuple[int, Verdict]:
+        # branch-limited when a root up to the one named is
+        return k, Verdict(NONZERO, seed=cfg.seed, branch_limited=bool(limited) and limited[0] <= k, **fields)
+
+    paths = [path(roots, at, params, cfg) for path, at in ((_Exact, exact), (_Numeric, numeric)) if at]
+    for _ in range(cfg.samples if first is None else 1) if paths else ():
+        # each path lists its nonzero roots in order, so its first is its least
+        hits = [(found[0], path) for path in paths if (found := path.sample())]
+        if hits:
+            k, path = min(hits)
+            return nonzero(k, samples_passed=path.valid - 1, **path.witness(k))
+    if first is not None:
+        v = roots[first].value
+        if isinstance(v, Fraction):
+            return nonzero(first, witness={}, value=_float(v.numerator, v.denominator), exact=True)
+        return nonzero(first, witness={}, value=v)
+    if not paths:
+        return None, Verdict(ZERO, seed=cfg.seed, samples_passed=cfg.samples, exact=True)
+    settled = sorted((k, path.settle(k, cfg)) for path in paths for k in path.at)
+    for k, v in settled:
+        if v.outcome == INCONCLUSIVE:
+            return k, replace(v, branch_limited=bool(limited) and limited[0] <= k)
+    return None, Verdict(
+        ZERO, seed=cfg.seed, samples_passed=min(p.valid for p in paths),
+        reason=next((v.reason for _, v in settled if v.reason), ""),
+        branch_limited=bool(limited), exact=not numeric,
+    )
+
+
+class _Path:
+    """The roots one evaluator decides: their program, point stream and
+    valid-point count."""
+
+    exact = False
+
+    def __init__(self, roots, at, params, cfg):
+        self.at = at  # the index of each root among all roots
+        self.roots = [roots[k] for k in at]
+        self.prog = ex.batch(self.roots)
+        # parameters after the other variables, each group in name order
+        self.refs = sorted(set().union(*(e.free for e in self.roots)),
+                           key=lambda r: (r.kind == VarRef.PARAM, str(r)))
+        self.params = params
+        self.rel_tol = cfg.rel_tol
+        self.rng = random.Random(cfg.seed)
+        self.valid = 0
+        self.clear = [0] * len(at)
+        self.gray = [0] * len(at)
+
+    def sample(self) -> Optional[list]:
+        """Draw until a point is valid, up to MAX_RETRIES times; the indices
+        of the roots nonzero there, or None when no point was valid."""
+        for _ in range(MAX_RETRIES):
+            self.point = self.draw()
+            try:
+                nonzero = self.test()
+            except EvalSingular:
+                continue
+            if nonzero is not None:
+                self.valid += 1
+                return [self.at[pos] for pos in nonzero]
+        return None
+
+    def settle(self, k: int, cfg: OracleConfig) -> Verdict:
+        """Root k's zero or inconclusive verdict when no point showed it
+        nonzero."""
+        pos = self.at.index(k)
+        valid, gray = self.valid, self.gray[pos]
+        fields = dict(seed=cfg.seed, samples_passed=valid, exact=self.exact)
+        if valid < cfg.samples / 2:
+            return Verdict(INCONCLUSIVE, reason=f"only {valid}/{cfg.samples} valid samples after retries",
+                           **fields)
+        if gray:
+            # gray-zone samples are resolved by majority; ties are never
+            # silently converted into a classification
+            if self.clear[pos] > gray:
+                return Verdict(ZERO, reason=f"{gray} gray-zone samples outvoted", **fields)
+            return Verdict(INCONCLUSIVE, reason=f"{gray} of {valid} samples in the gray zone", **fields)
+        return Verdict(ZERO, **fields)
+
+
+class _Exact(_Path):
+    """Rational points.  The first valid point decides every root on its
+    exact value, each later one on its residue mod P (see
+    ``expr.residues``): a nonzero residue proves a nonzero value, and the
+    exact first point catches a root whose coefficients all share the
+    factor P, which has residue 0 everywhere.  A point where residues
+    cannot decide is decided exactly."""
+
+    exact = True
+
+    def draw(self) -> dict:
+        return sample_point(self.rng, self.refs, self.params, _sample_rational, Fraction)
+
+    def test(self) -> list:
+        self.ratios = None
+        if self.valid:
+            try:
+                return [pos for pos, v in enumerate(ex.residues(self.prog, self.point, P)) if v]
+            except ZeroDivisionError:
+                pass
+        self.ratios = ex.exact_ratios(self.prog, self.point)
+        return [pos for pos, (num, _) in enumerate(self.ratios) if num]
+
+    def witness(self, k: int) -> dict:
+        pos = self.at.index(k)
+        ratio = self.ratios[pos] if self.ratios else ex.exact_ratio(self.roots[pos], self.point)
+        return dict(witness={r: _float(v.numerator, v.denominator) for r, v in self.point.items()},
+                    value=_float(*ratio), exact=True)
+
+
+class _Numeric(_Path):
+    """Annulus points, each root judged against its own cancellation scale."""
+
+    def draw(self) -> dict:
+        return sample_point(self.rng, self.refs, self.params)
+
+    def test(self) -> Optional[list]:
+        self.vals = ex.evaluate_roots(self.prog, self.point)
+        if not all(cmath.isfinite(v) for v, _ in self.vals):
+            return None
+        nonzero = []
+        for pos, (v, scale) in enumerate(self.vals):
+            mag = abs(v)
+            if mag > self.rel_tol * scale:
+                nonzero.append(pos)
+            elif mag <= NOISE_FLOOR * scale:
+                self.clear[pos] += 1
+            else:
+                self.gray[pos] += 1
+        return nonzero
+
+    def witness(self, k: int) -> dict:
+        return dict(witness=self.point, value=self.vals[self.at.index(k)][0])

@@ -90,6 +90,12 @@ def _tokenize(text: str, line0: int = 1) -> list[_Token]:
     return tokens
 
 
+def _combine(op, operands: list[Expr]) -> Expr:
+    """A run of operands in one call to add or mul, which flattens it as a
+    left fold would without interning every prefix; one operand as it is."""
+    return operands[0] if len(operands) == 1 else op(*operands)
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -118,20 +124,23 @@ class _Parser:
         return None
 
     def expr(self) -> Expr:
-        out = self.term()
+        terms = [self.term()]
         while self.peek_op("+", "-"):
             op = self.eat_op("+", "-")
             rhs = self.term()
-            out = ex.add(out, rhs if op == "+" else ex.neg(rhs))
-        return out
+            terms.append(rhs if op == "+" else ex.neg(rhs))
+        return _combine(ex.add, terms)
 
     def term(self) -> Expr:
-        out = self.factor()
+        factors = [self.factor()]
         while self.peek_op("*", "/"):
             op = self.eat_op("*", "/")
             rhs = self.factor()
-            out = ex.mul(out, rhs) if op == "*" else ex.quot(out, rhs)
-        return out
+            if op == "*":
+                factors.append(rhs)
+            else:
+                factors = [ex.quot(_combine(ex.mul, factors), rhs)]
+        return _combine(ex.mul, factors)
 
     def factor(self) -> Expr:
         if self.peek_op("-"):

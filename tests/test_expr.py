@@ -227,6 +227,44 @@ def test_integer_exact_evaluation_matches_fraction_reference(raw, values):
             pass
 
 
+_P = 2 ** 61 - 1
+# a value with denominator _P has no residue mod _P
+_residue_values = st.one_of(_exact_values, st.integers(-3, 3).map(lambda k: Fraction(k, _P)))
+
+
+@given(raw_trees, st.lists(_residue_values, min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_residues_match_fraction_reference(raw, values):
+    try:
+        canonical = build(raw)
+    except ZeroDivisionError:
+        return
+    if not canonical.poly:
+        return
+    point = dict(zip([X, Y(1), YDot(1), ex.Param("a")], values))
+    roots = (canonical, ex.sub(canonical, canonical), ex.mul(ex.const(3), canonical))
+    try:
+        want = [_reference_exact(root, point) for root in roots]
+    except ZeroDivisionError:
+        want = None
+    prog = ex.Program(roots)
+    try:
+        got = ex.residues(prog, point, _P)
+    except ZeroDivisionError:
+        # the exact value decides such a point: a value has no residue, or
+        # a divisor is 0
+        assert want is None or any(v.denominator % _P == 0 for v in point.values())
+        if want is not None:
+            assert [Fraction(*ratio) for ratio in ex.exact_ratios(prog, point)] == want
+        return
+    assert want is not None
+    ratios = ex.exact_ratios(prog, point)
+    assert got == [num % _P for num, _ in ratios]
+    # residue / D is the Fraction reference reduced mod P
+    assert [g * pow(den, -1, _P) % _P for g, (_, den) in zip(got, ratios)] == [
+        q.numerator * pow(q.denominator, -1, _P) % _P for q in want]
+
+
 def test_interning_is_race_free():
     """Two threads interning the same new nodes get one node per key."""
     a = ex.var(ex.Param("race"))

@@ -21,8 +21,16 @@ from odetorsion.oracle import (
     is_zero,
     is_zero_matrix,
 )
-from odetorsion.parsing import FIXED, GENERIC, GENERIC_NONZERO, ParamDecl, parse_corpus, parse_expr
-from odetorsion.torsion import tresse_torsion
+from odetorsion.parsing import (
+    FIXED,
+    GENERIC,
+    GENERIC_NONZERO,
+    OdeSystem,
+    ParamDecl,
+    parse_corpus,
+    parse_expr,
+)
+from odetorsion.torsion import fels_torsion, quartic_test, tresse_torsion
 
 x = ex.var(X)
 y = ex.var(Y(1))
@@ -49,10 +57,8 @@ class TestExactPath:
     def test_constant_decided_as_sampling_would(self, monkeypatch, value):
         c = ex.const(value)
         cfg = OracleConfig(seed=5)
-        if isinstance(c.value, Fraction):
-            sampled = oracle._is_zero_exact(c, [], {}, cfg, random.Random(cfg.seed))
-        else:
-            sampled = oracle._is_zero_numeric(c, [], {}, cfg, random.Random(cfg.seed), False)
+        # a raw one-term sum is no Const, so the sampling loop decides it
+        sampled = is_zero(ex.Sum([c]), cfg=cfg)
 
         def unused(*_):
             raise AssertionError("a constant needs no sample")
@@ -91,6 +97,14 @@ class TestExactPath:
         assert v.is_nonzero and v.exact and v.samples_passed == 0
         assert v.value == expected
         assert v.witness == {r: complex(q) for r, q in point.items()}
+
+    @pytest.mark.parametrize("e", [parse_expr("y/0"), ex.Quotient(y, ex.Sum([ex.ONE, ex.const(-1)]))],
+                             ids=["y/0", "y/(1-1)"])
+    def test_singular_points_redrawn(self, e):
+        assert e.poly
+        v = is_zero(e)
+        assert v.outcome == INCONCLUSIVE and v.exact
+        assert v.reason == "only 0/32 valid samples after retries"
 
     def test_nonzero_gives_witness(self):
         v = is_zero(parse_expr("y^2 - dy"))
@@ -242,6 +256,69 @@ class TestSampler:
             assert all(at_top for _, at_top in imports(module)), module
 
 
+P = oracle.P
+
+
+def _seeded_rational_point(refs, seed=0):
+    return oracle.sample_point(random.Random(seed), refs, (), oracle._sample_rational, Fraction)
+
+
+class TestModularPath:
+    def test_content_divisible_by_modulus_is_nonzero(self):
+        # residue 0 at every point: the exact first point decides
+        e = ex.mul(ex.const(P), y)
+        point = _seeded_rational_point([Y(1)])
+        expected = complex(P * point[Y(1)])
+        for v in (is_zero(e), is_zero_matrix([[e]])):
+            assert v.is_nonzero and v.exact and v.samples_passed == 0
+            assert v.value == expected
+            assert v.witness == {Y(1): complex(point[Y(1)])}
+        assert is_zero_matrix([[e]]).entry == (1, 1)
+
+    def test_constant_without_residue_falls_back_to_exact(self, monkeypatch):
+        c = ex.const(Fraction(1, P))
+        term = ex.mul(c, y)
+        point = _seeded_rational_point([Y(1)])
+        with pytest.raises(ZeroDivisionError):
+            ex.residues(ex.program(term), point, P)
+        v = is_zero(term)
+        assert v.is_nonzero and v.exact and v.value == complex(point[Y(1)] / P)
+        calls = []
+        exact_ratios = ex.exact_ratios
+        monkeypatch.setattr(ex, "exact_ratios", lambda *a: calls.append(a) or exact_ratios(*a))
+        v = is_zero(ex.sub(term, term))
+        assert v.is_zero and v.exact and v.samples_passed == 32
+        assert len(calls) == 32  # every sample
+
+    def test_straight_fels_matrix_runs_one_program_per_sample(self, monkeypatch):
+        sys_ = OdeSystem(n=3, rhs=tuple(parse_expr(t) for t in (
+            "(3/2)*((-4)*y2 + 2*((-4)*x + y2)*dy2 + (x + 3)*(dy2)^2 + (2/3)*((-2)*(x)^2 + 3*y2"
+            " + x*y2)*((-5)*y3 + 2*((-5)*x + y3)*dy3 + (x + 1)*(dy3)^2 + 2*((-5/2)*(x)^2 + y3"
+            " + x*y3)*(18*x + (-3))))",
+            "(2/3)*((-5)*y3 + 2*((-5)*x + y3)*dy3 + (x + 1)*(dy3)^2 + 2*((-5/2)*(x)^2 + y3 + x*y3)"
+            "*(18*x + (-3)))",
+            "2*(18*x + (-3))",
+        )))
+        runs = []
+        run = ex._run
+        monkeypatch.setattr(ex, "_run", lambda *a, **k: runs.append(a) or run(*a, **k))
+        cfg = OracleConfig()
+        report = fels_torsion(sys_, cfg)
+        assert report.straight is True and report.verdict.exact
+        assert sum(type(e) is not ex.Const for row in report.invariant for e in row) >= 2
+        assert len(runs) <= cfg.samples + 1
+
+
+def _assert_names_nonzero_entry(rows, verdict):
+    """The verdict's entry evaluates, at its witness, to its value."""
+    if not verdict.is_nonzero:
+        return
+    i, j = verdict.entry
+    got = ex.evaluate(rows[i - 1][j - 1], EvalContext(dict(verdict.witness)))
+    assert verdict.value != 0
+    assert abs(got - verdict.value) <= 1e-6 * max(abs(verdict.value), 1.0)
+
+
 class TestMatrix:
     def test_first_nonzero_entry_wins(self):
         m = [[ex.ZERO, ex.ZERO], [parse_expr("y"), parse_expr("x")]]
@@ -253,6 +330,41 @@ class TestMatrix:
         m = [[ex.ZERO, ex.sub(y, y)], [ex.ZERO, ex.ZERO]]
         v = is_zero_matrix(m)
         assert v.is_zero
+
+    def test_witness_entry_names_a_nonzero_entry_on_the_corpus(self):
+        root = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+        named = 0
+        for name in ("table1.straight", "table2.notstraight", "table2.degenerate", "duals"):
+            for entry in parse_corpus((root / name).read_text()):
+                sys_ = entry.system
+                for seed in range(2):
+                    cfg = OracleConfig(seed=seed)
+                    report = quartic_test(sys_, cfg)
+                    width = len(report.invariant) // sys_.n
+                    rows = [report.invariant[k:k + width] for k in range(0, len(report.invariant), width)]
+                    _assert_names_nonzero_entry(rows, report.verdict)
+                    named += report.verdict.is_nonzero
+        assert named
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_witness_entry_names_a_nonzero_entry_inline(self, n):
+        rng = random.Random(400 + n)
+        refs = [X] + [Y(i + 1) for i in range(n)] + [YDot(i + 1) for i in range(n)]
+        for trial in range(6):
+            rhs = [random_polynomial(rng, refs, max_degree=2, max_terms=3) for _ in range(n)]
+            if trial % 2:
+                # a transcendental term sends entries to the numeric path
+                rhs[-1] = ex.add(rhs[-1], ex.apply("exp", ex.mul(ex.var(Y(1)), ex.var(YDot(n)))))
+            sys_ = OdeSystem(n=n, rhs=tuple(rhs))
+            cfg = OracleConfig(seed=trial)
+            fels = fels_torsion(sys_, cfg)
+            assert fels.verdict.is_nonzero
+            _assert_names_nonzero_entry(fels.invariant, fels.verdict)
+            quartic = quartic_test(sys_, cfg)
+            width = len(quartic.invariant) // n
+            _assert_names_nonzero_entry(
+                [quartic.invariant[k:k + width] for k in range(0, len(quartic.invariant), width)],
+                quartic.verdict)
 
     def test_inconclusive_entry_reported(self):
         m = [[parse_expr("log(y - y)")]]

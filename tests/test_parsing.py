@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odetorsion import expr as ex
+from odetorsion import parsing
 from odetorsion.parsing import (
     FIXED,
     GENERIC,
@@ -106,6 +107,85 @@ _texts = st.sampled_from(
 def test_to_str_round_trips(text):
     e = parse_expr(text)
     assert parse_expr(to_str(e)) == e
+
+
+class _FoldParser(parsing._Parser):
+    """The reference: each operand folded into the result so far."""
+
+    def expr(self):
+        out = self.term()
+        while self.peek_op("+", "-"):
+            op = self.eat_op("+", "-")
+            rhs = self.term()
+            out = ex.add(out, rhs if op == "+" else ex.neg(rhs))
+        return out
+
+    def term(self):
+        out = self.factor()
+        while self.peek_op("*", "/"):
+            op = self.eat_op("*", "/")
+            rhs = self.factor()
+            out = ex.mul(out, rhs) if op == "*" else ex.quot(out, rhs)
+        return out
+
+
+def _fold_parse(text):
+    p = _FoldParser(parsing._tokenize(text, 1))
+    out = p.expr()
+    assert p.cur.kind == "end"
+    return out
+
+
+_operands = st.sampled_from(["x", "y", "dy2", "a", "2", "0", "1/2", "0.5", "i", "3*i", "(y - y)"])
+_source = st.recursive(
+    _operands,
+    lambda inner: st.one_of(
+        st.tuples(st.lists(inner, min_size=2, max_size=5),
+                  st.lists(st.sampled_from(["+", "-", "*", "/"]), min_size=4, max_size=4))
+        .map(lambda t: "".join(o + op for o, op in zip(t[0], t[1])) + t[0][-1]),
+        inner.map(lambda e: f"({e})"),
+        inner.map(lambda e: f"-{e}"),
+        inner.map(lambda e: f"exp({e})"),
+        inner.map(lambda e: f"({e})^2"),
+    ),
+    max_leaves=16,
+)
+
+
+class TestOperandRuns:
+    @given(_source)
+    @settings(max_examples=300, deadline=None)
+    def test_same_node_as_a_left_fold(self, text):
+        try:
+            want = _fold_parse(text)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                parse_expr(text)
+            return
+        assert parse_expr(text) is want
+
+    def test_corpus_parses_to_the_same_nodes(self, monkeypatch):
+        import pathlib
+
+        root = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+        for name in ("table1.straight", "table2.notstraight", "table2.degenerate", "duals"):
+            text = (root / name).read_text()
+            got = parse_corpus(text)
+            with monkeypatch.context() as m:
+                m.setattr(parsing, "_Parser", _FoldParser)
+                want = parse_corpus(text)
+            for a, b in zip(got, want, strict=True):
+                assert all(p is q for p, q in zip(a.system.rhs, b.system.rhs, strict=True))
+                assert all(p is q for p, q in zip(a.conserved, b.conserved, strict=True))
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_intern_table_grows_linearly(self, n):
+        # interning every prefix of the sum would hold n^2/2 term slots
+        text = "+".join(f"{k}*run{n}^{k}" for k in range(1, n + 1))
+        before = len(ex._intern)
+        parse_expr(text)
+        added = list(ex._intern.values())[before:]
+        assert sum(1 + len(ex.children(e)) for e in added) <= 8 * n
 
 
 class TestOdeSystem:

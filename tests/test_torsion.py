@@ -6,7 +6,7 @@ import pytest
 from conftest import rand_fraction, random_point, random_polynomial
 from odetorsion import expr as ex
 from odetorsion.expr import EvalContext, X, Y, YDot
-from odetorsion.oracle import INCONCLUSIVE, OracleConfig, is_zero
+from odetorsion.oracle import INCONCLUSIVE, OracleConfig
 from odetorsion.parsing import GENERIC, OdeSystem, ParamDecl, parse_expr
 from odetorsion.torsion import (
     DimensionError,
@@ -205,12 +205,16 @@ class TestQuartic:
     def test_no_oracle_call_after_nonzero(self, monkeypatch):
         from odetorsion import oracle
 
-        calls = []
-        monkeypatch.setattr(oracle, "is_zero", lambda *a: calls.append(a) or is_zero(*a))
         sys = OdeSystem(n=2, rhs=(parse_expr("dy1^4"), parse_expr("dy2^4")))
+        calls, runs = [], []
+        decide, run = oracle._decide, ex._run
+        monkeypatch.setattr(oracle, "_decide", lambda *a: calls.append(a) or decide(*a))
+        monkeypatch.setattr(ex, "_run", lambda *a, **k: runs.append(a) or run(*a, **k))
         report = quartic_test(sys)
         assert report.straight is False
-        assert len(calls) == 1
+        # one verdict over all partials; the first, the constant 24, needs
+        # no evaluation and no later partial is tested
+        assert len(calls) == 1 and runs == []
         # every fourth partial is still built: 2 * C(5, 4)
         assert len(report.invariant) == 10
 
