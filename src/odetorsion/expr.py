@@ -5,27 +5,30 @@ second-order ODE system, field operations, integer powers and the
 functions exp, log, sin, cos, sqrt (principal branches).
 
 Interned nodes carry their own metadata, computed from their children at
-construction: ``free`` (variables), ``poly`` (polynomial over the
-rationals) and ``fns`` (function names), with equal sets shared.  The
-smart constructors canonicalize, deliberately shallowly: nested
-sums/products are flattened, rational constants folded exactly, units
-dropped and ``Power`` exponents of one collapsed.  Deciding whether an
-expression vanishes is the zero oracle's job.  Canonical nodes are fixed
-points of ``build``, so rebuilding one costs a lookup, not a walk.
+construction: ``free`` (variables), ``poly`` (evaluable in integers: a
+polynomial over the rationals with no quotient and no negative power)
+and ``fns`` (function names), with equal sets shared.  The smart
+constructors canonicalize, deliberately shallowly: nested sums/products
+are flattened, rational constants folded exactly, units dropped,
+``Power`` exponents of one collapsed and a division by a nonzero
+constant made a product, so a canonical node is ``poly`` exactly when it
+is a polynomial that divides by no zero.  Deciding whether an expression
+vanishes is the zero oracle's job.  Canonical nodes are fixed points of
+``build``, so rebuilding one costs a lookup, not a walk.
 
 A program lists the distinct nodes of a tuple of roots in evaluation
 order, a node shared between roots once.  Each root caches its own
 program on first use; the oracle builds one over all the entries of a
-matrix.  ``evaluate`` and ``evaluate_roots`` (complex), ``exact_ratio``,
-``exact_ratios`` and ``evaluate_exact`` (rational), ``residues`` (modulo a
-prime) and ``node_count`` all run on programs, through one loop.  A
-polynomial program (constants, variables, sums, products and
-non-negative powers: every canonical polynomial) is evaluated exactly in
-integers over one common denominator S: a step of degree d holds its
-value times S^d, so no step builds or reduces a ``Fraction``.  The step
-degrees are cached on the program.  ``residues`` runs the same integer
-program with every sum and power reduced modulo a prime, so no step
-grows with the degree.
+matrix.  ``evaluate`` and ``evaluate_roots`` (complex), ``exact_ratios``
+and ``evaluate_exact`` (rational), ``residues`` (modulo a prime) and
+``node_count`` all run on programs, through one loop.  A ``poly``
+program is evaluated exactly in integers over one common denominator S:
+a step of degree d holds its value times S^d, so no step builds or
+reduces a ``Fraction``.  ``residues`` runs the same integer program with
+every sum and power reduced modulo a prime, so no step grows with the
+degree.  Every other program runs in complex floats only.  The step
+degrees and the complex values of the constants are cached on the
+program.
 """
 
 from __future__ import annotations
@@ -227,8 +230,7 @@ class Power(Expr):
         self.base = base
         self.exponent = int(exponent)
         self._h = hash(("^", id(base), self.exponent))
-        # a variable may not end up in a denominator
-        self._summarize((base,), base.poly and (self.exponent >= 0 or not base.free))
+        self._summarize((base,), base.poly and self.exponent >= 0)
 
     def _key(self):
         return ("^", self.base, self.exponent)
@@ -241,8 +243,7 @@ class Quotient(Expr):
         self.numerator = numerator
         self.denominator = denominator
         self._h = hash(("/", id(numerator), id(denominator)))
-        self._summarize((numerator, denominator),
-                        numerator.poly and denominator.poly and not denominator.free)
+        self._summarize((numerator, denominator), False)
 
     def _key(self):
         return ("/", self.numerator, self.denominator)
@@ -453,10 +454,13 @@ def contains_fn(e: Expr, fns: tuple[str, ...]) -> bool:
 
 
 def is_polynomial(e: Expr) -> bool:
-    """True iff e is a polynomial over the rationals in its variables.
+    """True iff e is evaluable in integers: exact rational constants,
+    variables, sums, products and non-negative powers only.
 
-    No transcendental nodes, no variable in any denominator (explicit
-    Quotient or negative Power), all constants exact rationals.
+    A Quotient or a negative Power is never polynomial.  Canonically a
+    division by a nonzero constant is a product, so only a raw tree with
+    a quotient, or a division by zero such as y/0, is turned away for
+    that.
     """
     return e.poly
 
@@ -506,7 +510,8 @@ def substitute(e: Expr, mapping: Mapping[VarRef, Expr]) -> Expr:
 
 
 class EvalSingular(ArithmeticError):
-    """Division by zero, log(0) or 0 to a negative power during eval."""
+    """Division by zero, log(0) or 0 to a negative power during eval;
+    ``subexpr`` is the node whose step failed."""
 
     def __init__(self, message: str, subexpr: Expr):
         super().__init__(message)
@@ -542,20 +547,17 @@ class Program:
     """The distinct nodes of a tuple of roots as steps (node, steps of its
     children()), and the step of each root.
 
-    Depth-first post-order from each root in turn, a quotient's
-    denominator before its numerator, so a node shared between roots is
-    one step.  A quotient's step also records where its denominator is
-    complete: a zero there is reported before anything its numerator
-    raises.
+    Depth-first post-order from each root in turn, so a node shared
+    between roots is one step.  Evaluation stops at the first step that
+    is singular.
     """
 
-    __slots__ = ("steps", "roots", "_degs")
+    __slots__ = ("steps", "roots", "_degs", "_consts")
 
     def __init__(self, roots: Iterable[Expr]):
         roots = tuple(roots)
         steps: list = []
         step: dict[int, int] = {}
-        entered: dict[int, int] = {}
         for root in roots:
             stack = [root]
             while stack:
@@ -564,34 +566,25 @@ class Program:
                     stack.pop()
                     continue
                 kids = children(n)
-                quotient = type(n) is Quotient
-                if quotient:
-                    entered.setdefault(id(n), len(steps))
-                    kids = kids[::-1]
                 todo = [k for k in kids if id(k) not in step]
                 if todo:
                     stack.extend(reversed(todo))
                     continue
                 stack.pop()
-                slots = tuple(step[id(k)] for k in children(n))
-                if quotient:
-                    slots += (max(entered[id(n)], slots[1] + 1),)
                 step[id(n)] = len(steps)
-                steps.append((n, slots))
+                steps.append((n, tuple(step[id(k)] for k in kids)))
         self.steps = steps
         self.roots = tuple(step[id(r)] for r in roots)
-        self._degs = None
+        self._degs = self._consts = None
 
-    def degrees(self) -> Union[tuple[list, int], None]:
-        """(degree of each step, lcm of the constant denominators), or None
-        when integer evaluation cannot run the program: it has a quotient,
-        a negative power, a function or a complex constant.
+    def degrees(self) -> tuple[list, int]:
+        """(degree of each step, lcm of the constant denominators) of a
+        ``poly`` program; TypeError at a step that is not.
 
         Leaves have degree 1, a product the sum of its children's degrees,
         a sum their maximum and a power e times its base's.
         """
-        got = self._degs
-        if got is None:
+        if self._degs is None:
             degs: list = []
             den = 1
             for n, kids in self.steps:
@@ -608,13 +601,16 @@ class Program:
                 elif t is Power and n.exponent >= 0:
                     d = n.exponent * degs[kids[0]]
                 else:
-                    got = False
-                    break
+                    raise TypeError(f"not evaluable in integers: {n!r}")
                 degs.append(d)
-            else:
-                got = (degs, den)
-            self._degs = got
-        return got or None
+            self._degs = (degs, den)
+        return self._degs
+
+    def constants(self) -> dict[int, complex]:
+        """The complex value of each constant step, by the node's id."""
+        if self._consts is None:
+            self._consts = {id(n): _to_complex(n.value) for n, _ in self.steps if type(n) is Const}
+        return self._consts
 
 
 def program(e: Expr) -> Program:
@@ -631,85 +627,72 @@ def batch(roots: Sequence[Expr]) -> Program:
 
 
 def _run(prog: Program, leaf: Callable[[Expr], Number], zero: Number, one: Number,
-         funcs: Mapping[str, Callable], degs: Union[list, None] = None,
-         scale: int = 1, mod: Union[int, None] = None) -> list:
+         degs: Union[list, None] = None, scale: int = 1, mod: Union[int, None] = None) -> list:
     """Every step's value, in program order.
 
-    With step degrees ``degs`` (from ``Program.degrees``) the leaves are
-    integers, each value times ``scale``, and a sum brings each term up to
-    its own degree, so every step holds its value times scale^degree.
-    With degrees and a prime ``mod`` as well, every sum and power is
-    reduced modulo ``mod``; a product of reduced values stays within a
-    constant factor of their size.
+    Without step degrees the values are complex.  With step degrees
+    ``degs`` (from ``Program.degrees``) the leaves are integers, each
+    value times ``scale``, and a sum brings each term up to its own
+    degree, so every step holds its value times scale^degree.  With
+    degrees and a prime ``mod`` as well, every sum and power is reduced
+    modulo ``mod``; a product of reduced values stays within a constant
+    factor of their size.
     """
-    steps = prog.steps
     vals: list = []
     push = vals.append
-    try:
-        for n, kids in steps:
-            t = type(n)
-            if t is Product:
-                v = one
+    for n, kids in prog.steps:
+        t = type(n)
+        if t is Product:
+            v = one
+            for k in kids:
+                v *= vals[k]
+        elif t is Sum:
+            v = zero
+            if degs is None:
                 for k in kids:
-                    v *= vals[k]
-            elif t is Sum:
-                v = zero
-                if degs is None:
-                    for k in kids:
-                        v += vals[k]
-                else:
-                    d = degs[len(vals)]
-                    for k in kids:
-                        gap = d - degs[k]
-                        v += vals[k] * scale ** gap if gap else vals[k]
-                    if mod:
-                        v %= mod
-            elif t is Power:
-                v = vals[kids[0]]
-                if v == 0 and n.exponent < 0:
-                    raise EvalSingular("0 raised to a negative power", n)
-                v = pow(v, n.exponent, mod) if mod else v ** n.exponent
-            elif t is Quotient:
-                v = vals[kids[1]]
-                if v == 0:
-                    raise EvalSingular("division by zero", n)
-                v = vals[kids[0]] / v
-            elif t is Apply:
-                v = vals[kids[0]]
-                if v == 0 and n.fn == "log":
-                    raise EvalSingular("log(0)", n)
-                fn = funcs.get(n.fn)
-                if fn is None:
-                    raise TypeError(f"not exactly evaluable: {n!r}")
-                v = fn(v)
+                    v += vals[k]
             else:
-                v = leaf(n)
-            push(v)
-    except EvalSingular:
-        # an unfinished quotient whose denominator was complete and zero
-        # before the failing step is the singularity to report
-        i = len(vals)
-        open_ = [(kids[2], -j) for j, (n, kids) in enumerate(steps[i + 1:], i + 1)
-                 if type(n) is Quotient and kids[2] <= i and vals[kids[1]] == 0]
-        if open_:
-            raise EvalSingular("division by zero", steps[-min(open_)[1]][0]) from None
-        raise
+                d = degs[len(vals)]
+                for k in kids:
+                    gap = d - degs[k]
+                    v += vals[k] * scale ** gap if gap else vals[k]
+                if mod:
+                    v %= mod
+        elif t is Power:
+            v = vals[kids[0]]
+            if v == 0 and n.exponent < 0:
+                raise EvalSingular("0 raised to a negative power", n)
+            v = pow(v, n.exponent, mod) if mod else v ** n.exponent
+        elif t is Quotient:
+            v = vals[kids[1]]
+            if v == 0:
+                raise EvalSingular("division by zero", n)
+            v = vals[kids[0]] / v
+        elif t is Apply:
+            v = vals[kids[0]]
+            if v == 0 and n.fn == "log":
+                raise EvalSingular("log(0)", n)
+            v = _CFUNCS[n.fn](v)
+        else:
+            v = leaf(n)
+        push(v)
     return vals
 
 
 def evaluate_roots(prog: Program, assignment: Mapping[VarRef, complex]) -> list[tuple[complex, float]]:
     """Each root's complex value and cancellation scale: the sum of its
     terms' magnitudes for a sum, its own magnitude otherwise."""
+    consts = prog.constants()
 
     def leaf(n: Expr) -> complex:
         if type(n) is Const:
-            return _to_complex(n.value)
+            return consts[id(n)]
         try:
             return assignment[n.ref]
         except KeyError:
             raise KeyError(f"no assignment for {n.ref}") from None
 
-    vals = _run(prog, leaf, 0j, 1 + 0j, _CFUNCS)
+    vals = _run(prog, leaf, 0j, 1 + 0j)
     out = []
     for r in prog.roots:
         n, kids = prog.steps[r]
@@ -724,23 +707,15 @@ def evaluate(e: Expr, ctx: EvalContext) -> complex:
     return value
 
 
-_FRACTION_ZERO, _FRACTION_ONE = Fraction(0), Fraction(1)
-
-
 def exact_ratios(prog: Program, assignment: Mapping[VarRef, Fraction]) -> list[tuple[int, int]]:
-    """Each root's (N, D), D > 0 and not reduced, with exact value N / D.
+    """Each root's (N, D), D > 0 and not reduced, with exact value N / D,
+    for a ``poly`` program (TypeError otherwise).
 
-    A polynomial program runs in integers over S, the lcm of its constant
+    The program runs in integers over S, the lcm of its constant
     denominators and the assigned values' denominators: D is S^d for a
-    root of degree d.  Raw trees with a quotient or a negative power run
-    in ``Fraction`` arithmetic.
+    root of degree d.
     """
-    homogeneous = prog.degrees()
-    if homogeneous is None:
-        vals = _run(prog, lambda n: n.value if type(n) is Const else assignment[n.ref],
-                    _FRACTION_ZERO, _FRACTION_ONE, {})
-        return [(vals[r].numerator, vals[r].denominator) for r in prog.roots]
-    degs, s, vals = _homogeneous_run(prog, assignment, homogeneous)
+    degs, s, vals = _homogeneous_run(prog, assignment)
     return [(vals[r], s ** degs[r]) for r in prog.roots]
 
 
@@ -748,38 +723,29 @@ def residues(prog: Program, assignment: Mapping[VarRef, Fraction], mod: int) -> 
     """Each root's N from ``exact_ratios`` modulo the prime mod: 0 when
     the root's value is 0, so a nonzero residue proves a nonzero value.
 
-    ZeroDivisionError when residues cannot decide: mod divides S, or the
-    program is no polynomial one (a raw quotient or negative power).
+    ZeroDivisionError when residues cannot decide: mod divides S.
     """
-    homogeneous = prog.degrees()
-    if homogeneous is None:
-        raise ZeroDivisionError("a quotient has no residue here")
-    _, s, vals = _homogeneous_run(prog, assignment, homogeneous, mod)
+    _, s, vals = _homogeneous_run(prog, assignment, mod)
     if not s % mod:
         raise ZeroDivisionError(f"the common denominator is 0 mod {mod}")
     return [vals[r] % mod for r in prog.roots]
 
 
-def _homogeneous_run(prog: Program, assignment: Mapping[VarRef, Fraction], homogeneous,
+def _homogeneous_run(prog: Program, assignment: Mapping[VarRef, Fraction],
                      mod: Union[int, None] = None) -> tuple[list, int, list]:
     """(step degrees, S, every step's value times S^degree, modulo mod
-    when given) for a polynomial program."""
-    degs, den = homogeneous
+    when given) for a ``poly`` program."""
+    degs, den = prog.degrees()
     s = lcm(den, *(v.denominator for v in assignment.values()))
 
     def scaled(n: Expr) -> int:
         v = n.value if type(n) is Const else assignment[n.ref]
         return v.numerator * (s // v.denominator)
 
-    return degs, s, _run(prog, scaled, 0, 1, {}, degs, s % mod if mod else s, mod)
-
-
-def exact_ratio(e: Expr, assignment: Mapping[VarRef, Fraction]) -> tuple[int, int]:
-    """(N, D), D > 0 and not reduced, with e's exact value N / D."""
-    return exact_ratios(program(e), assignment)[0]
+    return degs, s, _run(prog, scaled, 0, 1, degs, s % mod if mod else s, mod)
 
 
 def evaluate_exact(e: Expr, assignment: Mapping[VarRef, Fraction]) -> Fraction:
-    """Exact rational evaluation; e must satisfy is_polynomial()."""
-    num, den = exact_ratio(e, assignment)
-    return Fraction(num, den) if num else _FRACTION_ZERO
+    """Exact rational evaluation; TypeError unless is_polynomial(e)."""
+    ((num, den),) = exact_ratios(program(e), assignment)
+    return Fraction(num, den)

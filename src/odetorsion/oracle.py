@@ -20,9 +20,13 @@ they share is evaluated once) and one stream of points:
   tolerance: a value counts as zero only relative to the magnitudes of
   the top-level sum terms of its own entry.
 
-A point where any entry of the path is singular or not finite is redrawn
-for the whole path, up to MAX_RETRIES times.  At each sample the first
-entry, in row-major order, that either path finds nonzero wins.
+The exact path runs in integers only and meets no singular point.  On
+the numeric path, a point where some entry is singular or not finite is
+still decided by the entries that are finite and clearly nonzero there;
+when there is none, the point is redrawn for the whole path, up to
+MAX_RETRIES times, and it counts toward no entry's gray or clear votes.
+At each sample the first entry, in row-major order, that either path
+finds nonzero wins.
 
 ``sample_point`` is the one place points are drawn, under the parameter
 policies; the oracle's exact and numeric paths, ``OdeSystem``
@@ -249,14 +253,12 @@ class _Path:
         self.gray = [0] * len(at)
 
     def sample(self) -> Optional[list]:
-        """Draw until a point is valid, up to MAX_RETRIES times; the indices
-        of the roots nonzero there, or None when no point was valid."""
+        """Draw until ``test`` decides a point, up to MAX_RETRIES times; the
+        indices of the roots nonzero there, or None when no point was
+        decided."""
         for _ in range(MAX_RETRIES):
             self.point = self.draw()
-            try:
-                nonzero = self.test()
-            except EvalSingular:
-                continue
+            nonzero = self.test()
             if nonzero is not None:
                 self.valid += 1
                 return [self.at[pos] for pos in nonzero]
@@ -304,10 +306,12 @@ class _Exact(_Path):
         return [pos for pos, (num, _) in enumerate(self.ratios) if num]
 
     def witness(self, k: int) -> dict:
-        pos = self.at.index(k)
-        ratio = self.ratios[pos] if self.ratios else ex.exact_ratio(self.roots[pos], self.point)
+        ratios = self.ratios or ex.exact_ratios(self.prog, self.point)
         return dict(witness={r: _float(v.numerator, v.denominator) for r, v in self.point.items()},
-                    value=_float(*ratio), exact=True)
+                    value=_float(*ratios[self.at.index(k)]), exact=True)
+
+
+_SINGULAR = (complex(cmath.nan, cmath.nan), cmath.nan)  # a root's value where its step fails
 
 
 class _Numeric(_Path):
@@ -317,19 +321,27 @@ class _Numeric(_Path):
         return sample_point(self.rng, self.refs, self.params)
 
     def test(self) -> Optional[list]:
-        self.vals = ex.evaluate_roots(self.prog, self.point)
-        if not all(cmath.isfinite(v) for v, _ in self.vals):
-            return None
+        try:
+            self.vals = ex.evaluate_roots(self.prog, self.point)
+        except EvalSingular:
+            # root by root, so a root singular here hides no other
+            self.vals = [self._value(e) for e in self.roots]
+        valid = all(cmath.isfinite(v) for v, _ in self.vals)
         nonzero = []
         for pos, (v, scale) in enumerate(self.vals):
             mag = abs(v)
-            if mag > self.rel_tol * scale:
+            if mag > self.rel_tol * scale and cmath.isfinite(v):
                 nonzero.append(pos)
-            elif mag <= NOISE_FLOOR * scale:
-                self.clear[pos] += 1
-            else:
-                self.gray[pos] += 1
-        return nonzero
+            elif valid:  # an invalid point casts no vote
+                votes = self.clear if mag <= NOISE_FLOOR * scale else self.gray
+                votes[pos] += 1
+        return nonzero if valid or nonzero else None
+
+    def _value(self, e: Expr) -> tuple[complex, float]:
+        try:
+            return ex.evaluate_roots(ex.program(e), self.point)[0]
+        except EvalSingular:
+            return _SINGULAR
 
     def witness(self, k: int) -> dict:
         return dict(witness=self.point, value=self.vals[self.at.index(k)][0])

@@ -139,11 +139,10 @@ def _reference_summary(n):
     if isinstance(n, Apply):
         return free, False, fns | {n.fn}
     if isinstance(n, Quotient):
-        (_, num_poly, _), (den_free, den_poly, _) = kids
-        return free, num_poly and den_poly and not den_free, fns
+        return free, False, fns
     if isinstance(n, Power):
-        ((base_free, base_poly, _),) = kids
-        return free, base_poly and (n.exponent >= 0 or not base_free), fns
+        ((_, base_poly, _),) = kids
+        return free, base_poly and n.exponent >= 0, fns
     return free, all(k[1] for k in kids), fns
 
 
@@ -211,20 +210,12 @@ def test_integer_exact_evaluation_matches_fraction_reference(raw, values):
     point = dict(zip([X, Y(1), YDot(1), ex.Param("a")], values))
     # a canonical sum with a term and its negation is zero at every point
     for root in (canonical, ex.sub(canonical, canonical)):
-        try:
-            got = evaluate_exact(root, point)
-        except EvalSingular:  # a quotient by the constant 0 stays canonical
-            with pytest.raises(ZeroDivisionError):
-                _reference_exact(root, point)
-            return
+        got = evaluate_exact(root, point)
         assert type(got) is Fraction
         assert got == _reference_exact(root, point)
     if raw.poly:
-        # a raw tree with quotients runs in Fraction arithmetic
-        try:
-            assert evaluate_exact(raw, point) == evaluate_exact(canonical, point)
-        except EvalSingular:
-            pass
+        # a raw tree, unflattened and unfolded, runs in the same integers
+        assert evaluate_exact(raw, point) == evaluate_exact(canonical, point)
 
 
 _P = 2 ** 61 - 1
@@ -243,26 +234,40 @@ def test_residues_match_fraction_reference(raw, values):
         return
     point = dict(zip([X, Y(1), YDot(1), ex.Param("a")], values))
     roots = (canonical, ex.sub(canonical, canonical), ex.mul(ex.const(3), canonical))
-    try:
-        want = [_reference_exact(root, point) for root in roots]
-    except ZeroDivisionError:
-        want = None
+    want = [_reference_exact(root, point) for root in roots]
     prog = ex.Program(roots)
     try:
         got = ex.residues(prog, point, _P)
     except ZeroDivisionError:
-        # the exact value decides such a point: a value has no residue, or
-        # a divisor is 0
-        assert want is None or any(v.denominator % _P == 0 for v in point.values())
-        if want is not None:
-            assert [Fraction(*ratio) for ratio in ex.exact_ratios(prog, point)] == want
+        # the exact value decides a point where a value has no residue
+        assert any(v.denominator % _P == 0 for v in point.values())
+        assert [Fraction(*ratio) for ratio in ex.exact_ratios(prog, point)] == want
         return
-    assert want is not None
     ratios = ex.exact_ratios(prog, point)
     assert got == [num % _P for num, _ in ratios]
     # residue / D is the Fraction reference reduced mod P
     assert [g * pow(den, -1, _P) % _P for g, (_, den) in zip(got, ratios)] == [
         q.numerator * pow(q.denominator, -1, _P) % _P for q in want]
+
+
+@given(raw_trees, st.lists(_residue_values, min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_integer_evaluation_meets_no_singular_step(raw, values):
+    """A canonical poly root has no quotient and no negative power, so
+    neither exact evaluation nor residues can divide by zero."""
+    try:
+        canonical = build(raw)
+    except ZeroDivisionError:
+        return
+    if not canonical.poly:
+        return
+    point = dict(zip([X, Y(1), YDot(1), ex.Param("a")], values))
+    prog = ex.Program((canonical, ex.add(canonical, x)))
+    ex.exact_ratios(prog, point)
+    try:
+        ex.residues(prog, point, _P)
+    except ZeroDivisionError:
+        assert any(v.denominator % _P == 0 for v in point.values())
 
 
 def test_interning_is_race_free():
@@ -347,15 +352,18 @@ class TestEvaluate:
             evaluate(e, EvalContext({X: 0, Y(1): 1}))
         assert err.value.subexpr is bad
 
-    def test_zero_denominator_named_before_its_numerator(self):
-        # the denominator is checked before the numerator is evaluated
-        zero = ex.sub(y1, y1)
-        inner = ex.quot(ex.apply("log", ex.ZERO), zero)
-        outer = ex.quot(inner, zero)
-        for bad in (inner, outer):
-            with pytest.raises(EvalSingular) as err:
-                evaluate(ex.add(bad, x), EvalContext({X: 1, Y(1): 2}))
-            assert err.value.subexpr is bad
+    @pytest.mark.parametrize("text", ["log(0*y)", "y/(y-y)", "log(0*y)/(y-y) + x",
+                                      "x/(y-y) + log(0*y)", "(y/(y-y))/(y-y)"])
+    def test_singular_error_names_a_singular_node_of_the_input(self, text):
+        from odetorsion.parsing import parse_expr
+
+        e = parse_expr(text)
+        with pytest.raises(EvalSingular) as err:
+            evaluate(e, EvalContext({X: 1, Y(1): 2}))
+        bad = err.value.subexpr
+        assert type(bad) in (Apply, Quotient) and any(n is bad for n in _nodes(e))
+        for k in ex.children(bad):
+            evaluate(k, EvalContext({X: 1, Y(1): 2}))  # its own step fails, not a child's
 
     def test_cancellation_scale(self):
         e = ex.add(ex.pow_(x, 2), ex.mul(ex.const(-1), ex.pow_(x, 2)), ex.ONE)
@@ -378,6 +386,7 @@ class TestIsPolynomial:
             ("x^3 + y1*dy1 - 1/2", True),
             ("y^-2", False),
             ("x/3", True),
+            ("y/0", False),
         ],
     )
     def test_cases(self, text, expected):
@@ -387,3 +396,17 @@ class TestIsPolynomial:
 
     def test_complex_constant_not_polynomial(self):
         assert not is_polynomial(ex.mul(ex.const(1j), y1))
+
+    @pytest.mark.parametrize("raw", [Quotient(Var(Y(1)), Const(2)), Power(Var(Y(1)), -1)],
+                             ids=["y/2", "y^-1"])
+    def test_raw_quotient_and_negative_power_not_polynomial(self, raw):
+        assert is_polynomial(raw) is False
+        # canonically the first is a product
+        assert is_polynomial(build(raw)) is (type(raw) is Quotient)
+
+    @pytest.mark.parametrize("text", ["y/0", "exp(y)", "1/y", "y^-2"])
+    def test_evaluate_exact_rejects_non_polynomial(self, text):
+        from odetorsion.parsing import parse_expr
+
+        with pytest.raises(TypeError):
+            evaluate_exact(parse_expr(text), {Y(1): Fraction(1, 2)})

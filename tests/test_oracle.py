@@ -101,9 +101,10 @@ class TestExactPath:
     @pytest.mark.parametrize("e", [parse_expr("y/0"), ex.Quotient(y, ex.Sum([ex.ONE, ex.const(-1)]))],
                              ids=["y/0", "y/(1-1)"])
     def test_singular_points_redrawn(self, e):
-        assert e.poly
+        # a division by zero is no polynomial: it is sampled numerically
+        assert not e.poly
         v = is_zero(e)
-        assert v.outcome == INCONCLUSIVE and v.exact
+        assert v.outcome == INCONCLUSIVE and not v.exact
         assert v.reason == "only 0/32 valid samples after retries"
 
     def test_nonzero_gives_witness(self):
@@ -179,6 +180,18 @@ class TestNumericPath:
         e = ex.add(ex.apply("exp", ex.add(y, ex.const(Fraction(1, 10 ** 13)))),
                    ex.neg(ex.apply("exp", y)))
         assert is_zero(e).is_zero
+
+    def test_constants_converted_once_per_program(self, monkeypatch):
+        e = parse_expr("(3/7)*exp(y) + (1/3)*y^2 - 5*dy")
+        converted = []
+        to_complex = ex._to_complex
+        monkeypatch.setattr(ex, "_to_complex", lambda v: converted.append(v) or to_complex(v))
+        first = is_zero(e)
+        assert first.is_nonzero and not first.exact
+        assert sorted(converted) == [Fraction(-5), Fraction(1, 3), Fraction(3, 7)]
+        converted.clear()
+        assert is_zero(e, cfg=OracleConfig(seed=1)).is_nonzero
+        assert converted == []  # the root's program keeps them
 
 
 class TestDeterminism:
@@ -371,6 +384,30 @@ class TestMatrix:
         v = is_zero_matrix(m)
         assert v.outcome == INCONCLUSIVE
         assert v.entry == (1, 1)
+        assert v.reason == "entry (1,1): only 0/32 valid samples after retries"
+
+    @pytest.mark.parametrize("row, entry", [
+        (["log(y-y)", "exp(y)"], (1, 2)),
+        (["exp(y)", "log(y-y)"], (1, 1)),
+        (["17*10^307*(y^2+10)*exp(x)", "exp(y)"], (1, 2)),
+    ])
+    def test_entry_invalid_everywhere_hides_no_neighbour(self, row, entry):
+        # a point where one entry is singular or not finite is still
+        # decided by an entry that is finite and clearly nonzero there
+        m = [[parse_expr(t) for t in row]]
+        v = is_zero_matrix(m)
+        assert v.is_nonzero and v.entry == entry and v.samples_passed == 0
+        _assert_names_nonzero_entry(m, v)
+
+    def test_invalid_point_casts_no_vote(self):
+        # exp(y) - exp(y) wins nothing where log(y-y) is singular, and
+        # such a point counts as neither clear nor gray for it
+        roots = [parse_expr("exp(y) - exp(y)"), parse_expr("log(y-y)")]
+        path = oracle._Numeric(roots, [0, 1], (), OracleConfig())
+        assert path.sample() is None
+        assert path.valid == 0 and path.clear == [0, 0] and path.gray == [0, 0]
+        v = is_zero_matrix([roots])
+        assert v.outcome == INCONCLUSIVE and v.samples_passed == 0 and v.entry == (1, 1)
 
 
 def test_empirical_false_zero_rate():
