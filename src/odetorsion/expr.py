@@ -16,6 +16,18 @@ is a polynomial that divides by no zero.  Deciding whether an expression
 vanishes is the zero oracle's job.  Canonical nodes are fixed points of
 ``build``, so rebuilding one costs a lookup, not a walk.
 
+Interning is key-first: a constructor takes canonical operands, works
+out the intern key of its result and looks it up; only on a miss does it
+build the node and summarize it, and ``_mk``'s one ``setdefault`` is the
+only insert.  Constants are folded only where two or more meet, exactly
+in any order when all are rational and from the unit, left to right,
+when one is complex (float rounding depends on the order); a lone
+constant operand is kept as the node it is, and ``neg`` multiplies by
+the shared ``MINUS_ONE``.  An ``int`` hashes and compares equal to the
+``Fraction`` a ``Const`` holds, so ``const`` looks an integer up without
+building a ``Fraction``.  ``Y(i)`` and ``YDot(i)`` return one shared
+``VarRef`` per index.
+
 A program lists the distinct nodes of a tuple of roots in evaluation
 order, a node shared between roots once.  Each root caches its own
 program on first use; the oracle builds one over all the entries of a
@@ -34,6 +46,7 @@ program.
 from __future__ import annotations
 
 import cmath
+import operator
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -94,16 +107,24 @@ class VarRef:
 X = VarRef(VarRef.X)
 
 
+_refs: dict = {}  # one shared VarRef per (kind, index)
+
+
+def _indexed(kind: str, index: int) -> VarRef:
+    ref = _refs.get((kind, index))
+    if ref is None:
+        if index < 1:
+            raise ValueError(f"{kind} index must be >= 1, got {index}")
+        ref = _refs.setdefault((kind, index), VarRef(kind, index=index))
+    return ref
+
+
 def Y(index: int) -> VarRef:
-    if index < 1:
-        raise ValueError(f"y index must be >= 1, got {index}")
-    return VarRef(VarRef.Y, index=index)
+    return _indexed(VarRef.Y, index)
 
 
 def YDot(index: int) -> VarRef:
-    if index < 1:
-        raise ValueError(f"dy index must be >= 1, got {index}")
-    return VarRef(VarRef.YDOT, index=index)
+    return _indexed(VarRef.YDOT, index)
 
 
 def Param(name: str) -> VarRef:
@@ -295,91 +316,116 @@ def _mk(node: Expr) -> Expr:
 
 ZERO = _mk(Const(0))
 ONE = _mk(Const(1))
+MINUS_ONE = _mk(Const(-1))
 
 
 # ---------------------------------------------------------------------------
-# Smart constructors (canonicalizing)
+# Smart constructors (canonicalizing; operands must be canonical)
 
 
 def const(value) -> Const:
-    return _mk(Const(value))
+    if type(value) is int or type(value) is Fraction:
+        # an int hashes and compares equal to the Fraction a Const holds
+        key = ("c", "Fraction", value)
+    else:
+        value = _coerce_number(value)
+        key = ("c", type(value).__name__, value)
+    node = _intern.get(key)
+    return node if node is not None else _mk(Const(value))
 
 
 def var(ref: VarRef) -> Var:
-    return _mk(Var(ref))
-
-
-def _is_const(e: Expr, v=None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
-
-
-def _num_add(a: Number, b: Number) -> Number:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return _to_complex(a) + _to_complex(b)
-
-
-def _num_mul(a: Number, b: Number) -> Number:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    return _to_complex(a) * _to_complex(b)
+    node = _intern.get(("v", ref))
+    return node if node is not None else _mk(Var(ref))
 
 
 def _to_complex(v: Number) -> complex:
     return complex(v) if isinstance(v, Fraction) else v
 
 
+def _fold(consts: list, unit: Const, op: Callable) -> Const:
+    """The constant node of two or more constant operands under op."""
+    if any(type(c.value) is not Fraction for c in consts):
+        # complex rounding depends on the order: fold from the unit, left to right
+        acc = unit.value
+        for c in consts:
+            acc = op(acc, c.value)
+        return const(acc)
+    # exact, so the unit and the order do not matter; integers fold as ints
+    rest = [c for c in consts if c is not unit]
+    if len(rest) < 2:
+        return rest[0] if rest else unit
+    acc = None
+    for c in rest:
+        v = c.value
+        if v.denominator == 1:
+            v = v.numerator
+        acc = v if acc is None else op(acc, v)
+    return const(acc)
+
+
 def add(*terms: Expr) -> Expr:
     flat: list[Expr] = []
-    acc: Number = Fraction(0)
+    consts: list[Const] = []
     for t in terms:
-        if isinstance(t, Sum):
-            # already canonical: at most one Const inside
-            for s in t.terms:
-                if isinstance(s, Const):
-                    acc = _num_add(acc, s.value)
-                else:
-                    flat.append(s)
-        elif isinstance(t, Const):
-            acc = _num_add(acc, t.value)
+        tt = type(t)
+        if tt is Sum:
+            # canonical: at most one Const, and it is the last term
+            ts = t.terms
+            if type(ts[-1]) is Const:
+                flat.extend(ts[:-1])
+                consts.append(ts[-1])
+            else:
+                flat.extend(ts)
+        elif tt is Const:
+            consts.append(t)
         else:
             flat.append(t)
-    if acc != 0:
-        flat.append(const(acc))
+    if consts:
+        c = consts[0] if len(consts) == 1 else _fold(consts, ZERO, operator.add)
+        if c is not ZERO:
+            flat.append(c)
     if not flat:
         return ZERO
     if len(flat) == 1:
         return flat[0]
-    return _mk(Sum(flat))
+    node = _intern.get(("+", tuple(flat)))
+    return node if node is not None else _mk(Sum(flat))
 
 
 def mul(*factors: Expr) -> Expr:
     flat: list[Expr] = []
-    acc: Number = Fraction(1)
+    consts: list[Const] = []
     for f in factors:
-        if isinstance(f, Product):
-            for g in f.factors:
-                if isinstance(g, Const):
-                    acc = _num_mul(acc, g.value)
-                else:
-                    flat.append(g)
-        elif isinstance(f, Const):
-            acc = _num_mul(acc, f.value)
+        tf = type(f)
+        if tf is Product:
+            # canonical: at most one Const, and it is the first factor
+            fs = f.factors
+            if type(fs[0]) is Const:
+                consts.append(fs[0])
+                flat.extend(fs[1:])
+            else:
+                flat.extend(fs)
+        elif tf is Const:
+            consts.append(f)
         else:
             flat.append(f)
-    if acc == 0:
-        return ZERO
-    if acc != 1:
-        flat.insert(0, const(acc))
+    if consts:
+        c = consts[0] if len(consts) == 1 else _fold(consts, ONE, operator.mul)
+        if c is ZERO:
+            return ZERO
+        if c is not ONE:
+            flat.insert(0, c)
     if not flat:
         return ONE
     if len(flat) == 1:
         return flat[0]
-    return _mk(Product(flat))
+    node = _intern.get(("*", tuple(flat)))
+    return node if node is not None else _mk(Product(flat))
 
 
 def neg(e: Expr) -> Expr:
-    return mul(const(-1), e)
+    return mul(MINUS_ONE, e)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -399,24 +445,26 @@ def pow_(base: Expr, exponent: int) -> Expr:
         return const(v ** exponent)
     if isinstance(base, Power):
         return pow_(base.base, base.exponent * exponent)
-    return _mk(Power(base, exponent))
+    node = _intern.get(("^", base, exponent))
+    return node if node is not None else _mk(Power(base, exponent))
 
 
 def quot(numerator: Expr, denominator: Expr) -> Expr:
-    if _is_const(denominator):
+    if type(denominator) is Const:
         v = denominator.value
         if v != 0:
             recip = 1 / v if isinstance(v, Fraction) else 1.0 / v
             return mul(const(recip), numerator)
-    if _is_const(numerator, 0):
+        # a division by zero is kept, for evaluation to report
+    if numerator is ZERO:
         return ZERO
-    if _is_const(denominator, 1):
-        return numerator
-    return _mk(Quotient(numerator, denominator))
+    node = _intern.get(("/", numerator, denominator))
+    return node if node is not None else _mk(Quotient(numerator, denominator))
 
 
 def apply(fn: str, arg: Expr) -> Expr:
-    return _mk(Apply(fn, arg))
+    node = _intern.get(("f", fn, arg))
+    return node if node is not None else _mk(Apply(fn, arg))
 
 
 def build(raw: Expr) -> Expr:
@@ -466,8 +514,18 @@ def is_polynomial(e: Expr) -> bool:
 
 
 def node_count(e: Expr) -> int:
-    """Number of distinct nodes in the (shared) expression DAG."""
-    return len(program(e).steps)
+    """Number of distinct nodes in the (shared) expression DAG: e's cached
+    program's length, else a plain walk that caches nothing."""
+    if e._prog is not None:
+        return len(e._prog.steps)
+    seen = {id(e)}
+    todo = [e]
+    while todo:
+        for k in children(todo.pop()):
+            if id(k) not in seen:
+                seen.add(id(k))
+                todo.append(k)
+    return len(seen)
 
 
 def substitute(e: Expr, mapping: Mapping[VarRef, Expr]) -> Expr:

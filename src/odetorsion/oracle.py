@@ -25,6 +25,9 @@ the numeric path, a point where some entry is singular or not finite is
 still decided by the entries that are finite and clearly nonzero there;
 when there is none, the point is redrawn for the whole path, up to
 MAX_RETRIES times, and it counts toward no entry's gray or clear votes.
+An entry whose evaluation raises ``OverflowError`` (``cmath.exp`` of a
+huge argument) is not finite at that point; the error propagates only
+from a point that no entry wins.
 At each sample the first entry, in row-major order, that either path
 finds nonzero wins.
 
@@ -321,10 +324,11 @@ class _Numeric(_Path):
         return sample_point(self.rng, self.refs, self.params)
 
     def test(self) -> Optional[list]:
+        self.overflow = None
         try:
             self.vals = ex.evaluate_roots(self.prog, self.point)
-        except EvalSingular:
-            # root by root, so a root singular here hides no other
+        except (EvalSingular, OverflowError):
+            # root by root, so a root singular or overflowing here hides no other
             self.vals = [self._value(e) for e in self.roots]
         valid = all(cmath.isfinite(v) for v, _ in self.vals)
         nonzero = []
@@ -335,12 +339,18 @@ class _Numeric(_Path):
             elif valid:  # an invalid point casts no vote
                 votes = self.clear if mag <= NOISE_FLOOR * scale else self.gray
                 votes[pos] += 1
+        if self.overflow is not None and not nonzero:
+            raise self.overflow
         return nonzero if valid or nonzero else None
 
     def _value(self, e: Expr) -> tuple[complex, float]:
         try:
             return ex.evaluate_roots(ex.program(e), self.point)[0]
         except EvalSingular:
+            return _SINGULAR
+        except OverflowError as err:
+            # not finite here; raised from test when no root wins the point
+            self.overflow = err
             return _SINGULAR
 
     def witness(self, k: int) -> dict:

@@ -167,7 +167,7 @@ class _Parser:
         t = self.cur
         if t.kind == "number":
             self.pos += 1
-            return ex.const(Fraction(t.text))
+            return ex.const(int(t.text) if t.text.isdigit() else Fraction(t.text))
         if t.kind == "ident":
             self.pos += 1
             name = t.text

@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 import sys
 import threading
 from fractions import Fraction
@@ -295,6 +296,135 @@ def test_interning_is_race_free():
     assert len(first) == len(second) == 20000
     assert all(p is q for p, q in zip(first, second))
     assert all(ex._intern[p._key()] is p for p in first)
+
+
+# Node-first reference constructors: build the whole node, fold every
+# constant from the unit, then intern.  The smart constructors look the
+# key up first and must return the very same nodes.
+
+
+def _ref_num(a, b, op):
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return op(a, b)
+    return op(complex(a), complex(b))
+
+
+def _ref_flatten(operands, kind, unit, op):
+    flat, acc = [], unit
+    for o in operands:
+        for s in (o.terms if kind is Sum else o.factors) if isinstance(o, kind) else (o,):
+            if isinstance(s, Const):
+                acc = _ref_num(acc, s.value, op)
+            else:
+                flat.append(s)
+    return flat, acc
+
+
+def _ref_add(*terms):
+    flat, acc = _ref_flatten(terms, Sum, Fraction(0), operator.add)
+    if acc != 0:
+        flat.append(ex._mk(Const(acc)))
+    if not flat:
+        return ex.ZERO
+    return flat[0] if len(flat) == 1 else ex._mk(Sum(flat))
+
+
+def _ref_mul(*factors):
+    flat, acc = _ref_flatten(factors, Product, Fraction(1), operator.mul)
+    if acc == 0:
+        return ex.ZERO
+    if acc != 1:
+        flat.insert(0, ex._mk(Const(acc)))
+    if not flat:
+        return ex.ONE
+    return flat[0] if len(flat) == 1 else ex._mk(Product(flat))
+
+
+def _ref_neg(e):
+    return _ref_mul(ex._mk(Const(-1)), e)
+
+
+def _ref_pow(base, exponent):
+    if exponent == 0:
+        return ex.ONE
+    if exponent == 1:
+        return base
+    if isinstance(base, Const):
+        if base.value == 0 and exponent < 0:
+            raise ZeroDivisionError("0 raised to a negative power")
+        return ex._mk(Const(base.value ** exponent))
+    if isinstance(base, Power):
+        return _ref_pow(base.base, base.exponent * exponent)
+    return ex._mk(Power(base, exponent))
+
+
+def _ref_quot(numerator, denominator):
+    if isinstance(denominator, Const) and denominator.value != 0:
+        v = denominator.value
+        return _ref_mul(ex._mk(Const(1 / v if isinstance(v, Fraction) else 1.0 / v)), numerator)
+    if isinstance(numerator, Const) and numerator.value == 0:
+        return ex.ZERO
+    return ex._mk(Quotient(numerator, denominator))
+
+
+_constants = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 4), 0.5, 1j, -1j, 2 + 3j, 10 ** 300])
+
+
+def _canonical(raw):
+    try:
+        return build(raw)
+    except ZeroDivisionError:
+        return ex.ONE
+
+
+_operands = st.one_of(_constants.map(ex.const), raw_trees.map(_canonical))
+
+
+def _same(got, want):
+    """got() and want() return the identical node, or raise the same error."""
+    try:
+        expected = want()
+    except (ZeroDivisionError, OverflowError) as err:
+        with pytest.raises(type(err)):
+            got()
+        return
+    assert got() is expected
+
+
+@given(st.lists(_operands, min_size=1, max_size=4), st.integers(-3, 3))
+@settings(max_examples=300, deadline=None)
+def test_key_first_constructors_match_node_first_reference(operands, exponent):
+    a, b = operands[0], operands[-1]
+    _same(lambda: ex.add(*operands), lambda: _ref_add(*operands))
+    _same(lambda: ex.mul(*operands), lambda: _ref_mul(*operands))
+    _same(lambda: ex.neg(a), lambda: _ref_neg(a))
+    _same(lambda: ex.sub(a, b), lambda: _ref_add(a, _ref_neg(b)))
+    _same(lambda: ex.quot(a, b), lambda: _ref_quot(a, b))
+    _same(lambda: ex.pow_(a, exponent), lambda: _ref_pow(a, exponent))
+
+
+class TestKeyFirstInterning:
+    def test_a_hit_builds_no_node(self, monkeypatch):
+        a = ex.var(ex.Param("hit"))
+        nodes = [ex.add(a, y1, ex.ONE), ex.mul(ex.const(3), a), ex.neg(a), ex.pow_(a, 4),
+                 ex.quot(y1, a), ex.apply("exp", a), ex.const(7), ex.const(Fraction(3, 5))]
+        made = []
+        mk = ex._mk
+        monkeypatch.setattr(ex, "_mk", lambda node: made.append(node) or mk(node))
+        again = [ex.add(a, y1, ex.ONE), ex.mul(ex.const(3), a), ex.neg(a), ex.pow_(a, 4),
+                 ex.quot(y1, a), ex.apply("exp", a), ex.const(7), ex.const(Fraction(3, 5))]
+        assert made == []
+        assert all(p is q for p, q in zip(nodes, again, strict=True))
+
+    def test_integer_literal_reaches_the_fraction_constant(self):
+        c = ex.const(Fraction(123457))
+        assert ex.const(123457) is c and type(c.value) is Fraction
+        assert ex.const(-5) is ex.const(Fraction(-5)) and ex.neg(ex.const(5)) is ex.const(-5)
+
+    def test_one_varref_per_index(self):
+        assert Y(3) is Y(3) and YDot(3) is YDot(3) and Y(3) != YDot(3)
+        with pytest.raises(ValueError):
+            Y(0)
 
 
 class TestSubstitute:

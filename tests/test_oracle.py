@@ -390,6 +390,9 @@ class TestMatrix:
         (["log(y-y)", "exp(y)"], (1, 2)),
         (["exp(y)", "log(y-y)"], (1, 1)),
         (["17*10^307*(y^2+10)*exp(x)", "exp(y)"], (1, 2)),
+        # cmath.exp raises OverflowError rather than returning inf
+        (["exp(y)", "exp(y^400)"], (1, 1)),
+        (["exp(y^400)", "exp(y)"], (1, 2)),
     ])
     def test_entry_invalid_everywhere_hides_no_neighbour(self, row, entry):
         # a point where one entry is singular or not finite is still
@@ -398,6 +401,13 @@ class TestMatrix:
         v = is_zero_matrix(m)
         assert v.is_nonzero and v.entry == entry and v.samples_passed == 0
         _assert_names_nonzero_entry(m, v)
+
+    def test_overflow_with_no_winner_propagates(self):
+        # alone, an entry that overflows at the first point still raises
+        with pytest.raises(OverflowError):
+            is_zero_matrix([[parse_expr("exp(y^400)")]])
+        with pytest.raises(OverflowError):
+            is_zero_matrix([[parse_expr("sin(y)^2 + cos(y)^2 - 1"), parse_expr("exp(y^400)")]])
 
     def test_invalid_point_casts_no_vote(self):
         # exp(y) - exp(y) wins nothing where log(y-y) is singular, and

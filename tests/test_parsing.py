@@ -152,6 +152,35 @@ _source = st.recursive(
 )
 
 
+# Three entries in the format of perfbench's generated `systems` workload
+# (only parsed here): a triangular polynomial system, a gradient system
+# and one with exp.
+_SYSTEMS_TEXT = """
+system m000
+  n 2
+  f1 = (2/3)*((-5)*y2 + 2*((-5)*x + (-6)*y2)*dy2 + ((-6)*x + (-4))*(dy2)^2 + (2/5)*((-5/2)*(x)^2 + (-4)*y2 + (-6)*x*y2)*(4*x + 3))
+  f2 = (2/5)*(4*x + 3)
+  conserved ((-3/2)*dy1 + (-5)*x*y2 + (-3)*(y2)^2 + ((-5/2)*(x)^2 + (-4)*y2 + (-6)*x*y2)*dy2)
+  expect straight
+end
+system m001
+  n 3
+  f1 = ((1/2)*y2 + (-3)*y1 + (-2)*(y1)^2 + (5/2)*(y2)^2)
+  f2 = ((1/2)*y1 + 5*y1*y2 + (-5)*y2 + 2*(y2)^2 + (1/2)*(y3)^2)
+  f3 = (y2*y3 + 5*y3 + 2*(y3)^2)
+  expect not-straight
+end
+system m008
+  n 3
+  f1 = ((-1/2)*y2 + (-6)*y1 + (-2)*(y1)^2 + (5/2)*(y2)^2)
+  f2 = ((-1/2)*y1 + 5*y1*y2 + (-1)*y2 + 2*(y2)^2 + (-2/3)*(y3)^2)
+  f3 = ((-4/3)*y2*y3 + (-5)*y3 + (3/2)*(y3)^2 + (-5/2)*exp((-5/2)*y3))
+  conserved ((1/2)*(dy1)^2 + (1/2)*(dy2)^2 + (1/2)*(dy3)^2 + (-1)*((-1/2)*y1*y2 + (-3)*(y1)^2 + (-2/3)*(y1)^3 + (5/2)*y1*(y2)^2 + (-1/2)*(y2)^2 + (2/3)*(y2)^3 + (-2/3)*y2*(y3)^2 + (-5/2)*(y3)^2 + (1/2)*(y3)^3 + exp((-5/2)*y3)))
+  expect not-straight
+end
+"""
+
+
 class TestOperandRuns:
     @given(_source)
     @settings(max_examples=300, deadline=None)
@@ -177,6 +206,18 @@ class TestOperandRuns:
             for a, b in zip(got, want, strict=True):
                 assert all(p is q for p, q in zip(a.system.rhs, b.system.rhs, strict=True))
                 assert all(p is q for p, q in zip(a.conserved, b.conserved, strict=True))
+
+    def test_second_parse_only_looks_up(self, monkeypatch):
+        # every node of a parse already seen is found before one is built
+        first = parse_corpus(_SYSTEMS_TEXT)
+        made = []
+        mk = ex._mk
+        monkeypatch.setattr(ex, "_mk", lambda node: made.append(node) or mk(node))
+        second = parse_corpus(_SYSTEMS_TEXT)
+        assert made == []
+        for a, b in zip(first, second, strict=True):
+            assert all(p is q for p, q in zip(a.system.rhs, b.system.rhs, strict=True))
+            assert all(p is q for p, q in zip(a.conserved, b.conserved, strict=True))
 
     @pytest.mark.parametrize("n", [1000, 4000])
     def test_intern_table_grows_linearly(self, n):
