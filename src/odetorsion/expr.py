@@ -16,12 +16,12 @@ is a polynomial that divides by no zero.  Deciding whether an expression
 vanishes is the zero oracle's job.  Canonical nodes are fixed points of
 ``build``, so rebuilding one costs a lookup, not a walk.
 
-Interning is key-first: a constructor takes canonical operands, works
+Interning is key-first: a constructor takes canonical operands (a raw
+node goes through ``build`` first, which canonicalizes it), works
 out the intern key of its result and looks it up; only on a miss does it
 build the node and summarize it, and ``_mk``'s one ``setdefault`` is the
-only insert.  Constants are folded only where two or more meet, exactly
-in any order when all are rational and from the unit, left to right,
-when one is complex (float rounding depends on the order); a lone
+only insert.  Constants are folded only where two or more meet, from the
+unit, left to right (float rounding depends on the order); a lone
 constant operand is kept as the node it is, and ``neg`` multiplies by
 the shared ``MINUS_ONE``.  An ``int`` hashes and compares equal to the
 ``Fraction`` a ``Const`` holds, so ``const`` looks an integer up without
@@ -153,11 +153,13 @@ def _union(sets: Iterable[frozenset]) -> frozenset:
 # ---------------------------------------------------------------------------
 # Nodes
 #
-# Direct construction produces a "raw" node; build() (or the lowercase
-# smart constructors) canonicalizes.  Canonical nodes are interned, so
-# equality of canonical trees is usually an identity check.  Nodes are
-# never mutated after construction, except that _prog caches the node's
-# evaluation program once first needed.
+# Direct construction produces a "raw" node; build() canonicalizes a raw
+# tree, and the lowercase smart constructors combine canonical nodes into
+# a canonical node.  They do not canonicalize a raw operand, not even a
+# lone raw Const, so raw nodes go through build() first.  Canonical nodes
+# are interned, so equality of canonical trees is usually an identity
+# check.  Nodes are never mutated after construction, except that _prog
+# caches the node's evaluation program once first needed.
 
 
 class Expr:
@@ -343,28 +345,22 @@ def _to_complex(v: Number) -> complex:
     return complex(v) if isinstance(v, Fraction) else v
 
 
-def _fold(consts: list, unit: Const, op: Callable) -> Const:
-    """The constant node of two or more constant operands under op."""
-    if any(type(c.value) is not Fraction for c in consts):
-        # complex rounding depends on the order: fold from the unit, left to right
-        acc = unit.value
-        for c in consts:
-            acc = op(acc, c.value)
-        return const(acc)
-    # exact, so the unit and the order do not matter; integers fold as ints
-    rest = [c for c in consts if c is not unit]
-    if len(rest) < 2:
-        return rest[0] if rest else unit
-    acc = None
-    for c in rest:
+def _fold(consts: list, unit: int, op: Callable) -> Const:
+    """The constant node of two or more constant operands under op, folded
+    from the unit, left to right (complex rounding depends on the order).
+
+    An integer is folded as an ``int``, which converts to complex exactly
+    as its ``Fraction`` does, so no ``Fraction`` is built for it.
+    """
+    acc = unit
+    for c in consts:
         v = c.value
-        if v.denominator == 1:
-            v = v.numerator
-        acc = v if acc is None else op(acc, v)
+        acc = op(acc, v.numerator if type(v) is Fraction and v.denominator == 1 else v)
     return const(acc)
 
 
 def add(*terms: Expr) -> Expr:
+    """The canonical sum of canonical terms (a raw term goes through build())."""
     flat: list[Expr] = []
     consts: list[Const] = []
     for t in terms:
@@ -382,7 +378,7 @@ def add(*terms: Expr) -> Expr:
         else:
             flat.append(t)
     if consts:
-        c = consts[0] if len(consts) == 1 else _fold(consts, ZERO, operator.add)
+        c = consts[0] if len(consts) == 1 else _fold(consts, 0, operator.add)
         if c is not ZERO:
             flat.append(c)
     if not flat:
@@ -394,6 +390,8 @@ def add(*terms: Expr) -> Expr:
 
 
 def mul(*factors: Expr) -> Expr:
+    """The canonical product of canonical factors (a raw factor goes through
+    build())."""
     flat: list[Expr] = []
     consts: list[Const] = []
     for f in factors:
@@ -411,7 +409,7 @@ def mul(*factors: Expr) -> Expr:
         else:
             flat.append(f)
     if consts:
-        c = consts[0] if len(consts) == 1 else _fold(consts, ONE, operator.mul)
+        c = consts[0] if len(consts) == 1 else _fold(consts, 1, operator.mul)
         if c is ZERO:
             return ZERO
         if c is not ONE:
@@ -450,6 +448,8 @@ def pow_(base: Expr, exponent: int) -> Expr:
 
 
 def quot(numerator: Expr, denominator: Expr) -> Expr:
+    """The canonical quotient of canonical operands (a raw operand goes
+    through build())."""
     if type(denominator) is Const:
         v = denominator.value
         if v != 0:

@@ -27,7 +27,7 @@ when there is none, the point is redrawn for the whole path, up to
 MAX_RETRIES times, and it counts toward no entry's gray or clear votes.
 An entry whose evaluation raises ``OverflowError`` (``cmath.exp`` of a
 huge argument) is not finite at that point; the error propagates only
-from a point that no entry wins.
+from a sample that no entry, on either path, wins.
 At each sample the first entry, in row-major order, that either path
 finds nonzero wins.
 
@@ -190,8 +190,9 @@ def _decide(roots: Sequence[Expr], params, cfg) -> tuple[Optional[int], Verdict]
     exact path when ``_exact_path_ok`` and to the numeric path otherwise,
     one program and one point stream per path, and each point decides
     every root of its path.  At each sample the first root, in order, that
-    either path finds nonzero wins.  A nonzero constant is nonzero at the
-    first point, so nothing after it is tested.
+    either path finds nonzero wins; a sample no root wins re-raises an
+    ``OverflowError`` the numeric path met there.  A nonzero constant is
+    nonzero at the first point, so nothing after it is tested.
     """
     first = None
     exact, numeric = [], []
@@ -217,6 +218,9 @@ def _decide(roots: Sequence[Expr], params, cfg) -> tuple[Optional[int], Verdict]
         if hits:
             k, path = min(hits)
             return nonzero(k, samples_passed=path.valid - 1, **path.witness(k))
+        for path in paths:
+            if path.overflow is not None:
+                raise path.overflow
     if first is not None:
         v = roots[first].value
         if isinstance(v, Fraction):
@@ -240,6 +244,7 @@ class _Path:
     valid-point count."""
 
     exact = False
+    overflow = None  # an OverflowError met at the last point; raised if no root wins the sample
 
     def __init__(self, roots, at, params, cfg):
         self.at = at  # the index of each root among all roots
@@ -333,14 +338,19 @@ class _Numeric(_Path):
         valid = all(cmath.isfinite(v) for v, _ in self.vals)
         nonzero = []
         for pos, (v, scale) in enumerate(self.vals):
+            if not cmath.isfinite(v):
+                # no win, and the point casts no vote; abs(nan) can raise
+                # OverflowError from the errno an overflowed cmath.exp left
+                continue
             mag = abs(v)
-            if mag > self.rel_tol * scale and cmath.isfinite(v):
+            if mag > self.rel_tol * scale:
                 nonzero.append(pos)
             elif valid:  # an invalid point casts no vote
                 votes = self.clear if mag <= NOISE_FLOOR * scale else self.gray
                 votes[pos] += 1
-        if self.overflow is not None and not nonzero:
-            raise self.overflow
+        if self.overflow is not None:
+            # no redraw: _decide raises the overflow unless some root wins this sample
+            return nonzero
         return nonzero if valid or nonzero else None
 
     def _value(self, e: Expr) -> tuple[complex, float]:
@@ -349,7 +359,7 @@ class _Numeric(_Path):
         except EvalSingular:
             return _SINGULAR
         except OverflowError as err:
-            # not finite here; raised from test when no root wins the point
+            # not finite here; raised from _decide when no root wins the sample
             self.overflow = err
             return _SINGULAR
 

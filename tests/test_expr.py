@@ -381,14 +381,18 @@ _operands = st.one_of(_constants.map(ex.const), raw_trees.map(_canonical))
 
 
 def _same(got, want):
-    """got() and want() return the identical node, or raise the same error."""
+    """got() and want() return the identical node, or raise the same error.
+
+    got() runs first, so a node it has not seen takes its miss path; the
+    reference's _mk then returns got()'s node exactly when the keys agree.
+    """
     try:
-        expected = want()
+        node = got()
     except (ZeroDivisionError, OverflowError) as err:
         with pytest.raises(type(err)):
-            got()
+            want()
         return
-    assert got() is expected
+    assert want() is node
 
 
 @given(st.lists(_operands, min_size=1, max_size=4), st.integers(-3, 3))

@@ -393,6 +393,9 @@ class TestMatrix:
         # cmath.exp raises OverflowError rather than returning inf
         (["exp(y)", "exp(y^400)"], (1, 1)),
         (["exp(y^400)", "exp(y)"], (1, 2)),
+        # an exact-path entry wins the sample at which a numeric one overflows
+        (["y", "exp(y^400)"], (1, 1)),
+        (["exp(y^400)", "y"], (1, 2)),
     ])
     def test_entry_invalid_everywhere_hides_no_neighbour(self, row, entry):
         # a point where one entry is singular or not finite is still
@@ -408,6 +411,8 @@ class TestMatrix:
             is_zero_matrix([[parse_expr("exp(y^400)")]])
         with pytest.raises(OverflowError):
             is_zero_matrix([[parse_expr("sin(y)^2 + cos(y)^2 - 1"), parse_expr("exp(y^400)")]])
+        with pytest.raises(OverflowError):
+            is_zero_matrix([[parse_expr("y^2 - y*y"), parse_expr("exp(y^400)")]])
 
     def test_invalid_point_casts_no_vote(self):
         # exp(y) - exp(y) wins nothing where log(y-y) is singular, and
