@@ -5,7 +5,8 @@
 
 Exit codes: 0 when every entry matches its expectation (or has none),
 1 on any mismatch, 2 on parse or validation errors (an undefined
-right-hand side or conserved quantity among them), on input nested too
+right-hand side or conserved quantity among them), on corpus files
+given together with --rhs, on input nested too
 deeply to read and on a number overflowing the float range while
 reading or classifying.
 """
@@ -103,6 +104,8 @@ def analyze_entry(entry: CorpusEntry, cfg: OracleConfig, method: str = "auto") -
 
 def _load_entries(args) -> list[CorpusEntry]:
     if args.rhs:
+        if args.files:
+            raise ValidationError("give corpus files or --rhs, not both")
         rhs = tuple(parse_expr(t) for t in args.rhs)
         params = sorted(
             {r.name for f in rhs for r in free_vars(f) if r.kind == VarRef.PARAM}

@@ -20,13 +20,17 @@ Interning is key-first: a constructor takes canonical operands (a raw
 node goes through ``build`` first, which canonicalizes it), works
 out the intern key of its result and looks it up; only on a miss does it
 build the node and summarize it, and ``_mk``'s one ``setdefault`` is the
-only insert.  Constants are folded only where two or more meet, from the
-unit, left to right (float rounding depends on the order); a lone
-constant operand is kept as the node it is, and ``neg`` multiplies by
-the shared ``MINUS_ONE``.  An ``int`` hashes and compares equal to the
-``Fraction`` a ``Const`` holds, so ``const`` looks an integer up without
-building a ``Fraction``.  ``Y(i)`` and ``YDot(i)`` return one shared
-``VarRef`` per index.
+only insert.  A rational ``Const`` also holds its lowest terms as the
+ints ``num`` and ``den``, and its intern key is ``("q", num, den)``, so
+``const`` looks an ``int`` or ``Fraction`` up, and ``add``, ``mul`` and
+``quot`` fold rationals as integer pairs, with no ``Fraction`` built or
+hashed unless the result is a new constant.  Constants are folded only
+where two or more meet; once a complex one is among them the fold runs
+over their values from the unit, left to right (float rounding depends
+on the order).  A lone constant operand is kept as the node it is, and
+``neg`` multiplies by the shared ``MINUS_ONE``.  ``VarRef`` is interned
+too, one instance per (kind, index, name), so every variable, memo and
+assignment key hashes and compares in C.
 
 A program lists the distinct nodes of a tuple of roots in evaluation
 order, a node shared between roots once.  Each root caches its own
@@ -48,7 +52,7 @@ from __future__ import annotations
 import cmath
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Number = Union[Fraction, complex]
@@ -60,36 +64,37 @@ FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 # Variables
 
 
-class VarRef:
-    """A reference to x, y^I, dy^I or a named parameter."""
+_refs: dict = {}  # the one VarRef per (kind, index, name)
 
-    __slots__ = ("kind", "index", "name", "_h")
+
+class VarRef:
+    """A reference to x, y^I, dy^I or a named parameter.
+
+    Interned: constructing one returns the shared instance for its
+    (kind, index, name), so VarRefs compare and hash by identity, in C.
+    """
+
+    __slots__ = ("kind", "index", "name")
 
     X = "x"
     Y = "y"
     YDOT = "dy"
     PARAM = "param"
 
-    def __init__(self, kind, index=0, name=""):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_h", hash((kind, index, name)))
+    def __new__(cls, kind, index=0, name=""):
+        key = (kind, index, name)
+        ref = _refs.get(key)
+        if ref is None:
+            ref = object.__new__(cls)
+            object.__setattr__(ref, "kind", kind)
+            object.__setattr__(ref, "index", index)
+            object.__setattr__(ref, "name", name)
+            # one dict operation, so two threads interning one ref get one
+            ref = _refs.setdefault(key, ref)
+        return ref
 
     def __setattr__(self, *_):
         raise AttributeError("VarRef is immutable")
-
-    def __eq__(self, other):
-        return (
-            self is other
-            or isinstance(other, VarRef)
-            and self.kind == other.kind
-            and self.index == other.index
-            and self.name == other.name
-        )
-
-    def __hash__(self):
-        return self._h
 
     def __repr__(self):
         return f"VarRef({self})"
@@ -107,15 +112,12 @@ class VarRef:
 X = VarRef(VarRef.X)
 
 
-_refs: dict = {}  # one shared VarRef per (kind, index)
-
-
 def _indexed(kind: str, index: int) -> VarRef:
-    ref = _refs.get((kind, index))
+    ref = _refs.get((kind, index, ""))
     if ref is None:
         if index < 1:
             raise ValueError(f"{kind} index must be >= 1, got {index}")
-        ref = _refs.setdefault((kind, index), VarRef(kind, index=index))
+        ref = VarRef(kind, index)
     return ref
 
 
@@ -194,19 +196,27 @@ class Expr:
 
 
 class Const(Expr):
-    """A rational (exact) or complex (inexact) literal."""
+    """A rational (exact) or complex (inexact) literal.
 
-    __slots__ = ("value",)
+    ``value`` is a ``Fraction`` or a complex; a rational value's lowest
+    terms are also kept as the ints ``num`` and ``den`` (den > 0), which
+    fold and key the constant.  A complex constant has ``den`` 0.
+    """
+
+    __slots__ = ("value", "num", "den")
 
     def __init__(self, value):
-        self.value = _coerce_number(value)
-        self._h = hash(("c", self.value))
-        self._summarize((), isinstance(self.value, Fraction))
+        v = self.value = _coerce_number(value)
+        if type(v) is Fraction:
+            self.num, self.den = v.numerator, v.denominator
+        else:
+            self.num = self.den = 0
+        self._h = hash(self._key())
+        self._summarize((), self.den != 0)
 
     def _key(self):
-        v = self.value
         # Fraction(2) == complex(2) under ==, but keep exactness distinct.
-        return ("c", type(v).__name__, v)
+        return ("q", self.num, self.den) if self.den else ("c", self.value)
 
 
 class Var(Expr):
@@ -326,14 +336,23 @@ MINUS_ONE = _mk(Const(-1))
 
 
 def const(value) -> Const:
-    if type(value) is int or type(value) is Fraction:
-        # an int hashes and compares equal to the Fraction a Const holds
-        key = ("c", "Fraction", value)
+    t = type(value)
+    if t is int:
+        key = ("q", value, 1)
+    elif t is Fraction:
+        key = ("q", value.numerator, value.denominator)
     else:
         value = _coerce_number(value)
-        key = ("c", type(value).__name__, value)
+        key = ("q", value.numerator, value.denominator) if type(value) is Fraction else ("c", value)
     node = _intern.get(key)
     return node if node is not None else _mk(Const(value))
+
+
+def _rational(num: int, den: int) -> Const:
+    """The constant num/den, for coprime num and den > 0; a Fraction is
+    built only when the constant is new."""
+    node = _intern.get(("q", num, den))
+    return node if node is not None else _mk(Const(Fraction(num, den)))
 
 
 def var(ref: VarRef) -> Var:
@@ -346,17 +365,34 @@ def _to_complex(v: Number) -> complex:
 
 
 def _fold(consts: list, unit: int, op: Callable) -> Const:
-    """The constant node of two or more constant operands under op, folded
-    from the unit, left to right (complex rounding depends on the order).
+    """The constant node of two or more constant operands under op (add or
+    mul), folded from the unit, left to right.
 
-    An integer is folded as an ``int``, which converts to complex exactly
-    as its ``Fraction`` does, so no ``Fraction`` is built for it.
+    Rationals fold as (num, den) int pairs, reduced once at the end.  Once
+    a complex constant is met the fold restarts as a loop over the values,
+    in the same order, since complex rounding depends on it; there an
+    integer is folded as an ``int``, which converts to complex exactly as
+    its ``Fraction`` does.
     """
-    acc = unit
+    num, den = unit, 1
+    adding = op is operator.add
     for c in consts:
-        v = c.value
-        acc = op(acc, v.numerator if type(v) is Fraction and v.denominator == 1 else v)
-    return const(acc)
+        d = c.den
+        if not d:
+            acc = unit
+            for k in consts:
+                acc = op(acc, k.num if k.den == 1 else k.value)
+            return const(acc)
+        if not adding:
+            num *= c.num
+            den *= d
+        elif d == den:
+            num += c.num
+        else:
+            num = num * d + c.num * den
+            den *= d
+    g = gcd(num, den)
+    return _rational(num // g, den // g)
 
 
 def add(*terms: Expr) -> Expr:
@@ -451,10 +487,11 @@ def quot(numerator: Expr, denominator: Expr) -> Expr:
     """The canonical quotient of canonical operands (a raw operand goes
     through build())."""
     if type(denominator) is Const:
-        v = denominator.value
-        if v != 0:
-            recip = 1 / v if isinstance(v, Fraction) else 1.0 / v
-            return mul(const(recip), numerator)
+        num, den = denominator.num, denominator.den
+        if not den:
+            return mul(const(1.0 / denominator.value), numerator)
+        if num:
+            return mul(_rational(den, num) if num > 0 else _rational(-den, -num), numerator)
         # a division by zero is kept, for evaluation to report
     if numerator is ZERO:
         return ZERO
@@ -647,8 +684,8 @@ class Program:
             den = 1
             for n, kids in self.steps:
                 t = type(n)
-                if t is Const and isinstance(n.value, Fraction):
-                    den = lcm(den, n.value.denominator)
+                if t is Const and n.den:
+                    den = lcm(den, n.den)
                     d = 1
                 elif t is Var:
                     d = 1
@@ -797,7 +834,9 @@ def _homogeneous_run(prog: Program, assignment: Mapping[VarRef, Fraction],
     s = lcm(den, *(v.denominator for v in assignment.values()))
 
     def scaled(n: Expr) -> int:
-        v = n.value if type(n) is Const else assignment[n.ref]
+        if type(n) is Const:
+            return n.num * (s // n.den)
+        v = assignment[n.ref]
         return v.numerator * (s // v.denominator)
 
     return degs, s, _run(prog, scaled, 0, 1, degs, s % mod if mod else s, mod)

@@ -198,7 +198,7 @@ def _decide(roots: Sequence[Expr], params, cfg) -> tuple[Optional[int], Verdict]
     exact, numeric = [], []
     for k, e in enumerate(roots):
         if type(e) is Const:
-            if e.value != 0:
+            if e is not ex.ZERO and e.value != 0:
                 first = k
                 break
         elif _exact_path_ok(e, params):

@@ -22,7 +22,6 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import expr as ex
 from .expr import Expr, VarRef
@@ -48,10 +47,13 @@ class ValidationError(ValueError):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<op>[-+*/^()])
+    \s*
+    (?:
+      (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+    | (?P<op>[-+*/^()])
+    | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
@@ -59,34 +61,21 @@ _TOKEN_RE = re.compile(
 _YVAR_RE = re.compile(r"^(dy|y)([0-9]+)?$")
 
 
-@dataclass
-class _Token:
-    kind: str  # number | ident | op | end
-    text: str
-    line: int
-    col: int
+def _location(text: str, offset: int, line0: int) -> tuple[int, int]:
+    """The (line, column) of offset in text, whose first line is line0."""
+    return line0 + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str, line0: int = 1) -> list[_Token]:
+def _tokenize(text: str, line0: int = 1) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, kind one of number, ident, op and
+    a final end; whitespace is skipped."""
     tokens = []
-    line, col = line0, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, chunk, line, col))
-        nl = chunk.count("\n")
-        if nl:
-            line += nl
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", *_location(text, m.start(kind), line0))
+        tokens.append((kind, m.group(kind), m.start(kind)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -97,86 +86,99 @@ def _combine(op, operands: list[Expr]) -> Expr:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over one text's tokens, read through an index.
+
+    An operator token's text is never that of another kind of token, so
+    ``peek() == "+"`` tests for the operator alone.
+    """
+
+    def __init__(self, text: str, line0: int = 1):
+        self.text = text
+        self.line0 = line0
+        self.tokens = _tokenize(text, line0)
         self.pos = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The current token's text ("" at the end)."""
+        return self.tokens[self.pos][1]
+
+    def error(self, message: str, offset: int, expected=()) -> ParseError:
+        return ParseError(message, *_location(self.text, offset, self.line0), expected)
 
     def _fail(self, expected):
-        t = self.cur
-        what = "end of input" if t.kind == "end" else repr(t.text)
-        raise ParseError(f"unexpected {what}", t.line, t.col, expected)
+        kind, text, offset = self.tokens[self.pos]
+        what = "end of input" if kind == "end" else repr(text)
+        raise self.error(f"unexpected {what}", offset, expected)
 
-    def eat_op(self, *ops: str) -> str:
-        t = self.cur
-        if t.kind == "op" and t.text in ops:
-            self.pos += 1
-            return t.text
-        self._fail(ops)
-
-    def peek_op(self, *ops: str) -> Optional[str]:
-        t = self.cur
-        if t.kind == "op" and t.text in ops:
-            return t.text
-        return None
+    def eat(self, op: str) -> None:
+        if self.tokens[self.pos][1] != op:
+            self._fail((op,))
+        self.pos += 1
 
     def expr(self) -> Expr:
+        tokens = self.tokens
         terms = [self.term()]
-        while self.peek_op("+", "-"):
-            op = self.eat_op("+", "-")
+        op = tokens[self.pos][1]
+        while op == "+" or op == "-":
+            self.pos += 1
             rhs = self.term()
             terms.append(rhs if op == "+" else ex.neg(rhs))
+            op = tokens[self.pos][1]
         return _combine(ex.add, terms)
 
     def term(self) -> Expr:
+        tokens = self.tokens
         factors = [self.factor()]
-        while self.peek_op("*", "/"):
-            op = self.eat_op("*", "/")
+        op = tokens[self.pos][1]
+        while op == "*" or op == "/":
+            self.pos += 1
             rhs = self.factor()
             if op == "*":
                 factors.append(rhs)
             else:
                 factors = [ex.quot(_combine(ex.mul, factors), rhs)]
+            op = tokens[self.pos][1]
         return _combine(ex.mul, factors)
 
     def factor(self) -> Expr:
-        if self.peek_op("-"):
-            self.eat_op("-")
+        tokens = self.tokens
+        if tokens[self.pos][1] == "-":
+            self.pos += 1
             return ex.neg(self.factor())
         out = self.atom()
-        if self.peek_op("^"):
-            self.eat_op("^")
-            sign = 1
-            if self.peek_op("-"):
-                self.eat_op("-")
-                sign = -1
-            t = self.cur
-            if t.kind != "number" or not t.text.isdigit():
-                self._fail(("integer exponent",))
+        if tokens[self.pos][1] != "^":
+            return out
+        self.pos += 1
+        sign = 1
+        if tokens[self.pos][1] == "-":
             self.pos += 1
-            n = sign * int(t.text)
-            if n == 0:
-                raise ParseError("zero exponent", t.line, t.col)
-            out = ex.pow_(out, n)
-        return out
+            sign = -1
+        kind, text, offset = tokens[self.pos]
+        if kind != "number" or not text.isdigit():
+            self._fail(("integer exponent",))
+        self.pos += 1
+        n = sign * int(text)
+        if n == 0:
+            raise self.error("zero exponent", offset)
+        try:
+            return ex.pow_(out, n)
+        except ZeroDivisionError as err:
+            raise self.error(str(err), offset) from None
 
     def atom(self) -> Expr:
-        t = self.cur
-        if t.kind == "number":
+        kind, text, offset = self.tokens[self.pos]
+        if kind == "number":
             self.pos += 1
-            return ex.const(int(t.text) if t.text.isdigit() else Fraction(t.text))
-        if t.kind == "ident":
+            return ex.const(int(text) if text.isdigit() else Fraction(text))
+        if kind == "ident":
             self.pos += 1
-            name = t.text
+            name = text
             if name == "i":
                 return ex.const(1j)
             if name in ex.FUNCTIONS:
-                self.eat_op("(")
+                self.eat("(")
                 arg = self.expr()
-                self.eat_op(")")
+                self.eat(")")
                 return ex.apply(name, arg)
             if name == "x":
                 return ex.var(ex.X)
@@ -184,22 +186,22 @@ class _Parser:
             if m:
                 index = int(m.group(2)) if m.group(2) else 1
                 if index < 1:
-                    raise ParseError(f"bad variable index in {name!r}", t.line, t.col)
+                    raise self.error(f"bad variable index in {name!r}", offset)
                 ref = ex.YDot(index) if m.group(1) == "dy" else ex.Y(index)
                 return ex.var(ref)
             return ex.var(ex.Param(name))
-        if self.peek_op("("):
-            self.eat_op("(")
+        if text == "(":
+            self.pos += 1
             out = self.expr()
-            self.eat_op(")")
+            self.eat(")")
             return out
         self._fail(("number", "identifier", "(", "-"))
 
 
 def parse_expr(text: str, line: int = 1) -> Expr:
-    p = _Parser(_tokenize(text, line))
+    p = _Parser(text, line)
     out = p.expr()
-    if p.cur.kind != "end":
+    if p.peek():
         p._fail(("operator", "end of input"))
     return out
 

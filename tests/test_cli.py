@@ -109,6 +109,18 @@ class TestInline:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_zero_to_a_negative_power_exit_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "--rhs", "0^-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: 0 raised to a negative power at line 1, column 4\n"
+
+    def test_files_and_rhs_together_exit_2(self, capsys):
+        code, out, err = run(capsys, "analyze", str(CORPUS_DIR / "duals"), "--rhs", "y")
+        assert code == 2
+        assert out == ""
+        assert err == "error: give corpus files or --rhs, not both\n"
+
 
 class TestCorpus:
     def test_straight_table_all_match(self, capsys):
@@ -163,6 +175,18 @@ class TestCorpus:
         assert code == 2
         assert out == ""
         assert err == "error: s: conserved quantity 1 cannot be evaluated at any of 8 sample points\n"
+
+    @pytest.mark.parametrize("line, where", [
+        (" f1 = y + 0^-2", "line 3, column 8"),
+        (" param a = 0^-1\n f1 = a*y", "line 3, column 4"),
+    ], ids=["rhs", "fixed-param"])
+    def test_zero_to_a_negative_power_exit_2(self, capsys, tmp_path, line, where):
+        corpus = tmp_path / "zero-power"
+        corpus.write_text(f"system s\n n 1\n{line}\n expect straight\nend\n")
+        code, out, err = run(capsys, "analyze", str(corpus))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: 0 raised to a negative power at {where}\n"
 
     def test_missing_file_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "no-such-file")

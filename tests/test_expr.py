@@ -15,11 +15,13 @@ from odetorsion.expr import (
     Const,
     EvalContext,
     EvalSingular,
+    Param,
     Power,
     Product,
     Quotient,
     Sum,
     Var,
+    VarRef,
     X,
     Y,
     YDot,
@@ -427,8 +429,101 @@ class TestKeyFirstInterning:
 
     def test_one_varref_per_index(self):
         assert Y(3) is Y(3) and YDot(3) is YDot(3) and Y(3) != YDot(3)
+        assert VarRef(VarRef.Y, 1) is Y(1) and VarRef(VarRef.YDOT, index=2) is YDot(2)
+        assert Param("a") is Param("a") and Param("a") is not Param("b")
+        assert VarRef(VarRef.X) is X
         with pytest.raises(ValueError):
             Y(0)
+
+
+_rationals = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(max_denominator=50).filter(lambda q: abs(q.numerator) <= 10 ** 6),
+    st.integers(-(10 ** 60), 10 ** 60),
+    st.builds(Fraction, st.integers(-(10 ** 40), 10 ** 40), st.integers(1, 10 ** 40)),
+)
+_mixed = st.one_of(_rationals, st.sampled_from([1j, -0.5j, 2 + 3j, 1e-3 - 7j]))
+
+
+def _complex_fold(values, unit, op):
+    # the fold from the unit, left to right, in Fraction then complex
+    acc = Fraction(unit)
+    for v in values:
+        acc = op(acc, v) if isinstance(acc, Fraction) and isinstance(v, Fraction) else op(complex(acc), complex(v))
+    return acc
+
+
+class TestConstantPairs:
+    @given(st.lists(_rationals, min_size=2, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_rational_fold_agrees_with_fraction_arithmetic(self, values):
+        values = [Fraction(v) for v in values]
+        consts = [ex.const(v) for v in values]
+        total, product = ex.add(*consts), ex.mul(*consts)
+        want_sum, want_product = sum(values, Fraction(0)), math.prod(values, start=Fraction(1))
+        assert type(total) is Const and total.value == want_sum
+        assert type(product) is Const and product.value == want_product
+        assert total is ex.const(want_sum) and product is ex.const(want_product)
+        assert (total.num, total.den) == (want_sum.numerator, want_sum.denominator)
+        assert (product.num, product.den) == (want_product.numerator, want_product.denominator)
+        a, b = consts[0], consts[1]
+        if b.value:
+            assert ex.quot(a, b) is ex.const(values[0] / values[1])
+        for k in (-3, -1, 2, 3):
+            if a.value or k > 0:
+                assert ex.pow_(a, k) is ex.const(values[0] ** k)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    ex.pow_(a, k)
+
+    @given(st.lists(_mixed, min_size=2, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_fold_with_complex_operands_keeps_the_unit_order(self, values):
+        values = [v if isinstance(v, complex) else Fraction(v) for v in values]
+        consts = [ex.const(v) for v in values]
+        for unit, op, build_op in ((0, operator.add, ex.add), (1, operator.mul, ex.mul)):
+            try:
+                want = ex.const(_complex_fold(values, unit, op))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    build_op(*consts)
+                continue
+            assert build_op(*consts) is want
+
+    def test_no_intern_key_holds_a_fraction(self):
+        from odetorsion.parsing import parse_expr
+
+        parse_expr("(1/2)*y^2 + 0.25*dy - 3/7 + (2/3)^-2*x + i/4")
+
+        def fractions(key):
+            if isinstance(key, Fraction):
+                return True
+            return isinstance(key, tuple) and any(fractions(k) for k in key)
+
+        assert not any(fractions(key) for key in list(ex._intern))
+
+    def test_threads_interning_one_new_param_get_one_instance(self):
+        names = [f"fresh{k}" for k in range(2000)]
+        results = ([], [])
+        start = threading.Barrier(2)
+
+        def work(out):
+            start.wait(timeout=10)
+            out.extend(Param(name) for name in names)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(p is q for p, q in zip(*results, strict=True))
+        assert all(Param(name) is p for name, p in zip(names, results[0]))
 
 
 class TestSubstitute:

@@ -114,25 +114,25 @@ class _FoldParser(parsing._Parser):
 
     def expr(self):
         out = self.term()
-        while self.peek_op("+", "-"):
-            op = self.eat_op("+", "-")
+        while (op := self.peek()) in ("+", "-"):
+            self.eat(op)
             rhs = self.term()
             out = ex.add(out, rhs if op == "+" else ex.neg(rhs))
         return out
 
     def term(self):
         out = self.factor()
-        while self.peek_op("*", "/"):
-            op = self.eat_op("*", "/")
+        while (op := self.peek()) in ("*", "/"):
+            self.eat(op)
             rhs = self.factor()
             out = ex.mul(out, rhs) if op == "*" else ex.quot(out, rhs)
         return out
 
 
 def _fold_parse(text):
-    p = _FoldParser(parsing._tokenize(text, 1))
+    p = _FoldParser(text)
     out = p.expr()
-    assert p.cur.kind == "end"
+    assert p.peek() == ""
     return out
 
 
@@ -187,8 +187,8 @@ class TestOperandRuns:
     def test_same_node_as_a_left_fold(self, text):
         try:
             want = _fold_parse(text)
-        except ZeroDivisionError:
-            with pytest.raises(ZeroDivisionError):
+        except ParseError:
+            with pytest.raises(ParseError):
                 parse_expr(text)
             return
         assert parse_expr(text) is want
