@@ -9,7 +9,6 @@ if _sys.getrecursionlimit() < 20000:
 from .expr import (  # noqa: E402,F401
     Apply,
     Const,
-    EvalContext,
     EvalSingular,
     Expr,
     Param,

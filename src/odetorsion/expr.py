@@ -20,8 +20,13 @@ Interning is key-first: a constructor takes canonical operands (a raw
 node goes through ``build`` first, which canonicalizes it), works
 out the intern key of its result and looks it up; only on a miss does it
 build the node and summarize it, and ``_mk``'s one ``setdefault`` is the
-only insert.  A rational ``Const`` also holds its lowest terms as the
-ints ``num`` and ``den``, and its intern key is ``("q", num, den)``, so
+only insert.  A canonical node is therefore unique: identity is
+structural equality, so nodes compare and hash by identity (object's
+``__eq__`` and ``__hash__``, in C), and every map over nodes, in a
+program, a walk or ``substitute``'s memo, is keyed by the node itself.
+Two raw nodes are distinct however alike, until ``build`` maps both to
+one canonical node.  A rational ``Const`` also holds its lowest terms as
+the ints ``num`` and ``den``, and its intern key is ``("q", num, den)``, so
 ``const`` looks an ``int`` or ``Fraction`` up, and ``add``, ``mul`` and
 ``quot`` fold rationals as integer pairs, with no ``Fraction`` built or
 hashed unless the result is a new constant.  Constants are folded only
@@ -158,30 +163,19 @@ def _union(sets: Iterable[frozenset]) -> frozenset:
 # Direct construction produces a "raw" node; build() canonicalizes a raw
 # tree, and the lowercase smart constructors combine canonical nodes into
 # a canonical node.  They do not canonicalize a raw operand, not even a
-# lone raw Const, so raw nodes go through build() first.  Canonical nodes
-# are interned, so equality of canonical trees is usually an identity
-# check.  Nodes are never mutated after construction, except that _prog
-# caches the node's evaluation program once first needed.
+# lone raw Const, so raw nodes go through build() first.  Nodes are never
+# mutated after construction, except that _prog caches the node's
+# evaluation program once first needed.
 
 
 class Expr:
-    __slots__ = ("_h", "free", "poly", "fns", "_prog")
+    __slots__ = ("free", "poly", "fns", "_prog")
 
     def _summarize(self, kids: tuple, poly: bool, fns: frozenset = _EMPTY) -> None:
         self.free = _union(k.free for k in kids)
         self.fns = _union([fns, *(k.fns for k in kids)])
         self.poly = poly
         self._prog = None
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return False
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return self._h
 
     def _key(self):
         raise NotImplementedError
@@ -211,7 +205,6 @@ class Const(Expr):
             self.num, self.den = v.numerator, v.denominator
         else:
             self.num = self.den = 0
-        self._h = hash(self._key())
         self._summarize((), self.den != 0)
 
     def _key(self):
@@ -224,7 +217,6 @@ class Var(Expr):
 
     def __init__(self, ref: VarRef):
         self.ref = ref
-        self._h = hash(("v", ref))
         self._summarize((), True)
         self.free = _shared(frozenset((ref,)))
 
@@ -237,7 +229,6 @@ class Sum(Expr):
 
     def __init__(self, terms: Iterable[Expr]):
         self.terms = tuple(terms)
-        self._h = hash(("+",) + tuple(id(t) for t in self.terms))
         self._summarize(self.terms, all(t.poly for t in self.terms))
 
     def _key(self):
@@ -249,7 +240,6 @@ class Product(Expr):
 
     def __init__(self, factors: Iterable[Expr]):
         self.factors = tuple(factors)
-        self._h = hash(("*",) + tuple(id(f) for f in self.factors))
         self._summarize(self.factors, all(f.poly for f in self.factors))
 
     def _key(self):
@@ -262,7 +252,6 @@ class Power(Expr):
     def __init__(self, base: Expr, exponent: int):
         self.base = base
         self.exponent = int(exponent)
-        self._h = hash(("^", id(base), self.exponent))
         self._summarize((base,), base.poly and self.exponent >= 0)
 
     def _key(self):
@@ -275,7 +264,6 @@ class Quotient(Expr):
     def __init__(self, numerator: Expr, denominator: Expr):
         self.numerator = numerator
         self.denominator = denominator
-        self._h = hash(("/", id(numerator), id(denominator)))
         self._summarize((numerator, denominator), False)
 
     def _key(self):
@@ -290,7 +278,6 @@ class Apply(Expr):
             raise ValueError(f"unknown function {fn!r}")
         self.fn = fn
         self.arg = arg
-        self._h = hash((fn, id(arg)))
         self._summarize((arg,), False, _shared(frozenset((fn,))))
 
     def _key(self):
@@ -555,12 +542,12 @@ def node_count(e: Expr) -> int:
     program's length, else a plain walk that caches nothing."""
     if e._prog is not None:
         return len(e._prog.steps)
-    seen = {id(e)}
+    seen = {e}
     todo = [e]
     while todo:
         for k in children(todo.pop()):
-            if id(k) not in seen:
-                seen.add(id(k))
+            if k not in seen:
+                seen.add(k)
                 todo.append(k)
     return len(seen)
 
@@ -570,14 +557,14 @@ def substitute(e: Expr, mapping: Mapping[VarRef, Expr]) -> Expr:
 
     Canonical subexpressions that mention no mapped variable are kept.
     """
-    memo: dict[int, Expr] = {}
+    memo: dict[Expr, Expr] = {}
 
     def go(n: Expr) -> Expr:
         if not isinstance(n, Expr):
             raise TypeError(f"not an expression: {n!r}")
         if n.free.isdisjoint(mapping) and _intern.get(n._key()) is n:
             return n
-        got = memo.get(id(n))
+        got = memo.get(n)
         if got is not None:
             return got
         if isinstance(n, Const):
@@ -594,7 +581,7 @@ def substitute(e: Expr, mapping: Mapping[VarRef, Expr]) -> Expr:
             out = quot(go(n.numerator), go(n.denominator))
         else:
             out = apply(n.fn, go(n.arg))
-        memo[id(n)] = out
+        memo[n] = out
         return out
 
     return go(e)
@@ -611,22 +598,6 @@ class EvalSingular(ArithmeticError):
     def __init__(self, message: str, subexpr: Expr):
         super().__init__(message)
         self.subexpr = subexpr
-
-
-class EvalContext:
-    """Single-use assignment of complex values plus conditioning telemetry.
-
-    After evaluate() runs, ``cancellation_scale`` holds the sum of term
-    magnitudes of the top-level sum (the scale against which the result
-    cancelled).
-    """
-
-    def __init__(self, assignment: Mapping[VarRef, complex]):
-        self.assignment = {k: complex(v) for k, v in assignment.items()}
-        self.cancellation_scale = 0.0
-
-    def __getitem__(self, ref: VarRef) -> complex:
-        return self.assignment[ref]
 
 
 _CFUNCS: dict[str, Callable[[complex], complex]] = {
@@ -652,24 +623,24 @@ class Program:
     def __init__(self, roots: Iterable[Expr]):
         roots = tuple(roots)
         steps: list = []
-        step: dict[int, int] = {}
+        step: dict[Expr, int] = {}
         for root in roots:
             stack = [root]
             while stack:
                 n = stack[-1]
-                if id(n) in step:
+                if n in step:
                     stack.pop()
                     continue
                 kids = children(n)
-                todo = [k for k in kids if id(k) not in step]
+                todo = [k for k in kids if k not in step]
                 if todo:
                     stack.extend(reversed(todo))
                     continue
                 stack.pop()
-                step[id(n)] = len(steps)
-                steps.append((n, tuple(step[id(k)] for k in kids)))
+                step[n] = len(steps)
+                steps.append((n, tuple(step[k] for k in kids)))
         self.steps = steps
-        self.roots = tuple(step[id(r)] for r in roots)
+        self.roots = tuple(step[r] for r in roots)
         self._degs = self._consts = None
 
     def degrees(self) -> tuple[list, int]:
@@ -701,10 +672,10 @@ class Program:
             self._degs = (degs, den)
         return self._degs
 
-    def constants(self) -> dict[int, complex]:
-        """The complex value of each constant step, by the node's id."""
+    def constants(self) -> dict[Const, complex]:
+        """The complex value of each constant step, by its node."""
         if self._consts is None:
-            self._consts = {id(n): _to_complex(n.value) for n, _ in self.steps if type(n) is Const}
+            self._consts = {n: _to_complex(n.value) for n, _ in self.steps if type(n) is Const}
         return self._consts
 
 
@@ -781,7 +752,7 @@ def evaluate_roots(prog: Program, assignment: Mapping[VarRef, complex]) -> list[
 
     def leaf(n: Expr) -> complex:
         if type(n) is Const:
-            return consts[id(n)]
+            return consts[n]
         try:
             return assignment[n.ref]
         except KeyError:
@@ -796,9 +767,10 @@ def evaluate_roots(prog: Program, assignment: Mapping[VarRef, complex]) -> list[
     return out
 
 
-def evaluate(e: Expr, ctx: EvalContext) -> complex:
-    """Evaluate with standard complex arithmetic; principal branches."""
-    ((value, ctx.cancellation_scale),) = evaluate_roots(program(e), ctx.assignment)
+def evaluate(e: Expr, assignment: Mapping[VarRef, Number]) -> complex:
+    """Evaluate with standard complex arithmetic, each assigned value taken
+    as a complex; principal branches."""
+    ((value, _),) = evaluate_roots(program(e), {k: complex(v) for k, v in assignment.items()})
     return value
 
 

@@ -61,19 +61,22 @@ _TOKEN_RE = re.compile(
 _YVAR_RE = re.compile(r"^(dy|y)([0-9]+)?$")
 
 
-def _location(text: str, offset: int, line0: int) -> tuple[int, int]:
-    """The (line, column) of offset in text, whose first line is line0."""
-    return line0 + text.count("\n", 0, offset), offset - text.rfind("\n", 0, offset)
+def _location(text: str, offset: int, line0: int, col0: int) -> tuple[int, int]:
+    """The (line, column) of offset in text, which starts at line line0,
+    column col0."""
+    nl = text.rfind("\n", 0, offset)
+    return line0 + text.count("\n", 0, offset), offset - nl + (col0 - 1 if nl < 0 else 0)
 
 
-def _tokenize(text: str, line0: int = 1) -> list[tuple[str, str, int]]:
+def _tokenize(text: str, line0: int = 1, col0: int = 1) -> list[tuple[str, str, int]]:
     """(kind, text, offset) per token, kind one of number, ident, op and
     a final end; whitespace is skipped."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", *_location(text, m.start(kind), line0))
+            raise ParseError(f"unexpected character {m.group(kind)!r}",
+                             *_location(text, m.start(kind), line0, col0))
         tokens.append((kind, m.group(kind), m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
@@ -92,10 +95,11 @@ class _Parser:
     ``peek() == "+"`` tests for the operator alone.
     """
 
-    def __init__(self, text: str, line0: int = 1):
+    def __init__(self, text: str, line0: int = 1, col0: int = 1):
         self.text = text
         self.line0 = line0
-        self.tokens = _tokenize(text, line0)
+        self.col0 = col0
+        self.tokens = _tokenize(text, line0, col0)
         self.pos = 0
 
     def peek(self) -> str:
@@ -103,7 +107,7 @@ class _Parser:
         return self.tokens[self.pos][1]
 
     def error(self, message: str, offset: int, expected=()) -> ParseError:
-        return ParseError(message, *_location(self.text, offset, self.line0), expected)
+        return ParseError(message, *_location(self.text, offset, self.line0, self.col0), expected)
 
     def _fail(self, expected):
         kind, text, offset = self.tokens[self.pos]
@@ -198,8 +202,9 @@ class _Parser:
         self._fail(("number", "identifier", "(", "-"))
 
 
-def parse_expr(text: str, line: int = 1) -> Expr:
-    p = _Parser(text, line)
+def parse_expr(text: str, line: int = 1, col: int = 1) -> Expr:
+    """Parse text, which starts at line line, column col, of its source."""
+    p = _Parser(text, line, col)
     out = p.expr()
     if p.peek():
         p._fail(("operator", "end of input"))
@@ -289,7 +294,7 @@ class OdeSystem:
 
     def validate_expr(self, e: Expr):
         declared = {p.name for p in self.params}
-        for ref in ex.free_vars(e):
+        for ref in sorted(ex.free_vars(e), key=str):
             if ref.kind in (VarRef.Y, VarRef.YDOT):
                 if not 1 <= ref.index <= self.n:
                     raise ValidationError(f"{self.name}: variable index {ref.index} outside 1..{self.n}")
@@ -309,7 +314,7 @@ class OdeSystem:
             refs = sorted(ex.free_vars(e), key=str)
             for _ in range(_POINTS):
                 try:
-                    ex.evaluate(e, ex.EvalContext(sample_point(rng, refs, self.params)))
+                    ex.evaluate(e, sample_point(rng, refs, self.params))
                     break
                 except ArithmeticError:
                     continue
@@ -339,11 +344,16 @@ class CorpusEntry:
         return any("transcription-uncertain" in n for n in self.notes)
 
 
-def _parse_fixed_value(text: str, line: int):
-    e = parse_expr(text, line)
+def _parse_fixed_value(text: str, line: int, col: int):
+    e = parse_expr(text, line, col)
     if not isinstance(e, ex.Const):
-        raise ParseError("fixed parameter value must be a constant", line, 1)
+        raise ParseError("fixed parameter value must be a constant", line, col)
     return e.value
+
+
+def _column(raw: str, text: str) -> int:
+    """The column at which text, a suffix of the stripped line raw, starts."""
+    return len(raw.rstrip()) - len(text) + 1
 
 
 def parse_corpus(text: str) -> list[CorpusEntry]:
@@ -377,7 +387,8 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             elif policy == "generic-nonzero":
                 state["params"].append(ParamDecl(pname, GENERIC_NONZERO))
             elif policy.startswith("="):
-                value = _parse_fixed_value(policy[1:].strip(), lineno)
+                text = policy[1:].strip()
+                value = _parse_fixed_value(text, lineno, _column(raw, text))
                 state["params"].append(ParamDecl(pname, FIXED, value))
             else:
                 raise ParseError(f"bad parameter policy {policy!r}", lineno, 1,
@@ -388,9 +399,10 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
                 raise ParseError(f"expected '{word} = <expr>'", lineno, 1, ("=",))
             if k in state["rhs"]:
                 raise ParseError(f"duplicate {word}", lineno, 1)
-            state["rhs"][k] = parse_expr(rest[1:].strip(), lineno)
+            text = rest[1:].strip()
+            state["rhs"][k] = parse_expr(text, lineno, _column(raw, text))
         elif word == "conserved":
-            state["conserved"].append(parse_expr(rest, lineno))
+            state["conserved"].append(parse_expr(rest, lineno, _column(raw, rest)))
         elif word == "expect":
             if rest not in (STRAIGHT, NOT_STRAIGHT, UNSPECIFIED):
                 raise ParseError(f"bad expectation {rest!r}", lineno, 1,

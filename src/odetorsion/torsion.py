@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from . import expr as ex
 from .calculus import nth_partial, partial, total_derivative
-from .expr import EvalContext, EvalSingular, Expr
+from .expr import EvalSingular, Expr
 from .oracle import NONZERO, ZERO, OracleConfig, Verdict, is_zero, is_zero_matrix, sample_point
 from .parsing import OdeSystem, ParamDecl
 
@@ -235,8 +235,8 @@ def _autonomous_agreement(invariant: Expr, f: Expr, cfg, points: int = 8) -> dic
     for _ in range(points):
         assignment = sample_point(rng, refs)
         try:
-            a = ex.evaluate(invariant, EvalContext(assignment))
-            b = ex.evaluate(displayed, EvalContext(assignment))
+            a = ex.evaluate(invariant, assignment)
+            b = ex.evaluate(displayed, assignment)
         except EvalSingular:
             continue
         scale = max(abs(a), abs(b), 1.0)

@@ -16,7 +16,7 @@ import pytest
 from conftest import rand_fraction, random_point, random_polynomial
 from odetorsion import expr as ex
 from odetorsion.calculus import nth_partial, partial, total_derivative
-from odetorsion.expr import EvalContext, X, Y, YDot
+from odetorsion.expr import X, Y, YDot
 from odetorsion.oracle import OracleConfig, is_zero
 from odetorsion.parsing import GENERIC, OdeSystem, ParamDecl, parse_corpus, parse_expr
 from odetorsion.torsion import (
@@ -102,7 +102,7 @@ def test_criterion_2_notstraight_table(table2):
         assert report.straight is False, entry.system.name
         v = report.verdict
         assert v.witness is not None, entry.system.name
-        got = ex.evaluate(report.invariant, EvalContext(dict(v.witness)))
+        got = ex.evaluate(report.invariant, dict(v.witness))
         assert abs(got - v.value) <= 1e-6 * max(abs(v.value), 1.0), entry.system.name
         # reproducible: the same seed returns the identical witness
         again = is_straight(entry.system)
@@ -224,7 +224,7 @@ def test_criterion_8_structural():
         matrix = fels_torsion(sys_, OracleConfig(samples=2)).invariant
         trace = ex.add(*(matrix[k][k] for k in range(n)))
         point = random_point(rng, refs)
-        assert abs(ex.evaluate(trace, EvalContext(point))) < 1e-6, trial
+        assert abs(ex.evaluate(trace, point)) < 1e-6, trial
     # n=1 matrix invariant is structurally zero, no sampling involved
     one = OdeSystem(n=1, rhs=(parse_expr("exp(y)*dy^5"),))
     report = fels_torsion(one)
@@ -235,10 +235,10 @@ def test_criterion_8_structural():
         u = random_polynomial(rng, [X, Y(1)])
         v = random_polynomial(rng, [Y(1), YDot(1)])
         point = random_point(rng, [X, Y(1), YDot(1)])
-        lhs = ex.evaluate(partial(ex.mul(u, v), Y(1)), EvalContext(dict(point)))
+        lhs = ex.evaluate(partial(ex.mul(u, v), Y(1)), dict(point))
         rhs = ex.evaluate(
             ex.add(ex.mul(partial(u, Y(1)), v), ex.mul(u, partial(v, Y(1)))),
-            EvalContext(dict(point)),
+            dict(point),
         )
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
         w = random_polynomial(rng, [X, Y(1), YDot(1)], max_degree=4)
@@ -252,8 +252,8 @@ def test_criterion_8_structural():
         hi, lo = dict(point), dict(point)
         hi[ref] += h
         lo[ref] -= h
-        approx = (ex.evaluate(e, EvalContext(hi)) - ex.evaluate(e, EvalContext(lo))) / (2 * h)
-        exact = ex.evaluate(partial(e, ref), EvalContext(dict(point)))
+        approx = (ex.evaluate(e, hi) - ex.evaluate(e, lo)) / (2 * h)
+        exact = ex.evaluate(partial(e, ref), dict(point))
         assert abs(approx - exact) <= 1e-6 * max(abs(exact), 1.0)
     # oracle determinism and witness re-verification
     probe = parse_expr("exp(y)*dy - x")
@@ -262,7 +262,7 @@ def test_criterion_8_structural():
         v2 = is_zero(probe, cfg=OracleConfig(seed=seed))
         assert v1 == v2
         assert v1.is_nonzero
-        got = ex.evaluate(probe, EvalContext(dict(v1.witness)))
+        got = ex.evaluate(probe, dict(v1.witness))
         assert abs(got - v1.value) <= 1e-9 * max(abs(v1.value), 1.0)
 
 

@@ -6,7 +6,7 @@ from conftest import random_point, random_polynomial
 from odetorsion import calculus
 from odetorsion import expr as ex
 from odetorsion.calculus import nth_partial, partial, total_derivative
-from odetorsion.expr import EvalContext, EvalSingular, X, Y, YDot
+from odetorsion.expr import EvalSingular, X, Y, YDot
 from odetorsion.parsing import OdeSystem, parse_expr
 
 x = ex.var(X)
@@ -19,8 +19,8 @@ def central_difference(e, ref, point, h=1e-5):
     lo = dict(point)
     hi[ref] = point[ref] + h
     lo[ref] = point[ref] - h
-    a = ex.evaluate(e, EvalContext(hi))
-    b = ex.evaluate(e, EvalContext(lo))
+    a = ex.evaluate(e, hi)
+    b = ex.evaluate(e, lo)
     return (a - b) / (2 * h)
 
 
@@ -37,7 +37,7 @@ class TestPartial:
     def test_chain_rule_exp(self):
         e = ex.apply("exp", ex.pow_(x, 2))
         d = partial(e, X)
-        pt = EvalContext({X: 0.7})
+        pt = {X: 0.7}
         import cmath
 
         expected = 2 * 0.7 * cmath.exp(0.49)
@@ -45,16 +45,16 @@ class TestPartial:
 
     def test_log(self):
         d = partial(ex.apply("log", y), Y(1))
-        assert ex.evaluate(d, EvalContext({Y(1): 4})) == pytest.approx(0.25)
+        assert ex.evaluate(d, {Y(1): 4}) == pytest.approx(0.25)
 
     def test_sqrt(self):
         d = partial(ex.apply("sqrt", x), X)
-        assert ex.evaluate(d, EvalContext({X: 4})) == pytest.approx(0.25)
+        assert ex.evaluate(d, {X: 4}) == pytest.approx(0.25)
 
     def test_quotient_rule(self):
         e = ex.quot(dy, y)
         d = partial(e, Y(1))
-        pt = EvalContext({Y(1): 2, YDot(1): 6})
+        pt = {Y(1): 2, YDot(1): 6}
         assert ex.evaluate(d, pt) == pytest.approx(-1.5)
 
     def test_memoized(self):
@@ -81,7 +81,7 @@ def test_partial_matches_finite_difference(trial):
     ref = rng.choice(refs)
     point = random_point(rng, refs)
     try:
-        exact = ex.evaluate(partial(e, ref), EvalContext(dict(point)))
+        exact = ex.evaluate(partial(e, ref), dict(point))
         approx = central_difference(e, ref, point)
     except (EvalSingular, OverflowError):
         pytest.skip("singular sample")
@@ -104,8 +104,8 @@ def test_leibniz_rule(rng):
         lhs = partial(ex.mul(u, v), Y(1))
         rhs = ex.add(ex.mul(partial(u, Y(1)), v), ex.mul(u, partial(v, Y(1))))
         point = random_point(rng, [X, Y(1), YDot(1)])
-        a = ex.evaluate(lhs, EvalContext(dict(point)))
-        b = ex.evaluate(rhs, EvalContext(dict(point)))
+        a = ex.evaluate(lhs, dict(point))
+        b = ex.evaluate(rhs, dict(point))
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1.0)
 
 
@@ -118,7 +118,7 @@ class TestTotalDerivative:
         rng = random.Random(5)
         for _ in range(10):
             point = random_point(rng, [X, Y(1), YDot(1)])
-            assert abs(ex.evaluate(d, EvalContext(point))) < 1e-9
+            assert abs(ex.evaluate(d, point)) < 1e-9
 
     def test_x_slot(self):
         sys = OdeSystem(n=1, rhs=(ex.ZERO,))
@@ -139,8 +139,8 @@ class TestTotalDerivative:
         # d/dx (y1 dy2) = dy1 dy2 + y1 f2 = dy1 dy2 + y1^2
         expected = parse_expr("dy1*dy2 + y1^2")
         pt = {X: 0.3, Y(1): 1.1, Y(2): -0.4, YDot(1): 0.8, YDot(2): 2.2}
-        a = ex.evaluate(d, EvalContext(dict(pt)))
-        b = ex.evaluate(expected, EvalContext(dict(pt)))
+        a = ex.evaluate(d, dict(pt))
+        b = ex.evaluate(expected, dict(pt))
         assert abs(a - b) < 1e-12
 
     def test_matches_finite_difference_along_solutions(self):
@@ -165,12 +165,12 @@ class TestTotalDerivative:
 
         def gval(state):
             xv, yv, pv = state
-            return ex.evaluate(g, EvalContext({X: xv, Y(1): yv, YDot(1): pv}))
+            return ex.evaluate(g, {X: xv, Y(1): yv, YDot(1): pv})
 
         state = (0.4, 0.9, -0.3)
         h = 1e-5
         approx = (gval(flow(state, h)) - gval(flow(state, -h))) / (2 * h)
         exact = ex.evaluate(
-            d, EvalContext({X: state[0], Y(1): state[1], YDot(1): state[2]})
+            d, {X: state[0], Y(1): state[1], YDot(1): state[2]}
         )
         assert abs(approx - exact) <= 1e-6 * max(abs(exact), 1.0)

@@ -177,8 +177,8 @@ class TestCorpus:
         assert err == "error: s: conserved quantity 1 cannot be evaluated at any of 8 sample points\n"
 
     @pytest.mark.parametrize("line, where", [
-        (" f1 = y + 0^-2", "line 3, column 8"),
-        (" param a = 0^-1\n f1 = a*y", "line 3, column 4"),
+        (" f1 = y + 0^-2", "line 3, column 14"),
+        (" param a = 0^-1\n f1 = a*y", "line 3, column 15"),
     ], ids=["rhs", "fixed-param"])
     def test_zero_to_a_negative_power_exit_2(self, capsys, tmp_path, line, where):
         corpus = tmp_path / "zero-power"

@@ -13,7 +13,6 @@ from odetorsion import expr as ex
 from odetorsion.expr import (
     Apply,
     Const,
-    EvalContext,
     EvalSingular,
     Param,
     Power,
@@ -109,8 +108,8 @@ def test_build_preserves_value(raw, seed):
     refs = ex.free_vars(raw)
     point = random_point(random.Random(seed), sorted(refs, key=str))
     try:
-        a = evaluate(raw, EvalContext(point))
-        b = evaluate(canonical, EvalContext(point))
+        a = evaluate(raw, point)
+        b = evaluate(canonical, point)
     except (EvalSingular, OverflowError):
         return
     scale = max(abs(a), abs(b), 1.0)
@@ -118,16 +117,16 @@ def test_build_preserves_value(raw, seed):
 
 
 def _nodes(root):
-    seen = {}
+    seen = {}  # by node: nodes hash by identity
 
     def go(n):
-        if id(n) not in seen:
-            seen[id(n)] = n
+        if n not in seen:
+            seen[n] = None
             for c in ex.children(n):
                 go(c)
 
     go(root)
-    return list(seen.values())
+    return list(seen)
 
 
 def _reference_summary(n):
@@ -172,7 +171,7 @@ def test_node_summaries_and_one_evaluator(raw, values):
         try:
             exact = evaluate_exact(root, point)
             scale = max(abs(evaluate_exact(n, point)) for n in nodes)
-            value = evaluate(root, EvalContext(point))
+            value = evaluate(root, point)
         except (EvalSingular, OverflowError):
             continue
         assert abs(value - complex(exact)) <= 1e-9 * max(scale, 1)
@@ -435,6 +434,22 @@ class TestKeyFirstInterning:
         with pytest.raises(ValueError):
             Y(0)
 
+    def test_nodes_compare_and_hash_by_identity(self):
+        for cls in (ex.Expr, Const, Var, Sum, Product, Power, Quotient, Apply):
+            assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+            assert "_h" not in getattr(cls, "__slots__", ())
+
+        def tree():
+            return Sum([Product([Const(3), Var(X)]), Power(Var(Y(1)), 2)])
+
+        a, b = tree(), tree()  # structurally equal raw trees, no object shared
+        assert len({a: 1, b: 2}) == 2
+        prog = ex.Program((a, b))
+        assert len(prog.steps) == 12 and prog.roots[0] != prog.roots[1]
+        s = Var(X)
+        assert len(ex.Program((Product([s, s]),)).steps) == 2  # one object, one step
+        assert build(a) is build(b) is ex.add(ex.mul(ex.const(3), x), ex.pow_(y1, 2))
+
 
 _rationals = st.one_of(
     st.integers(-12, 12),
@@ -547,38 +562,38 @@ class TestSubstitute:
             e = random_polynomial(rng, [X, Y(1), a])
             m = {a: random_polynomial(rng, [X, Y(1)])}
             point = random_point(rng, [X, Y(1)])
-            inner = evaluate(m[a], EvalContext(dict(point)))
-            direct = evaluate(substitute(e, m), EvalContext(dict(point)))
-            extended = evaluate(e, EvalContext({**point, a: inner}))
+            inner = evaluate(m[a], dict(point))
+            direct = evaluate(substitute(e, m), dict(point))
+            extended = evaluate(e, {**point, a: inner})
             scale = max(abs(direct), abs(extended), 1.0)
             assert abs(direct - extended) <= 1e-12 * scale
 
 
 class TestEvaluate:
     def test_square(self):
-        assert evaluate(ex.pow_(x, 2), EvalContext({X: 3})) == 9
+        assert evaluate(ex.pow_(x, 2), {X: 3}) == 9
 
     def test_division_by_zero(self):
         with pytest.raises(EvalSingular):
-            evaluate(ex.quot(ex.ONE, x), EvalContext({X: 0}))
+            evaluate(ex.quot(ex.ONE, x), {X: 0})
 
     def test_principal_sqrt(self):
-        v = evaluate(ex.apply("sqrt", x), EvalContext({X: -1}))
+        v = evaluate(ex.apply("sqrt", x), {X: -1})
         assert abs(v - 1j) < 1e-15
 
     def test_log_zero(self):
         with pytest.raises(EvalSingular):
-            evaluate(ex.apply("log", x), EvalContext({X: 0}))
+            evaluate(ex.apply("log", x), {X: 0})
 
     def test_zero_to_negative_power(self):
         with pytest.raises(EvalSingular):
-            evaluate(ex.pow_(x, -2), EvalContext({X: 0}))
+            evaluate(ex.pow_(x, -2), {X: 0})
 
     def test_singular_error_names_subexpression(self):
         bad = ex.quot(y1, x)
         e = ex.add(bad, ex.ONE)
         with pytest.raises(EvalSingular) as err:
-            evaluate(e, EvalContext({X: 0, Y(1): 1}))
+            evaluate(e, {X: 0, Y(1): 1})
         assert err.value.subexpr is bad
 
     @pytest.mark.parametrize("text", ["log(0*y)", "y/(y-y)", "log(0*y)/(y-y) + x",
@@ -588,21 +603,21 @@ class TestEvaluate:
 
         e = parse_expr(text)
         with pytest.raises(EvalSingular) as err:
-            evaluate(e, EvalContext({X: 1, Y(1): 2}))
+            evaluate(e, {X: 1, Y(1): 2})
         bad = err.value.subexpr
         assert type(bad) in (Apply, Quotient) and any(n is bad for n in _nodes(e))
         for k in ex.children(bad):
-            evaluate(k, EvalContext({X: 1, Y(1): 2}))  # its own step fails, not a child's
+            evaluate(k, {X: 1, Y(1): 2})  # its own step fails, not a child's
 
     def test_cancellation_scale(self):
         e = ex.add(ex.pow_(x, 2), ex.mul(ex.const(-1), ex.pow_(x, 2)), ex.ONE)
-        ctx = EvalContext({X: 10})
-        assert evaluate(e, ctx) == 1
-        assert ctx.cancellation_scale == pytest.approx(201.0)
+        ((value, scale),) = ex.evaluate_roots(ex.program(e), {X: 10})
+        assert value == 1
+        assert scale == pytest.approx(201.0)
 
     def test_missing_assignment(self):
         with pytest.raises(KeyError):
-            evaluate(y1, EvalContext({X: 1}))
+            evaluate(y1, {X: 1})
 
 
 class TestIsPolynomial:

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_polynomial
 from odetorsion import expr as ex
-from odetorsion.expr import EvalContext, X, Y, YDot
+from odetorsion.expr import X, Y, YDot
 from odetorsion import oracle
 from odetorsion.oracle import (
     INCONCLUSIVE,
@@ -111,7 +111,7 @@ class TestExactPath:
         v = is_zero(parse_expr("y^2 - dy"))
         assert v.is_nonzero and v.exact
         assert set(v.witness) == {Y(1), YDot(1)}
-        got = ex.evaluate(parse_expr("y^2 - dy"), EvalContext(dict(v.witness)))
+        got = ex.evaluate(parse_expr("y^2 - dy"), dict(v.witness))
         assert abs(got - v.value) <= 1e-9 * max(abs(v.value), 1.0)
 
     def test_fixed_rational_param_stays_on_exact_path(self):
@@ -210,7 +210,7 @@ class TestDeterminism:
         for seed in range(5):
             v = is_zero(e, cfg=OracleConfig(seed=seed))
             assert v.is_nonzero
-            got = ex.evaluate(e, EvalContext(dict(v.witness)))
+            got = ex.evaluate(e, dict(v.witness))
             assert abs(got - v.value) <= 1e-9 * max(abs(v.value), 1.0)
 
 
@@ -327,7 +327,7 @@ def _assert_names_nonzero_entry(rows, verdict):
     if not verdict.is_nonzero:
         return
     i, j = verdict.entry
-    got = ex.evaluate(rows[i - 1][j - 1], EvalContext(dict(verdict.witness)))
+    got = ex.evaluate(rows[i - 1][j - 1], dict(verdict.witness))
     assert verdict.value != 0
     assert abs(got - verdict.value) <= 1e-6 * max(abs(verdict.value), 1.0)
 

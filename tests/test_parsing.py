@@ -38,7 +38,7 @@ class TestParseExpr:
 
     def test_division_chain(self):
         e = parse_expr("x/y/dy")
-        pt = ex.EvalContext({ex.X: 12, ex.Y(1): 3, ex.YDot(1): 2})
+        pt = {ex.X: 12, ex.Y(1): 3, ex.YDot(1): 2}
         assert ex.evaluate(e, pt) == 2
 
     def test_aliases(self):
@@ -246,6 +246,17 @@ class TestOdeSystem:
         with pytest.raises(ValidationError):
             OdeSystem(n=1, rhs=(y,), params=(ParamDecl("dy7", GENERIC),))
 
+    @pytest.mark.parametrize("text, index", [
+        ("y5 + dy7 + y9 + dy3", 3),
+        ("dy4 + y6 + dy8 + y2", 4),
+        ("y12 + y3 + dy11 + y10", 11),
+        ("dy5 + dy6 + y7 + y8 + dy9", 5),
+    ])
+    def test_index_out_of_range_names_the_first_by_name(self, text, index):
+        # free variables are checked in str order, not in the set's order
+        with pytest.raises(ValidationError, match=f"variable index {index} outside 1..1$"):
+            parse_corpus(f"system s\n n 1\n f1 = {text}\n expect straight\nend")
+
     def test_rhs_count_mismatch(self):
         with pytest.raises(ValidationError):
             OdeSystem(n=2, rhs=(y,))
@@ -327,6 +338,17 @@ class TestParseCorpus:
         block = f"system s\n n 1\n f1 = y\n conserved dy\n conserved {text}\n expect straight\nend"
         with pytest.raises(ValidationError, match="^s: conserved quantity 2 cannot be evaluated"):
             parse_corpus(block)
+
+    @pytest.mark.parametrize("line, col, message", [
+        ("  f1 = y + )", 12, "unexpected ')'"),
+        (" conserved  dy*(y", 18, "unexpected end of input"),
+        ("param a =  y", 12, "fixed parameter value must be a constant"),
+    ], ids=["rhs", "conserved", "fixed-param"])
+    def test_error_column_counts_from_the_line(self, line, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_corpus(f"system s\n n 1\n{line}\n f1 = y\n expect straight\nend")
+        assert (err.value.line, err.value.col) == (3, col)
+        assert str(err.value).startswith(f"{message} at line 3, column {col}")
 
     def test_shipped_corpus_parses(self):
         import pathlib

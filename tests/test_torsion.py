@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rand_fraction, random_point, random_polynomial
 from odetorsion import expr as ex
-from odetorsion.expr import EvalContext, X, Y, YDot
+from odetorsion.expr import X, Y, YDot
 from odetorsion.oracle import INCONCLUSIVE, OracleConfig
 from odetorsion.parsing import GENERIC, OdeSystem, ParamDecl, parse_expr
 from odetorsion.torsion import (
@@ -77,7 +77,7 @@ class TestTresse:
         report = tresse_torsion(sys)
         pt = (0.3, 1.2, 0.7)
         symbolic = ex.evaluate(
-            report.invariant, EvalContext({X: pt[0], Y(1): pt[1], YDot(1): pt[2]})
+            report.invariant, {X: pt[0], Y(1): pt[1], YDot(1): pt[2]}
         )
         assert symbolic == pytest.approx(4 * pt[1], rel=1e-12)
         numeric = _numeric_tresse(lambda a, b, c: b * c, *pt)
@@ -94,7 +94,7 @@ class TestTresse:
         report = tresse_torsion(_sys1("6*y^2 + x"))
         assert report.straight is False
         v = report.verdict
-        got = ex.evaluate(report.invariant, EvalContext(dict(v.witness)))
+        got = ex.evaluate(report.invariant, dict(v.witness))
         assert abs(got - v.value) <= 1e-9 * max(abs(v.value), 1.0)
 
     def test_rejects_systems(self):
@@ -109,7 +109,7 @@ class TestTresse:
         # and the invariant itself decides: compare with the numeric oracle
         numeric = _numeric_tresse(lambda a, b, c: c ** 3 + c, 0.2, 0.5, 0.4)
         symbolic = ex.evaluate(
-            report.invariant, EvalContext({X: 0.2, Y(1): 0.5, YDot(1): 0.4})
+            report.invariant, {X: 0.2, Y(1): 0.5, YDot(1): 0.4}
         )
         assert numeric == pytest.approx(symbolic, rel=1e-3, abs=1e-4)
 
@@ -133,7 +133,7 @@ class TestFels:
                 report = fels_torsion(sys)
                 trace = ex.add(*(report.invariant[k][k] for k in range(n)))
                 point = random_point(rng, refs)
-                assert abs(ex.evaluate(trace, EvalContext(point))) < 1e-6
+                assert abs(ex.evaluate(trace, point)) < 1e-6
 
     def test_uncoupled_oscillators_straight_iff_equal_frequencies(self):
         shared = OdeSystem(
@@ -162,7 +162,7 @@ class TestFels:
         )
         entry = fels_torsion(split).invariant[0][0]
         w1, w2 = ex.Param("w1"), ex.Param("w2")
-        got = ex.evaluate(entry, EvalContext({w1: 2.0, w2: 3.0}))
+        got = ex.evaluate(entry, {w1: 2.0, w2: 3.0})
         assert abs(got) == pytest.approx((9 - 4) / 2)
 
     def test_phi_matrix_shape(self):
