@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--rhs", action="append", default=None, metavar="EXPR",
                     help="inline right-hand side; repeat for systems (f1, f2, ...)")
     an.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
-    an.add_argument("--samples", type=int, default=32, help="oracle samples per verdict (default 32)")
+    an.add_argument("--samples", type=int, default=32,
+                    help="numeric oracle samples per verdict and the exact path's cap (default 32)")
     an.add_argument("--tol", type=float, default=1e-9, help="relative zero tolerance (default 1e-9)")
     an.add_argument("--json", action="store_true", help="machine-readable output")
     an.add_argument("--jobs", type=int, default=os.cpu_count() or 1,

@@ -41,13 +41,11 @@ A program lists the distinct nodes of a tuple of roots in evaluation
 order, a node shared between roots once.  Each root caches its own
 program on first use; the oracle builds one over all the entries of a
 matrix.  ``evaluate`` and ``evaluate_roots`` (complex), ``exact_ratios``
-and ``evaluate_exact`` (rational), ``residues`` (modulo a prime) and
-``node_count`` all run on programs, through one loop.  A ``poly``
-program is evaluated exactly in integers over one common denominator S:
-a step of degree d holds its value times S^d, so no step builds or
-reduces a ``Fraction``.  ``residues`` runs the same integer program with
-every sum and power reduced modulo a prime, so no step grows with the
-degree.  Every other program runs in complex floats only.  The step
+and ``evaluate_exact`` (rational) and ``node_count`` all run on programs,
+through one loop.  A ``poly`` program is evaluated exactly in integers
+over one common denominator S: a step of degree d holds its value times
+S^d, so no step builds or reduces a ``Fraction``.  Every other program
+runs in complex floats only.  The step
 degrees and the complex values of the constants are cached on the
 program.
 """
@@ -693,16 +691,13 @@ def batch(roots: Sequence[Expr]) -> Program:
 
 
 def _run(prog: Program, leaf: Callable[[Expr], Number], zero: Number, one: Number,
-         degs: Union[list, None] = None, scale: int = 1, mod: Union[int, None] = None) -> list:
+         degs: Union[list, None] = None, scale: int = 1) -> list:
     """Every step's value, in program order.
 
     Without step degrees the values are complex.  With step degrees
     ``degs`` (from ``Program.degrees``) the leaves are integers, each
     value times ``scale``, and a sum brings each term up to its own
-    degree, so every step holds its value times scale^degree.  With
-    degrees and a prime ``mod`` as well, every sum and power is reduced
-    modulo ``mod``; a product of reduced values stays within a constant
-    factor of their size.
+    degree, so every step holds its value times scale^degree.
     """
     vals: list = []
     push = vals.append
@@ -722,13 +717,11 @@ def _run(prog: Program, leaf: Callable[[Expr], Number], zero: Number, one: Numbe
                 for k in kids:
                     gap = d - degs[k]
                     v += vals[k] * scale ** gap if gap else vals[k]
-                if mod:
-                    v %= mod
         elif t is Power:
             v = vals[kids[0]]
             if v == 0 and n.exponent < 0:
                 raise EvalSingular("0 raised to a negative power", n)
-            v = pow(v, n.exponent, mod) if mod else v ** n.exponent
+            v = v ** n.exponent
         elif t is Quotient:
             v = vals[kids[1]]
             if v == 0:
@@ -782,26 +775,6 @@ def exact_ratios(prog: Program, assignment: Mapping[VarRef, Fraction]) -> list[t
     denominators and the assigned values' denominators: D is S^d for a
     root of degree d.
     """
-    degs, s, vals = _homogeneous_run(prog, assignment)
-    return [(vals[r], s ** degs[r]) for r in prog.roots]
-
-
-def residues(prog: Program, assignment: Mapping[VarRef, Fraction], mod: int) -> list[int]:
-    """Each root's N from ``exact_ratios`` modulo the prime mod: 0 when
-    the root's value is 0, so a nonzero residue proves a nonzero value.
-
-    ZeroDivisionError when residues cannot decide: mod divides S.
-    """
-    _, s, vals = _homogeneous_run(prog, assignment, mod)
-    if not s % mod:
-        raise ZeroDivisionError(f"the common denominator is 0 mod {mod}")
-    return [vals[r] % mod for r in prog.roots]
-
-
-def _homogeneous_run(prog: Program, assignment: Mapping[VarRef, Fraction],
-                     mod: Union[int, None] = None) -> tuple[list, int, list]:
-    """(step degrees, S, every step's value times S^degree, modulo mod
-    when given) for a ``poly`` program."""
     degs, den = prog.degrees()
     s = lcm(den, *(v.denominator for v in assignment.values()))
 
@@ -811,7 +784,8 @@ def _homogeneous_run(prog: Program, assignment: Mapping[VarRef, Fraction],
         v = assignment[n.ref]
         return v.numerator * (s // v.denominator)
 
-    return degs, s, _run(prog, scaled, 0, 1, degs, s % mod if mod else s, mod)
+    vals = _run(prog, scaled, 0, 1, degs, s)
+    return [(vals[r], s ** degs[r]) for r in prog.roots]
 
 
 def evaluate_exact(e: Expr, assignment: Mapping[VarRef, Fraction]) -> Fraction:

@@ -6,20 +6,18 @@ constant is decided from its value, without sampling.  The other entries
 split into two paths, each with one program over all its entries (a node
 they share is evaluated once) and one stream of points:
 
-* polynomials over the rationals get a Schwartz-Zippel test at random
-  rational points.  The first point is decided on exact values (see
-  ``expr.exact_ratios``), which catches an entry whose coefficients all
-  share the factor P: its residue is 0 everywhere.  Every later point is
-  decided on residues modulo the prime P, which do not grow with the
-  degree.  A nonzero residue proves a nonzero value, which is then
-  computed exactly to be reported.  A point where residues cannot decide
-  is decided exactly;
+* polynomials over the rationals get a Schwartz-Zippel test at k random
+  rational points, each decided on exact values (``expr.exact_ratios``):
+  k is the least integer with (d/10^6)^k <= 2^-64 for d the largest root
+  degree, capped at ``cfg.samples`` (``_Exact`` derives the bound);
 * everything else is sampled at random complex points drawn from the
   annulus R_MIN <= |z| <= R_MAX (avoiding both the origin's coordinate
   singularities and huge magnitudes), with a cancellation-aware relative
   tolerance: a value counts as zero only relative to the magnitudes of
-  the top-level sum terms of its own entry.
+  the top-level sum terms of its own entry, at ``cfg.samples`` points.
 
+Each path seeds its own stream with ``cfg.seed``, so the exact path
+stopping after k points shifts no point of the numeric path.
 The exact path runs in integers only and meets no singular point.  On
 the numeric path, a point where some entry is singular or not finite is
 still decided by the entries that are finite and clearly nonzero there;
@@ -59,7 +57,6 @@ INCONCLUSIVE = "inconclusive"
 R_MIN, R_MAX = 0.3, 2.0  # radii of the sampling annulus
 NOISE_FLOOR = 1e-13  # relative magnitude below which a value is plainly zero
 MAX_RETRIES = 8  # draws per sample before it counts as invalid
-P = 2 ** 61 - 1  # the prime the exact path's residues are taken modulo
 
 GENERIC = "generic"
 GENERIC_NONZERO = "generic-nonzero"
@@ -105,6 +102,8 @@ class Verdict:
     branch_limited: bool = False
     exact: bool = False
     entry: Optional[tuple] = None  # set by is_zero_matrix
+    bound: Optional[float] = None  # a zero verdict's (d/10^6)^k from the exact path
+
 
     @property
     def is_zero(self) -> bool:
@@ -149,6 +148,21 @@ def _exact_path_ok(e: Expr, params: Sequence[ParamDecl]) -> bool:
         if decl.policy == FIXED and not isinstance(decl.value, (Fraction, int)):
             return False
     return True
+
+
+def _exact_samples(d: int, cap: int) -> int:
+    """The least k >= 1 with (d/10^6)^k <= 2^-64, or cap when that is less.
+    The cap is tested in the loop: the bound needs millions of points for
+    d just below 10^6, and no k meets it from d = 10^6 on."""
+    k = 1
+    while k < cap and 2 ** 64 * d ** k > 10 ** (6 * k):
+        k += 1
+    return k
+
+
+def _miss_bound(d: int, k: int) -> float:
+    """(d/10^6)^k, or 1.0 (no bound) from d = 10^6 on."""
+    return (d / 10 ** 6) ** k if d < 10 ** 6 else 1.0
 
 
 def _float(num: int, den: int) -> complex:
@@ -212,9 +226,10 @@ def _decide(roots: Sequence[Expr], params, cfg) -> tuple[Optional[int], Verdict]
         return k, Verdict(NONZERO, seed=cfg.seed, branch_limited=bool(limited) and limited[0] <= k, **fields)
 
     paths = [path(roots, at, params, cfg) for path, at in ((_Exact, exact), (_Numeric, numeric)) if at]
-    for _ in range(cfg.samples if first is None else 1) if paths else ():
+    rounds = 1 if first is not None else max((path.samples for path in paths), default=0)
+    for i in range(rounds):
         # each path lists its nonzero roots in order, so its first is its least
-        hits = [(found[0], path) for path in paths if (found := path.sample())]
+        hits = [(found[0], path) for path in paths if i < path.samples and (found := path.sample())]
         if hits:
             k, path = min(hits)
             return nonzero(k, samples_passed=path.valid - 1, **path.witness(k))
@@ -227,7 +242,9 @@ def _decide(roots: Sequence[Expr], params, cfg) -> tuple[Optional[int], Verdict]
             return nonzero(first, witness={}, value=_float(v.numerator, v.denominator), exact=True)
         return nonzero(first, witness={}, value=v)
     if not paths:
-        return None, Verdict(ZERO, seed=cfg.seed, samples_passed=cfg.samples, exact=True)
+        # what sampling the degree-1 Sum([c]) of a zero constant reports
+        k = _exact_samples(1, cfg.samples)
+        return None, Verdict(ZERO, seed=cfg.seed, samples_passed=k, exact=True, bound=_miss_bound(1, k))
     settled = sorted((k, path.settle(k, cfg)) for path in paths for k in path.at)
     for k, v in settled:
         if v.outcome == INCONCLUSIVE:
@@ -236,12 +253,13 @@ def _decide(roots: Sequence[Expr], params, cfg) -> tuple[Optional[int], Verdict]
         ZERO, seed=cfg.seed, samples_passed=min(p.valid for p in paths),
         reason=next((v.reason for _, v in settled if v.reason), ""),
         branch_limited=bool(limited), exact=not numeric,
+        bound=next((path.bound for path in paths if path.exact), None),
     )
 
 
 class _Path:
-    """The roots one evaluator decides: their program, point stream and
-    valid-point count."""
+    """The roots one evaluator decides: their program, point stream,
+    sample count and valid-point count."""
 
     exact = False
     overflow = None  # an OverflowError met at the last point; raised if no root wins the sample
@@ -255,6 +273,7 @@ class _Path:
                            key=lambda r: (r.kind == VarRef.PARAM, str(r)))
         self.params = params
         self.rel_tol = cfg.rel_tol
+        self.samples = cfg.samples
         self.rng = random.Random(cfg.seed)
         self.valid = 0
         self.clear = [0] * len(at)
@@ -278,8 +297,8 @@ class _Path:
         pos = self.at.index(k)
         valid, gray = self.valid, self.gray[pos]
         fields = dict(seed=cfg.seed, samples_passed=valid, exact=self.exact)
-        if valid < cfg.samples / 2:
-            return Verdict(INCONCLUSIVE, reason=f"only {valid}/{cfg.samples} valid samples after retries",
+        if valid < self.samples / 2:
+            return Verdict(INCONCLUSIVE, reason=f"only {valid}/{self.samples} valid samples after retries",
                            **fields)
         if gray:
             # gray-zone samples are resolved by majority; ties are never
@@ -291,32 +310,39 @@ class _Path:
 
 
 class _Exact(_Path):
-    """Rational points.  The first valid point decides every root on its
-    exact value, each later one on its residue mod P (see
-    ``expr.residues``): a nonzero residue proves a nonzero value, and the
-    exact first point catches a root whose coefficients all share the
-    factor P, which has residue 0 everywhere.  A point where residues
-    cannot decide is decided exactly."""
+    """Rational points, each deciding every root on its exact value.
+
+    ``_sample_rational`` draws each coordinate as a_i/b_i with a_i and
+    b_i uniform in [1, 10^6].  d is the largest root degree from
+    ``Program.degrees``, which counts constants as degree 1, so d is an
+    upper bound.  Fix the sampled denominators: each numerator is then
+    uniform over 10^6 values.  For a root p not identically zero,
+    q(a) = p(a_1/b_1, ...) is a nonzero polynomial of degree <= d in the
+    numerators, so by the Schwartz-Zippel lemma one point misses p with
+    probability <= d/10^6, and k independent points all miss it with
+    probability <= (d/10^6)^k.  Every point is decided exactly, so the
+    bound holds whatever p's coefficients.
+    """
 
     exact = True
+
+    def __init__(self, roots, at, params, cfg):
+        super().__init__(roots, at, params, cfg)
+        degs, _ = self.prog.degrees()
+        d = max(degs[r] for r in self.prog.roots)
+        self.samples = _exact_samples(d, cfg.samples)
+        self.bound = _miss_bound(d, self.samples)
 
     def draw(self) -> dict:
         return sample_point(self.rng, self.refs, self.params, _sample_rational, Fraction)
 
     def test(self) -> list:
-        self.ratios = None
-        if self.valid:
-            try:
-                return [pos for pos, v in enumerate(ex.residues(self.prog, self.point, P)) if v]
-            except ZeroDivisionError:
-                pass
         self.ratios = ex.exact_ratios(self.prog, self.point)
         return [pos for pos, (num, _) in enumerate(self.ratios) if num]
 
     def witness(self, k: int) -> dict:
-        ratios = self.ratios or ex.exact_ratios(self.prog, self.point)
         return dict(witness={r: _float(v.numerator, v.denominator) for r, v in self.point.items()},
-                    value=_float(*ratios[self.at.index(k)]), exact=True)
+                    value=_float(*self.ratios[self.at.index(k)]), exact=True)
 
 
 _SINGULAR = (complex(cmath.nan, cmath.nan), cmath.nan)  # a root's value where its step fails

@@ -364,8 +364,7 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        word, _, rest = line.partition(" ")
-        rest = rest.strip()
+        word, rest = (line.split(None, 1) + [""])[:2]  # at any whitespace
         if state is None:
             if word != "system":
                 raise ParseError("expected 'system <name>'", lineno, 1, ("system",))
@@ -380,8 +379,7 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             except ValueError:
                 raise ParseError(f"bad dimension {rest!r}", lineno, 1) from None
         elif word == "param":
-            pname, _, policy = rest.partition(" ")
-            policy = policy.strip()
+            pname, policy = (rest.split(None, 1) + ["", ""])[:2]
             if policy == "generic":
                 state["params"].append(ParamDecl(pname, GENERIC))
             elif policy == "generic-nonzero":

@@ -220,43 +220,11 @@ def test_integer_exact_evaluation_matches_fraction_reference(raw, values):
         assert evaluate_exact(raw, point) == evaluate_exact(canonical, point)
 
 
-_P = 2 ** 61 - 1
-# a value with denominator _P has no residue mod _P
-_residue_values = st.one_of(_exact_values, st.integers(-3, 3).map(lambda k: Fraction(k, _P)))
-
-
-@given(raw_trees, st.lists(_residue_values, min_size=4, max_size=4))
-@settings(max_examples=200, deadline=None)
-def test_residues_match_fraction_reference(raw, values):
-    try:
-        canonical = build(raw)
-    except ZeroDivisionError:
-        return
-    if not canonical.poly:
-        return
-    point = dict(zip([X, Y(1), YDot(1), ex.Param("a")], values))
-    roots = (canonical, ex.sub(canonical, canonical), ex.mul(ex.const(3), canonical))
-    want = [_reference_exact(root, point) for root in roots]
-    prog = ex.Program(roots)
-    try:
-        got = ex.residues(prog, point, _P)
-    except ZeroDivisionError:
-        # the exact value decides a point where a value has no residue
-        assert any(v.denominator % _P == 0 for v in point.values())
-        assert [Fraction(*ratio) for ratio in ex.exact_ratios(prog, point)] == want
-        return
-    ratios = ex.exact_ratios(prog, point)
-    assert got == [num % _P for num, _ in ratios]
-    # residue / D is the Fraction reference reduced mod P
-    assert [g * pow(den, -1, _P) % _P for g, (_, den) in zip(got, ratios)] == [
-        q.numerator * pow(q.denominator, -1, _P) % _P for q in want]
-
-
-@given(raw_trees, st.lists(_residue_values, min_size=4, max_size=4))
+@given(raw_trees, st.lists(_exact_values, min_size=4, max_size=4))
 @settings(max_examples=200, deadline=None)
 def test_integer_evaluation_meets_no_singular_step(raw, values):
     """A canonical poly root has no quotient and no negative power, so
-    neither exact evaluation nor residues can divide by zero."""
+    exact evaluation cannot divide by zero."""
     try:
         canonical = build(raw)
     except ZeroDivisionError:
@@ -264,12 +232,10 @@ def test_integer_evaluation_meets_no_singular_step(raw, values):
     if not canonical.poly:
         return
     point = dict(zip([X, Y(1), YDot(1), ex.Param("a")], values))
-    prog = ex.Program((canonical, ex.add(canonical, x)))
-    ex.exact_ratios(prog, point)
-    try:
-        ex.residues(prog, point, _P)
-    except ZeroDivisionError:
-        assert any(v.denominator % _P == 0 for v in point.values())
+    roots = (canonical, ex.add(canonical, x))
+    got = ex.exact_ratios(ex.Program(roots), point)
+    # one program over both roots gives each its own exact value
+    assert [Fraction(*ratio) for ratio in got] == [_reference_exact(root, point) for root in roots]
 
 
 def test_interning_is_race_free():

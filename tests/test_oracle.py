@@ -129,6 +129,76 @@ class TestExactPath:
         assert v.is_zero and not v.exact
 
 
+class TestExactSamples:
+    @pytest.mark.parametrize("d, k", [(1, 4), (6, 4), (14, 4), (23, 5), (1000, 7)])
+    def test_least_k_meeting_the_bound(self, d, k):
+        assert oracle._exact_samples(d, 32) == k
+        assert 2 ** 64 * d ** k <= 10 ** (6 * k) < 2 ** 64 * d ** (k - 1) * 10 ** 6
+
+    def test_cap_is_tested_in_the_loop(self):
+        # uncapped, d = 999,999 would need tens of millions of steps
+        assert oracle._exact_samples(23, 2) == 2
+        assert oracle._exact_samples(999_999, 32) == 32
+        assert oracle._exact_samples(10 ** 6, 32) == 32
+
+    def test_bound(self):
+        assert oracle._miss_bound(23, 5) == (23 / 10 ** 6) ** 5 <= 2.0 ** -64
+        assert oracle._miss_bound(10 ** 6, 32) == oracle._miss_bound(10 ** 400, 32) == 1.0
+
+    def test_zero_verdict_decides_k_points_exactly(self, monkeypatch):
+        term = ex.mul(ex.const(Fraction(1, P)), y)  # degree 2: the constant counts 1
+        calls = []
+        exact_ratios = ex.exact_ratios
+        monkeypatch.setattr(ex, "exact_ratios", lambda *a: calls.append(a) or exact_ratios(*a))
+        v = is_zero(ex.sub(term, term))
+        k = oracle._exact_samples(2, 32)
+        assert v.is_zero and v.exact and v.samples_passed == k == 4
+        assert len(calls) == k  # every point, decided exactly
+        assert v.bound == oracle._miss_bound(2, k)
+        v = is_zero(term)
+        point = _seeded_rational_point([Y(1)])
+        assert v.is_nonzero and v.exact and v.value == complex(point[Y(1)] / P)
+        assert v.bound is None
+
+    def test_k_follows_the_largest_root_degree(self, monkeypatch):
+        # y^22 + -1*y^22 has degree 23: the constant -1 counts 1
+        roots = [ex.sub(e, e) for e in (y, ex.pow_(y, 22))]
+        calls = []
+        exact_ratios = ex.exact_ratios
+        monkeypatch.setattr(ex, "exact_ratios", lambda *a: calls.append(a) or exact_ratios(*a))
+        v = is_zero_matrix([roots])
+        assert v.is_zero and v.samples_passed == len(calls) == 5
+        assert v.bound == oracle._miss_bound(23, 5)
+        v = is_zero_matrix([roots], cfg=OracleConfig(samples=3))
+        assert v.is_zero and v.samples_passed == 3 and v.bound == oracle._miss_bound(23, 3)
+
+    def test_mixed_matrix_numeric_path_keeps_its_samples_and_stream(self, monkeypatch):
+        exact_zero = ex.sub(ex.mul(x, y), ex.mul(x, y))
+        numeric_zero = parse_expr("sin(y)^2 + cos(y)^2 - 1")
+        points, calls = [], []
+        evaluate_roots, exact_ratios = ex.evaluate_roots, ex.exact_ratios
+        monkeypatch.setattr(ex, "evaluate_roots", lambda prog, pt: points.append(pt) or evaluate_roots(prog, pt))
+        monkeypatch.setattr(ex, "exact_ratios", lambda *a: calls.append(a) or exact_ratios(*a))
+        cfg = OracleConfig(seed=3)
+        v = is_zero_matrix([[exact_zero, numeric_zero]], cfg=cfg)
+        # x*y + -1*x*y has degree 3
+        assert v.is_zero and not v.exact and v.bound == oracle._miss_bound(3, 4)
+        assert len(calls) == 4 and len(points) == cfg.samples
+        rng = random.Random(cfg.seed)
+        assert points == [oracle.sample_point(rng, [Y(1)]) for _ in range(cfg.samples)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_matrix_names_the_numeric_witness(self, seed):
+        exact_zero = ex.sub(ex.mul(x, y), ex.mul(x, y))
+        numeric = parse_expr("exp(y) - 1")
+        cfg = OracleConfig(seed=seed)
+        alone = is_zero(numeric, cfg=cfg)
+        v = is_zero_matrix([[exact_zero, numeric]], cfg=cfg)
+        assert v.is_nonzero and v.entry == (1, 2) and not v.exact and v.bound is None
+        assert v.witness == alone.witness == oracle.sample_point(random.Random(seed), [Y(1)])
+        assert v.value == alone.value
+
+
 class TestNumericPath:
     def test_identity_log_exp(self):
         v = is_zero(parse_expr("exp(log(y)) - y"))
@@ -269,7 +339,7 @@ class TestSampler:
             assert all(at_top for _, at_top in imports(module)), module
 
 
-P = oracle.P
+P = 2 ** 61 - 1  # a prime a residue test modulo P would be blind to
 
 
 def _seeded_rational_point(refs, seed=0):
@@ -278,7 +348,7 @@ def _seeded_rational_point(refs, seed=0):
 
 class TestModularPath:
     def test_content_divisible_by_modulus_is_nonzero(self):
-        # residue 0 at every point: the exact first point decides
+        # every coefficient a multiple of P: exact values see it at once
         e = ex.mul(ex.const(P), y)
         point = _seeded_rational_point([Y(1)])
         expected = complex(P * point[Y(1)])
@@ -287,21 +357,6 @@ class TestModularPath:
             assert v.value == expected
             assert v.witness == {Y(1): complex(point[Y(1)])}
         assert is_zero_matrix([[e]]).entry == (1, 1)
-
-    def test_constant_without_residue_falls_back_to_exact(self, monkeypatch):
-        c = ex.const(Fraction(1, P))
-        term = ex.mul(c, y)
-        point = _seeded_rational_point([Y(1)])
-        with pytest.raises(ZeroDivisionError):
-            ex.residues(ex.program(term), point, P)
-        v = is_zero(term)
-        assert v.is_nonzero and v.exact and v.value == complex(point[Y(1)] / P)
-        calls = []
-        exact_ratios = ex.exact_ratios
-        monkeypatch.setattr(ex, "exact_ratios", lambda *a: calls.append(a) or exact_ratios(*a))
-        v = is_zero(ex.sub(term, term))
-        assert v.is_zero and v.exact and v.samples_passed == 32
-        assert len(calls) == 32  # every sample
 
     def test_straight_fels_matrix_runs_one_program_per_sample(self, monkeypatch):
         sys_ = OdeSystem(n=3, rhs=tuple(parse_expr(t) for t in (

@@ -333,6 +333,16 @@ class TestParseCorpus:
         with pytest.raises(ParseError):
             parse_corpus("system s\n n 1\n f1 = y\n expect maybe\nend")
 
+    def test_tabs_separate_directives_from_arguments(self):
+        text = "system\ttabbed\n n\t2\n f1\t=\ty1\n f2 \t= \tdy1\n param\ta\tgeneric\n expect\tstraight\nend"
+        (entry,) = parse_corpus(text)
+        assert entry.system.name == "tabbed" and entry.system.n == 2
+        assert entry.system.rhs == (ex.var(ex.Y(1)), ex.var(ex.YDot(1)))
+        assert entry.system.params == (ParamDecl("a", GENERIC),)
+        assert entry.expect == "straight"
+        with pytest.raises(ParseError, match="at line 3, column 10$"):
+            parse_corpus("system s\n n 1\n f1\t=\t0^-1\n expect straight\nend")
+
     @pytest.mark.parametrize("text", ["y/0", "log(0*y)"])
     def test_undefined_conserved_quantity_rejected(self, text):
         block = f"system s\n n 1\n f1 = y\n conserved dy\n conserved {text}\n expect straight\nend"
