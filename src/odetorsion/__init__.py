@@ -14,7 +14,6 @@ from .expr import (  # noqa: E402,F401
     Param,
     Power,
     Product,
-    Quotient,
     Sum,
     Var,
     VarRef,
@@ -52,7 +51,6 @@ from .calculus import nth_partial, partial, total_derivative  # noqa: E402,F401
 from .oracle import OracleConfig, Verdict, is_zero, is_zero_matrix  # noqa: E402,F401
 from .torsion import (  # noqa: E402,F401
     DimensionError,
-    InputError,
     LinearConstSystem,
     TorsionReport,
     check_conserved,
@@ -62,6 +60,5 @@ from .torsion import (  # noqa: E402,F401
     linear_const_to_system,
     phi_matrix,
     quartic_test,
-    tresse_autonomous,
     tresse_torsion,
 )

@@ -10,10 +10,13 @@ which is the only derivative operator the torsion constructions need.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
 from . import expr as ex
 from .expr import Expr, VarRef
+
+_HALF = ex.const(Fraction(1, 2))
 
 # Partial derivatives are memoized across calls; expressions are interned
 # and immutable, so the cache is sound for the process lifetime.
@@ -49,22 +52,18 @@ def partial(e: Expr, v: VarRef) -> Expr:
     elif isinstance(e, ex.Power):
         db = partial(e.base, v)
         out = ex.mul(ex.const(e.exponent), ex.pow_(e.base, e.exponent - 1), db)
-    elif isinstance(e, ex.Quotient):
-        u, w = e.numerator, e.denominator
-        du, dw = partial(u, v), partial(w, v)
-        out = ex.quot(ex.sub(ex.mul(du, w), ex.mul(u, dw)), ex.pow_(w, 2))
     elif isinstance(e, ex.Apply):
         da = partial(e.arg, v)
         if e.fn == "exp":
             out = ex.mul(e, da)
         elif e.fn == "log":
-            out = ex.quot(da, e.arg)
+            out = ex.mul(da, ex.pow_(e.arg, -1))
         elif e.fn == "sin":
             out = ex.mul(ex.apply("cos", e.arg), da)
         elif e.fn == "cos":
             out = ex.neg(ex.mul(ex.apply("sin", e.arg), da))
         else:  # sqrt
-            out = ex.quot(da, ex.mul(ex.const(2), e))
+            out = ex.mul(_HALF, da, ex.pow_(e, -1))
     else:
         raise TypeError(f"not an expression: {e!r}")
 

@@ -4,11 +4,12 @@
     odetorsion analyze --rhs "6*y^2 + x"
 
 Exit codes: 0 when every entry matches its expectation (or has none),
-1 on any mismatch, 2 on parse or validation errors (an undefined
-right-hand side or conserved quantity among them), on corpus files
-given together with --rhs, on input nested too
-deeply to read and on a number overflowing the float range while
-reading or classifying.
+1 on any mismatch, 2 on parse errors (a division by a constant zero,
+y/0 or 0^-1, among them), on validation errors (a right-hand side or
+conserved quantity that no sample point evaluates, such as 1/(y-y)), on
+corpus files given together with --rhs, on input nested too deeply to
+read and on a number overflowing the float range while reading or
+classifying.
 """
 
 from __future__ import annotations

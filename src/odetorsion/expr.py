@@ -6,14 +6,15 @@ functions exp, log, sin, cos, sqrt (principal branches).
 
 Interned nodes carry their own metadata, computed from their children at
 construction: ``free`` (variables), ``poly`` (evaluable in integers: a
-polynomial over the rationals with no quotient and no negative power)
-and ``fns`` (function names), with equal sets shared.  The smart
-constructors canonicalize, deliberately shallowly: nested sums/products
-are flattened, rational constants folded exactly, units dropped,
-``Power`` exponents of one collapsed and a division by a nonzero
-constant made a product, so a canonical node is ``poly`` exactly when it
-is a polynomial that divides by no zero.  Deciding whether an expression
-vanishes is the zero oracle's job.  Canonical nodes are fixed points of
+polynomial over the rationals, with no negative power) and ``fns``
+(function names), with equal sets shared.  There is one division:
+``quot(a, b)`` is ``a * b^-1``.  The smart constructors canonicalize,
+deliberately shallowly: nested sums/products are flattened, rational
+constants folded exactly (a constant's power too, so a division by a
+nonzero constant is a constant factor, and one by a constant zero raises
+``ZeroDivisionError`` as ``0^-1`` does), units dropped and ``Power``
+exponents of one collapsed.  Deciding whether an expression vanishes is
+the zero oracle's job.  Canonical nodes are fixed points of
 ``build``, so rebuilding one costs a lookup, not a walk.
 
 Interning is key-first: a constructor takes canonical operands (a raw
@@ -27,8 +28,8 @@ program, a walk or ``substitute``'s memo, is keyed by the node itself.
 Two raw nodes are distinct however alike, until ``build`` maps both to
 one canonical node.  A rational ``Const`` also holds its lowest terms as
 the ints ``num`` and ``den``, and its intern key is ``("q", num, den)``, so
-``const`` looks an ``int`` or ``Fraction`` up, and ``add``, ``mul`` and
-``quot`` fold rationals as integer pairs, with no ``Fraction`` built or
+``const`` looks an ``int`` or ``Fraction`` up, and ``add`` and ``mul``
+fold rationals as integer pairs, with no ``Fraction`` built or
 hashed unless the result is a new constant.  Constants are folded only
 where two or more meet; once a complex one is among them the fold runs
 over their values from the unit, left to right (float rounding depends
@@ -256,18 +257,6 @@ class Power(Expr):
         return ("^", self.base, self.exponent)
 
 
-class Quotient(Expr):
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: Expr, denominator: Expr):
-        self.numerator = numerator
-        self.denominator = denominator
-        self._summarize((numerator, denominator), False)
-
-    def _key(self):
-        return ("/", self.numerator, self.denominator)
-
-
 class Apply(Expr):
     __slots__ = ("fn", "arg")
 
@@ -469,19 +458,9 @@ def pow_(base: Expr, exponent: int) -> Expr:
 
 
 def quot(numerator: Expr, denominator: Expr) -> Expr:
-    """The canonical quotient of canonical operands (a raw operand goes
-    through build())."""
-    if type(denominator) is Const:
-        num, den = denominator.num, denominator.den
-        if not den:
-            return mul(const(1.0 / denominator.value), numerator)
-        if num:
-            return mul(_rational(den, num) if num > 0 else _rational(-den, -num), numerator)
-        # a division by zero is kept, for evaluation to report
-    if numerator is ZERO:
-        return ZERO
-    node = _intern.get(("/", numerator, denominator))
-    return node if node is not None else _mk(Quotient(numerator, denominator))
+    """numerator * denominator^-1, canonical operands (a raw operand goes
+    through build()); ZeroDivisionError for a constant zero denominator."""
+    return mul(numerator, pow_(denominator, -1))
 
 
 def apply(fn: str, arg: Expr) -> Expr:
@@ -508,8 +487,6 @@ def children(e: Expr) -> tuple[Expr, ...]:
         return e.factors
     if isinstance(e, Power):
         return (e.base,)
-    if isinstance(e, Quotient):
-        return (e.numerator, e.denominator)
     if isinstance(e, Apply):
         return (e.arg,)
     return ()
@@ -527,10 +504,9 @@ def is_polynomial(e: Expr) -> bool:
     """True iff e is evaluable in integers: exact rational constants,
     variables, sums, products and non-negative powers only.
 
-    A Quotient or a negative Power is never polynomial.  Canonically a
-    division by a nonzero constant is a product, so only a raw tree with
-    a quotient, or a division by zero such as y/0, is turned away for
-    that.
+    A negative Power is never polynomial.  Canonically a division by a
+    nonzero constant is a constant factor, so only a division by a
+    non-constant, such as 1/y or 1/(y-y), is turned away for that.
     """
     return e.poly
 
@@ -575,8 +551,6 @@ def substitute(e: Expr, mapping: Mapping[VarRef, Expr]) -> Expr:
             out = mul(*(go(f) for f in n.factors))
         elif isinstance(n, Power):
             out = pow_(go(n.base), n.exponent)
-        elif isinstance(n, Quotient):
-            out = quot(go(n.numerator), go(n.denominator))
         else:
             out = apply(n.fn, go(n.arg))
         memo[n] = out
@@ -590,7 +564,7 @@ def substitute(e: Expr, mapping: Mapping[VarRef, Expr]) -> Expr:
 
 
 class EvalSingular(ArithmeticError):
-    """Division by zero, log(0) or 0 to a negative power during eval;
+    """0 to a negative power (a division by zero) or log(0) during eval;
     ``subexpr`` is the node whose step failed."""
 
     def __init__(self, message: str, subexpr: Expr):
@@ -721,12 +695,11 @@ def _run(prog: Program, leaf: Callable[[Expr], Number], zero: Number, one: Numbe
             v = vals[kids[0]]
             if v == 0 and n.exponent < 0:
                 raise EvalSingular("0 raised to a negative power", n)
-            v = v ** n.exponent
-        elif t is Quotient:
-            v = vals[kids[1]]
-            if v == 0:
-                raise EvalSingular("division by zero", n)
-            v = vals[kids[0]] / v
+            try:
+                v = v ** n.exponent
+            except ZeroDivisionError:
+                # v^-k where v^k underflowed to 0: the value left the float range
+                raise OverflowError("negative power outside the float range") from None
         elif t is Apply:
             v = vals[kids[0]]
             if v == 0 and n.fn == "log":

@@ -30,8 +30,8 @@ At each sample the first entry, in row-major order, that either path
 finds nonzero wins.
 
 ``sample_point`` is the one place points are drawn, under the parameter
-policies; the oracle's exact and numeric paths, ``OdeSystem``
-validation and the autonomous cross-check all use it.
+policies; the oracle's exact and numeric paths and ``OdeSystem``
+validation use it.
 
 An exact witness value outside the float range is reported as an
 infinity of its sign; the verdict rests on the exact value, never on the

@@ -135,12 +135,15 @@ class _Parser:
         factors = [self.factor()]
         op = tokens[self.pos][1]
         while op == "*" or op == "/":
+            offset = tokens[self.pos][2]
             self.pos += 1
             rhs = self.factor()
-            if op == "*":
-                factors.append(rhs)
-            else:
-                factors = [ex.quot(_combine(ex.mul, factors), rhs)]
+            if op == "/":
+                try:
+                    rhs = ex.pow_(rhs, -1)  # a/b is a*b^-1
+                except ZeroDivisionError:
+                    raise self.error("division by zero", offset) from None
+            factors.append(rhs)
             op = tokens[self.pos][1]
         return _combine(ex.mul, factors)
 
@@ -239,20 +242,17 @@ def to_str(e: Expr) -> str:
     if isinstance(e, ex.Sum):
         return " + ".join(to_str(t) for t in e.terms)
     if isinstance(e, ex.Product):
-        return "*".join(_wrap(f, also=(ex.Quotient,)) for f in e.factors)
+        return "*".join(_wrap(f) for f in e.factors)
     if isinstance(e, ex.Power):
         base = to_str(e.base) if isinstance(e.base, (ex.Var, ex.Apply)) else f"({to_str(e.base)})"
         return f"{base}^{e.exponent}"
-    if isinstance(e, ex.Quotient):
-        num = _wrap(e.numerator, also=(ex.Quotient,))
-        return f"{num}/({to_str(e.denominator)})"
     if isinstance(e, ex.Apply):
         return f"{e.fn}({to_str(e.arg)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _wrap(e: Expr, also=()) -> str:
-    if isinstance(e, (ex.Sum,) + tuple(also)):
+def _wrap(e: Expr) -> str:
+    if isinstance(e, ex.Sum):
         return f"({to_str(e)})"
     if isinstance(e, ex.Const) and not isinstance(e.value, Fraction):
         return f"({to_str(e)})" if e.value.real != 0 and e.value.imag != 0 else to_str(e)
@@ -305,7 +305,7 @@ class OdeSystem:
         """Reject an expression that no sample point evaluates.
 
         labelled holds (label, expression) pairs.  Such an input is
-        undefined (y/0, log(0*y)), however its torsion might cancel.  The
+        undefined (1/(y-y), log(0*y)), however its torsion might cancel.  The
         points come from a generator of their own, so validation leaves
         the oracle's seeded draws untouched.
         """

@@ -24,18 +24,17 @@ identically; the vanishing decision is delegated to the zero oracle.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import expr as ex
 from .calculus import nth_partial, partial, total_derivative
-from .expr import EvalSingular, Expr
-from .oracle import NONZERO, ZERO, OracleConfig, Verdict, is_zero, is_zero_matrix, sample_point
-from .parsing import OdeSystem, ParamDecl
+from .expr import Expr
+from .oracle import NONZERO, ZERO, OracleConfig, Verdict, is_zero, is_zero_matrix
+from .parsing import OdeSystem
 
 TRESSE = "tresse"
 FELS = "fels"
@@ -43,10 +42,6 @@ QUARTIC = "quartic"
 
 
 class DimensionError(ValueError):
-    pass
-
-
-class InputError(ValueError):
     pass
 
 
@@ -184,69 +179,6 @@ def check_conserved(sys: OdeSystem, g: Expr, cfg: OracleConfig = OracleConfig())
     sys.validate_expr(g)
     sys.require_evaluable([("conserved quantity", g)])
     return is_zero(total_derivative(g, sys), sys.params, cfg)
-
-
-# ---------------------------------------------------------------------------
-# Autonomous scalar equations (one-dimensional symmetry group)
-
-def _autonomous_condition(f: Expr) -> Expr:
-    """The displayed fourth-order straightness condition for f(y, dy).
-
-    Kept only as a cross-check: the general scalar invariant specialized
-    to the autonomous system is the ground truth; this commonly quoted
-    closed form appears to drop a factor in one term and is merely
-    compared against it numerically.
-    """
-    y, p = ex.Y(1), ex.YDot(1)
-    pv = ex.var(p)
-    d = nth_partial
-    return ex.add(
-        ex.mul(ex.pow_(pv, 2), d(f, [y, y, p, p])),
-        ex.mul(ex.const(2), pv, f, d(f, [y, p, p, p])),
-        ex.mul(ex.pow_(f, 2), d(f, [p, p, p, p])),
-        ex.mul(pv, d(f, [p, p, p]), partial(f, y)),
-        ex.mul(ex.const(-3), d(f, [y, p, p])),
-        ex.mul(ex.const(-4), pv, d(f, [y, y, p])),
-        ex.mul(ex.const(4), partial(f, p), d(f, [y, p])),
-        ex.mul(ex.const(-1), pv, partial(f, p), d(f, [y, p, p])),
-        ex.mul(ex.const(-3), partial(f, y), d(f, [y, p])),
-        ex.mul(ex.const(6), d(f, [y, y])),
-    )
-
-
-def tresse_autonomous(f: Expr, params: Sequence[ParamDecl] = (),
-                      cfg: OracleConfig = OracleConfig()) -> TorsionReport:
-    """Classify d^2y/dx^2 = f(y, dy); f must not depend on x."""
-    f = ex.build(f)
-    if ex.X in ex.free_vars(f):
-        raise InputError("autonomous right-hand side must not depend on x")
-    sys = OdeSystem(n=1, rhs=(f,), params=tuple(params), name="autonomous")
-    report = tresse_torsion(sys, cfg)
-    report.telemetry.update(_autonomous_agreement(report.invariant, f, cfg))
-    return report
-
-
-def _autonomous_agreement(invariant: Expr, f: Expr, cfg, points: int = 8) -> dict:
-    displayed = _autonomous_condition(f)
-    rng = random.Random(cfg.seed ^ 0x5EED)
-    refs = sorted(ex.free_vars(invariant) | ex.free_vars(displayed), key=str)
-    worst = 0.0
-    compared = 0
-    for _ in range(points):
-        assignment = sample_point(rng, refs)
-        try:
-            a = ex.evaluate(invariant, assignment)
-            b = ex.evaluate(displayed, assignment)
-        except EvalSingular:
-            continue
-        scale = max(abs(a), abs(b), 1.0)
-        worst = max(worst, abs(a - b) / scale)
-        compared += 1
-    return {
-        "autonomous_condition_agrees": bool(compared) and worst <= 1e-6,
-        "autonomous_condition_max_rel_gap": worst,
-        "autonomous_condition_points": compared,
-    }
 
 
 # ---------------------------------------------------------------------------

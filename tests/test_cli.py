@@ -69,12 +69,17 @@ class TestInline:
         code, out, err = run(capsys, "analyze", "--rhs", "y2")
         assert code == 2
 
-    @pytest.mark.parametrize("rhs", ["y/0", "1/(y-y)", "log(0*y)"])
-    def test_undefined_rhs_exit_2(self, capsys, rhs):
+    @pytest.mark.parametrize("rhs, message", [
+        # a division by a constant zero is a parse error, at the "/"
+        ("y/0", "error: division by zero at line 1, column 2\n"),
+        ("1/(y-y)", "error: inline: f1 "),
+        ("log(0*y)", "error: inline: f1 "),
+    ], ids=["y/0", "1/(y-y)", "log(0*y)"])
+    def test_undefined_rhs_exit_2(self, capsys, rhs, message):
         code, out, err = run(capsys, "analyze", "--rhs", rhs)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: inline: f1 ")
+        assert err.startswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize("option", [("--samples", "0"), ("--tol", "2"), ("--tol", "1e-20")])
     def test_bad_oracle_option_exit_2(self, capsys, option):
@@ -170,7 +175,7 @@ class TestCorpus:
 
     def test_undefined_conserved_quantity_exit_2(self, capsys, tmp_path):
         corpus = tmp_path / "undefined"
-        corpus.write_text("system s\n n 1\n f1 = 6*y^2\n conserved y/0\n expect not-straight\nend\n")
+        corpus.write_text("system s\n n 1\n f1 = 6*y^2\n conserved 1/(y-y)\n expect not-straight\nend\n")
         code, out, err = run(capsys, "analyze", str(corpus))
         assert code == 2
         assert out == ""
@@ -187,6 +192,16 @@ class TestCorpus:
         assert code == 2
         assert out == ""
         assert err == f"error: 0 raised to a negative power at {where}\n"
+
+    def test_negative_power_beyond_the_float_range_exit_2(self, capsys, tmp_path):
+        # (a*y)^-1 passes validation, but the invariant's higher negative
+        # powers of a*y leave the float range at a sample no root wins
+        corpus = tmp_path / "tiny"
+        corpus.write_text("system tiny\n n 1\n param a = 1e-170\n f1 = (a*y)^-1\n expect not-straight\nend\n")
+        code, out, err = run(capsys, "analyze", str(corpus))
+        assert code == 2
+        assert out == ""
+        assert err == "error: tiny: negative power outside the float range\n"
 
     def test_missing_file_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "no-such-file")

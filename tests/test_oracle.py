@@ -98,10 +98,13 @@ class TestExactPath:
         assert v.value == expected
         assert v.witness == {r: complex(q) for r, q in point.items()}
 
-    @pytest.mark.parametrize("e", [parse_expr("y/0"), ex.Quotient(y, ex.Sum([ex.ONE, ex.const(-1)]))],
+    @pytest.mark.parametrize("e", [ex.Product([y, ex.Power(ex.ZERO, -1)]),
+                                   ex.Product([y, ex.Power(ex.Sum([ex.ONE, ex.const(-1)]), -1)])],
                              ids=["y/0", "y/(1-1)"])
     def test_singular_points_redrawn(self, e):
-        # a division by zero is no polynomial: it is sampled numerically
+        # raw y*0^-1 and y*(1-1)^-1, which no constructor makes (quot
+        # raises for a constant zero): a negative power is no polynomial,
+        # so the division by zero is sampled numerically
         assert not e.poly
         v = is_zero(e)
         assert v.outcome == INCONCLUSIVE and not v.exact

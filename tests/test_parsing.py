@@ -41,6 +41,22 @@ class TestParseExpr:
         pt = {ex.X: 12, ex.Y(1): 3, ex.YDot(1): 2}
         assert ex.evaluate(e, pt) == 2
 
+    def test_division_is_a_negative_power(self):
+        assert parse_expr("y/x") is ex.mul(y, ex.pow_(x, -1))
+        assert parse_expr("x/y/dy") is ex.mul(x, ex.pow_(y, -1), ex.pow_(dy, -1))
+        assert parse_expr("1/(x*y)") is ex.pow_(ex.mul(x, y), -1)
+        assert parse_expr("6/4*y") is ex.mul(ex.const(Fraction(3, 2)), y)
+
+    @pytest.mark.parametrize("text, col", [("y/0", 2), ("x/(2-2)", 2), ("1 + y*x/0.0", 8)])
+    def test_division_by_constant_zero_is_a_parse_error(self, text, col):
+        with pytest.raises(ParseError, match=f"^division by zero at line 1, column {col}$"):
+            parse_expr(text)
+
+    @pytest.mark.parametrize("text", ["1/(x*y)", "(y+1)/(x-1)/dy", "-y/x"])
+    def test_division_round_trips_to_the_identical_node(self, text):
+        e = parse_expr(text)
+        assert parse_expr(to_str(e)) is e
+
     def test_aliases(self):
         assert parse_expr("y") == parse_expr("y1")
         assert parse_expr("dy") == parse_expr("dy1")
@@ -125,7 +141,10 @@ class _FoldParser(parsing._Parser):
         while (op := self.peek()) in ("*", "/"):
             self.eat(op)
             rhs = self.factor()
-            out = ex.mul(out, rhs) if op == "*" else ex.quot(out, rhs)
+            try:
+                out = ex.mul(out, rhs) if op == "*" else ex.quot(out, rhs)
+            except ZeroDivisionError:
+                raise ParseError("division by zero") from None
         return out
 
 
@@ -261,9 +280,14 @@ class TestOdeSystem:
         with pytest.raises(ValidationError):
             OdeSystem(n=2, rhs=(y,))
 
-    @pytest.mark.parametrize("text", ["y/0", "1/(y-y)", "log(0*y)"])
-    def test_undefined_rhs_rejected(self, text):
-        with pytest.raises(ValidationError, match="^undefined: f2 "):
+    @pytest.mark.parametrize("text, error, match", [
+        # a division by a constant zero fails while parsing, at the "/"
+        ("y/0", ParseError, "^division by zero at line 1, column 2$"),
+        ("1/(y-y)", ValidationError, "^undefined: f2 "),
+        ("log(0*y)", ValidationError, "^undefined: f2 "),
+    ], ids=["y/0", "1/(y-y)", "log(0*y)"])
+    def test_undefined_rhs_rejected(self, text, error, match):
+        with pytest.raises(error, match=match):
             OdeSystem(n=2, rhs=(parse_expr("y2"), parse_expr(text)), name="undefined")
 
     def test_fixed_parameter_takes_declared_value(self):
@@ -343,10 +367,14 @@ class TestParseCorpus:
         with pytest.raises(ParseError, match="at line 3, column 10$"):
             parse_corpus("system s\n n 1\n f1\t=\t0^-1\n expect straight\nend")
 
-    @pytest.mark.parametrize("text", ["y/0", "log(0*y)"])
-    def test_undefined_conserved_quantity_rejected(self, text):
+    @pytest.mark.parametrize("text, error, match", [
+        # a division by a constant zero fails while parsing, at the "/"
+        ("y/0", ParseError, "^division by zero at line 5, column 13$"),
+        ("log(0*y)", ValidationError, "^s: conserved quantity 2 cannot be evaluated"),
+    ], ids=["y/0", "log(0*y)"])
+    def test_undefined_conserved_quantity_rejected(self, text, error, match):
         block = f"system s\n n 1\n f1 = y\n conserved dy\n conserved {text}\n expect straight\nend"
-        with pytest.raises(ValidationError, match="^s: conserved quantity 2 cannot be evaluated"):
+        with pytest.raises(error, match=match):
             parse_corpus(block)
 
     @pytest.mark.parametrize("line, col, message", [

@@ -10,7 +10,6 @@ from odetorsion.oracle import INCONCLUSIVE, OracleConfig
 from odetorsion.parsing import GENERIC, OdeSystem, ParamDecl, parse_expr
 from odetorsion.torsion import (
     DimensionError,
-    InputError,
     LinearConstSystem,
     check_conserved,
     classify_linear_const,
@@ -19,7 +18,6 @@ from odetorsion.torsion import (
     linear_const_to_system,
     phi_matrix,
     quartic_test,
-    tresse_autonomous,
     tresse_torsion,
 )
 
@@ -96,6 +94,12 @@ class TestTresse:
         v = report.verdict
         got = ex.evaluate(report.invariant, dict(v.witness))
         assert abs(got - v.value) <= 1e-9 * max(abs(v.value), 1.0)
+
+    @pytest.mark.parametrize("text, straight", [("-y", True), ("6*y^2", False)])
+    def test_autonomous_classification(self, text, straight):
+        # d^2y/dx^2 = f(y, dy) needs no invariant of its own
+        report = tresse_torsion(_sys1(text))
+        assert report.method == "tresse" and report.straight is straight
 
     def test_rejects_systems(self):
         sys = OdeSystem(n=2, rhs=(parse_expr("y2"), parse_expr("y1")))
@@ -248,28 +252,12 @@ class TestConserved:
         with pytest.raises(ValidationError):
             check_conserved(_sys1("6*y^2"), parse_expr("y2"))
 
-    @pytest.mark.parametrize("text", ["y/0", "log(0*y)"])
+    @pytest.mark.parametrize("text", ["1/(y-y)", "log(0*y)"])
     def test_undefined_quantity_rejected(self, text):
         from odetorsion.parsing import ValidationError
 
         with pytest.raises(ValidationError, match="conserved quantity cannot be evaluated"):
             check_conserved(_sys1("6*y^2"), parse_expr(text))
-
-
-class TestAutonomous:
-    def test_rejects_x_dependence(self):
-        with pytest.raises(InputError):
-            tresse_autonomous(parse_expr("x*y"))
-
-    def test_agrees_with_displayed_condition(self):
-        report = tresse_autonomous(parse_expr("6*y^2"))
-        assert report.straight is False
-        assert report.telemetry["autonomous_condition_agrees"]
-        assert report.telemetry["autonomous_condition_points"] > 0
-
-    def test_straight_autonomous(self):
-        report = tresse_autonomous(parse_expr("-y"))
-        assert report.straight is True
 
 
 class TestLinearConst:
