@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import expr as ex
-from .expr import Expr, VarRef
+from .expr import ZERO, Apply, Expr, Power, Product, Sum, Var, VarRef
 
 _HALF = ex.const(Fraction(1, 2))
 
@@ -25,51 +25,59 @@ _cache_pins: dict[int, Expr] = {}  # keep cached keys' id()s stable
 
 
 def partial(e: Expr, v: VarRef) -> Expr:
-    """Exact symbolic partial derivative, canonicalized."""
+    """Exact symbolic partial derivative, canonicalized.
+
+    The unmemoized nodes under e that mention v are differentiated children first, on a
+    stack: a node with a child missing from the memo goes back on, then a None marker,
+    then those children, and is retried when the marker comes off."""
     if v not in e.free:
         # every rule below gives ZERO here; skip the walk and the memo
-        return ex.ZERO
-    key = (id(e), v)
-    got = _partial_cache.get(key)
+        return ZERO
+    memo = _partial_cache
+    got = memo.get((id(e), v))
     if got is not None:
         return got
-
-    if isinstance(e, ex.Const):
-        out = ex.ZERO
-    elif isinstance(e, ex.Var):
-        out = ex.ONE if e.ref == v else ex.ZERO
-    elif isinstance(e, ex.Sum):
-        out = ex.add(*(partial(t, v) for t in e.terms))
-    elif isinstance(e, ex.Product):
-        terms = []
-        fs = e.factors
-        for i, f in enumerate(fs):
-            df = partial(f, v)
-            if df is ex.ZERO:
-                continue
-            terms.append(ex.mul(*fs[:i], df, *fs[i + 1 :]))
-        out = ex.add(*terms)
-    elif isinstance(e, ex.Power):
-        db = partial(e.base, v)
-        out = ex.mul(ex.const(e.exponent), ex.pow_(e.base, e.exponent - 1), db)
-    elif isinstance(e, ex.Apply):
-        da = partial(e.arg, v)
-        if e.fn == "exp":
-            out = ex.mul(e, da)
-        elif e.fn == "log":
-            out = ex.mul(da, ex.pow_(e.arg, -1))
-        elif e.fn == "sin":
-            out = ex.mul(ex.apply("cos", e.arg), da)
-        elif e.fn == "cos":
-            out = ex.neg(ex.mul(ex.apply("sin", e.arg), da))
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if n is None:
+            n = stack.pop()  # its children's partials are in the memo now
+        elif (id(n), v) in memo:
+            continue
+        t = type(n)
+        ds, waiting = [], False  # the children's partials, None where missing
+        for k in ex.children(n):
+            d = memo.get((id(k), v)) if v in k.free else ZERO
+            if d is None:
+                if not waiting:
+                    stack += (n, None)
+                    waiting = True
+                stack.append(k)
+            ds.append(d)
+        if waiting:
+            continue
+        if t is Var:
+            out = ex.ONE
+        elif t is Sum:
+            out = ex.add(*ds)
+        elif t is Product:
+            fs = n.factors
+            out = ex.add(*[ex.mul(*fs[:i], d, *fs[i + 1 :]) for i, d in enumerate(ds) if d is not ZERO])
+        elif t is Power:
+            out = ex.mul(ex.const(n.exponent), ex.pow_(n.base, n.exponent - 1), ds[0])
+        elif n.fn == "exp":  # an Apply; a Const mentions no variable
+            out = ex.mul(n, ds[0])
+        elif n.fn == "log":
+            out = ex.mul(ds[0], ex.pow_(n.arg, -1))
+        elif n.fn == "sin":
+            out = ex.mul(ex.apply("cos", n.arg), ds[0])
+        elif n.fn == "cos":
+            out = ex.neg(ex.mul(ex.apply("sin", n.arg), ds[0]))
         else:  # sqrt
-            out = ex.mul(_HALF, da, ex.pow_(e, -1))
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-
-    _partial_cache[key] = out
-    _cache_pins[id(e)] = e
-    return out
+            out = ex.mul(_HALF, ds[0], ex.pow_(n, -1))
+        memo[(id(n), v)] = out
+        _cache_pins[id(n)] = n
+    return memo[(id(e), v)]
 
 
 def nth_partial(e: Expr, vars: Iterable[VarRef]) -> Expr:

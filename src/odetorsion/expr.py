@@ -41,14 +41,16 @@ assignment key hashes and compares in C.
 A program lists the distinct nodes of a tuple of roots in evaluation
 order, a node shared between roots once.  Each root caches its own
 program on first use; the oracle builds one over all the entries of a
-matrix.  ``evaluate`` and ``evaluate_roots`` (complex), ``exact_ratios``
-and ``evaluate_exact`` (rational) and ``node_count`` all run on programs,
-through one loop.  A ``poly`` program is evaluated exactly in integers
-over one common denominator S: a step of degree d holds its value times
-S^d, so no step builds or reduces a ``Fraction``.  Every other program
-runs in complex floats only.  The step
-degrees and the complex values of the constants are cached on the
-program.
+matrix.  Every walk runs in program order, children before parents, so
+none recurses on the nesting depth: ``evaluate`` and ``evaluate_roots``
+(complex), ``exact_ratios`` and ``evaluate_exact`` (rational) and
+``node_count`` run on cached programs, through one loop, and
+``substitute`` (so ``build``) and ``parsing.to_str`` on a program made
+for the call and not cached.  A ``poly`` program is evaluated exactly in
+integers over one common denominator S: a step of degree d holds its
+value times S^d, so no step builds or reduces a ``Fraction``.  Every
+other program runs in complex floats only.  The step degrees and the
+complex values of the constants are cached on the program.
 """
 
 from __future__ import annotations
@@ -450,7 +452,11 @@ def pow_(base: Expr, exponent: int) -> Expr:
         v = base.value
         if v == 0 and exponent < 0:
             raise ZeroDivisionError("0 raised to a negative power")
-        return const(v ** exponent)
+        try:
+            v = v ** exponent
+        except (ZeroDivisionError, OverflowError):  # or v^-k where v^k underflowed
+            raise OverflowError("constant power outside the float range") from None
+        return const(v)
     if isinstance(base, Power):
         return pow_(base.base, base.exponent * exponent)
     node = _intern.get(("^", base, exponent))
@@ -527,36 +533,37 @@ def node_count(e: Expr) -> int:
 
 
 def substitute(e: Expr, mapping: Mapping[VarRef, Expr]) -> Expr:
-    """Simultaneous substitution, canonicalized.
+    """Simultaneous substitution, canonicalized, over e's program.
 
-    Canonical subexpressions that mention no mapped variable are kept.
+    Canonical subexpressions that mention no mapped variable are kept,
+    and a root that is one is returned without a walk.
     """
-    memo: dict[Expr, Expr] = {}
 
-    def go(n: Expr) -> Expr:
+    def kept(n: Expr) -> bool:
         if not isinstance(n, Expr):
             raise TypeError(f"not an expression: {n!r}")
-        if n.free.isdisjoint(mapping) and _intern.get(n._key()) is n:
-            return n
-        got = memo.get(n)
-        if got is not None:
-            return got
-        if isinstance(n, Const):
-            out = const(n.value)
-        elif isinstance(n, Var):
-            out = build(mapping[n.ref]) if n.ref in mapping else var(n.ref)
-        elif isinstance(n, Sum):
-            out = add(*(go(t) for t in n.terms))
-        elif isinstance(n, Product):
-            out = mul(*(go(f) for f in n.factors))
-        elif isinstance(n, Power):
-            out = pow_(go(n.base), n.exponent)
-        else:
-            out = apply(n.fn, go(n.arg))
-        memo[n] = out
-        return out
+        return n.free.isdisjoint(mapping) and _intern.get(n._key()) is n
 
-    return go(e)
+    if kept(e):
+        return e
+    out: list[Expr] = []
+    for n, kids in Program((e,)).steps:
+        if kept(n):
+            new = n
+        elif isinstance(n, Const):
+            new = const(n.value)
+        elif isinstance(n, Var):
+            new = build(mapping[n.ref]) if n.ref in mapping else var(n.ref)
+        elif isinstance(n, Sum):
+            new = add(*(out[k] for k in kids))
+        elif isinstance(n, Product):
+            new = mul(*(out[k] for k in kids))
+        elif isinstance(n, Power):
+            new = pow_(out[kids[0]], n.exponent)
+        else:
+            new = apply(n.fn, out[kids[0]])
+        out.append(new)
+    return out[-1]
 
 
 # ---------------------------------------------------------------------------

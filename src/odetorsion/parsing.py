@@ -8,6 +8,14 @@ Expression grammar::
     atom   := number | "i" | ident | fn "(" expr ")" | "(" expr ")"
     fn     := "exp"|"log"|"sin"|"cos"|"sqrt"
 
+``parse_expr`` reads it in one loop over the tokens, with no recursion:
+a stack holds the open groups (parentheses and calls), at most
+``_MAX_DEPTH`` of them.  A group collects a run of terms and the current
+term a run of factors; each run goes to ``add`` or ``mul`` in one call.
+A factor is an atom or a closed group, raised to its ``^`` integer, then
+negated once per unary minus before it, then inverted after a ``/``.
+``to_str`` renders a node's program, children before parents.
+
 Reserved identifiers: x, y, dy, yK, dyK (K >= 1 decimal), i, and the
 function names; anything else is a named parameter.  y and dy are
 aliases for y1 and dy1.
@@ -88,130 +96,101 @@ def _combine(op, operands: list[Expr]) -> Expr:
     return operands[0] if len(operands) == 1 else op(*operands)
 
 
-class _Parser:
-    """Recursive descent over one text's tokens, read through an index.
-
-    An operator token's text is never that of another kind of token, so
-    ``peek() == "+"`` tests for the operator alone.
-    """
-
-    def __init__(self, text: str, line0: int = 1, col0: int = 1):
-        self.text = text
-        self.line0 = line0
-        self.col0 = col0
-        self.tokens = _tokenize(text, line0, col0)
-        self.pos = 0
-
-    def peek(self) -> str:
-        """The current token's text ("" at the end)."""
-        return self.tokens[self.pos][1]
-
-    def error(self, message: str, offset: int, expected=()) -> ParseError:
-        return ParseError(message, *_location(self.text, offset, self.line0, self.col0), expected)
-
-    def _fail(self, expected):
-        kind, text, offset = self.tokens[self.pos]
-        what = "end of input" if kind == "end" else repr(text)
-        raise self.error(f"unexpected {what}", offset, expected)
-
-    def eat(self, op: str) -> None:
-        if self.tokens[self.pos][1] != op:
-            self._fail((op,))
-        self.pos += 1
-
-    def expr(self) -> Expr:
-        tokens = self.tokens
-        terms = [self.term()]
-        op = tokens[self.pos][1]
-        while op == "+" or op == "-":
-            self.pos += 1
-            rhs = self.term()
-            terms.append(rhs if op == "+" else ex.neg(rhs))
-            op = tokens[self.pos][1]
-        return _combine(ex.add, terms)
-
-    def term(self) -> Expr:
-        tokens = self.tokens
-        factors = [self.factor()]
-        op = tokens[self.pos][1]
-        while op == "*" or op == "/":
-            offset = tokens[self.pos][2]
-            self.pos += 1
-            rhs = self.factor()
-            if op == "/":
-                try:
-                    rhs = ex.pow_(rhs, -1)  # a/b is a*b^-1
-                except ZeroDivisionError:
-                    raise self.error("division by zero", offset) from None
-            factors.append(rhs)
-            op = tokens[self.pos][1]
-        return _combine(ex.mul, factors)
-
-    def factor(self) -> Expr:
-        tokens = self.tokens
-        if tokens[self.pos][1] == "-":
-            self.pos += 1
-            return ex.neg(self.factor())
-        out = self.atom()
-        if tokens[self.pos][1] != "^":
-            return out
-        self.pos += 1
-        sign = 1
-        if tokens[self.pos][1] == "-":
-            self.pos += 1
-            sign = -1
-        kind, text, offset = tokens[self.pos]
-        if kind != "number" or not text.isdigit():
-            self._fail(("integer exponent",))
-        self.pos += 1
-        n = sign * int(text)
-        if n == 0:
-            raise self.error("zero exponent", offset)
-        try:
-            return ex.pow_(out, n)
-        except ZeroDivisionError as err:
-            raise self.error(str(err), offset) from None
-
-    def atom(self) -> Expr:
-        kind, text, offset = self.tokens[self.pos]
-        if kind == "number":
-            self.pos += 1
-            return ex.const(int(text) if text.isdigit() else Fraction(text))
-        if kind == "ident":
-            self.pos += 1
-            name = text
-            if name == "i":
-                return ex.const(1j)
-            if name in ex.FUNCTIONS:
-                self.eat("(")
-                arg = self.expr()
-                self.eat(")")
-                return ex.apply(name, arg)
-            if name == "x":
-                return ex.var(ex.X)
-            m = _YVAR_RE.match(name)
-            if m:
-                index = int(m.group(2)) if m.group(2) else 1
-                if index < 1:
-                    raise self.error(f"bad variable index in {name!r}", offset)
-                ref = ex.YDot(index) if m.group(1) == "dy" else ex.Y(index)
-                return ex.var(ref)
-            return ex.var(ex.Param(name))
-        if text == "(":
-            self.pos += 1
-            out = self.expr()
-            self.eat(")")
-            return out
-        self._fail(("number", "identifier", "(", "-"))
+_MAX_DEPTH = 5000  # open groups, parentheses and calls, one text may nest
 
 
 def parse_expr(text: str, line: int = 1, col: int = 1) -> Expr:
-    """Parse text, which starts at line line, column col, of its source."""
-    p = _Parser(text, line, col)
-    out = p.expr()
-    if p.peek():
-        p._fail(("operator", "end of input"))
-    return out
+    """Parse text, which starts at line line, column col, of its source.
+
+    An operator token's text is never that of another kind of token, so
+    ``tokens[pos][1] == "+"`` tests for the operator alone.
+    """
+    tokens = _tokenize(text, line, col)
+
+    def error(message: str, offset: int, expected=()) -> ParseError:
+        return ParseError(message, *_location(text, offset, line, col), expected)
+
+    def fail(pos: int, expected):
+        kind, tok, offset = tokens[pos]
+        raise error(f"unexpected {'end of input' if kind == 'end' else repr(tok)}", offset, expected)
+
+    # The innermost group's call (None for parentheses) and terms, the
+    # current term's factors and sign, the offset of the "/" before the
+    # current factor (None after "*") and its unary minuses; groups holds
+    # those of the enclosing groups.
+    pos, groups = 0, []
+    fn, terms, factors, sign, div, minuses = None, [], [], "+", None, 0
+    while True:
+        kind, tok, offset = tokens[pos]
+        pos += 1
+        if tok == "-":
+            minuses += 1
+            continue
+        if kind == "number":
+            out = ex.const(int(tok) if tok.isdigit() else Fraction(tok))
+        elif tok == "i":
+            out = ex.const(1j)
+        elif tok == "x":
+            out = ex.var(ex.X)
+        elif kind == "ident" and tok not in ex.FUNCTIONS:
+            m = _YVAR_RE.match(tok)
+            index = int(m.group(2) or 1) if m else 1
+            if index < 1:
+                raise error(f"bad variable index in {tok!r}", offset)
+            out = ex.var(ex.Param(tok) if not m else ex.YDot(index) if m.group(1) == "dy" else ex.Y(index))
+        elif tok == "(" or kind == "ident":
+            if kind == "ident" and tokens[pos][1] != "(":
+                fail(pos, ("(",))
+            pos += kind == "ident"
+            if len(groups) == _MAX_DEPTH:
+                raise error(f"nested deeper than {_MAX_DEPTH} levels", offset)
+            groups.append((fn, terms, factors, sign, div, minuses))
+            fn = tok if kind == "ident" else None
+            terms, factors, sign, div, minuses = [], [], "+", None, 0
+            continue
+        else:
+            fail(pos - 1, ("number", "identifier", "(", "-"))
+        while True:  # out is an atom or a closed group
+            if tokens[pos][1] == "^":
+                negative = tokens[pos + 1][1] == "-"  # the end token follows any "^"
+                pos += 2 if negative else 1
+                kind, tok, offset = tokens[pos]
+                if kind != "number" or not tok.isdigit():
+                    fail(pos, ("integer exponent",))
+                pos += 1
+                if int(tok) == 0:
+                    raise error("zero exponent", offset)
+                try:
+                    out = ex.pow_(out, -int(tok) if negative else int(tok))
+                except ZeroDivisionError as err:
+                    raise error(str(err), offset) from None
+            for _ in range(minuses):
+                out = ex.neg(out)
+            if div is not None:
+                try:
+                    out = ex.pow_(out, -1)  # a/b is a*b^-1
+                except ZeroDivisionError:
+                    raise error("division by zero", div) from None
+            factors.append(out)
+            op = tokens[pos][1]
+            pos += 1
+            if op == "*" or op == "/":
+                div, minuses = (tokens[pos - 1][2] if op == "/" else None), 0
+                break
+            term = _combine(ex.mul, factors)
+            terms.append(term if sign == "+" else ex.neg(term))
+            if op == "+" or op == "-":
+                factors, sign, div, minuses = [], op, None, 0
+                break
+            out = _combine(ex.add, terms)
+            if op == ")" and groups:
+                if fn is not None:
+                    out = ex.apply(fn, out)
+                fn, terms, factors, sign, div, minuses = groups.pop()
+                continue
+            if groups or op:
+                fail(pos - 1, (")",) if groups else ("operator", "end of input"))
+            return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,28 +214,34 @@ def _fmt_number(v) -> str:
 
 def to_str(e: Expr) -> str:
     """Render in the expression grammar; reparses to an equal Expr."""
-    if isinstance(e, ex.Const):
-        return _fmt_number(e.value)
-    if isinstance(e, ex.Var):
-        return str(e.ref)
-    if isinstance(e, ex.Sum):
-        return " + ".join(to_str(t) for t in e.terms)
-    if isinstance(e, ex.Product):
-        return "*".join(_wrap(f) for f in e.factors)
-    if isinstance(e, ex.Power):
-        base = to_str(e.base) if isinstance(e.base, (ex.Var, ex.Apply)) else f"({to_str(e.base)})"
-        return f"{base}^{e.exponent}"
-    if isinstance(e, ex.Apply):
-        return f"{e.fn}({to_str(e.arg)})"
-    raise TypeError(f"not an expression: {e!r}")
+    steps = ex.Program((e,)).steps
+    out: list[str] = []
+    for n, kids in steps:
+        if isinstance(n, ex.Const):
+            s = _fmt_number(n.value)
+        elif isinstance(n, ex.Var):
+            s = str(n.ref)
+        elif isinstance(n, ex.Sum):
+            s = " + ".join(out[k] for k in kids)
+        elif isinstance(n, ex.Product):
+            s = "*".join(f"({out[k]})" if _wrapped(steps[k][0]) else out[k] for k in kids)
+        elif isinstance(n, ex.Power):
+            base = out[kids[0]] if isinstance(n.base, (ex.Var, ex.Apply)) else f"({out[kids[0]]})"
+            s = f"{base}^{n.exponent}"
+        elif isinstance(n, ex.Apply):
+            s = f"{n.fn}({out[kids[0]]})"
+        else:
+            raise TypeError(f"not an expression: {n!r}")
+        out.append(s)
+    return out[-1]
 
 
-def _wrap(e: Expr) -> str:
+def _wrapped(e: Expr) -> bool:
+    """Whether e goes in parentheses as a factor: a sum, or a complex
+    constant with both parts."""
     if isinstance(e, ex.Sum):
-        return f"({to_str(e)})"
-    if isinstance(e, ex.Const) and not isinstance(e.value, Fraction):
-        return f"({to_str(e)})" if e.value.real != 0 and e.value.imag != 0 else to_str(e)
-    return to_str(e)
+        return True
+    return isinstance(e, ex.Const) and not isinstance(e.value, Fraction) and e.value.real != 0 and e.value.imag != 0
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +261,7 @@ class OdeSystem:
     name: str = "system"
 
     def __post_init__(self):
-        object.__setattr__(self, "rhs", tuple(ex.build(f) for f in self.rhs))
+        object.__setattr__(self, "rhs", tuple(self.canonical(f"f{k}", f) for k, f in enumerate(self.rhs, start=1)))
         object.__setattr__(self, "params", tuple(self.params))
         if self.n < 1:
             raise ValidationError(f"{self.name}: n must be positive")
@@ -291,6 +276,13 @@ class OdeSystem:
         for f in self.rhs:
             self.validate_expr(f)
         self.require_evaluable((f"f{k}", f) for k, f in enumerate(self.rhs, start=1))
+
+    def canonical(self, label: str, e: Expr) -> Expr:
+        """build(e); a division by a constant zero in e is a ValidationError."""
+        try:
+            return ex.build(e)
+        except ZeroDivisionError:
+            raise ValidationError(f"{self.name}: division by zero in {label}") from None
 
     def validate_expr(self, e: Expr):
         declared = {p.name for p in self.params}
@@ -419,7 +411,7 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
 
 
 def _finish_entry(state) -> CorpusEntry:
-    name, lineno = state["name"], state["line"]
+    name = state["name"]
     if state["n"] is None:
         raise ValidationError(f"{name}: missing dimension 'n'")
     if state["expect"] is None:

@@ -175,7 +175,7 @@ def is_straight(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionRe
 
 def check_conserved(sys: OdeSystem, g: Expr, cfg: OracleConfig = OracleConfig()) -> Verdict:
     """Zero iff g is constant along integral curves of sys."""
-    g = ex.build(g)
+    g = sys.canonical("conserved quantity", g)
     sys.validate_expr(g)
     sys.require_evaluable([("conserved quantity", g)])
     return is_zero(total_derivative(g, sys), sys.params, cfg)

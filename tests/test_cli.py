@@ -1,8 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import odetorsion
 from odetorsion.cli import main
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -106,13 +110,37 @@ class TestInline:
 
 
     @pytest.mark.parametrize("rhs", ["(2+i)^100000*y", "(10^308+10^308*i)*(10^308+10^308*i)*y",
-                                     "(" * 6000 + "y" + ")" * 6000],
-                             ids=["complex-power-overflow", "complex-fold-overflow", "deep-nesting"])
+                                     "(" * 6000 + "y" + ")" * 6000, "(1e-170*i)^-2*y"],
+                             ids=["complex-power-overflow", "complex-fold-overflow", "deep-nesting",
+                                  "tiny-complex-power"])
     def test_unreadable_input_exit_2(self, capsys, rhs):
         code, out, err = run(capsys, "analyze", "--rhs", rhs)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_tiny_complex_power_is_an_overflow(self, capsys):
+        _, _, err = run(capsys, "analyze", "--rhs", "(1e-170*i)^-2*y")
+        assert err == "error: constant power outside the float range\n"
+
+    def test_deep_polynomial_at_the_default_recursion_limit(self, capsys):
+        text = "y*(1+" * 1500 + "y" + ")" * 1500
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            code, out, err = run(capsys, "analyze", "--rhs", text, "--jobs", "2")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0 and err == ""
+        assert "not-straight" in out
+
+    def test_import_leaves_the_recursion_limit(self):
+        code = ("import sys; before = sys.getrecursionlimit(); import odetorsion; "
+                "print(before == sys.getrecursionlimit())")
+        src = str(pathlib.Path(odetorsion.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout == "True\n"
 
     def test_zero_to_a_negative_power_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "--rhs", "0^-1")

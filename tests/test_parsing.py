@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -125,13 +126,31 @@ def test_to_str_round_trips(text):
     assert parse_expr(to_str(e)) == e
 
 
-class _FoldParser(parsing._Parser):
-    """The reference: each operand folded into the result so far."""
+class _FoldParser:
+    """The reference: recursive descent over the grammar in the module
+    docstring, each operand folded into the result so far.  Any input it
+    rejects raises ParseError, whatever the message."""
+
+    def __init__(self, text):
+        self.tokens = parsing._tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos][1]
+
+    def take(self):
+        kind, text, _ = self.tokens[self.pos]
+        self.pos += 1
+        return kind, text
+
+    def eat(self, op):
+        if self.take()[1] != op:
+            raise ParseError(f"expected {op!r}")
 
     def expr(self):
         out = self.term()
         while (op := self.peek()) in ("+", "-"):
-            self.eat(op)
+            self.pos += 1
             rhs = self.term()
             out = ex.add(out, rhs if op == "+" else ex.neg(rhs))
         return out
@@ -139,7 +158,7 @@ class _FoldParser(parsing._Parser):
     def term(self):
         out = self.factor()
         while (op := self.peek()) in ("*", "/"):
-            self.eat(op)
+            self.pos += 1
             rhs = self.factor()
             try:
                 out = ex.mul(out, rhs) if op == "*" else ex.quot(out, rhs)
@@ -147,11 +166,57 @@ class _FoldParser(parsing._Parser):
                 raise ParseError("division by zero") from None
         return out
 
+    def factor(self):
+        if self.peek() == "-":
+            self.pos += 1
+            return ex.neg(self.factor())
+        out = self.atom()
+        if self.peek() != "^":
+            return out
+        self.pos += 1
+        sign = -1 if self.peek() == "-" else 1
+        self.pos += sign < 0
+        kind, text = self.take()
+        if kind != "number" or not text.isdigit() or int(text) == 0:
+            raise ParseError("bad exponent")
+        try:
+            return ex.pow_(out, sign * int(text))
+        except ZeroDivisionError:
+            raise ParseError("0 raised to a negative power") from None
 
-def _fold_parse(text):
+    def atom(self):
+        kind, text = self.take()
+        if kind == "number":
+            return ex.const(int(text) if text.isdigit() else Fraction(text))
+        if text == "(":
+            out = self.expr()
+            self.eat(")")
+            return out
+        if kind != "ident":
+            raise ParseError(f"unexpected {text!r}")
+        if text in ex.FUNCTIONS:
+            self.eat("(")
+            arg = self.expr()
+            self.eat(")")
+            return ex.apply(text, arg)
+        if text == "i":
+            return ex.const(1j)
+        if text == "x":
+            return ex.var(ex.X)
+        m = re.fullmatch(r"(dy|y)([0-9]*)", text)
+        if not m:
+            return ex.var(ex.Param(text))
+        index = int(m.group(2) or 1)
+        if index < 1:
+            raise ParseError("bad index")
+        return ex.var(ex.YDot(index) if m.group(1) == "dy" else ex.Y(index))
+
+
+def _fold_parse(text, line=1, col=1):
     p = _FoldParser(text)
     out = p.expr()
-    assert p.peek() == ""
+    if p.peek():
+        raise ParseError("trailing input")
     return out
 
 
@@ -220,7 +285,7 @@ class TestOperandRuns:
             text = (root / name).read_text()
             got = parse_corpus(text)
             with monkeypatch.context() as m:
-                m.setattr(parsing, "_Parser", _FoldParser)
+                m.setattr(parsing, "parse_expr", _fold_parse)
                 want = parse_corpus(text)
             for a, b in zip(got, want, strict=True):
                 assert all(p is q for p, q in zip(a.system.rhs, b.system.rhs, strict=True))
@@ -248,7 +313,48 @@ class TestOperandRuns:
         assert sum(1 + len(ex.children(e)) for e in added) <= 8 * n
 
 
+class TestDepth:
+    def test_max_depth_parses(self):
+        n = parsing._MAX_DEPTH
+        assert n == 5000
+        assert parse_expr("(" * n + "y" + ")" * n) is y
+
+    def test_one_level_deeper_fails_at_its_own_column(self):
+        n = parsing._MAX_DEPTH + 1
+        with pytest.raises(ParseError, match="^nested deeper than 5000 levels at line 1, column 5001$"):
+            parse_expr("(" * n + "y" + ")" * n)
+
+    def test_calls_are_groups(self):
+        n = parsing._MAX_DEPTH + 1
+        assert parse_expr("sin(" * (n - 1) + "y" + ")" * (n - 1)) is not None
+        with pytest.raises(ParseError, match=f"^nested deeper than 5000 levels at line 1, column {4 * n - 3}$"):
+            parse_expr("sin(" * n + "y" + ")" * n)
+
+    def test_to_str_of_a_deep_expression_reparses_to_the_same_node(self):
+        e = parse_expr("y*(1+" * 3000 + "y" + ")" * 3000)
+        assert parse_expr(to_str(e)) is e
+
+    def test_parsing_is_linear(self):
+        import time
+
+        def best(n):
+            text = "+".join(f"{k}*lin{n}^{k}" for k in range(1, n + 1))
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                parse_expr(text)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best(8000) < 2.5 * best(4000)
+
+
 class TestOdeSystem:
+    def test_raw_division_by_zero_is_a_validation_error(self):
+        raw = ex.Product([ex.Var(ex.Y(1)), ex.Power(ex.Const(0), -1)])
+        with pytest.raises(ValidationError, match="^system: division by zero in f1$"):
+            OdeSystem(n=1, rhs=(raw,))
+
     def test_index_out_of_range(self):
         with pytest.raises(ValidationError):
             OdeSystem(n=1, rhs=(parse_expr("y2"),))

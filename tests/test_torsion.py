@@ -260,6 +260,29 @@ class TestConserved:
             check_conserved(_sys1("6*y^2"), parse_expr(text))
 
 
+    def test_raw_division_by_zero_is_a_validation_error(self):
+        from odetorsion.parsing import ValidationError
+
+        raw = ex.Product([ex.Var(Y(1)), ex.Power(ex.Const(0), -1)])
+        with pytest.raises(ValidationError, match="^system: division by zero in conserved quantity$"):
+            check_conserved(_sys1("6*y^2"), raw)
+
+
+class TestDeepInput:
+    def test_deep_polynomial_at_the_default_recursion_limit(self):
+        # y'' = y*(1 + y*(1 + ...)) has f_yy != 0; no walk may recurse on its depth
+        import sys
+
+        text = "y*(1+" * 1500 + "y" + ")" * 1500
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            report = is_straight(_sys1(text))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert report.straight is False
+
+
 class TestLinearConst:
     def _random_pair(self, rng, n):
         A = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
