@@ -14,17 +14,17 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import expr as ex
-from .expr import ZERO, Apply, Expr, Power, Product, Sum, Var, VarRef
+from .expr import ZERO, Apply, Expr, Power, Product, Sum, Var
 
 _HALF = ex.const(Fraction(1, 2))
 
 # Partial derivatives are memoized across calls; expressions are interned
 # and immutable, so the cache is sound for the process lifetime.
-_partial_cache: dict[tuple[int, VarRef], Expr] = {}
+_partial_cache: dict[tuple[int, Var], Expr] = {}
 _cache_pins: dict[int, Expr] = {}  # keep cached keys' id()s stable
 
 
-def partial(e: Expr, v: VarRef) -> Expr:
+def partial(e: Expr, v: Var) -> Expr:
     """Exact symbolic partial derivative, canonicalized.
 
     The unmemoized nodes under e that mention v are differentiated children first, on a
@@ -80,7 +80,7 @@ def partial(e: Expr, v: VarRef) -> Expr:
     return memo[(id(e), v)]
 
 
-def nth_partial(e: Expr, vars: Iterable[VarRef]) -> Expr:
+def nth_partial(e: Expr, vars: Iterable[Var]) -> Expr:
     out = e
     for v in vars:
         out = partial(out, v)
@@ -91,6 +91,6 @@ def total_derivative(g: Expr, sys) -> Expr:
     """d/dx along solutions of sys (an OdeSystem)."""
     terms = [partial(g, ex.X)]
     for i in range(1, sys.n + 1):
-        terms.append(ex.mul(partial(g, ex.Y(i)), ex.var(ex.YDot(i))))
+        terms.append(ex.mul(partial(g, ex.Y(i)), ex.YDot(i)))
         terms.append(ex.mul(partial(g, ex.YDot(i)), sys.rhs[i - 1]))
     return ex.add(*terms)

@@ -21,7 +21,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .expr import VarRef, free_vars
+from .expr import Var, free_vars
 from .oracle import INCONCLUSIVE, NONZERO, ZERO, OracleConfig
 from .parsing import (
     GENERIC,
@@ -52,7 +52,7 @@ _CLASSIFICATION = {ZERO: STRAIGHT, NONZERO: NOT_STRAIGHT, INCONCLUSIVE: "inconcl
 
 
 def _serialize_witness(witness) -> dict:
-    return {str(ref): [value.real, value.imag] for ref, value in sorted(witness.items(), key=lambda kv: str(kv[0]))}
+    return {str(v): [value.real, value.imag] for v, value in sorted(witness.items(), key=lambda kv: str(kv[0]))}
 
 
 def analyze_entry(entry: CorpusEntry, cfg: OracleConfig, method: str = "auto") -> dict:
@@ -81,7 +81,7 @@ def analyze_entry(entry: CorpusEntry, cfg: OracleConfig, method: str = "auto") -
         "match": None if expected is None else classification == expected,
         "seed": cfg.seed,
         "samples": cfg.samples,
-        "expr_nodes": report.telemetry.get("expr_nodes", 0),
+        "expr_nodes": report.expr_nodes,
     }
     if report.verdict.witness is not None:
         record["witness"] = _serialize_witness(report.verdict.witness)
@@ -109,7 +109,7 @@ def _load_entries(args) -> list[CorpusEntry]:
             raise ValidationError("give corpus files or --rhs, not both")
         rhs = tuple(parse_expr(t) for t in args.rhs)
         params = sorted(
-            {r.name for f in rhs for r in free_vars(f) if r.kind == VarRef.PARAM}
+            {r.name for f in rhs for r in free_vars(f) if r.kind == Var.PARAM}
         )
         sys_ = OdeSystem(
             n=len(rhs),

@@ -34,9 +34,12 @@ hashed unless the result is a new constant.  Constants are folded only
 where two or more meet; once a complex one is among them the fold runs
 over their values from the unit, left to right (float rounding depends
 on the order).  A lone constant operand is kept as the node it is, and
-``neg`` multiplies by the shared ``MINUS_ONE``.  ``VarRef`` is interned
-too, one instance per (kind, index, name), so every variable, memo and
-assignment key hashes and compares in C.
+``neg`` multiplies by the shared ``MINUS_ONE``.  A variable is one
+``Var`` node, interned under ``("v", kind, index, name)``; ``X``,
+``Y(i)``, ``YDot(i)`` and ``Param(name)`` return it.  That node is at
+once an expression's leaf, a member of ``free``, a key of a sample point
+and the variable ``partial`` and ``substitute`` take.  A variable is
+never raw, so two raw trees share their variable leaves.
 
 A program lists the distinct nodes of a tuple of roots in evaluation
 order, a node shared between roots once.  Each root caches its own
@@ -67,79 +70,6 @@ FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
 
 
 # ---------------------------------------------------------------------------
-# Variables
-
-
-_refs: dict = {}  # the one VarRef per (kind, index, name)
-
-
-class VarRef:
-    """A reference to x, y^I, dy^I or a named parameter.
-
-    Interned: constructing one returns the shared instance for its
-    (kind, index, name), so VarRefs compare and hash by identity, in C.
-    """
-
-    __slots__ = ("kind", "index", "name")
-
-    X = "x"
-    Y = "y"
-    YDOT = "dy"
-    PARAM = "param"
-
-    def __new__(cls, kind, index=0, name=""):
-        key = (kind, index, name)
-        ref = _refs.get(key)
-        if ref is None:
-            ref = object.__new__(cls)
-            object.__setattr__(ref, "kind", kind)
-            object.__setattr__(ref, "index", index)
-            object.__setattr__(ref, "name", name)
-            # one dict operation, so two threads interning one ref get one
-            ref = _refs.setdefault(key, ref)
-        return ref
-
-    def __setattr__(self, *_):
-        raise AttributeError("VarRef is immutable")
-
-    def __repr__(self):
-        return f"VarRef({self})"
-
-    def __str__(self):
-        if self.kind == VarRef.X:
-            return "x"
-        if self.kind == VarRef.Y:
-            return f"y{self.index}"
-        if self.kind == VarRef.YDOT:
-            return f"dy{self.index}"
-        return self.name
-
-
-X = VarRef(VarRef.X)
-
-
-def _indexed(kind: str, index: int) -> VarRef:
-    ref = _refs.get((kind, index, ""))
-    if ref is None:
-        if index < 1:
-            raise ValueError(f"{kind} index must be >= 1, got {index}")
-        ref = VarRef(kind, index)
-    return ref
-
-
-def Y(index: int) -> VarRef:
-    return _indexed(VarRef.Y, index)
-
-
-def YDot(index: int) -> VarRef:
-    return _indexed(VarRef.YDOT, index)
-
-
-def Param(name: str) -> VarRef:
-    return VarRef(VarRef.PARAM, name=name)
-
-
-# ---------------------------------------------------------------------------
 # Shared summaries
 
 _EMPTY: frozenset = frozenset()
@@ -161,12 +91,12 @@ def _union(sets: Iterable[frozenset]) -> frozenset:
 # ---------------------------------------------------------------------------
 # Nodes
 #
-# Direct construction produces a "raw" node; build() canonicalizes a raw
-# tree, and the lowercase smart constructors combine canonical nodes into
-# a canonical node.  They do not canonicalize a raw operand, not even a
-# lone raw Const, so raw nodes go through build() first.  Nodes are never
-# mutated after construction, except that _prog caches the node's
-# evaluation program once first needed.
+# Direct construction produces a "raw" node (a Var is always the interned
+# one); build() canonicalizes a raw tree, and the lowercase smart
+# constructors combine canonical nodes into a canonical node.  They do not
+# canonicalize a raw operand, not even a lone raw Const, so raw nodes go
+# through build() first.  Nodes are never mutated after construction,
+# except that _prog caches the node's evaluation program once first needed.
 
 
 class Expr:
@@ -214,15 +144,43 @@ class Const(Expr):
 
 
 class Var(Expr):
-    __slots__ = ("ref",)
+    """x, y^I, dy^I or a named parameter.
 
-    def __init__(self, ref: VarRef):
-        self.ref = ref
-        self._summarize((), True)
-        self.free = _shared(frozenset((ref,)))
+    Interned: ``Var(kind, index, name)`` returns the one node for its
+    (kind, index, name), so the node an expression holds is the variable
+    that ``free``, sample points and ``partial`` take.
+    """
+
+    __slots__ = ("kind", "index", "name")
+
+    X = "x"
+    Y = "y"
+    YDOT = "dy"
+    PARAM = "param"
+
+    def __new__(cls, kind: str, index: int = 0, name: str = ""):
+        node = _intern.get(("v", kind, index, name))
+        if node is None:
+            if kind not in (Var.X, Var.Y, Var.YDOT, Var.PARAM):
+                raise ValueError(f"unknown variable kind {kind!r}")
+            if kind in (Var.Y, Var.YDOT) and index < 1:
+                raise ValueError(f"{kind} index must be >= 1, got {index}")
+            node = object.__new__(cls)
+            node.kind, node.index, node.name = kind, index, name
+            node._summarize((), True)
+            node.free = _shared(frozenset((node,)))
+            node = _mk(node)
+        return node
 
     def _key(self):
-        return ("v", self.ref)
+        return ("v", self.kind, self.index, self.name)
+
+    def __str__(self):
+        if self.kind == Var.X:
+            return "x"
+        if self.kind == Var.PARAM:
+            return self.name
+        return f"{self.kind}{self.index}"
 
 
 class Sum(Expr):
@@ -305,6 +263,19 @@ def _mk(node: Expr) -> Expr:
 ZERO = _mk(Const(0))
 ONE = _mk(Const(1))
 MINUS_ONE = _mk(Const(-1))
+X = Var(Var.X)
+
+
+def Y(index: int) -> Var:
+    return Var(Var.Y, index)
+
+
+def YDot(index: int) -> Var:
+    return Var(Var.YDOT, index)
+
+
+def Param(name: str) -> Var:
+    return Var(Var.PARAM, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +300,6 @@ def _rational(num: int, den: int) -> Const:
     built only when the constant is new."""
     node = _intern.get(("q", num, den))
     return node if node is not None else _mk(Const(Fraction(num, den)))
-
-
-def var(ref: VarRef) -> Var:
-    node = _intern.get(("v", ref))
-    return node if node is not None else _mk(Var(ref))
 
 
 def _to_complex(v: Number) -> complex:
@@ -498,7 +464,7 @@ def children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-def free_vars(e: Expr) -> frozenset[VarRef]:
+def free_vars(e: Expr) -> frozenset[Var]:
     return e.free
 
 
@@ -532,7 +498,7 @@ def node_count(e: Expr) -> int:
     return len(seen)
 
 
-def substitute(e: Expr, mapping: Mapping[VarRef, Expr]) -> Expr:
+def substitute(e: Expr, mapping: Mapping[Var, Expr]) -> Expr:
     """Simultaneous substitution, canonicalized, over e's program.
 
     Canonical subexpressions that mention no mapped variable are kept,
@@ -553,7 +519,7 @@ def substitute(e: Expr, mapping: Mapping[VarRef, Expr]) -> Expr:
         elif isinstance(n, Const):
             new = const(n.value)
         elif isinstance(n, Var):
-            new = build(mapping[n.ref]) if n.ref in mapping else var(n.ref)
+            new = build(mapping[n])  # an unmapped variable is kept above
         elif isinstance(n, Sum):
             new = add(*(out[k] for k in kids))
         elif isinstance(n, Product):
@@ -622,33 +588,41 @@ class Program:
         self.roots = tuple(step[r] for r in roots)
         self._degs = self._consts = None
 
-    def degrees(self) -> tuple[list, int]:
-        """(degree of each step, lcm of the constant denominators) of a
-        ``poly`` program; TypeError at a step that is not.
+    def degrees(self) -> tuple[list, list, int]:
+        """(each step's degree with constants at 1, each step's degree,
+        lcm of the constant denominators) of a ``poly`` program; TypeError
+        at a step that is not.
 
-        Leaves have degree 1, a product the sum of its children's degrees,
-        a sum their maximum and a power e times its base's.
+        A variable has degree 1 and a constant 0, or 1 in the first list,
+        which gives the power of S that a step's integer value carries; a
+        product has the sum of its children's degrees, a sum their maximum
+        and a power e times its base's.
         """
         if self._degs is None:
             degs: list = []
+            true: list = []
             den = 1
             for n, kids in self.steps:
                 t = type(n)
                 if t is Const and n.den:
                     den = lcm(den, n.den)
-                    d = 1
+                    d, e = 1, 0
                 elif t is Var:
-                    d = 1
+                    d = e = 1
                 elif t is Sum:
                     d = max((degs[k] for k in kids), default=0)
+                    e = max((true[k] for k in kids), default=0)
                 elif t is Product:
                     d = sum(degs[k] for k in kids)
+                    e = sum(true[k] for k in kids)
                 elif t is Power and n.exponent >= 0:
                     d = n.exponent * degs[kids[0]]
+                    e = n.exponent * true[kids[0]]
                 else:
                     raise TypeError(f"not evaluable in integers: {n!r}")
                 degs.append(d)
-            self._degs = (degs, den)
+                true.append(e)
+            self._degs = (degs, true, den)
         return self._degs
 
     def constants(self) -> dict[Const, complex]:
@@ -676,9 +650,9 @@ def _run(prog: Program, leaf: Callable[[Expr], Number], zero: Number, one: Numbe
     """Every step's value, in program order.
 
     Without step degrees the values are complex.  With step degrees
-    ``degs`` (from ``Program.degrees``) the leaves are integers, each
-    value times ``scale``, and a sum brings each term up to its own
-    degree, so every step holds its value times scale^degree.
+    ``degs`` (constants at 1, from ``Program.degrees``) the leaves are
+    integers, each value times ``scale``, and a sum brings each term up
+    to its own degree, so every step holds its value times scale^degree.
     """
     vals: list = []
     push = vals.append
@@ -718,7 +692,7 @@ def _run(prog: Program, leaf: Callable[[Expr], Number], zero: Number, one: Numbe
     return vals
 
 
-def evaluate_roots(prog: Program, assignment: Mapping[VarRef, complex]) -> list[tuple[complex, float]]:
+def evaluate_roots(prog: Program, assignment: Mapping[Var, complex]) -> list[tuple[complex, float]]:
     """Each root's complex value and cancellation scale: the sum of its
     terms' magnitudes for a sum, its own magnitude otherwise."""
     consts = prog.constants()
@@ -727,9 +701,9 @@ def evaluate_roots(prog: Program, assignment: Mapping[VarRef, complex]) -> list[
         if type(n) is Const:
             return consts[n]
         try:
-            return assignment[n.ref]
+            return assignment[n]
         except KeyError:
-            raise KeyError(f"no assignment for {n.ref}") from None
+            raise KeyError(f"no assignment for {n}") from None
 
     vals = _run(prog, leaf, 0j, 1 + 0j)
     out = []
@@ -740,14 +714,14 @@ def evaluate_roots(prog: Program, assignment: Mapping[VarRef, complex]) -> list[
     return out
 
 
-def evaluate(e: Expr, assignment: Mapping[VarRef, Number]) -> complex:
+def evaluate(e: Expr, assignment: Mapping[Var, Number]) -> complex:
     """Evaluate with standard complex arithmetic, each assigned value taken
     as a complex; principal branches."""
     ((value, _),) = evaluate_roots(program(e), {k: complex(v) for k, v in assignment.items()})
     return value
 
 
-def exact_ratios(prog: Program, assignment: Mapping[VarRef, Fraction]) -> list[tuple[int, int]]:
+def exact_ratios(prog: Program, assignment: Mapping[Var, Fraction]) -> list[tuple[int, int]]:
     """Each root's (N, D), D > 0 and not reduced, with exact value N / D,
     for a ``poly`` program (TypeError otherwise).
 
@@ -755,20 +729,20 @@ def exact_ratios(prog: Program, assignment: Mapping[VarRef, Fraction]) -> list[t
     denominators and the assigned values' denominators: D is S^d for a
     root of degree d.
     """
-    degs, den = prog.degrees()
+    degs, _, den = prog.degrees()
     s = lcm(den, *(v.denominator for v in assignment.values()))
 
     def scaled(n: Expr) -> int:
         if type(n) is Const:
             return n.num * (s // n.den)
-        v = assignment[n.ref]
+        v = assignment[n]
         return v.numerator * (s // v.denominator)
 
     vals = _run(prog, scaled, 0, 1, degs, s)
     return [(vals[r], s ** degs[r]) for r in prog.roots]
 
 
-def evaluate_exact(e: Expr, assignment: Mapping[VarRef, Fraction]) -> Fraction:
+def evaluate_exact(e: Expr, assignment: Mapping[Var, Fraction]) -> Fraction:
     """Exact rational evaluation; TypeError unless is_polynomial(e)."""
     ((num, den),) = exact_ratios(program(e), assignment)
     return Fraction(num, den)

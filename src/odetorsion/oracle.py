@@ -48,7 +48,7 @@ from math import cos, inf, pi, sin
 from typing import Callable, Optional, Sequence
 
 from . import expr as ex
-from .expr import Const, EvalSingular, Expr, Param, VarRef
+from .expr import Const, EvalSingular, Expr, Param, Var
 
 ZERO = "zero"
 NONZERO = "nonzero"
@@ -96,7 +96,7 @@ class Verdict:
     # valid points before the witness, or in all when none was found; a
     # matrix counts points, not entries (the fewer of its two paths')
     samples_passed: int = 0
-    witness: Optional[dict] = None  # VarRef -> complex
+    witness: Optional[dict] = None  # Var -> complex
     value: Optional[complex] = None
     reason: str = ""
     branch_limited: bool = False
@@ -124,17 +124,17 @@ def _sample_annulus(rng: random.Random) -> complex:
     return complex(r * cos(t), r * sin(t))
 
 
-def sample_point(rng: random.Random, refs: Sequence[VarRef], params: Sequence[ParamDecl] = (),
+def sample_point(rng: random.Random, variables: Sequence[Var], params: Sequence[ParamDecl] = (),
                  draw: Callable = _sample_annulus, number: Callable = complex) -> dict:
-    """One point for refs, drawn in their order.
+    """One point for variables, drawn in their order.
 
-    A FIXED parameter takes number(value); every other ref, including a
+    A FIXED parameter takes number(value); every other variable, including a
     GENERIC_NONZERO one (the annulus already excludes |v| < R_MIN), is
     draw(rng).  The defaults are the numeric path's; the exact path draws
     ``_sample_rational`` and keeps fixed values as ``Fraction``.
     """
     fixed = {Param(p.name): p.value for p in params if p.policy == FIXED}
-    return {r: number(fixed[r]) if r in fixed else draw(rng) for r in refs}
+    return {r: number(fixed[r]) if r in fixed else draw(rng) for r in variables}
 
 
 def _exact_path_ok(e: Expr, params: Sequence[ParamDecl]) -> bool:
@@ -242,9 +242,9 @@ def _decide(roots: Sequence[Expr], params, cfg) -> tuple[Optional[int], Verdict]
             return nonzero(first, witness={}, value=_float(v.numerator, v.denominator), exact=True)
         return nonzero(first, witness={}, value=v)
     if not paths:
-        # what sampling the degree-1 Sum([c]) of a zero constant reports
-        k = _exact_samples(1, cfg.samples)
-        return None, Verdict(ZERO, seed=cfg.seed, samples_passed=k, exact=True, bound=_miss_bound(1, k))
+        # what sampling the degree-0 Sum([c]) of a zero constant reports
+        k = _exact_samples(0, cfg.samples)
+        return None, Verdict(ZERO, seed=cfg.seed, samples_passed=k, exact=True, bound=_miss_bound(0, k))
     settled = sorted((k, path.settle(k, cfg)) for path in paths for k in path.at)
     for k, v in settled:
         if v.outcome == INCONCLUSIVE:
@@ -269,8 +269,8 @@ class _Path:
         self.roots = [roots[k] for k in at]
         self.prog = ex.batch(self.roots)
         # parameters after the other variables, each group in name order
-        self.refs = sorted(set().union(*(e.free for e in self.roots)),
-                           key=lambda r: (r.kind == VarRef.PARAM, str(r)))
+        self.variables = sorted(set().union(*(e.free for e in self.roots)),
+                                key=lambda v: (v.kind == Var.PARAM, str(v)))
         self.params = params
         self.rel_tol = cfg.rel_tol
         self.samples = cfg.samples
@@ -314,13 +314,13 @@ class _Exact(_Path):
 
     ``_sample_rational`` draws each coordinate as a_i/b_i with a_i and
     b_i uniform in [1, 10^6].  d is the largest root degree from
-    ``Program.degrees``, which counts constants as degree 1, so d is an
-    upper bound.  Fix the sampled denominators: each numerator is then
-    uniform over 10^6 values.  For a root p not identically zero,
-    q(a) = p(a_1/b_1, ...) is a nonzero polynomial of degree <= d in the
-    numerators, so by the Schwartz-Zippel lemma one point misses p with
-    probability <= d/10^6, and k independent points all miss it with
-    probability <= (d/10^6)^k.  Every point is decided exactly, so the
+    ``Program.degrees``, which counts a constant as degree 0 and a sum as
+    its largest term, so d bounds the true degree from above.  Fix the
+    sampled denominators: each numerator is then uniform over 10^6 values.
+    For a root p not identically zero, q(a) = p(a_1/b_1, ...) is a nonzero
+    polynomial of degree <= d in the numerators, so by the Schwartz-Zippel
+    lemma one point misses p with probability <= d/10^6, and k independent
+    points all miss it with probability <= (d/10^6)^k.  Every point is decided exactly, so the
     bound holds whatever p's coefficients.
     """
 
@@ -328,13 +328,13 @@ class _Exact(_Path):
 
     def __init__(self, roots, at, params, cfg):
         super().__init__(roots, at, params, cfg)
-        degs, _ = self.prog.degrees()
+        _, degs, _ = self.prog.degrees()
         d = max(degs[r] for r in self.prog.roots)
         self.samples = _exact_samples(d, cfg.samples)
         self.bound = _miss_bound(d, self.samples)
 
     def draw(self) -> dict:
-        return sample_point(self.rng, self.refs, self.params, _sample_rational, Fraction)
+        return sample_point(self.rng, self.variables, self.params, _sample_rational, Fraction)
 
     def test(self) -> list:
         self.ratios = ex.exact_ratios(self.prog, self.point)
@@ -352,7 +352,7 @@ class _Numeric(_Path):
     """Annulus points, each root judged against its own cancellation scale."""
 
     def draw(self) -> dict:
-        return sample_point(self.rng, self.refs, self.params)
+        return sample_point(self.rng, self.variables, self.params)
 
     def test(self) -> Optional[list]:
         self.overflow = None

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
-from .expr import Expr, VarRef
+from .expr import Expr, Var
 from .oracle import FIXED, GENERIC, GENERIC_NONZERO, ParamDecl, sample_point
 
 
@@ -131,13 +131,13 @@ def parse_expr(text: str, line: int = 1, col: int = 1) -> Expr:
         elif tok == "i":
             out = ex.const(1j)
         elif tok == "x":
-            out = ex.var(ex.X)
+            out = ex.X
         elif kind == "ident" and tok not in ex.FUNCTIONS:
             m = _YVAR_RE.match(tok)
             index = int(m.group(2) or 1) if m else 1
             if index < 1:
                 raise error(f"bad variable index in {tok!r}", offset)
-            out = ex.var(ex.Param(tok) if not m else ex.YDot(index) if m.group(1) == "dy" else ex.Y(index))
+            out = ex.Param(tok) if not m else ex.YDot(index) if m.group(1) == "dy" else ex.Y(index)
         elif tok == "(" or kind == "ident":
             if kind == "ident" and tokens[pos][1] != "(":
                 fail(pos, ("(",))
@@ -220,7 +220,7 @@ def to_str(e: Expr) -> str:
         if isinstance(n, ex.Const):
             s = _fmt_number(n.value)
         elif isinstance(n, ex.Var):
-            s = str(n.ref)
+            s = str(n)
         elif isinstance(n, ex.Sum):
             s = " + ".join(out[k] for k in kids)
         elif isinstance(n, ex.Product):
@@ -286,12 +286,12 @@ class OdeSystem:
 
     def validate_expr(self, e: Expr):
         declared = {p.name for p in self.params}
-        for ref in sorted(ex.free_vars(e), key=str):
-            if ref.kind in (VarRef.Y, VarRef.YDOT):
-                if not 1 <= ref.index <= self.n:
-                    raise ValidationError(f"{self.name}: variable index {ref.index} outside 1..{self.n}")
-            elif ref.kind == VarRef.PARAM and ref.name not in declared:
-                raise ValidationError(f"{self.name}: undeclared parameter {ref.name!r}")
+        for v in sorted(ex.free_vars(e), key=str):
+            if v.kind in (Var.Y, Var.YDOT):
+                if not 1 <= v.index <= self.n:
+                    raise ValidationError(f"{self.name}: variable index {v.index} outside 1..{self.n}")
+            elif v.kind == Var.PARAM and v.name not in declared:
+                raise ValidationError(f"{self.name}: undeclared parameter {v.name!r}")
 
     def require_evaluable(self, labelled) -> None:
         """Reject an expression that no sample point evaluates.
@@ -303,10 +303,10 @@ class OdeSystem:
         """
         rng = random.Random(0)
         for label, e in labelled:
-            refs = sorted(ex.free_vars(e), key=str)
+            variables = sorted(ex.free_vars(e), key=str)
             for _ in range(_POINTS):
                 try:
-                    ex.evaluate(e, sample_point(rng, refs, self.params))
+                    ex.evaluate(e, sample_point(rng, variables, self.params))
                     break
                 except ArithmeticError:
                     continue
@@ -365,6 +365,8 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             state = {"name": rest, "n": None, "params": [], "rhs": {},
                      "conserved": [], "expect": None, "notes": [], "line": lineno}
             continue
+        if word in ("n", "expect") and state[word] is not None:
+            raise ParseError(f"duplicate {word}", lineno, 1)
         if word == "n":
             try:
                 state["n"] = int(rest)

@@ -24,8 +24,7 @@ identically; the vanishing decision is delegated to the zero oracle.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional
@@ -50,7 +49,11 @@ class TorsionReport:
     method: str  # tresse | fels | quartic
     invariant: object  # Expr, list of rows of Expr, or list of Expr
     verdict: Verdict
-    telemetry: dict = field(default_factory=dict)
+
+    @property
+    def expr_nodes(self) -> int:
+        """The invariant's DAG nodes, summed over its entries."""
+        return sum(ex.node_count(e) for e in _invariant_exprs(self.invariant))
 
     @property
     def straight(self) -> Optional[bool]:
@@ -71,14 +74,6 @@ def _invariant_exprs(invariant):
         else:
             out.extend(item)
     return out
-
-
-def _telemetry(invariant, started) -> dict:
-    exprs = _invariant_exprs(invariant)
-    return {
-        "expr_nodes": sum(ex.node_count(e) for e in exprs),
-        "wall_ms": (time.perf_counter() - started) * 1000.0,
-    }
 
 
 def phi_matrix(sys: OdeSystem) -> list[list[Expr]]:
@@ -107,13 +102,12 @@ def phi_matrix(sys: OdeSystem) -> list[list[Expr]]:
 
 def fels_torsion(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionReport:
     """Trace-free torsion matrix; defined for all n >= 1."""
-    started = time.perf_counter()
     n = sys.n
     if n == 1:
         # the single trace-adjusted entry is zero by definition
         matrix = [[ex.ZERO]]
         verdict = Verdict(ZERO, seed=cfg.seed, exact=True)
-        return TorsionReport(FELS, matrix, verdict, _telemetry(matrix, started))
+        return TorsionReport(FELS, matrix, verdict)
     phi = phi_matrix(sys)
     trace_over_n = ex.mul(ex.const(Fraction(-1, n)), ex.add(*(phi[k][k] for k in range(n))))
     matrix = [
@@ -121,7 +115,7 @@ def fels_torsion(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionR
         for i in range(n)
     ]
     verdict = is_zero_matrix(matrix, sys.params, cfg)
-    return TorsionReport(FELS, matrix, verdict, _telemetry(matrix, started))
+    return TorsionReport(FELS, matrix, verdict)
 
 
 def _tresse_expr(sys: OdeSystem) -> Expr:
@@ -146,10 +140,9 @@ def tresse_torsion(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> Torsio
     """The scalar fourth-order invariant; only defined for n = 1."""
     if sys.n != 1:
         raise DimensionError(f"Tresse torsion needs n=1, got n={sys.n}")
-    started = time.perf_counter()
     invariant = _tresse_expr(sys)
     verdict = is_zero(invariant, sys.params, cfg)
-    return TorsionReport(TRESSE, invariant, verdict, _telemetry(invariant, started))
+    return TorsionReport(TRESSE, invariant, verdict)
 
 
 def quartic_test(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionReport:
@@ -158,12 +151,11 @@ def quartic_test(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionR
     Tested as one row per f^I, its partials in combinations_with_replacement
     order, so a witness entry (I, k) names f^I's k-th partial.
     """
-    started = time.perf_counter()
     combos = list(combinations_with_replacement([ex.YDot(j + 1) for j in range(sys.n)], 4))
     rows = [[nth_partial(f, combo) for combo in combos] for f in sys.rhs]
     verdict = is_zero_matrix(rows, sys.params, cfg)
     invariant = [d4 for row in rows for d4 in row]
-    return TorsionReport(QUARTIC, invariant, verdict, _telemetry(invariant, started))
+    return TorsionReport(QUARTIC, invariant, verdict)
 
 
 def is_straight(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionReport:
@@ -248,7 +240,7 @@ def linear_const_to_system(ls: LinearConstSystem, name: str = "linear-const") ->
     for i in range(n):
         terms = []
         for j in range(n):
-            terms.append(ex.mul(ex.const(ls.A[i][j]), ex.var(ex.YDot(j + 1))))
-            terms.append(ex.mul(ex.const(ls.B[i][j]), ex.var(ex.Y(j + 1))))
+            terms.append(ex.mul(ex.const(ls.A[i][j]), ex.YDot(j + 1)))
+            terms.append(ex.mul(ex.const(ls.B[i][j]), ex.Y(j + 1)))
         rhs.append(ex.add(*terms))
     return OdeSystem(n=n, rhs=tuple(rhs), name=name)

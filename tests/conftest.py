@@ -23,7 +23,7 @@ def random_polynomial(rng: random.Random, refs, max_degree=3, max_terms=5) -> ex
         for ref in refs:
             d = rng.randint(0, max_degree)
             if d:
-                factors.append(ex.pow_(ex.var(ref), d))
+                factors.append(ex.pow_(ref, d))
         terms.append(ex.mul(*factors))
     return ex.add(*terms)
 

@@ -9,9 +9,9 @@ from odetorsion.calculus import nth_partial, partial, total_derivative
 from odetorsion.expr import EvalSingular, X, Y, YDot
 from odetorsion.parsing import OdeSystem, parse_expr
 
-x = ex.var(X)
-y = ex.var(Y(1))
-dy = ex.var(YDot(1))
+x = X
+y = Y(1)
+dy = YDot(1)
 
 
 def central_difference(e, ref, point, h=1e-5):
@@ -25,6 +25,11 @@ def central_difference(e, ref, point, h=1e-5):
 
 
 class TestPartial:
+    def test_the_parsed_leaf_is_the_variable(self):
+        f = parse_expr("y^3 + x*y")
+        assert partial(f, parse_expr("y")) is parse_expr("3*y1^2 + x")
+        assert partial(f, parse_expr("x")) is Y(1)
+
     def test_power_rule(self):
         assert partial(ex.pow_(y, 3), Y(1)) == ex.mul(ex.const(3), ex.pow_(y, 2))
 

@@ -231,6 +231,14 @@ class TestCorpus:
         assert out == ""
         assert err == "error: tiny: negative power outside the float range\n"
 
+    def test_duplicate_directive_exit_2(self, capsys, tmp_path):
+        # the last "n" and "expect" used to win silently: not-straight ... ok, exit 0
+        corpus = tmp_path / "twice"
+        corpus.write_text("system s\n n 2\n n 1\n f1 = 6*y^2\n expect straight\n expect not-straight\nend\n")
+        code, out, err = run(capsys, "analyze", str(corpus))
+        assert (code, out) == (2, "")
+        assert err == "error: duplicate n at line 3, column 1\n"
+
     def test_missing_file_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "no-such-file")
         assert code == 2

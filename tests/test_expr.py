@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odetorsion import expr as ex
+from odetorsion.parsing import parse_expr
 from odetorsion.expr import (
     Apply,
     Const,
@@ -19,7 +20,6 @@ from odetorsion.expr import (
     Product,
     Sum,
     Var,
-    VarRef,
     X,
     Y,
     YDot,
@@ -30,9 +30,9 @@ from odetorsion.expr import (
     substitute,
 )
 
-x = ex.var(X)
-y1 = ex.var(Y(1))
-dy1 = ex.var(YDot(1))
+x = X
+y1 = Y(1)
+dy1 = YDot(1)
 
 
 class TestBuild:
@@ -40,23 +40,23 @@ class TestBuild:
         assert build(Sum([Const(2), Const(3)])) == ex.const(5)
 
     def test_annihilator(self):
-        assert build(Product([Const(0), Var(X)])) is ex.ZERO
+        assert build(Product([Const(0), X])) is ex.ZERO
 
     def test_flatten_and_drop_zero(self):
-        raw = Sum([Var(X), Sum([Var(Y(1)), Const(0)])])
+        raw = Sum([X, Sum([Y(1), Const(0)])])
         assert build(raw) == ex.add(x, y1)
 
     def test_power_collapse(self):
-        assert build(Power(Var(X), 1)) == x
-        assert build(Power(Power(Var(X), 2), 3)) == ex.pow_(x, 6)
+        assert build(Power(X, 1)) == x
+        assert build(Power(Power(X, 2), 3)) == ex.pow_(x, 6)
 
     def test_quotient_by_constant_folds(self):
         # x/2 is x*2^-1, and the constant's power folds
-        assert build(Product([Var(X), Power(Const(2), -1)])) is ex.mul(ex.const(Fraction(1, 2)), x)
+        assert build(Product([X, Power(Const(2), -1)])) is ex.mul(ex.const(Fraction(1, 2)), x)
         assert ex.quot(x, ex.const(2)) is ex.mul(ex.const(Fraction(1, 2)), x)
 
     def test_no_nested_sums_or_products(self):
-        raw = Sum([Sum([Var(X), Var(Y(1))]), Sum([Var(YDot(1)), Const(1)])])
+        raw = Sum([Sum([X, Y(1)]), Sum([YDot(1), Const(1)])])
         out = build(raw)
         assert isinstance(out, Sum)
         assert not any(isinstance(t, Sum) for t in out.terms)
@@ -67,7 +67,7 @@ class TestBuild:
 # a small strategy for raw trees
 _leaves = st.one_of(
     st.integers(-4, 4).map(Const),
-    st.sampled_from([Var(X), Var(Y(1)), Var(YDot(1)), Var(ex.Param("a"))]),
+    st.sampled_from([X, Y(1), YDot(1), ex.Param("a")]),
 )
 
 
@@ -138,7 +138,7 @@ def _reference_summary(n):
     if isinstance(n, Const):
         return frozenset(), isinstance(n.value, Fraction), frozenset()
     if isinstance(n, Var):
-        return frozenset((n.ref,)), True, frozenset()
+        return frozenset((n,)), True, frozenset()
     if isinstance(n, Apply):
         return free, False, fns | {n.fn}
     if isinstance(n, Power):
@@ -181,7 +181,7 @@ def _reference_exact(n, point):
     if isinstance(n, Const):
         return n.value
     if isinstance(n, Var):
-        return point[n.ref]
+        return point[n]
     kids = [_reference_exact(c, point) for c in ex.children(n)]
     if isinstance(n, Sum):
         return sum(kids, Fraction(0))
@@ -238,7 +238,7 @@ def test_integer_evaluation_meets_no_singular_step(raw, values):
 
 def test_interning_is_race_free():
     """Two threads interning the same new nodes get one node per key."""
-    a = ex.var(ex.Param("race"))
+    a = ex.Param("race")
     results = ([], [])
     start = threading.Barrier(2)
 
@@ -369,7 +369,7 @@ def test_key_first_constructors_match_node_first_reference(operands, exponent):
 
 class TestKeyFirstInterning:
     def test_a_hit_builds_no_node(self, monkeypatch):
-        a = ex.var(ex.Param("hit"))
+        a = ex.Param("hit")
         nodes = [ex.add(a, y1, ex.ONE), ex.mul(ex.const(3), a), ex.neg(a), ex.pow_(a, 4),
                  ex.quot(y1, a), ex.apply("exp", a), ex.const(7), ex.const(Fraction(3, 5))]
         made = []
@@ -385,11 +385,11 @@ class TestKeyFirstInterning:
         assert ex.const(123457) is c and type(c.value) is Fraction
         assert ex.const(-5) is ex.const(Fraction(-5)) and ex.neg(ex.const(5)) is ex.const(-5)
 
-    def test_one_varref_per_index(self):
+    def test_one_var_per_index(self):
         assert Y(3) is Y(3) and YDot(3) is YDot(3) and Y(3) != YDot(3)
-        assert VarRef(VarRef.Y, 1) is Y(1) and VarRef(VarRef.YDOT, index=2) is YDot(2)
+        assert Var(Var.Y, 1) is Y(1) and Var(Var.YDOT, index=2) is YDot(2)
         assert Param("a") is Param("a") and Param("a") is not Param("b")
-        assert VarRef(VarRef.X) is X
+        assert Var(Var.X) is X
         with pytest.raises(ValueError):
             Y(0)
 
@@ -399,13 +399,14 @@ class TestKeyFirstInterning:
             assert "_h" not in getattr(cls, "__slots__", ())
 
         def tree():
-            return Sum([Product([Const(3), Var(X)]), Power(Var(Y(1)), 2)])
+            return Sum([Product([Const(3), X]), Power(Y(1), 2)])
 
-        a, b = tree(), tree()  # structurally equal raw trees, no object shared
+        a, b = tree(), tree()  # structurally equal raw trees sharing only their variables
         assert len({a: 1, b: 2}) == 2
         prog = ex.Program((a, b))
-        assert len(prog.steps) == 12 and prog.roots[0] != prog.roots[1]
-        s = Var(X)
+        # 6 nodes per tree, but x and y1 once each: a variable is always its interned node
+        assert len(prog.steps) == 10 and prog.roots[0] != prog.roots[1]
+        s = X
         assert len(ex.Program((Product([s, s]),)).steps) == 2  # one object, one step
         assert build(a) is build(b) is ex.add(ex.mul(ex.const(3), x), ex.pow_(y1, 2))
 
@@ -500,13 +501,30 @@ class TestConstantPairs:
         assert all(Param(name) is p for name, p in zip(names, results[0]))
 
 
+class TestOneVariableObject:
+    def test_the_parsed_leaf_is_the_variable(self):
+        assert Y(1) is parse_expr("y") is parse_expr("y1")
+        assert X is parse_expr("x") and Param("a") is parse_expr("a")
+        assert parse_expr("y^3 + x*y").free == {Y(1), X}
+
+    def test_substitute_takes_the_parsed_leaf(self):
+        e = parse_expr("y^2 + dy")
+        assert substitute(e, {parse_expr("y"): X}) is parse_expr("x^2 + dy")
+
+    def test_a_variable_is_never_raw(self):
+        assert build(Y(2)) is Y(2) and substitute(Y(2), {}) is Y(2)
+        with pytest.raises(ValueError, match="unknown variable kind"):
+            Var(X)
+        assert (str(X), str(Y(1)), str(YDot(2)), str(Param("a"))) == ("x", "y1", "dy2", "a")
+
+
 class TestSubstitute:
     def test_param_to_zero(self):
-        e = ex.mul(ex.var(ex.Param("a")), y1)
+        e = ex.mul(ex.Param("a"), y1)
         assert substitute(e, {ex.Param("a"): ex.ZERO}) is ex.ZERO
 
     def test_param_to_variable(self):
-        e = ex.mul(ex.const(2), ex.var(ex.Param("a")))
+        e = ex.mul(ex.const(2), ex.Param("a"))
         assert substitute(e, {ex.Param("a"): x}) == ex.mul(ex.const(2), x)
 
     def test_empty_map_is_identity(self):
@@ -552,7 +570,7 @@ class TestEvaluate:
     def test_negative_power_beyond_the_float_range_overflows(self, k):
         # complex v**-k raises ZeroDivisionError once v**k underflows to 0;
         # the value left the float range, as when v**-1 overflows
-        ay = ex.mul(ex.var(Param("a")), y1)
+        ay = ex.mul(Param("a"), y1)
         point = {Param("a"): 1e-170, Y(1): 1}
         assert evaluate(ex.pow_(ay, -1), point) == pytest.approx(1e170)
         with pytest.raises(OverflowError):
@@ -612,7 +630,7 @@ class TestIsPolynomial:
     def test_complex_constant_not_polynomial(self):
         assert not is_polynomial(ex.mul(ex.const(1j), y1))
 
-    @pytest.mark.parametrize("raw", [Product([Var(Y(1)), Power(Const(2), -1)]), Power(Var(Y(1)), -1)],
+    @pytest.mark.parametrize("raw", [Product([Y(1), Power(Const(2), -1)]), Power(Y(1), -1)],
                              ids=["y/2", "y^-1"])
     def test_raw_quotient_and_negative_power_not_polynomial(self, raw):
         assert is_polynomial(raw) is False

@@ -32,9 +32,9 @@ from odetorsion.parsing import (
 )
 from odetorsion.torsion import fels_torsion, quartic_test, tresse_torsion
 
-x = ex.var(X)
-y = ex.var(Y(1))
-dy = ex.var(YDot(1))
+x = X
+y = Y(1)
+dy = YDot(1)
 
 
 class TestExactPath:
@@ -149,31 +149,40 @@ class TestExactSamples:
         assert oracle._miss_bound(10 ** 6, 32) == oracle._miss_bound(10 ** 400, 32) == 1.0
 
     def test_zero_verdict_decides_k_points_exactly(self, monkeypatch):
-        term = ex.mul(ex.const(Fraction(1, P)), y)  # degree 2: the constant counts 1
+        term = ex.mul(ex.const(Fraction(1, P)), y)  # degree 1: a constant counts 0
         calls = []
         exact_ratios = ex.exact_ratios
         monkeypatch.setattr(ex, "exact_ratios", lambda *a: calls.append(a) or exact_ratios(*a))
         v = is_zero(ex.sub(term, term))
-        k = oracle._exact_samples(2, 32)
+        k = oracle._exact_samples(1, 32)
         assert v.is_zero and v.exact and v.samples_passed == k == 4
         assert len(calls) == k  # every point, decided exactly
-        assert v.bound == oracle._miss_bound(2, k)
+        assert v.bound == oracle._miss_bound(1, k)
         v = is_zero(term)
         point = _seeded_rational_point([Y(1)])
         assert v.is_nonzero and v.exact and v.value == complex(point[Y(1)] / P)
         assert v.bound is None
 
     def test_k_follows_the_largest_root_degree(self, monkeypatch):
-        # y^22 + -1*y^22 has degree 23: the constant -1 counts 1
+        # y^22 + -1*y^22 has degree 22: the constant -1 counts 0
         roots = [ex.sub(e, e) for e in (y, ex.pow_(y, 22))]
         calls = []
         exact_ratios = ex.exact_ratios
         monkeypatch.setattr(ex, "exact_ratios", lambda *a: calls.append(a) or exact_ratios(*a))
         v = is_zero_matrix([roots])
         assert v.is_zero and v.samples_passed == len(calls) == 5
-        assert v.bound == oracle._miss_bound(23, 5)
+        assert v.bound == oracle._miss_bound(22, 5)
         v = is_zero_matrix([roots], cfg=OracleConfig(samples=3))
-        assert v.is_zero and v.samples_passed == 3 and v.bound == oracle._miss_bound(23, 3)
+        assert v.is_zero and v.samples_passed == 3 and v.bound == oracle._miss_bound(22, 3)
+
+    def test_a_constant_factor_adds_no_degree(self, monkeypatch):
+        # y^15 + -1*y^15 has degree 15, so 4 points; counting the -1 as 1 drew 5
+        calls = []
+        exact_ratios = ex.exact_ratios
+        monkeypatch.setattr(ex, "exact_ratios", lambda *a: calls.append(a) or exact_ratios(*a))
+        v = is_zero(parse_expr("y^15 - y^15"))
+        assert v.is_zero and v.exact and v.samples_passed == len(calls) == 4
+        assert v.bound == (15 / 10 ** 6) ** 4
 
     def test_mixed_matrix_numeric_path_keeps_its_samples_and_stream(self, monkeypatch):
         exact_zero = ex.sub(ex.mul(x, y), ex.mul(x, y))
@@ -184,8 +193,8 @@ class TestExactSamples:
         monkeypatch.setattr(ex, "exact_ratios", lambda *a: calls.append(a) or exact_ratios(*a))
         cfg = OracleConfig(seed=3)
         v = is_zero_matrix([[exact_zero, numeric_zero]], cfg=cfg)
-        # x*y + -1*x*y has degree 3
-        assert v.is_zero and not v.exact and v.bound == oracle._miss_bound(3, 4)
+        # x*y + -1*x*y has degree 2
+        assert v.is_zero and not v.exact and v.bound == oracle._miss_bound(2, 4)
         assert len(calls) == 4 and len(points) == cfg.samples
         rng = random.Random(cfg.seed)
         assert points == [oracle.sample_point(rng, [Y(1)]) for _ in range(cfg.samples)]
@@ -425,7 +434,7 @@ class TestMatrix:
             rhs = [random_polynomial(rng, refs, max_degree=2, max_terms=3) for _ in range(n)]
             if trial % 2:
                 # a transcendental term sends entries to the numeric path
-                rhs[-1] = ex.add(rhs[-1], ex.apply("exp", ex.mul(ex.var(Y(1)), ex.var(YDot(n)))))
+                rhs[-1] = ex.add(rhs[-1], ex.apply("exp", ex.mul(Y(1), YDot(n))))
             sys_ = OdeSystem(n=n, rhs=tuple(rhs))
             cfg = OracleConfig(seed=trial)
             fels = fels_torsion(sys_, cfg)

@@ -21,9 +21,9 @@ from odetorsion.parsing import (
     to_str,
 )
 
-x = ex.var(ex.X)
-y = ex.var(ex.Y(1))
-dy = ex.var(ex.YDot(1))
+x = ex.X
+y = ex.Y(1)
+dy = ex.YDot(1)
 
 
 class TestParseExpr:
@@ -202,14 +202,14 @@ class _FoldParser:
         if text == "i":
             return ex.const(1j)
         if text == "x":
-            return ex.var(ex.X)
+            return ex.X
         m = re.fullmatch(r"(dy|y)([0-9]*)", text)
         if not m:
-            return ex.var(ex.Param(text))
+            return ex.Param(text)
         index = int(m.group(2) or 1)
         if index < 1:
             raise ParseError("bad index")
-        return ex.var(ex.YDot(index) if m.group(1) == "dy" else ex.Y(index))
+        return ex.YDot(index) if m.group(1) == "dy" else ex.Y(index)
 
 
 def _fold_parse(text, line=1, col=1):
@@ -351,7 +351,7 @@ class TestDepth:
 
 class TestOdeSystem:
     def test_raw_division_by_zero_is_a_validation_error(self):
-        raw = ex.Product([ex.Var(ex.Y(1)), ex.Power(ex.Const(0), -1)])
+        raw = ex.Product([ex.Y(1), ex.Power(ex.Const(0), -1)])
         with pytest.raises(ValidationError, match="^system: division by zero in f1$"):
             OdeSystem(n=1, rhs=(raw,))
 
@@ -463,11 +463,22 @@ class TestParseCorpus:
         with pytest.raises(ParseError):
             parse_corpus("system s\n n 1\n f1 = y\n expect maybe\nend")
 
+    @pytest.mark.parametrize("line, word", [
+        (" n 1", "n"),
+        (" f1 = 6*y^2", "f1"),
+        (" expect not-straight", "expect"),
+    ], ids=["n", "f1", "expect"])
+    def test_a_second_directive_line_is_an_error(self, line, word):
+        # each directive before "end" holds one value; a repeat is not a silent override
+        text = f"system s\n n 1\n f1 = 6*y^2\n expect straight\n{line}\nend"
+        with pytest.raises(ParseError, match=f"^duplicate {word} at line 5, column 1$"):
+            parse_corpus(text)
+
     def test_tabs_separate_directives_from_arguments(self):
         text = "system\ttabbed\n n\t2\n f1\t=\ty1\n f2 \t= \tdy1\n param\ta\tgeneric\n expect\tstraight\nend"
         (entry,) = parse_corpus(text)
         assert entry.system.name == "tabbed" and entry.system.n == 2
-        assert entry.system.rhs == (ex.var(ex.Y(1)), ex.var(ex.YDot(1)))
+        assert entry.system.rhs == (ex.Y(1), ex.YDot(1))
         assert entry.system.params == (ParamDecl("a", GENERIC),)
         assert entry.expect == "straight"
         with pytest.raises(ParseError, match="at line 3, column 10$"):

@@ -263,7 +263,7 @@ class TestConserved:
     def test_raw_division_by_zero_is_a_validation_error(self):
         from odetorsion.parsing import ValidationError
 
-        raw = ex.Product([ex.Var(Y(1)), ex.Power(ex.Const(0), -1)])
+        raw = ex.Product([Y(1), ex.Power(ex.Const(0), -1)])
         with pytest.raises(ValidationError, match="^system: division by zero in conserved quantity$"):
             check_conserved(_sys1("6*y^2"), raw)
 
@@ -335,6 +335,17 @@ class TestLinearConst:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             LinearConstSystem([[1, 2]], [[1]])
+
+
+class TestReport:
+    def test_expr_nodes_sums_the_invariant_entries(self):
+        sys = OdeSystem(n=2, rhs=(parse_expr("y1*dy2^4"), parse_expr("dy1^2")))
+        for report in (tresse_torsion(_sys1("6*y^2")), fels_torsion(sys), quartic_test(sys)):
+            entries = report.invariant if report.method == "quartic" else [report.invariant]
+            if report.method == "fels":
+                entries = [e for row in report.invariant for e in row]
+            assert report.expr_nodes == sum(ex.node_count(e) for e in entries)
+        assert not hasattr(report, "telemetry")
 
 
 class TestDeterminism:
