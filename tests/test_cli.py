@@ -232,7 +232,7 @@ class TestCorpus:
         assert err == "error: tiny: negative power outside the float range\n"
 
     def test_duplicate_directive_exit_2(self, capsys, tmp_path):
-        # the last "n" and "expect" used to win silently: not-straight ... ok, exit 0
+        # a repeated directive is an input error, not an override of the first
         corpus = tmp_path / "twice"
         corpus.write_text("system s\n n 2\n n 1\n f1 = 6*y^2\n expect straight\n expect not-straight\nend\n")
         code, out, err = run(capsys, "analyze", str(corpus))

@@ -176,7 +176,7 @@ class TestExactSamples:
         assert v.is_zero and v.samples_passed == 3 and v.bound == oracle._miss_bound(22, 3)
 
     def test_a_constant_factor_adds_no_degree(self, monkeypatch):
-        # y^15 + -1*y^15 has degree 15, so 4 points; counting the -1 as 1 drew 5
+        # y^15 + -1*y^15 has degree 15, so 4 points: the constant factor adds no degree
         calls = []
         exact_ratios = ex.exact_ratios
         monkeypatch.setattr(ex, "exact_ratios", lambda *a: calls.append(a) or exact_ratios(*a))

@@ -340,12 +340,11 @@ class TestLinearConst:
 class TestReport:
     def test_expr_nodes_sums_the_invariant_entries(self):
         sys = OdeSystem(n=2, rhs=(parse_expr("y1*dy2^4"), parse_expr("dy1^2")))
-        for report in (tresse_torsion(_sys1("6*y^2")), fels_torsion(sys), quartic_test(sys)):
-            entries = report.invariant if report.method == "quartic" else [report.invariant]
-            if report.method == "fels":
-                entries = [e for row in report.invariant for e in row]
-            assert report.expr_nodes == sum(ex.node_count(e) for e in entries)
-        assert not hasattr(report, "telemetry")
+        tresse, fels, quartic = tresse_torsion(_sys1("6*y^2")), fels_torsion(sys), quartic_test(sys)
+        assert tresse.expr_nodes == ex.node_count(tresse.invariant)
+        assert fels.expr_nodes == sum(ex.node_count(e) for row in fels.invariant for e in row)
+        assert quartic.expr_nodes == sum(ex.node_count(e) for e in quartic.invariant)
+        assert not hasattr(tresse, "telemetry")
 
 
 class TestDeterminism:
