@@ -18,10 +18,10 @@ from .expr import ZERO, Apply, Expr, Power, Product, Sum, Var
 
 _HALF = ex.const(Fraction(1, 2))
 
-# Partial derivatives are memoized across calls; expressions are interned
-# and immutable, so the cache is sound for the process lifetime.
+# Partial derivatives are memoized across calls.  Every node is interned
+# and immutable, and the intern table keeps it alive, so no id() in a key
+# is reused and the cache is sound for the process lifetime.
 _partial_cache: dict[tuple[int, Var], Expr] = {}
-_cache_pins: dict[int, Expr] = {}  # keep cached keys' id()s stable
 
 
 def partial(e: Expr, v: Var) -> Expr:
@@ -76,7 +76,6 @@ def partial(e: Expr, v: Var) -> Expr:
         else:  # sqrt
             out = ex.mul(_HALF, ds[0], ex.pow_(n, -1))
         memo[(id(n), v)] = out
-        _cache_pins[id(n)] = n
     return memo[(id(e), v)]
 
 

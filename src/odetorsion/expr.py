@@ -4,42 +4,40 @@ Expressions are complex-analytic: rational constants, the variables of a
 second-order ODE system, field operations, integer powers and the
 functions exp, log, sin, cos, sqrt (principal branches).
 
-Interned nodes carry their own metadata, computed from their children at
-construction: ``free`` (variables), ``poly`` (evaluable in integers: a
-polynomial over the rationals, with no negative power) and ``fns``
-(function names), with equal sets shared.  There is one division:
-``quot(a, b)`` is ``a * b^-1``.  The smart constructors canonicalize,
-deliberately shallowly: nested sums/products are flattened, rational
-constants folded exactly (a constant's power too, so a division by a
-nonzero constant is a constant factor, and one by a constant zero raises
+Every node is canonical and interned when it is made: ``Const(v)``,
+``Sum(terms)``, ``Product(factors)``, ``Power(base, k)`` and
+``Apply(fn, arg)`` return what ``const``, ``add``, ``mul``, ``pow_`` and
+``apply`` do, so ``Sum([y])`` is ``y``.  These canonicalize, deliberately
+shallowly: nested sums/products are flattened, rational constants folded
+exactly (a constant's power too, so a division by a nonzero constant is
+a constant factor, and one by a constant zero raises
 ``ZeroDivisionError`` as ``0^-1`` does), units dropped and ``Power``
 exponents of one collapsed.  Deciding whether an expression vanishes is
-the zero oracle's job.  Canonical nodes are fixed points of
-``build``, so rebuilding one costs a lookup, not a walk.
+the zero oracle's job.  There is one division: ``quot(a, b)`` is
+``a * b^-1``.  A node carries its own metadata: ``free`` (variables),
+``poly`` (evaluable in integers: a polynomial over the rationals, with
+no negative power) and ``fns`` (function names), equal sets shared.
 
-Interning is key-first: a constructor takes canonical operands (a raw
-node goes through ``build`` first, which canonicalizes it), works
-out the intern key of its result and looks it up; only on a miss does it
-build the node and summarize it, and ``_mk``'s one ``setdefault`` is the
-only insert.  A canonical node is therefore unique: identity is
-structural equality, so nodes compare and hash by identity (object's
-``__eq__`` and ``__hash__``, in C), and every map over nodes, in a
-program, a walk or ``substitute``'s memo, is keyed by the node itself.
-Two raw nodes are distinct however alike, until ``build`` maps both to
-one canonical node.  A rational ``Const`` also holds its lowest terms as
-the ints ``num`` and ``den``, and its intern key is ``("q", num, den)``, so
-``const`` looks an ``int`` or ``Fraction`` up, and ``add`` and ``mul``
-fold rationals as integer pairs, with no ``Fraction`` built or
-hashed unless the result is a new constant.  Constants are folded only
-where two or more meet; once a complex one is among them the fold runs
-over their values from the unit, left to right (float rounding depends
-on the order).  A lone constant operand is kept as the node it is, and
-``neg`` multiplies by the shared ``MINUS_ONE``.  A variable is one
-``Var`` node, interned under ``("v", kind, index, name)``; ``X``,
-``Y(i)``, ``YDot(i)`` and ``Param(name)`` return it.  That node is at
-once an expression's leaf, a member of ``free``, a key of a sample point
-and the variable ``partial`` and ``substitute`` take.  A variable is
-never raw, so two raw trees share their variable leaves.
+Interning is key-first: a constructor works out the intern key of its
+result and looks it up; only on a miss does it make the node, which
+``_mk`` summarizes and inserts with its one ``setdefault``.  A node is
+therefore unique: identity is structural equality, so nodes compare and
+hash by identity (object's ``__eq__`` and ``__hash__``, in C), and every
+map over nodes is keyed by the node itself.  A copy of a node is the
+node, and unpickling rebuilds it through its constructor.  A rational
+``Const`` also holds its lowest terms as the ints ``num`` and ``den``,
+and its intern key is ``("q", num, den)``, so ``const`` looks an ``int``
+or ``Fraction`` up, and ``add`` and ``mul`` fold rationals as integer
+pairs, with no ``Fraction`` built or hashed unless the result is a new
+constant.  Constants are folded only where two or more meet; once a
+complex one is among them the fold runs over their values from the unit,
+left to right (float rounding depends on the order).  A lone constant
+operand is kept as the node it is, and ``neg`` multiplies by the shared
+``MINUS_ONE``.  A variable is one ``Var`` node, interned under
+``("v", kind, index, name)``; ``X``, ``Y(i)``, ``YDot(i)`` and
+``Param(name)`` return it.  That node is at once an expression's leaf, a
+member of ``free``, a key of a sample point and the variable
+``partial`` and ``substitute`` take.
 
 A program lists the distinct nodes of a tuple of roots in evaluation
 order, a node shared between roots once.  Each root caches its own
@@ -48,12 +46,12 @@ matrix.  Every walk runs in program order, children before parents, so
 none recurses on the nesting depth: ``evaluate`` and ``evaluate_roots``
 (complex), ``exact_ratios`` and ``evaluate_exact`` (rational) and
 ``node_count`` run on cached programs, through one loop, and
-``substitute`` (so ``build``) and ``parsing.to_str`` on a program made
-for the call and not cached.  A ``poly`` program is evaluated exactly in
-integers over one common denominator S: a step of degree d holds its
-value times S^d, so no step builds or reduces a ``Fraction``.  Every
-other program runs in complex floats only.  The step degrees and the
-complex values of the constants are cached on the program.
+``substitute`` and ``parsing.to_str`` on a program made for the call.  A
+``poly`` program is evaluated exactly in integers over one common
+denominator S: a step of degree d holds its value times S^d, so no step
+builds or reduces a ``Fraction``.  Every other program runs in complex
+floats only.  The step degrees and the complex values of the constants
+are cached on the program.
 """
 
 from __future__ import annotations
@@ -91,25 +89,22 @@ def _union(sets: Iterable[frozenset]) -> frozenset:
 # ---------------------------------------------------------------------------
 # Nodes
 #
-# Direct construction produces a "raw" node (a Var is always the interned
-# one); build() canonicalizes a raw tree, and the lowercase smart
-# constructors combine canonical nodes into a canonical node.  They do not
-# canonicalize a raw operand, not even a lone raw Const, so raw nodes go
-# through build() first.  Nodes are never mutated after construction,
-# except that _prog caches the node's evaluation program once first needed.
+# A node class's constructor returns the interned node; it defines no
+# __init__, which Python would call on that node.  A node is never mutated
+# once _mk interned it, except that _prog caches its program when needed.
 
 
 class Expr:
     __slots__ = ("free", "poly", "fns", "_prog")
 
-    def _summarize(self, kids: tuple, poly: bool, fns: frozenset = _EMPTY) -> None:
-        self.free = _union(k.free for k in kids)
-        self.fns = _union([fns, *(k.fns for k in kids)])
-        self.poly = poly
-        self._prog = None
+    def __reduce__(self):
+        # the constructor rebuilds the interned node in any process
+        return type(self), ((self.value,) if type(self) is Const else self._key()[1:])
 
-    def _key(self):
-        raise NotImplementedError
+    def __copy__(self, memo=None):
+        return self  # immutable and interned
+
+    __deepcopy__ = __copy__
 
     def __repr__(self):
         from .parsing import to_str
@@ -130,13 +125,8 @@ class Const(Expr):
 
     __slots__ = ("value", "num", "den")
 
-    def __init__(self, value):
-        v = self.value = _coerce_number(value)
-        if type(v) is Fraction:
-            self.num, self.den = v.numerator, v.denominator
-        else:
-            self.num = self.den = 0
-        self._summarize((), self.den != 0)
+    def __new__(cls, value):
+        return const(value)
 
     def _key(self):
         # Fraction(2) == complex(2) under ==, but keep exactness distinct.
@@ -146,9 +136,9 @@ class Const(Expr):
 class Var(Expr):
     """x, y^I, dy^I or a named parameter.
 
-    Interned: ``Var(kind, index, name)`` returns the one node for its
-    (kind, index, name), so the node an expression holds is the variable
-    that ``free``, sample points and ``partial`` take.
+    ``Var(kind, index, name)`` returns the one node for its (kind, index,
+    name), so the node an expression holds is the variable that ``free``,
+    sample points and ``partial`` take.
     """
 
     __slots__ = ("kind", "index", "name")
@@ -159,7 +149,7 @@ class Var(Expr):
     PARAM = "param"
 
     def __new__(cls, kind: str, index: int = 0, name: str = ""):
-        node = _intern.get(("v", kind, index, name))
+        node = _intern.get(key := ("v", kind, index, name))
         if node is None:
             if kind not in (Var.X, Var.Y, Var.YDOT, Var.PARAM):
                 raise ValueError(f"unknown variable kind {kind!r}")
@@ -167,9 +157,7 @@ class Var(Expr):
                 raise ValueError(f"{kind} index must be >= 1, got {index}")
             node = object.__new__(cls)
             node.kind, node.index, node.name = kind, index, name
-            node._summarize((), True)
-            node.free = _shared(frozenset((node,)))
-            node = _mk(node)
+            node = _mk(node, key, (), True, free=_shared(frozenset((node,))))
         return node
 
     def _key(self):
@@ -186,9 +174,8 @@ class Var(Expr):
 class Sum(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[Expr]):
-        self.terms = tuple(terms)
-        self._summarize(self.terms, all(t.poly for t in self.terms))
+    def __new__(cls, terms: Iterable[Expr]):
+        return add(*terms)
 
     def _key(self):
         return ("+", self.terms)
@@ -197,9 +184,8 @@ class Sum(Expr):
 class Product(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: Iterable[Expr]):
-        self.factors = tuple(factors)
-        self._summarize(self.factors, all(f.poly for f in self.factors))
+    def __new__(cls, factors: Iterable[Expr]):
+        return mul(*factors)
 
     def _key(self):
         return ("*", self.factors)
@@ -208,10 +194,8 @@ class Product(Expr):
 class Power(Expr):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: int):
-        self.base = base
-        self.exponent = int(exponent)
-        self._summarize((base,), base.poly and self.exponent >= 0)
+    def __new__(cls, base: Expr, exponent: int):
+        return pow_(base, exponent)
 
     def _key(self):
         return ("^", self.base, self.exponent)
@@ -220,12 +204,8 @@ class Power(Expr):
 class Apply(Expr):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: str, arg: Expr):
-        if fn not in FUNCTIONS:
-            raise ValueError(f"unknown function {fn!r}")
-        self.fn = fn
-        self.arg = arg
-        self._summarize((arg,), False, _shared(frozenset((fn,))))
+    def __new__(cls, fn: str, arg: Expr):
+        return apply(fn, arg)
 
     def _key(self):
         return ("f", self.fn, self.arg)
@@ -255,14 +235,49 @@ def _coerce_number(value) -> Number:
 _intern: dict = {}
 
 
-def _mk(node: Expr) -> Expr:
-    # one dict operation, so two threads interning equal nodes get one node
-    return _intern.setdefault(node._key(), node)
+def _mk(node: Expr, key: tuple, kids: tuple, poly: bool, fns: frozenset = _EMPTY, free=None) -> Expr:
+    """The one way a node is made: summarize node, its own slots filled,
+    and intern it under key.  One ``setdefault`` publishes the whole node,
+    so two threads interning equal nodes get one node."""
+    node.free = _union(k.free for k in kids) if free is None else free
+    node.fns = _union([fns, *(k.fns for k in kids)])
+    node.poly = poly
+    node._prog = None
+    return _intern.setdefault(key, node)
 
 
-ZERO = _mk(Const(0))
-ONE = _mk(Const(1))
-MINUS_ONE = _mk(Const(-1))
+# ---------------------------------------------------------------------------
+# Smart constructors (canonicalizing)
+
+
+def const(value) -> Const:
+    t = type(value)
+    if t is int:
+        key = ("q", value, 1)
+    elif t is Fraction:
+        key = ("q", value.numerator, value.denominator)
+    else:
+        value = _coerce_number(value)
+        key = ("q", value.numerator, value.denominator) if type(value) is Fraction else ("c", value)
+    node = _intern.get(key)
+    if node is None:
+        node = object.__new__(Const)
+        node.value = _coerce_number(value)
+        node.num, node.den = key[1:] if key[0] == "q" else (0, 0)
+        node = _mk(node, key, (), node.den != 0)
+    return node
+
+
+def _rational(num: int, den: int) -> Const:
+    """The constant num/den, for coprime num and den > 0; a Fraction is
+    built only when the constant is new."""
+    node = _intern.get(("q", num, den))
+    return node if node is not None else const(Fraction(num, den))
+
+
+ZERO = const(0)
+ONE = const(1)
+MINUS_ONE = const(-1)
 X = Var(Var.X)
 
 
@@ -276,30 +291,6 @@ def YDot(index: int) -> Var:
 
 def Param(name: str) -> Var:
     return Var(Var.PARAM, name=name)
-
-
-# ---------------------------------------------------------------------------
-# Smart constructors (canonicalizing; operands must be canonical)
-
-
-def const(value) -> Const:
-    t = type(value)
-    if t is int:
-        key = ("q", value, 1)
-    elif t is Fraction:
-        key = ("q", value.numerator, value.denominator)
-    else:
-        value = _coerce_number(value)
-        key = ("q", value.numerator, value.denominator) if type(value) is Fraction else ("c", value)
-    node = _intern.get(key)
-    return node if node is not None else _mk(Const(value))
-
-
-def _rational(num: int, den: int) -> Const:
-    """The constant num/den, for coprime num and den > 0; a Fraction is
-    built only when the constant is new."""
-    node = _intern.get(("q", num, den))
-    return node if node is not None else _mk(Const(Fraction(num, den)))
 
 
 def _to_complex(v: Number) -> complex:
@@ -338,7 +329,7 @@ def _fold(consts: list, unit: int, op: Callable) -> Const:
 
 
 def add(*terms: Expr) -> Expr:
-    """The canonical sum of canonical terms (a raw term goes through build())."""
+    """The canonical sum of terms."""
     flat: list[Expr] = []
     consts: list[Const] = []
     for t in terms:
@@ -363,13 +354,16 @@ def add(*terms: Expr) -> Expr:
         return ZERO
     if len(flat) == 1:
         return flat[0]
-    node = _intern.get(("+", tuple(flat)))
-    return node if node is not None else _mk(Sum(flat))
+    node = _intern.get(key := ("+", tuple(flat)))
+    if node is None:
+        node = object.__new__(Sum)
+        node.terms = ts = key[1]
+        node = _mk(node, key, ts, all(t.poly for t in ts))
+    return node
 
 
 def mul(*factors: Expr) -> Expr:
-    """The canonical product of canonical factors (a raw factor goes through
-    build())."""
+    """The canonical product of factors."""
     flat: list[Expr] = []
     consts: list[Const] = []
     for f in factors:
@@ -396,8 +390,12 @@ def mul(*factors: Expr) -> Expr:
         return ONE
     if len(flat) == 1:
         return flat[0]
-    node = _intern.get(("*", tuple(flat)))
-    return node if node is not None else _mk(Product(flat))
+    node = _intern.get(key := ("*", tuple(flat)))
+    if node is None:
+        node = object.__new__(Product)
+        node.factors = fs = key[1]
+        node = _mk(node, key, fs, all(f.poly for f in fs))
+    return node
 
 
 def neg(e: Expr) -> Expr:
@@ -425,27 +423,33 @@ def pow_(base: Expr, exponent: int) -> Expr:
         return const(v)
     if isinstance(base, Power):
         return pow_(base.base, base.exponent * exponent)
-    node = _intern.get(("^", base, exponent))
-    return node if node is not None else _mk(Power(base, exponent))
+    node = _intern.get(key := ("^", base, exponent))
+    if node is None:
+        node = object.__new__(Power)
+        node.base, node.exponent = base, exponent
+        node = _mk(node, key, (base,), base.poly and exponent >= 0)
+    return node
 
 
 def quot(numerator: Expr, denominator: Expr) -> Expr:
-    """numerator * denominator^-1, canonical operands (a raw operand goes
-    through build()); ZeroDivisionError for a constant zero denominator."""
+    """numerator * denominator^-1; ZeroDivisionError for a constant zero."""
     return mul(numerator, pow_(denominator, -1))
 
 
 def apply(fn: str, arg: Expr) -> Expr:
-    node = _intern.get(("f", fn, arg))
-    return node if node is not None else _mk(Apply(fn, arg))
+    node = _intern.get(key := ("f", fn, arg))
+    if node is None:
+        if fn not in FUNCTIONS:
+            raise ValueError(f"unknown function {fn!r}")
+        node = object.__new__(Apply)
+        node.fn, node.arg = fn, arg
+        node = _mk(node, key, (arg,), False, _shared(frozenset((fn,))))
+    return node
 
 
-def build(raw: Expr) -> Expr:
-    """Canonicalize an arbitrary well-formed tree.
-
-    A canonical node is returned as it is, so build(build(t)) is build(t).
-    """
-    return substitute(raw, {})
+def build(e: Expr) -> Expr:
+    """e: every node is canonical when made (``perfbench`` still wraps this name)."""
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -501,25 +505,23 @@ def node_count(e: Expr) -> int:
 def substitute(e: Expr, mapping: Mapping[Var, Expr]) -> Expr:
     """Simultaneous substitution, canonicalized, over e's program.
 
-    Canonical subexpressions that mention no mapped variable are kept,
-    and a root that is one is returned without a walk.
+    Subexpressions that mention no mapped variable are kept, and a root
+    that is one is returned without a walk.
     """
 
     def kept(n: Expr) -> bool:
         if not isinstance(n, Expr):
             raise TypeError(f"not an expression: {n!r}")
-        return n.free.isdisjoint(mapping) and _intern.get(n._key()) is n
+        return n.free.isdisjoint(mapping)
 
     if kept(e):
         return e
     out: list[Expr] = []
     for n, kids in Program((e,)).steps:
-        if kept(n):
+        if kept(n):  # every constant, and every unmapped variable
             new = n
-        elif isinstance(n, Const):
-            new = const(n.value)
         elif isinstance(n, Var):
-            new = build(mapping[n])  # an unmapped variable is kept above
+            new = mapping[n]
         elif isinstance(n, Sum):
             new = add(*(out[k] for k in kids))
         elif isinstance(n, Product):

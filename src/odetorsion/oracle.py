@@ -212,7 +212,7 @@ def _decide(roots: Sequence[Expr], params, cfg) -> tuple[Optional[int], Verdict]
     exact, numeric = [], []
     for k, e in enumerate(roots):
         if type(e) is Const:
-            if e is not ex.ZERO and e.value != 0:
+            if e is not ex.ZERO:
                 first = k
                 break
         elif _exact_path_ok(e, params):
@@ -242,7 +242,7 @@ def _decide(roots: Sequence[Expr], params, cfg) -> tuple[Optional[int], Verdict]
             return nonzero(first, witness={}, value=_float(v.numerator, v.denominator), exact=True)
         return nonzero(first, witness={}, value=v)
     if not paths:
-        # what sampling the degree-0 Sum([c]) of a zero constant reports
+        # a zero constant: what sampling at degree 0 would report
         k = _exact_samples(0, cfg.samples)
         return None, Verdict(ZERO, seed=cfg.seed, samples_passed=k, exact=True, bound=_miss_bound(0, k))
     settled = sorted((k, path.settle(k, cfg)) for path in paths for k in path.at)

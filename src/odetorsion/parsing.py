@@ -261,7 +261,7 @@ class OdeSystem:
     name: str = "system"
 
     def __post_init__(self):
-        object.__setattr__(self, "rhs", tuple(self.canonical(f"f{k}", f) for k, f in enumerate(self.rhs, start=1)))
+        object.__setattr__(self, "rhs", tuple(self.rhs))
         object.__setattr__(self, "params", tuple(self.params))
         if self.n < 1:
             raise ValidationError(f"{self.name}: n must be positive")
@@ -276,13 +276,6 @@ class OdeSystem:
         for f in self.rhs:
             self.validate_expr(f)
         self.require_evaluable((f"f{k}", f) for k, f in enumerate(self.rhs, start=1))
-
-    def canonical(self, label: str, e: Expr) -> Expr:
-        """build(e); a division by a constant zero in e is a ValidationError."""
-        try:
-            return ex.build(e)
-        except ZeroDivisionError:
-            raise ValidationError(f"{self.name}: division by zero in {label}") from None
 
     def validate_expr(self, e: Expr):
         declared = {p.name for p in self.params}
@@ -431,7 +424,7 @@ def _finish_entry(state) -> CorpusEntry:
         params=tuple(state["params"]),
         name=name,
     )
-    conserved = tuple(ex.build(g) for g in state["conserved"])
+    conserved = tuple(state["conserved"])
     for g in conserved:
         sys.validate_expr(g)
     sys.require_evaluable((f"conserved quantity {k}", g) for k, g in enumerate(conserved, start=1))

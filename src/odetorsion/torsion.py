@@ -18,8 +18,12 @@ For d^2 y^I/dx^2 = f^I(x, y, dy):
 * the quartic criterion: all fourth dy-partials of every f^I vanish
   exactly when the right-hand sides are cubic in the dy variables.
 
-A system is straight exactly when the dispatched invariant vanishes
-identically; the vanishing decision is delegated to the zero oracle.
+"straight" means that the dispatched invariant vanishes identically, as
+the zero oracle decides: for n >= 2 Fels's trace-free torsion (Proc. LMS
+71, 1995; Grossman, Selecta Math. 6, 2000), for n = 1, by this package's
+choice, Tresse's fourth-order invariant (Tresse 1896; Cartan, Bull. SMF
+52, 1924).  Point-equivalence to y'' = 0 further needs the curvature
+S^I_JKL = 0 (n >= 2) or f_pppp = 0 (n = 1, the quartic check).
 """
 
 from __future__ import annotations
@@ -167,7 +171,6 @@ def is_straight(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionRe
 
 def check_conserved(sys: OdeSystem, g: Expr, cfg: OracleConfig = OracleConfig()) -> Verdict:
     """Zero iff g is constant along integral curves of sys."""
-    g = sys.canonical("conserved quantity", g)
     sys.validate_expr(g)
     sys.require_evaluable([("conserved quantity", g)])
     return is_zero(total_derivative(g, sys), sys.params, cfg)

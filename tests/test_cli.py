@@ -52,6 +52,14 @@ class TestInline:
         assert records[0]["n"] == 2
         assert records[0]["method"] == "fels"
 
+    def test_torsion_free_is_not_flat(self, capsys):
+        # Fels's torsion of y1'' = dy2^4, y2'' = 0 vanishes, but it is not
+        # point-equivalent to y'' = 0: its curvature S^1_222 = 24*dy2, and
+        # the quartic check sees the fourth dy2-partial 24
+        code, records, _ = run_json(capsys, "analyze", "--rhs", "dy2^4", "--rhs", "0")
+        (r,) = records
+        assert (r["method"], r["classification"], r["quartic"]) == ("fels", "straight", "not-straight")
+
     def test_inline_params_are_generic(self, capsys):
         code, records, _ = run_json(capsys, "analyze", "--rhs", "a*(1 - y^2)*dy - y")
         assert records[0]["classification"] == "not-straight"

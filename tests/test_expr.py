@@ -1,6 +1,8 @@
 import cmath
+import copy
 import math
 import operator
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -36,82 +38,202 @@ dy1 = YDot(1)
 
 
 class TestBuild:
+    """The node classes' constructors canonicalize, and build returns its argument."""
+
     def test_constant_folding(self):
-        assert build(Sum([Const(2), Const(3)])) == ex.const(5)
+        assert Sum([Const(2), Const(3)]) is ex.const(5)
 
     def test_annihilator(self):
-        assert build(Product([Const(0), X])) is ex.ZERO
+        assert Product([Const(0), X]) is ex.ZERO
 
     def test_flatten_and_drop_zero(self):
-        raw = Sum([X, Sum([Y(1), Const(0)])])
-        assert build(raw) == ex.add(x, y1)
+        e = Sum([X, Sum([Y(1), Const(0)])])
+        assert e is ex.add(x, y1) and build(e) is e
 
     def test_power_collapse(self):
-        assert build(Power(X, 1)) == x
-        assert build(Power(Power(X, 2), 3)) == ex.pow_(x, 6)
+        assert Power(X, 1) is x
+        assert Power(Power(X, 2), 3) is ex.pow_(x, 6)
 
     def test_quotient_by_constant_folds(self):
         # x/2 is x*2^-1, and the constant's power folds
-        assert build(Product([X, Power(Const(2), -1)])) is ex.mul(ex.const(Fraction(1, 2)), x)
+        assert Product([X, Power(Const(2), -1)]) is ex.mul(ex.const(Fraction(1, 2)), x)
         assert ex.quot(x, ex.const(2)) is ex.mul(ex.const(Fraction(1, 2)), x)
 
     def test_no_nested_sums_or_products(self):
-        raw = Sum([Sum([X, Y(1)]), Sum([YDot(1), Const(1)])])
-        out = build(raw)
+        out = Sum([Sum([X, Y(1)]), Sum([YDot(1), Const(1)])])
         assert isinstance(out, Sum)
         assert not any(isinstance(t, Sum) for t in out.terms)
         consts = [t for t in out.terms if isinstance(t, Const)]
         assert len(consts) == 1
 
 
-# a small strategy for raw trees
+class TestCanonicalWhenMade:
+    def test_no_node_class_defines_init(self):
+        # Python calls __init__ on whatever __new__ returns: an interned node
+        for cls in (ex.Expr, Const, Var, Sum, Product, Power, Apply):
+            assert "__init__" not in vars(cls)
+
+    def test_a_constant_operand_is_the_interned_constant(self):
+        assert Const(2) is ex.const(2) and Const(0.5) is ex.const(Fraction(1, 2))
+        assert ex.mul(Const(2), y1) is ex.mul(ex.const(2), y1)
+        assert ex.add(Const(0), y1) is y1
+        assert ex.mul(Const(1), y1) is y1
+
+    def test_one_operand_and_a_zero_factor(self):
+        assert Sum([y1]) is y1 and Product([y1]) is y1
+        assert Product([Const(0), X]) is ex.ZERO
+
+    def test_a_division_by_a_constant_zero_cannot_be_made(self):
+        with pytest.raises(ZeroDivisionError):
+            Power(Const(0), -1)
+        with pytest.raises(ZeroDivisionError):
+            Product([y1, Power(Sum([ex.ONE, Const(-1)]), -1)])
+
+    def test_an_unknown_function_cannot_be_made(self):
+        with pytest.raises(ValueError, match="unknown function 'tan'"):
+            Apply("tan", y1)
+
+
+class TestCopy:
+    @pytest.mark.parametrize("node", [parse_expr("2*y + x*sin(dy2)^-3 - a/7"), X, Y(2), YDot(3),
+                                      Param("a"), ex.const(2 + 3j), ex.const(Fraction(-5, 3))],
+                             ids=["parsed", "x", "y2", "dy3", "param", "complex", "rational"])
+    def test_copy_deepcopy_and_pickle_return_the_node(self, node):
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+
+    def test_deepcopy_of_a_deep_expression_does_not_recurse(self):
+        e = parse_expr("y*(1+" * 1500 + "y" + ")" * 1500)
+        assert copy.deepcopy(e) is e and copy.deepcopy([e])[0] is e
+
+
+# A small strategy for trees.  Each draw is a plain description, nested
+# tuples: ("c", k), ("v", variable), ("+", terms), ("*", factors),
+# ("^", base, k) or ("f", name, argument).  _make builds it through the
+# node classes' constructors, and _ref_value reads it by recursion.
 _leaves = st.one_of(
-    st.integers(-4, 4).map(Const),
-    st.sampled_from([X, Y(1), YDot(1), ex.Param("a")]),
+    st.integers(-4, 4).map(lambda k: ("c", k)),
+    st.sampled_from([X, Y(1), YDot(1), ex.Param("a")]).map(lambda v: ("v", v)),
 )
 
 
 def _branch(children):
     return st.one_of(
-        st.lists(children, min_size=2, max_size=3).map(Sum),
-        st.lists(children, min_size=2, max_size=3).map(Product),
-        st.tuples(children, st.sampled_from([-2, 2, 3])).map(lambda t: Power(*t)),
-        st.tuples(children, children).map(lambda t: Product([t[0], Power(t[1], -1)])),  # t0/t1
-        children.map(lambda c: Product([Const(-1), c])),
-        st.tuples(st.sampled_from(["exp", "sin", "cos"]), children).map(lambda t: Apply(*t)),
+        st.lists(children, min_size=2, max_size=3).map(lambda ts: ("+", ts)),
+        st.lists(children, min_size=2, max_size=3).map(lambda fs: ("*", fs)),
+        st.tuples(children, st.sampled_from([-2, 2, 3])).map(lambda t: ("^", *t)),
+        st.tuples(children, children).map(lambda t: ("*", [t[0], ("^", t[1], -1)])),  # t0/t1
+        children.map(lambda c: ("*", [("c", -1), c])),
+        st.tuples(st.sampled_from(["exp", "sin", "cos"]), children).map(lambda t: ("f", *t)),
     )
 
 
-raw_trees = st.recursive(_leaves, _branch, max_leaves=12)
+trees = st.recursive(_leaves, _branch, max_leaves=12)
 
 
-@given(raw_trees)
-@settings(max_examples=200, deadline=None)
-def test_build_idempotent(raw):
+def _make(d):
+    """The node of description d, or None where the constructors raise
+    ZeroDivisionError (a constant zero to a negative power)."""
+
+    def go(d):
+        tag = d[0]
+        if tag == "c":
+            return Const(d[1])
+        if tag == "v":
+            return d[1]
+        if tag == "+":
+            return Sum([go(t) for t in d[1]])
+        if tag == "*":
+            return Product([go(f) for f in d[1]])
+        if tag == "^":
+            return Power(go(d[1]), d[2])
+        return Apply(d[1], go(d[2]))
+
     try:
-        once = build(raw)
+        return go(d)
     except ZeroDivisionError:
-        return  # malformed constant tree, e.g. 0^-2
-    assert build(once) == once
+        return None
 
 
-@given(raw_trees, st.integers(0, 2 ** 32))
+def _ref_value(d, point, number=complex):
+    """The value of description d at point by a plain recursive walk, in
+    complex (principal branches) or Fraction arithmetic."""
+    tag = d[0]
+    if tag == "c":
+        return number(d[1])
+    if tag == "v":
+        return number(point[d[1]])
+    if tag == "^":
+        return _ref_value(d[1], point, number) ** d[2]
+    if tag == "f":
+        return getattr(cmath, d[1])(_ref_value(d[2], point, number))
+    kids = [_ref_value(k, point, number) for k in d[1]]
+    return sum(kids, number(0)) if tag == "+" else math.prod(kids, start=number(1))
+
+
+def _ref_poly(d):
+    """Whether description d is evaluable in integers as it stands: no
+    negative power and no function."""
+    tag = d[0]
+    if tag in ("c", "v"):
+        return True
+    if tag == "^":
+        return d[2] > 0 and _ref_poly(d[1])
+    return tag != "f" and all(_ref_poly(k) for k in d[1])
+
+
+def _loose(d):
+    """Description d as uninterned nodes, unflattened and unfolded as no
+    constructor leaves them, with the slots that a program reads set
+    directly; its variables are the interned ones."""
+    tag = d[0]
+    if tag == "v":
+        return d[1]
+    n = object.__new__({"c": Const, "+": Sum, "*": Product, "^": Power}[tag])
+    if tag == "c":
+        n.value, n.num, n.den = Fraction(d[1]), d[1], 1
+    elif tag == "+":
+        n.terms = tuple(_loose(t) for t in d[1])
+    elif tag == "*":
+        n.factors = tuple(_loose(f) for f in d[1])
+    else:
+        n.base, n.exponent = _loose(d[1]), d[2]
+    return n
+
+
+@given(trees)
+@settings(max_examples=200, deadline=None)
+def test_build_idempotent(desc):
+    """Every node is made again, from its own constructor arguments or by
+    build, as the very same node."""
+    node = _make(desc)
+    if node is None:
+        return
+    for n in _nodes(node):
+        cls, args = n.__reduce__()
+        assert cls(*args) is n and build(n) is n
+
+
+@given(trees, st.integers(0, 2 ** 32))
 @settings(max_examples=150, deadline=None)
-def test_build_preserves_value(raw, seed):
+def test_build_preserves_value(desc, seed):
+    """The constructors, folding and flattening as they build, keep the
+    value of the description they are given."""
     import random
 
     from conftest import random_point
 
-    try:
-        canonical = build(raw)
-    except ZeroDivisionError:
+    node = _make(desc)
+    if node is None:
         return
-    refs = ex.free_vars(raw)
-    point = random_point(random.Random(seed), sorted(refs, key=str))
+    point = random_point(random.Random(seed), [X, Y(1), YDot(1), ex.Param("a")])
     try:
-        a = evaluate(raw, point)
-        b = evaluate(canonical, point)
-    except (EvalSingular, OverflowError):
+        a = _ref_value(desc, point)
+        b = evaluate(node, point)
+    except (ZeroDivisionError, EvalSingular, OverflowError):
+        return
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
         return
     scale = max(abs(a), abs(b), 1.0)
     assert abs(a - b) <= 1e-12 * scale
@@ -150,30 +272,27 @@ def _reference_summary(n):
 _point_values = st.tuples(st.integers(-5, 5), st.integers(1, 3)).map(lambda t: Fraction(*t))
 
 
-@given(raw_trees, st.lists(_point_values, min_size=4, max_size=4))
+@given(trees, st.lists(_point_values, min_size=4, max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_node_summaries_and_one_evaluator(raw, values):
-    try:
-        canonical = build(raw)
-    except ZeroDivisionError:
+def test_node_summaries_and_one_evaluator(desc, values):
+    node = _make(desc)
+    if node is None:
         return
-    for n in _nodes(canonical):
-        assert build(n) is n
     point = dict(zip([X, Y(1), YDot(1), ex.Param("a")], values))
-    for root in (raw, canonical):
-        nodes = _nodes(root)
-        assert ex.node_count(root) == len(nodes)
-        for n in nodes:
-            assert (n.free, n.poly, n.fns) == _reference_summary(n)
-        if not root.poly:
-            continue
-        try:
-            exact = evaluate_exact(root, point)
-            scale = max(abs(evaluate_exact(n, point)) for n in nodes)
-            value = evaluate(root, point)
-        except (EvalSingular, OverflowError):
-            continue
-        assert abs(value - complex(exact)) <= 1e-9 * max(scale, 1)
+    nodes = _nodes(node)
+    assert ex.node_count(node) == len(nodes)
+    for n in nodes:
+        assert ex._intern[n._key()] is n
+        assert (n.free, n.poly, n.fns) == _reference_summary(n)
+    if not node.poly:
+        return
+    try:
+        exact = evaluate_exact(node, point)
+        scale = max(abs(evaluate_exact(n, point)) for n in nodes)
+        value = evaluate(node, point)
+    except (EvalSingular, OverflowError):
+        return
+    assert abs(value - complex(exact)) <= 1e-9 * max(scale, 1)
 
 
 def _reference_exact(n, point):
@@ -198,39 +317,34 @@ _exact_values = st.one_of(
 )
 
 
-@given(raw_trees, st.lists(_exact_values, min_size=4, max_size=4))
+@given(trees, st.lists(_exact_values, min_size=4, max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_integer_exact_evaluation_matches_fraction_reference(raw, values):
-    try:
-        canonical = build(raw)
-    except ZeroDivisionError:
-        return
-    if not canonical.poly:
+def test_integer_exact_evaluation_matches_fraction_reference(desc, values):
+    node = _make(desc)
+    if node is None or not node.poly:
         return
     point = dict(zip([X, Y(1), YDot(1), ex.Param("a")], values))
     # a canonical sum with a term and its negation is zero at every point
-    for root in (canonical, ex.sub(canonical, canonical)):
+    for root in (node, ex.sub(node, node)):
         got = evaluate_exact(root, point)
         assert type(got) is Fraction
         assert got == _reference_exact(root, point)
-    if raw.poly:
-        # a raw tree, unflattened and unfolded, runs in the same integers
-        assert evaluate_exact(raw, point) == evaluate_exact(canonical, point)
+    if _ref_poly(desc):
+        # the description's own structure, unflattened and unfolded, runs in the same integers
+        ((num, den),) = ex.exact_ratios(ex.Program((_loose(desc),)), point)
+        assert Fraction(num, den) == evaluate_exact(node, point) == _ref_value(desc, point, Fraction)
 
 
-@given(raw_trees, st.lists(_exact_values, min_size=4, max_size=4))
+@given(trees, st.lists(_exact_values, min_size=4, max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_integer_evaluation_meets_no_singular_step(raw, values):
+def test_integer_evaluation_meets_no_singular_step(desc, values):
     """A canonical poly root has no negative power, so
     exact evaluation cannot divide by zero."""
-    try:
-        canonical = build(raw)
-    except ZeroDivisionError:
-        return
-    if not canonical.poly:
+    node = _make(desc)
+    if node is None or not node.poly:
         return
     point = dict(zip([X, Y(1), YDot(1), ex.Param("a")], values))
-    roots = (canonical, ex.add(canonical, x))
+    roots = (node, ex.add(node, x))
     got = ex.exact_ratios(ex.Program(roots), point)
     # one program over both roots gives each its own exact value
     assert [Fraction(*ratio) for ratio in got] == [_reference_exact(root, point) for root in roots]
@@ -264,8 +378,23 @@ def test_interning_is_race_free():
 
 
 # Node-first reference constructors: build the whole node, fold every
-# constant from the unit, then intern.  The smart constructors look the
-# key up first and must return the very same nodes.
+# constant from the unit, then intern it through _mk under its own _key().
+# The smart constructors look the key up first and must return the very
+# same nodes.
+
+
+def _ref_node(cls, kids, poly, **slots):
+    node = object.__new__(cls)
+    for name, value in slots.items():
+        setattr(node, name, value)
+    return ex._mk(node, node._key(), kids, poly)
+
+
+def _ref_const(value):
+    v = ex._coerce_number(value)
+    rational = isinstance(v, Fraction)
+    return _ref_node(Const, (), rational, value=v, num=v.numerator if rational else 0,
+                     den=v.denominator if rational else 0)
 
 
 def _ref_num(a, b, op):
@@ -288,10 +417,12 @@ def _ref_flatten(operands, kind, unit, op):
 def _ref_add(*terms):
     flat, acc = _ref_flatten(terms, Sum, Fraction(0), operator.add)
     if acc != 0:
-        flat.append(ex._mk(Const(acc)))
+        flat.append(_ref_const(acc))
     if not flat:
         return ex.ZERO
-    return flat[0] if len(flat) == 1 else ex._mk(Sum(flat))
+    if len(flat) == 1:
+        return flat[0]
+    return _ref_node(Sum, flat, all(t.poly for t in flat), terms=tuple(flat))
 
 
 def _ref_mul(*factors):
@@ -299,14 +430,16 @@ def _ref_mul(*factors):
     if acc == 0:
         return ex.ZERO
     if acc != 1:
-        flat.insert(0, ex._mk(Const(acc)))
+        flat.insert(0, _ref_const(acc))
     if not flat:
         return ex.ONE
-    return flat[0] if len(flat) == 1 else ex._mk(Product(flat))
+    if len(flat) == 1:
+        return flat[0]
+    return _ref_node(Product, flat, all(f.poly for f in flat), factors=tuple(flat))
 
 
 def _ref_neg(e):
-    return _ref_mul(ex._mk(Const(-1)), e)
+    return _ref_mul(_ref_const(-1), e)
 
 
 def _ref_pow(base, exponent):
@@ -317,10 +450,10 @@ def _ref_pow(base, exponent):
     if isinstance(base, Const):
         if base.value == 0 and exponent < 0:
             raise ZeroDivisionError("0 raised to a negative power")
-        return ex._mk(Const(base.value ** exponent))
+        return _ref_const(base.value ** exponent)
     if isinstance(base, Power):
         return _ref_pow(base.base, base.exponent * exponent)
-    return ex._mk(Power(base, exponent))
+    return _ref_node(Power, (base,), base.poly and exponent >= 0, base=base, exponent=exponent)
 
 
 def _ref_quot(numerator, denominator):
@@ -330,14 +463,7 @@ def _ref_quot(numerator, denominator):
 _constants = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 4), 0.5, 1j, -1j, 2 + 3j, 10 ** 300])
 
 
-def _canonical(raw):
-    try:
-        return build(raw)
-    except ZeroDivisionError:
-        return ex.ONE
-
-
-_operands = st.one_of(_constants.map(ex.const), raw_trees.map(_canonical))
+_operands = st.one_of(_constants.map(ex.const), trees.map(lambda d: _make(d) or ex.ONE))
 
 
 def _same(got, want):
@@ -374,7 +500,7 @@ class TestKeyFirstInterning:
                  ex.quot(y1, a), ex.apply("exp", a), ex.const(7), ex.const(Fraction(3, 5))]
         made = []
         mk = ex._mk
-        monkeypatch.setattr(ex, "_mk", lambda node: made.append(node) or mk(node))
+        monkeypatch.setattr(ex, "_mk", lambda node, *args, **kw: made.append(node) or mk(node, *args, **kw))
         again = [ex.add(a, y1, ex.ONE), ex.mul(ex.const(3), a), ex.neg(a), ex.pow_(a, 4),
                  ex.quot(y1, a), ex.apply("exp", a), ex.const(7), ex.const(Fraction(3, 5))]
         assert made == []
@@ -401,14 +527,14 @@ class TestKeyFirstInterning:
         def tree():
             return Sum([Product([Const(3), X]), Power(Y(1), 2)])
 
-        a, b = tree(), tree()  # structurally equal raw trees sharing only their variables
-        assert len({a: 1, b: 2}) == 2
+        a, b = tree(), tree()  # two equal trees made by the constructors are one node
+        assert a is b and len({a: 1, b: 2}) == 1
         prog = ex.Program((a, b))
-        # 6 nodes per tree, but x and y1 once each: a variable is always its interned node
-        assert len(prog.steps) == 10 and prog.roots[0] != prog.roots[1]
+        # 3, x, 3*x, y1, y1^2 and the sum, once: both roots are one step
+        assert len(prog.steps) == 6 and prog.roots[0] == prog.roots[1]
         s = X
         assert len(ex.Program((Product([s, s]),)).steps) == 2  # one object, one step
-        assert build(a) is build(b) is ex.add(ex.mul(ex.const(3), x), ex.pow_(y1, 2))
+        assert a is ex.add(ex.mul(ex.const(3), x), ex.pow_(y1, 2))
 
 
 _rationals = st.one_of(
@@ -630,12 +756,12 @@ class TestIsPolynomial:
     def test_complex_constant_not_polynomial(self):
         assert not is_polynomial(ex.mul(ex.const(1j), y1))
 
-    @pytest.mark.parametrize("raw", [Product([Y(1), Power(Const(2), -1)]), Power(Y(1), -1)],
+    @pytest.mark.parametrize("e, poly", [(Product([Y(1), Power(Const(2), -1)]), True), (Power(Y(1), -1), False)],
                              ids=["y/2", "y^-1"])
-    def test_raw_quotient_and_negative_power_not_polynomial(self, raw):
-        assert is_polynomial(raw) is False
-        # canonically the first is the product (1/2)*y
-        assert is_polynomial(build(raw)) is (type(raw) is Product)
+    def test_quotient_and_negative_power(self, e, poly):
+        # the constructors make y*2^-1 the product (1/2)*y; y^-1 stays a negative power
+        assert is_polynomial(e) is poly
+        assert type(e) is (Product if poly else Power)
 
     @pytest.mark.parametrize("text", ["1/(y-y)", "exp(y)", "1/y", "y^-2"])
     def test_evaluate_exact_rejects_non_polynomial(self, text):

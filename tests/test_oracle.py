@@ -55,18 +55,19 @@ class TestExactPath:
 
     @pytest.mark.parametrize("value", [0, Fraction(3, 2), 1 + 2j])
     def test_constant_decided_as_sampling_would(self, monkeypatch, value):
-        c = ex.const(value)
-        cfg = OracleConfig(seed=5)
-        # a raw one-term sum is no Const, so the sampling loop decides it
-        sampled = is_zero(ex.Sum([c]), cfg=cfg)
+        # a zero constant is a degree-0 polynomial: k = 1 exact point, bound 0.0;
+        # a nonzero one is nonzero at any point, its exact value with no witness point
+        want = {0: Verdict(ZERO, seed=5, samples_passed=1, exact=True, bound=0.0),
+                Fraction(3, 2): Verdict(NONZERO, seed=5, witness={}, value=1.5 + 0j, exact=True),
+                1 + 2j: Verdict(NONZERO, seed=5, witness={}, value=1 + 2j, exact=False)}[value]
 
         def unused(*_):
             raise AssertionError("a constant needs no sample")
 
-        for name in ("evaluate", "evaluate_exact"):
+        for name in ("evaluate", "evaluate_exact", "exact_ratios", "evaluate_roots"):
             monkeypatch.setattr(ex, name, unused)
         monkeypatch.setattr(oracle.random, "Random", unused)
-        assert is_zero(c, cfg=cfg) == sampled
+        assert is_zero(ex.const(value), cfg=OracleConfig(seed=5)) == want
 
     @pytest.mark.parametrize("coefficient, expected", [(10 ** 400, float("inf")),
                                                        (-10 ** 400, float("-inf"))])
@@ -98,13 +99,11 @@ class TestExactPath:
         assert v.value == expected
         assert v.witness == {r: complex(q) for r, q in point.items()}
 
-    @pytest.mark.parametrize("e", [ex.Product([y, ex.Power(ex.ZERO, -1)]),
-                                   ex.Product([y, ex.Power(ex.Sum([ex.ONE, ex.const(-1)]), -1)])],
-                             ids=["y/0", "y/(1-1)"])
-    def test_singular_points_redrawn(self, e):
-        # raw y*0^-1 and y*(1-1)^-1, which no constructor makes (quot
-        # raises for a constant zero): a negative power is no polynomial,
-        # so the division by zero is sampled numerically
+    @pytest.mark.parametrize("text", ["y/(y-y)", "y*(dy-dy)^-2"])
+    def test_singular_points_redrawn(self, text):
+        # a division by a non-constant zero: a negative power is no
+        # polynomial, so it is sampled numerically, and singular at every point
+        e = parse_expr(text)
         assert not e.poly
         v = is_zero(e)
         assert v.outcome == INCONCLUSIVE and not v.exact
@@ -304,7 +303,7 @@ class TestCanonicalInput:
         before = len(ex._intern)
         made = []
         mk = ex._mk
-        monkeypatch.setattr(ex, "_mk", lambda node: made.append(node) or mk(node))
+        monkeypatch.setattr(ex, "_mk", lambda node, *args, **kw: made.append(node) or mk(node, *args, **kw))
         assert is_zero(invariant, entry.system.params).is_zero
         assert len(ex._intern) == before
         assert made == []

@@ -296,7 +296,7 @@ class TestOperandRuns:
         first = parse_corpus(_SYSTEMS_TEXT)
         made = []
         mk = ex._mk
-        monkeypatch.setattr(ex, "_mk", lambda node: made.append(node) or mk(node))
+        monkeypatch.setattr(ex, "_mk", lambda node, *args, **kw: made.append(node) or mk(node, *args, **kw))
         second = parse_corpus(_SYSTEMS_TEXT)
         assert made == []
         for a, b in zip(first, second, strict=True):
@@ -335,25 +335,40 @@ class TestDepth:
         assert parse_expr(to_str(e)) is e
 
     def test_parsing_is_linear(self):
+        import gc
+        import statistics
         import time
 
-        def best(n):
-            text = "+".join(f"{k}*lin{n}^{k}" for k in range(1, n + 1))
-            times = []
-            for _ in range(3):
-                start = time.perf_counter()
+        def timed(text):
+            # the process's own CPU time, with no collection inside the parse
+            gc.disable()
+            try:
+                start = time.process_time()
                 parse_expr(text)
-                times.append(time.perf_counter() - start)
-            return min(times)
+                return time.process_time() - start
+            finally:
+                gc.enable()
 
-        assert best(8000) < 2.5 * best(4000)
+        long, short = ("+".join(f"{k}*lin{n}^{k}" for k in range(1, n + 1)) for n in (8000, 4000))
+        parse_expr(long), parse_expr(short)  # intern both first
+        # five back-to-back pairs, so that a slow spell of the machine
+        # slows both parses of a pair; the median pair decides
+        ratios = [timed(long) / timed(short) for _ in range(5)]
+        assert statistics.median(ratios) < 2.5
 
 
 class TestOdeSystem:
-    def test_raw_division_by_zero_is_a_validation_error(self):
-        raw = ex.Product([ex.Y(1), ex.Power(ex.Const(0), -1)])
-        with pytest.raises(ValidationError, match="^system: division by zero in f1$"):
-            OdeSystem(n=1, rhs=(raw,))
+    def test_division_by_zero_cannot_reach_a_system(self):
+        # no right-hand side holds 0^-1: making the node raises
+        with pytest.raises(ZeroDivisionError):
+            ex.Product([ex.Y(1), ex.Power(ex.Const(0), -1)])
+
+    def test_deepcopy_keeps_the_nodes(self):
+        import copy
+
+        f = parse_expr("y^2 + a*dy")
+        sys_ = OdeSystem(n=1, rhs=(f,), params=(ParamDecl("a", GENERIC),))
+        assert copy.deepcopy(sys_).rhs[0] is f
 
     def test_index_out_of_range(self):
         with pytest.raises(ValidationError):
