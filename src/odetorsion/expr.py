@@ -508,17 +508,14 @@ def substitute(e: Expr, mapping: Mapping[Var, Expr]) -> Expr:
     Subexpressions that mention no mapped variable are kept, and a root
     that is one is returned without a walk.
     """
-
-    def kept(n: Expr) -> bool:
+    for n in (e, *mapping.values()):
         if not isinstance(n, Expr):
             raise TypeError(f"not an expression: {n!r}")
-        return n.free.isdisjoint(mapping)
-
-    if kept(e):
+    if e.free.isdisjoint(mapping):
         return e
     out: list[Expr] = []
     for n, kids in Program((e,)).steps:
-        if kept(n):  # every constant, and every unmapped variable
+        if n.free.isdisjoint(mapping):  # every constant, and every unmapped variable
             new = n
         elif isinstance(n, Var):
             new = mapping[n]

@@ -278,6 +278,8 @@ class OdeSystem:
         self.require_evaluable((f"f{k}", f) for k, f in enumerate(self.rhs, start=1))
 
     def validate_expr(self, e: Expr):
+        if not isinstance(e, Expr):
+            raise TypeError(f"not an expression: {e!r}")
         declared = {p.name for p in self.params}
         for v in sorted(ex.free_vars(e), key=str):
             if v.kind in (Var.Y, Var.YDOT):

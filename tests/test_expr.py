@@ -653,6 +653,13 @@ class TestSubstitute:
         e = ex.mul(ex.const(2), ex.Param("a"))
         assert substitute(e, {ex.Param("a"): x}) == ex.mul(ex.const(2), x)
 
+    def test_non_expressions_are_type_errors(self):
+        a = ex.Param("a")
+        with pytest.raises(TypeError, match="not an expression: 3"):
+            substitute(ex.mul(a, y1), {a: 3})
+        with pytest.raises(TypeError, match="not an expression: 'y'"):
+            substitute("y", {})
+
     def test_empty_map_is_identity(self):
         e = ex.sub(ex.pow_(dy1, 2), ex.mul(ex.const(4), ex.pow_(y1, 3)))
         assert substitute(e, {}) == e

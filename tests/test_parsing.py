@@ -363,6 +363,10 @@ class TestOdeSystem:
         with pytest.raises(ZeroDivisionError):
             ex.Product([ex.Y(1), ex.Power(ex.Const(0), -1)])
 
+    def test_a_non_expression_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not an expression: 3"):
+            OdeSystem(n=1, rhs=(3,))
+
     def test_deepcopy_keeps_the_nodes(self):
         import copy
 
