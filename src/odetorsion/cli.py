@@ -3,10 +3,21 @@
     odetorsion analyze corpus/table1.straight --json
     odetorsion analyze --rhs "6*y^2 + x"
 
+A classification says whether the invariant ``--method`` names vanishes
+identically, as the zero oracle decides: ``tresse`` (n = 1), Tresse's
+fourth-order invariant, by this package's choice of his two (Tresse 1896;
+Cartan, Bull. SMF 52, 1924); ``fels``, Fels's trace-free torsion (Proc.
+LMS 71, 1995; Grossman, Selecta Math. 6, 2000), zero by definition for
+n = 1; ``quartic``, every fourth dy-partial of every f^I (each f^I cubic
+in dy), for n = 1 Tresse's other invariant f_pppp.  ``auto`` runs tresse
+for n = 1 and fels for n >= 2, and adds the quartic check as a field.
+So ``straight`` means torsion-free, which is not flat: point-equivalence
+to y'' = 0 also needs f_pppp = 0 (n = 1) or Fels's curvature S = 0.
+
 Exit codes: 0 when every entry matches its expectation (or has none),
-1 on any mismatch, 2 on parse errors (among them a division by a
-constant zero, y/0 or 0^-1, and groups nested deeper than 5,000 levels),
-on validation errors (a right-hand side or conserved quantity that no
+1 on any mismatch, 2 on a file that is not UTF-8 text, on parse errors
+(among them a division by a constant zero, y/0 or 0^-1, and groups
+nested deeper than 5,000 levels), on validation errors (a right-hand side or conserved quantity that no
 sample point evaluates, such as 1/(y-y)), on corpus files given together
 with --rhs and on a number overflowing the float range while reading,
 (2+i)^100000 or (1e-170*i)^-2, or while classifying.
@@ -24,13 +35,11 @@ from concurrent.futures import ThreadPoolExecutor
 from .expr import Var, free_vars
 from .oracle import INCONCLUSIVE, NONZERO, ZERO, OracleConfig
 from .parsing import (
-    GENERIC,
     NOT_STRAIGHT,
     STRAIGHT,
     UNSPECIFIED,
     CorpusEntry,
     OdeSystem,
-    ParamDecl,
     ParseError,
     ValidationError,
     parse_corpus,
@@ -108,20 +117,17 @@ def _load_entries(args) -> list[CorpusEntry]:
         if args.files:
             raise ValidationError("give corpus files or --rhs, not both")
         rhs = tuple(parse_expr(t) for t in args.rhs)
-        params = sorted(
-            {r.name for f in rhs for r in free_vars(f) if r.kind == Var.PARAM}
-        )
-        sys_ = OdeSystem(
-            n=len(rhs),
-            rhs=rhs,
-            params=tuple(ParamDecl(p, GENERIC) for p in params),
-            name="inline",
-        )
+        params = tuple(sorted({r.name for f in rhs for r in free_vars(f) if r.kind == Var.PARAM}))
+        sys_ = OdeSystem(n=len(rhs), rhs=rhs, params=params, name="inline")
         return [CorpusEntry(system=sys_)]
     entries: list[CorpusEntry] = []
     for path in args.files:
         with open(path, "r", encoding="utf-8") as fh:
-            entries.extend(parse_corpus(fh.read()))
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as err:
+                raise ValidationError(f"{path}: not UTF-8 text (byte {err.start})") from None
+        entries.extend(parse_corpus(text))
     return entries
 
 
@@ -198,7 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                     help="parallel corpus entries (default: logical cores)")
     an.add_argument("--method", choices=["auto", TRESSE, FELS, QUARTIC], default="auto",
-                    help="invariant to use (default: auto dispatch on n)")
+                    help="invariant whose vanishing 'straight' means (torsion-free, not flat): "
+                         "tresse (Tresse's fourth-order invariant, n = 1), fels (Fels's trace-free "
+                         "torsion), quartic (every fourth dy-partial, so each f cubic in dy); auto: "
+                         "tresse for n = 1, fels for n >= 2, plus the quartic check (default)")
     an.set_defaults(func=cmd_analyze)
     return parser
 

@@ -24,7 +24,8 @@ result and looks it up; only on a miss does it make the node, which
 therefore unique: identity is structural equality, so nodes compare and
 hash by identity (object's ``__eq__`` and ``__hash__``, in C), and every
 map over nodes is keyed by the node itself.  A copy of a node is the
-node, and unpickling rebuilds it through its constructor.  A rational
+node, and a node pickles as its program's steps, which unpickling
+remakes through the constructors.  A rational
 ``Const`` also holds its lowest terms as the ints ``num`` and ``den``,
 and its intern key is ``("q", num, den)``, so ``const`` looks an ``int``
 or ``Fraction`` up, and ``add`` and ``mul`` fold rationals as integer
@@ -98,8 +99,8 @@ class Expr:
     __slots__ = ("free", "poly", "fns", "_prog")
 
     def __reduce__(self):
-        # the constructor rebuilds the interned node in any process
-        return type(self), ((self.value,) if type(self) is Const else self._key()[1:])
+        # flat steps, so neither pickling nor unpickling recurses on depth
+        return _rebuild, (tuple((type(n), _own(n), kids) for n, kids in Program((self,)).steps),)
 
     def __copy__(self, memo=None):
         return self  # immutable and interned
@@ -528,6 +529,31 @@ def substitute(e: Expr, mapping: Mapping[Var, Expr]) -> Expr:
         else:
             new = apply(n.fn, out[kids[0]])
         out.append(new)
+    return out[-1]
+
+
+def _own(n: Expr):
+    """What n holds besides its children: a constant's value, a variable's
+    fields, a power's exponent, a function's name, or None."""
+    t = type(n)
+    if t is Const or t is Var:
+        return n.value if t is Const else (n.kind, n.index, n.name)
+    return n.exponent if t is Power else n.fn if t is Apply else None
+
+
+def _rebuild(steps: tuple) -> Expr:
+    """The node whose program steps are (class, ``_own``, child steps),
+    remade in order through the constructors: the interned node, in any
+    process."""
+    out: list[Expr] = []
+    for cls, own, kids in steps:
+        args = [out[k] for k in kids]
+        if cls is Const or cls is Var:
+            out.append(const(own) if cls is Const else Var(*own))
+        elif cls is Power or cls is Apply:
+            out.append(pow_(args[0], own) if cls is Power else apply(own, args[0]))
+        else:
+            out.append(add(*args) if cls is Sum else mul(*args))
     return out[-1]
 
 

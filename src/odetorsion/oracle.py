@@ -29,9 +29,11 @@ from a sample that no entry, on either path, wins.
 At each sample the first entry, in row-major order, that either path
 finds nonzero wins.
 
-``sample_point`` is the one place points are drawn, under the parameter
-policies; the oracle's exact and numeric paths and ``OdeSystem``
-validation use it.
+A named parameter is one more variable.  No draw is 0 (|z| >= R_MIN on
+the annulus, a/b with a, b >= 1 on the exact path), so one declared
+nonzero needs nothing more, and a fixed value is substituted before the
+oracle sees it.  ``sample_point`` is the one place points are drawn; the
+oracle's exact and numeric paths and ``OdeSystem`` validation use it.
 
 An exact witness value outside the float range is reported as an
 infinity of its sign; the verdict rests on the exact value, never on the
@@ -48,7 +50,7 @@ from math import cos, inf, pi, sin
 from typing import Callable, Optional, Sequence
 
 from . import expr as ex
-from .expr import Const, EvalSingular, Expr, Param, Var
+from .expr import Const, EvalSingular, Expr, Var
 
 ZERO = "zero"
 NONZERO = "nonzero"
@@ -57,24 +59,6 @@ INCONCLUSIVE = "inconclusive"
 R_MIN, R_MAX = 0.3, 2.0  # radii of the sampling annulus
 NOISE_FLOOR = 1e-13  # relative magnitude below which a value is plainly zero
 MAX_RETRIES = 8  # draws per sample before it counts as invalid
-
-GENERIC = "generic"
-GENERIC_NONZERO = "generic-nonzero"
-FIXED = "fixed"
-
-
-@dataclass(frozen=True)
-class ParamDecl:
-    name: str
-    policy: str = GENERIC  # generic | generic-nonzero | fixed
-    value: object = None  # Fraction or complex when fixed
-
-    def __post_init__(self):
-        if self.policy not in (GENERIC, GENERIC_NONZERO, FIXED):
-            raise ValueError(f"bad parameter policy {self.policy!r}")
-        if (self.policy == FIXED) != (self.value is not None):
-            raise ValueError("fixed policy requires a value, others forbid one")
-
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -124,30 +108,10 @@ def _sample_annulus(rng: random.Random) -> complex:
     return complex(r * cos(t), r * sin(t))
 
 
-def sample_point(rng: random.Random, variables: Sequence[Var], params: Sequence[ParamDecl] = (),
-                 draw: Callable = _sample_annulus, number: Callable = complex) -> dict:
-    """One point for variables, drawn in their order.
-
-    A FIXED parameter takes number(value); every other variable, including a
-    GENERIC_NONZERO one (the annulus already excludes |v| < R_MIN), is
-    draw(rng).  The defaults are the numeric path's; the exact path draws
-    ``_sample_rational`` and keeps fixed values as ``Fraction``.
-    """
-    fixed = {Param(p.name): p.value for p in params if p.policy == FIXED}
-    return {r: number(fixed[r]) if r in fixed else draw(rng) for r in variables}
-
-
-def _exact_path_ok(e: Expr, params: Sequence[ParamDecl]) -> bool:
-    if not ex.is_polynomial(e):
-        return False
-    for decl in params:
-        if Param(decl.name) not in e.free:
-            continue
-        if decl.policy == GENERIC_NONZERO:
-            return False
-        if decl.policy == FIXED and not isinstance(decl.value, (Fraction, int)):
-            return False
-    return True
+def sample_point(rng: random.Random, variables: Sequence[Var], draw: Callable = _sample_annulus) -> dict:
+    """One point for variables, each draw(rng) in their order: the numeric
+    path's annulus by default, ``_sample_rational`` on the exact path."""
+    return {r: draw(rng) for r in variables}
 
 
 def _exact_samples(d: int, cap: int) -> int:
@@ -178,17 +142,16 @@ def _float(num: int, den: int) -> complex:
         return complex(inf if num > 0 else -inf)
 
 
-def is_zero(e: Expr, params: Sequence[ParamDecl] = (), cfg: OracleConfig = OracleConfig()) -> Verdict:
-    """Decide whether e vanishes identically under the parameter policies."""
-    return _decide([e], params, cfg)[1]
+def is_zero(e: Expr, cfg: OracleConfig = OracleConfig()) -> Verdict:
+    """Decide whether e vanishes identically in all its variables."""
+    return _decide([e], cfg)[1]
 
 
-def is_zero_matrix(entries: Sequence[Sequence[Expr]], params: Sequence[ParamDecl] = (),
-                   cfg: OracleConfig = OracleConfig()) -> Verdict:
+def is_zero_matrix(entries: Sequence[Sequence[Expr]], cfg: OracleConfig = OracleConfig()) -> Verdict:
     """Zero iff every entry is; the first entry, in row-major order, found
     nonzero at the first point where any is, wins, with its index."""
     index = [(i + 1, j + 1) for i, row in enumerate(entries) for j in range(len(row))]
-    k, v = _decide([e for row in entries for e in row], params, cfg)
+    k, v = _decide([e for row in entries for e in row], cfg)
     if k is None:
         # a zero matrix reports no entry's gray-zone note
         return replace(v, reason="") if v.reason else v
@@ -196,12 +159,12 @@ def is_zero_matrix(entries: Sequence[Sequence[Expr]], params: Sequence[ParamDecl
     return replace(v, entry=(i, j), reason=v.reason and f"entry ({i},{j}): {v.reason}")
 
 
-def _decide(roots: Sequence[Expr], params, cfg) -> tuple[Optional[int], Verdict]:
+def _decide(roots: Sequence[Expr], cfg) -> tuple[Optional[int], Verdict]:
     """The verdict that every root vanishes, and the index of the root it
     names (None for zero).
 
     A constant root is decided from its value.  The other roots go to the
-    exact path when ``_exact_path_ok`` and to the numeric path otherwise,
+    exact path when ``poly`` and to the numeric path otherwise,
     one program and one point stream per path, and each point decides
     every root of its path.  At each sample the first root, in order, that
     either path finds nonzero wins; a sample no root wins re-raises an
@@ -215,7 +178,7 @@ def _decide(roots: Sequence[Expr], params, cfg) -> tuple[Optional[int], Verdict]
             if e is not ex.ZERO:
                 first = k
                 break
-        elif _exact_path_ok(e, params):
+        elif e.poly:
             exact.append(k)
         else:
             numeric.append(k)
@@ -225,7 +188,7 @@ def _decide(roots: Sequence[Expr], params, cfg) -> tuple[Optional[int], Verdict]
         # branch-limited when a root up to the one named is
         return k, Verdict(NONZERO, seed=cfg.seed, branch_limited=bool(limited) and limited[0] <= k, **fields)
 
-    paths = [path(roots, at, params, cfg) for path, at in ((_Exact, exact), (_Numeric, numeric)) if at]
+    paths = [path(roots, at, cfg) for path, at in ((_Exact, exact), (_Numeric, numeric)) if at]
     rounds = 1 if first is not None else max((path.samples for path in paths), default=0)
     for i in range(rounds):
         # each path lists its nonzero roots in order, so its first is its least
@@ -264,14 +227,13 @@ class _Path:
     exact = False
     overflow = None  # an OverflowError met at the last point; raised if no root wins the sample
 
-    def __init__(self, roots, at, params, cfg):
+    def __init__(self, roots, at, cfg):
         self.at = at  # the index of each root among all roots
         self.roots = [roots[k] for k in at]
         self.prog = ex.batch(self.roots)
         # parameters after the other variables, each group in name order
         self.variables = sorted(set().union(*(e.free for e in self.roots)),
                                 key=lambda v: (v.kind == Var.PARAM, str(v)))
-        self.params = params
         self.rel_tol = cfg.rel_tol
         self.samples = cfg.samples
         self.rng = random.Random(cfg.seed)
@@ -326,15 +288,15 @@ class _Exact(_Path):
 
     exact = True
 
-    def __init__(self, roots, at, params, cfg):
-        super().__init__(roots, at, params, cfg)
+    def __init__(self, roots, at, cfg):
+        super().__init__(roots, at, cfg)
         _, degs, _ = self.prog.degrees()
         d = max(degs[r] for r in self.prog.roots)
         self.samples = _exact_samples(d, cfg.samples)
         self.bound = _miss_bound(d, self.samples)
 
     def draw(self) -> dict:
-        return sample_point(self.rng, self.variables, self.params, _sample_rational, Fraction)
+        return sample_point(self.rng, self.variables, _sample_rational)
 
     def test(self) -> list:
         self.ratios = ex.exact_ratios(self.prog, self.point)
@@ -352,7 +314,7 @@ class _Numeric(_Path):
     """Annulus points, each root judged against its own cancellation scale."""
 
     def draw(self) -> dict:
-        return sample_point(self.rng, self.variables, self.params)
+        return sample_point(self.rng, self.variables)
 
     def test(self) -> Optional[list]:
         self.overflow = None

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from . import expr as ex
 from .expr import Expr, Var
-from .oracle import FIXED, GENERIC, GENERIC_NONZERO, ParamDecl, sample_point
+from .oracle import sample_point
 
 
 class ParseError(ValueError):
@@ -253,11 +253,11 @@ _POINTS = 8  # sample points an expression gets to show it is defined
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """d^2 y^I / dx^2 = rhs[I-1](x, y, dy), I = 1..n."""
+    """d^2 y^I / dx^2 = rhs[I-1](x, y, dy), I = 1..n, in the parameters named by params."""
 
     n: int
     rhs: tuple[Expr, ...]
-    params: tuple[ParamDecl, ...] = ()
+    params: tuple[str, ...] = ()
     name: str = "system"
 
     def __post_init__(self):
@@ -267,10 +267,9 @@ class OdeSystem:
             raise ValidationError(f"{self.name}: n must be positive")
         if len(self.rhs) != self.n:
             raise ValidationError(f"{self.name}: expected {self.n} right-hand sides, got {len(self.rhs)}")
-        names = [p.name for p in self.params]
-        if len(set(names)) != len(names):
+        if len(set(self.params)) != len(self.params):
             raise ValidationError(f"{self.name}: duplicate parameter names")
-        for name in names:
+        for name in self.params:
             if name in _RESERVED or _YVAR_RE.match(name):
                 raise ValidationError(f"{self.name}: parameter name {name!r} is reserved")
         for f in self.rhs:
@@ -280,12 +279,11 @@ class OdeSystem:
     def validate_expr(self, e: Expr):
         if not isinstance(e, Expr):
             raise TypeError(f"not an expression: {e!r}")
-        declared = {p.name for p in self.params}
         for v in sorted(ex.free_vars(e), key=str):
             if v.kind in (Var.Y, Var.YDOT):
                 if not 1 <= v.index <= self.n:
                     raise ValidationError(f"{self.name}: variable index {v.index} outside 1..{self.n}")
-            elif v.kind == Var.PARAM and v.name not in declared:
+            elif v.kind == Var.PARAM and v.name not in self.params:
                 raise ValidationError(f"{self.name}: undeclared parameter {v.name!r}")
 
     def require_evaluable(self, labelled) -> None:
@@ -301,7 +299,7 @@ class OdeSystem:
             variables = sorted(ex.free_vars(e), key=str)
             for _ in range(_POINTS):
                 try:
-                    ex.evaluate(e, sample_point(rng, variables, self.params))
+                    ex.evaluate(e, sample_point(rng, variables))
                     break
                 except ArithmeticError:
                     continue
@@ -309,9 +307,6 @@ class OdeSystem:
                 raise ValidationError(
                     f"{self.name}: {label} cannot be evaluated at any of {_POINTS} sample points"
                 )
-
-    def param_map(self) -> dict[str, ParamDecl]:
-        return {p.name: p for p in self.params}
 
 
 STRAIGHT = "straight"
@@ -331,11 +326,11 @@ class CorpusEntry:
         return any("transcription-uncertain" in n for n in self.notes)
 
 
-def _parse_fixed_value(text: str, line: int, col: int):
+def _parse_fixed_value(text: str, line: int, col: int) -> ex.Const:
     e = parse_expr(text, line, col)
     if not isinstance(e, ex.Const):
         raise ParseError("fixed parameter value must be a constant", line, col)
-    return e.value
+    return e
 
 
 def _column(raw: str, text: str) -> int:
@@ -357,7 +352,7 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
                 raise ParseError("expected 'system <name>'", lineno, 1, ("system",))
             if not rest:
                 raise ParseError("missing system name", lineno, 1)
-            state = {"name": rest, "n": None, "params": [], "rhs": {},
+            state = {"name": rest, "n": None, "params": [], "fixed": {}, "rhs": {},
                      "conserved": [], "expect": None, "notes": [], "line": lineno}
             continue
         if word in ("n", "expect") and state[word] is not None:
@@ -369,17 +364,14 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
                 raise ParseError(f"bad dimension {rest!r}", lineno, 1) from None
         elif word == "param":
             pname, policy = (rest.split(None, 1) + ["", ""])[:2]
-            if policy == "generic":
-                state["params"].append(ParamDecl(pname, GENERIC))
-            elif policy == "generic-nonzero":
-                state["params"].append(ParamDecl(pname, GENERIC_NONZERO))
-            elif policy.startswith("="):
+            if policy.startswith("="):
                 text = policy[1:].strip()
-                value = _parse_fixed_value(text, lineno, _column(raw, text))
-                state["params"].append(ParamDecl(pname, FIXED, value))
-            else:
+                state["fixed"][ex.Param(pname)] = _parse_fixed_value(text, lineno, _column(raw, text))
+            elif policy not in ("generic", "generic-nonzero"):
                 raise ParseError(f"bad parameter policy {policy!r}", lineno, 1,
                                  ("generic", "generic-nonzero", "= <value>"))
+            # a fixed name stays declared, so the name checks cover it
+            state["params"].append(pname)
         elif re.fullmatch(r"f[0-9]+", word):
             k = int(word[1:])
             if not rest.startswith("="):
@@ -408,7 +400,16 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
 
 
 def _finish_entry(state) -> CorpusEntry:
+    """The entry a closed block declares, with each fixed parameter's
+    value substituted into its right-hand sides and conserved quantities."""
     name = state["name"]
+
+    def fix(label: str, e: Expr) -> Expr:
+        try:
+            return ex.substitute(e, state["fixed"])
+        except ZeroDivisionError:
+            raise ValidationError(f"{name}: division by zero in {label}") from None
+
     if state["n"] is None:
         raise ValidationError(f"{name}: missing dimension 'n'")
     if state["expect"] is None:
@@ -422,11 +423,11 @@ def _finish_entry(state) -> CorpusEntry:
         raise ValidationError(f"{name}: f{extra[0]} outside n={n}")
     sys = OdeSystem(
         n=n,
-        rhs=tuple(state["rhs"][k] for k in range(1, n + 1)),
+        rhs=tuple(fix(f"f{k}", state["rhs"][k]) for k in range(1, n + 1)),
         params=tuple(state["params"]),
         name=name,
     )
-    conserved = tuple(state["conserved"])
+    conserved = tuple(fix(f"conserved quantity {k}", g) for k, g in enumerate(state["conserved"], start=1))
     for g in conserved:
         sys.validate_expr(g)
     sys.require_evaluable((f"conserved quantity {k}", g) for k, g in enumerate(conserved, start=1))

@@ -118,7 +118,7 @@ def fels_torsion(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionR
         [ex.add(phi[i][j], trace_over_n) if i == j else phi[i][j] for j in range(n)]
         for i in range(n)
     ]
-    verdict = is_zero_matrix(matrix, sys.params, cfg)
+    verdict = is_zero_matrix(matrix, cfg)
     return TorsionReport(FELS, matrix, verdict)
 
 
@@ -145,7 +145,7 @@ def tresse_torsion(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> Torsio
     if sys.n != 1:
         raise DimensionError(f"Tresse torsion needs n=1, got n={sys.n}")
     invariant = _tresse_expr(sys)
-    verdict = is_zero(invariant, sys.params, cfg)
+    verdict = is_zero(invariant, cfg)
     return TorsionReport(TRESSE, invariant, verdict)
 
 
@@ -157,7 +157,7 @@ def quartic_test(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionR
     """
     combos = list(combinations_with_replacement([ex.YDot(j + 1) for j in range(sys.n)], 4))
     rows = [[nth_partial(f, combo) for combo in combos] for f in sys.rhs]
-    verdict = is_zero_matrix(rows, sys.params, cfg)
+    verdict = is_zero_matrix(rows, cfg)
     invariant = [d4 for row in rows for d4 in row]
     return TorsionReport(QUARTIC, invariant, verdict)
 
@@ -173,7 +173,7 @@ def check_conserved(sys: OdeSystem, g: Expr, cfg: OracleConfig = OracleConfig())
     """Zero iff g is constant along integral curves of sys."""
     sys.validate_expr(g)
     sys.require_evaluable([("conserved quantity", g)])
-    return is_zero(total_derivative(g, sys), sys.params, cfg)
+    return is_zero(total_derivative(g, sys), cfg)
 
 
 # ---------------------------------------------------------------------------

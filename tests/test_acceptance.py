@@ -18,7 +18,7 @@ from odetorsion import expr as ex
 from odetorsion.calculus import nth_partial, partial, total_derivative
 from odetorsion.expr import X, Y, YDot
 from odetorsion.oracle import OracleConfig, is_zero
-from odetorsion.parsing import GENERIC, OdeSystem, ParamDecl, parse_corpus, parse_expr
+from odetorsion.parsing import OdeSystem, parse_corpus, parse_expr
 from odetorsion.torsion import (
     LinearConstSystem,
     check_conserved,
@@ -127,13 +127,13 @@ def test_criterion_4_oscillators():
     shared = OdeSystem(
         n=2,
         rhs=(parse_expr("-(w^2)*y1"), parse_expr("-(w^2)*y2")),
-        params=(ParamDecl("w", GENERIC),),
+        params=("w",),
         name="oscillators-shared",
     )
     split = OdeSystem(
         n=2,
         rhs=(parse_expr("-(w1^2)*y1"), parse_expr("-(w2^2)*y2")),
-        params=(ParamDecl("w1", GENERIC), ParamDecl("w2", GENERIC)),
+        params=("w1", "w2"),
         name="oscillators-split",
     )
     for seed in range(10):

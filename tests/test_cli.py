@@ -247,6 +247,30 @@ class TestCorpus:
         assert (code, out) == (2, "")
         assert err == "error: duplicate n at line 3, column 1\n"
 
+    @pytest.mark.parametrize("params, f1, message", [
+        (" param a = 0", "y/a", "z: division by zero in f1"),
+        (" param a generic\n param a = 2", "a*y", "z: duplicate parameter names"),
+        (" param x = 2", "y", "z: parameter name 'x' is reserved"),
+    ], ids=["fixed-zero", "duplicate-name", "reserved-name"])
+    def test_bad_parameter_exit_2(self, capsys, tmp_path, params, f1, message):
+        # a fixed value is substituted while the entry is read, and its
+        # name is still checked like any declared parameter's
+        corpus = tmp_path / "z"
+        corpus.write_text(f"system z\n n 1\n{params}\n f1 = {f1}\n expect straight\nend\n")
+        code, out, err = run(capsys, "analyze", str(corpus))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("data, offset", [(b"\xffsystem s\n", 0), (b"system \xe9\n", 7)],
+                             ids=["first-byte", "later-byte"])
+    def test_not_utf8_exit_2(self, capsys, tmp_path, data, offset):
+        # an unreadable file is an input error (2), not a mismatch (1)
+        corpus = tmp_path / "binary"
+        corpus.write_bytes(data)
+        code, out, err = run(capsys, "analyze", str(corpus))
+        assert (code, out) == (2, "")
+        assert err == f"error: {corpus}: not UTF-8 text (byte {offset})\n"
+
     def test_missing_file_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "no-such-file")
         assert code == 2

@@ -2,7 +2,10 @@ import cmath
 import copy
 import math
 import operator
+import os
+import pathlib
 import pickle
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -106,6 +109,29 @@ class TestCopy:
     def test_deepcopy_of_a_deep_expression_does_not_recurse(self):
         e = parse_expr("y*(1+" * 1500 + "y" + ")" * 1500)
         assert copy.deepcopy(e) is e and copy.deepcopy([e])[0] is e
+
+    @pytest.mark.parametrize("depth", [170, 1500])
+    def test_pickle_of_a_deep_expression_does_not_recurse(self, depth):
+        # a node pickles as its program's flat steps
+        e = parse_expr("y*(1+" * depth + "y" + ")" * depth)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert pickle.loads(pickle.dumps(e)) is e
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_unpickling_in_a_fresh_interpreter_gives_the_parsed_node(self, tmp_path):
+        texts = ["2*y + x*sin(dy2)^-3 - a/7 + (1+2*i)*log(y)^2", "y*(1+" * 1500 + "y" + ")" * 1500]
+        path = tmp_path / "nodes.pickle"
+        path.write_bytes(pickle.dumps([(t, parse_expr(t)) for t in texts]))
+        code = ("import pickle, sys; from odetorsion import parse_expr; "
+                "pairs = pickle.load(open(sys.argv[1], 'rb')); "
+                "print([f is parse_expr(t) for t, f in pairs])")
+        src = str(pathlib.Path(ex.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+        assert out.stdout == "[True, True]\n"
 
 
 # A small strategy for trees.  Each draw is a plain description, nested

@@ -21,15 +21,7 @@ from odetorsion.oracle import (
     is_zero,
     is_zero_matrix,
 )
-from odetorsion.parsing import (
-    FIXED,
-    GENERIC,
-    GENERIC_NONZERO,
-    OdeSystem,
-    ParamDecl,
-    parse_corpus,
-    parse_expr,
-)
+from odetorsion.parsing import OdeSystem, parse_corpus, parse_expr
 from odetorsion.torsion import fels_torsion, quartic_test, tresse_torsion
 
 x = X
@@ -87,8 +79,7 @@ class TestExactPath:
         e = parse_expr(text)
         cfg = OracleConfig(seed=11)
         refs = sorted(e.free, key=str)
-        point = oracle.sample_point(random.Random(cfg.seed), refs, (),
-                                    oracle._sample_rational, Fraction)
+        point = oracle.sample_point(random.Random(cfg.seed), refs, oracle._sample_rational)
         exact = ex.evaluate_exact(e, point)
         try:
             expected = complex(exact)
@@ -117,14 +108,28 @@ class TestExactPath:
         assert abs(got - v.value) <= 1e-9 * max(abs(v.value), 1.0)
 
     def test_fixed_rational_param_stays_on_exact_path(self):
-        decls = [ParamDecl("a", FIXED, Fraction(1, 2))]
-        v = is_zero(parse_expr("2*a*y - y"), decls)
+        # a fixed value is a constant in the entry, as if written in place
+        block = "system s\n n 1\n{}\n f1 = {}\n expect unspecified\nend"
+        (fixed,) = parse_corpus(block.format(" param c = 3/2", "c*y^3*dy + x*y*dy^2"))
+        (inline,) = parse_corpus(block.format("", "3/2*y^3*dy + x*y*dy^2"))
+        assert ex.Param("c") not in fixed.system.rhs[0].free
+        assert fixed.system.rhs[0] is inline.system.rhs[0]
+        v = tresse_torsion(fixed.system).verdict
+        assert v == tresse_torsion(inline.system).verdict
+        assert v.is_nonzero and v.exact
+        (cancel,) = parse_corpus(block.format(" param c = 1/2", "2*c*y - y"))
+        v = is_zero(cancel.system.rhs[0])
         assert v.is_zero and v.exact
 
-    def test_generic_nonzero_forces_numeric_path(self):
-        decls = [ParamDecl("a", GENERIC_NONZERO)]
-        v = is_zero(parse_expr("a*y"), decls)
-        assert v.is_nonzero and not v.exact
+    def test_generic_nonzero_param_takes_the_exact_path(self):
+        # no draw is 0, so a parameter declared nonzero is one more variable
+        (entry,) = parse_corpus("system s\n n 1\n param a generic-nonzero\n f1 = a*y\n expect unspecified\nend")
+        a = ex.Param("a")
+        v = is_zero(entry.system.rhs[0])
+        assert v.is_nonzero and v.exact and v.samples_passed == 0
+        point = _seeded_rational_point([y, a])  # parameters after the other variables
+        assert v.witness == {r: complex(q) for r, q in point.items()}
+        assert v.value == complex(point[a] * point[y])
 
     def test_nonpolynomial_forces_numeric_path(self):
         v = is_zero(parse_expr("exp(y) - exp(y)"))
@@ -304,7 +309,7 @@ class TestCanonicalInput:
         made = []
         mk = ex._mk
         monkeypatch.setattr(ex, "_mk", lambda node, *args, **kw: made.append(node) or mk(node, *args, **kw))
-        assert is_zero(invariant, entry.system.params).is_zero
+        assert is_zero(invariant).is_zero
         assert len(ex._intern) == before
         assert made == []
 
@@ -321,14 +326,17 @@ class TestConfig:
 
 class TestSampler:
     def test_fixed_parameter_takes_its_value_and_draws_nothing(self):
+        # the value is substituted into the entry, so the sampler never sees
+        # the name; every variable it does see is drawn, in order
+        (entry,) = parse_corpus("system s\n n 1\n param a = 1/2\n param b generic-nonzero\n"
+                                " f1 = a*y + b\n expect unspecified\nend")
         a, b = ex.Param("a"), ex.Param("b")
-        params = (ParamDecl("a", FIXED, Fraction(1, 2)), ParamDecl("b", GENERIC_NONZERO))
-        point = oracle.sample_point(random.Random(3), [Y(1), a, b], params)
+        assert entry.system.rhs[0] is parse_expr("1/2*y + b")
+        point = oracle.sample_point(random.Random(3), [Y(1), b])
         rng = random.Random(3)
-        assert point == {Y(1): oracle._sample_annulus(rng), a: 0.5 + 0j,
-                         b: oracle._sample_annulus(rng)}
-        exact = oracle.sample_point(random.Random(3), [a], params, oracle._sample_rational, Fraction)
-        assert exact == {a: Fraction(1, 2)}
+        assert point == {Y(1): oracle._sample_annulus(rng), b: oracle._sample_annulus(rng)}
+        exact = oracle.sample_point(random.Random(3), [a], oracle._sample_rational)
+        assert exact == {a: oracle._sample_rational(random.Random(3))}
 
     @pytest.mark.parametrize("module", ["expr", "calculus", "oracle", "parsing", "torsion", "cli"])
     def test_module_imports_alone(self, module):
@@ -354,7 +362,7 @@ P = 2 ** 61 - 1  # a prime a residue test modulo P would be blind to
 
 
 def _seeded_rational_point(refs, seed=0):
-    return oracle.sample_point(random.Random(seed), refs, (), oracle._sample_rational, Fraction)
+    return oracle.sample_point(random.Random(seed), refs, oracle._sample_rational)
 
 
 class TestModularPath:
@@ -484,7 +492,7 @@ class TestMatrix:
         # exp(y) - exp(y) wins nothing where log(y-y) is singular, and
         # such a point counts as neither clear nor gray for it
         roots = [parse_expr("exp(y) - exp(y)"), parse_expr("log(y-y)")]
-        path = oracle._Numeric(roots, [0, 1], (), OracleConfig())
+        path = oracle._Numeric(roots, [0, 1], OracleConfig())
         assert path.sample() is None
         assert path.valid == 0 and path.clear == [0, 0] and path.gray == [0, 0]
         v = is_zero_matrix([roots])

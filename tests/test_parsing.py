@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from odetorsion import expr as ex
 from odetorsion import parsing
 from odetorsion.parsing import (
-    FIXED,
-    GENERIC,
-    GENERIC_NONZERO,
     CorpusEntry,
     OdeSystem,
-    ParamDecl,
     ParseError,
     ValidationError,
     parse_corpus,
@@ -371,7 +367,7 @@ class TestOdeSystem:
         import copy
 
         f = parse_expr("y^2 + a*dy")
-        sys_ = OdeSystem(n=1, rhs=(f,), params=(ParamDecl("a", GENERIC),))
+        sys_ = OdeSystem(n=1, rhs=(f,), params=("a",))
         assert copy.deepcopy(sys_).rhs[0] is f
 
     def test_index_out_of_range(self):
@@ -383,12 +379,12 @@ class TestOdeSystem:
             OdeSystem(n=1, rhs=(parse_expr("a*y"),))
 
     def test_declared_parameter_ok(self):
-        sys = OdeSystem(n=1, rhs=(parse_expr("a*y"),), params=(ParamDecl("a", GENERIC),))
-        assert sys.param_map()["a"].policy == GENERIC
+        sys = OdeSystem(n=1, rhs=(parse_expr("a*y"),), params=("a",))
+        assert sys.params == ("a",)
 
     def test_reserved_parameter_name(self):
         with pytest.raises(ValidationError):
-            OdeSystem(n=1, rhs=(y,), params=(ParamDecl("dy7", GENERIC),))
+            OdeSystem(n=1, rhs=(y,), params=("dy7",))
 
     @pytest.mark.parametrize("text, index", [
         ("y5 + dy7 + y9 + dy3", 3),
@@ -416,16 +412,18 @@ class TestOdeSystem:
             OdeSystem(n=2, rhs=(parse_expr("y2"), parse_expr(text)), name="undefined")
 
     def test_fixed_parameter_takes_declared_value(self):
-        f = parse_expr("y/(a - 2)")
-        OdeSystem(n=1, rhs=(f,), params=(ParamDecl("a", GENERIC),))
-        with pytest.raises(ValidationError, match="f1"):
-            OdeSystem(n=1, rhs=(f,), params=(ParamDecl("a", FIXED, Fraction(2)),))
+        OdeSystem(n=1, rhs=(parse_expr("y/(a - 2)"),), params=("a",))
+        with pytest.raises(ValidationError, match="^s: division by zero in f1$"):
+            parse_corpus("system s\n n 1\n param a = 2\n f1 = y/(a - 2)\n expect straight\nend")
+        with pytest.raises(ValidationError, match="^s: division by zero in conserved quantity 2$"):
+            parse_corpus("system s\n n 1\n param a = 2\n f1 = y\n conserved y\n conserved 1/(a - 2)\n"
+                         " expect straight\nend")
 
     def test_fixed_policy_needs_value(self):
-        with pytest.raises(ValueError):
-            ParamDecl("a", FIXED)
-        with pytest.raises(ValueError):
-            ParamDecl("a", GENERIC, value=3)
+        # a parameter is generic, generic-nonzero or a constant value
+        for policy in ("", "fixed", "generic = 3", "= x"):
+            with pytest.raises(ParseError):
+                parse_corpus(f"system s\n n 1\n param a {policy}\n f1 = y\n expect straight\nend")
 
 
 CORPUS = """
@@ -453,9 +451,9 @@ class TestParseCorpus:
         assert entry.expect == "unspecified"
         assert len(entry.conserved) == 1
         assert entry.notes == ("just a demo",)
-        policies = {p.name: p.policy for p in entry.system.params}
-        assert policies == {"a": GENERIC, "b": GENERIC_NONZERO, "c": FIXED}
-        assert entry.system.param_map()["c"].value == Fraction(3, 2)
+        # every declared name is a parameter; a fixed one's value is in the entry
+        assert entry.system.params == ("a", "b", "c")
+        assert entry.system.rhs == (parse_expr("a*dy2 + 3/2*y1"), parse_expr("b*y2"))
 
     def test_transcription_uncertain_flag(self):
         text = CORPUS.replace("note just a demo", "note transcription-uncertain")
@@ -498,7 +496,7 @@ class TestParseCorpus:
         (entry,) = parse_corpus(text)
         assert entry.system.name == "tabbed" and entry.system.n == 2
         assert entry.system.rhs == (ex.Y(1), ex.YDot(1))
-        assert entry.system.params == (ParamDecl("a", GENERIC),)
+        assert entry.system.params == ("a",)
         assert entry.expect == "straight"
         with pytest.raises(ParseError, match="at line 3, column 10$"):
             parse_corpus("system s\n n 1\n f1\t=\t0^-1\n expect straight\nend")

@@ -7,7 +7,7 @@ from conftest import rand_fraction, random_point, random_polynomial
 from odetorsion import expr as ex
 from odetorsion.expr import X, Y, YDot
 from odetorsion.oracle import INCONCLUSIVE, OracleConfig
-from odetorsion.parsing import GENERIC, OdeSystem, ParamDecl, parse_expr
+from odetorsion.parsing import OdeSystem, parse_expr
 from odetorsion.torsion import (
     DimensionError,
     LinearConstSystem,
@@ -143,14 +143,14 @@ class TestFels:
         shared = OdeSystem(
             n=2,
             rhs=(parse_expr("-(w^2)*y1"), parse_expr("-(w^2)*y2")),
-            params=(ParamDecl("w", GENERIC),),
+            params=("w",),
         )
         assert fels_torsion(shared).straight is True
 
         split = OdeSystem(
             n=2,
             rhs=(parse_expr("-(w1^2)*y1"), parse_expr("-(w2^2)*y2")),
-            params=(ParamDecl("w1", GENERIC), ParamDecl("w2", GENERIC)),
+            params=("w1", "w2"),
         )
         report = fels_torsion(split)
         assert report.straight is False
@@ -162,7 +162,7 @@ class TestFels:
         split = OdeSystem(
             n=2,
             rhs=(parse_expr("-(w1^2)*y1"), parse_expr("-(w2^2)*y2")),
-            params=(ParamDecl("w1", GENERIC), ParamDecl("w2", GENERIC)),
+            params=("w1", "w2"),
         )
         entry = fels_torsion(split).invariant[0][0]
         w1, w2 = ex.Param("w1"), ex.Param("w2")
