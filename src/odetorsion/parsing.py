@@ -407,8 +407,8 @@ def _finish_entry(state) -> CorpusEntry:
     def fix(label: str, e: Expr) -> Expr:
         try:
             return ex.substitute(e, state["fixed"])
-        except ZeroDivisionError:
-            raise ValidationError(f"{name}: division by zero in {label}") from None
+        except (ZeroDivisionError, OverflowError) as err:  # y/a at a = 0, a^-2 at a tiny complex a
+            raise ValidationError(f"{name}: {err} in {label}") from None
 
     if state["n"] is None:
         raise ValidationError(f"{name}: missing dimension 'n'")

@@ -248,10 +248,11 @@ class TestCorpus:
         assert err == "error: duplicate n at line 3, column 1\n"
 
     @pytest.mark.parametrize("params, f1, message", [
-        (" param a = 0", "y/a", "z: division by zero in f1"),
+        (" param a = 0", "y/a", "z: 0 raised to a negative power in f1"),
+        (" param a = 1e-170*i", "a^-2*y", "z: constant power outside the float range in f1"),
         (" param a generic\n param a = 2", "a*y", "z: duplicate parameter names"),
         (" param x = 2", "y", "z: parameter name 'x' is reserved"),
-    ], ids=["fixed-zero", "duplicate-name", "reserved-name"])
+    ], ids=["fixed-zero", "fixed-tiny-power", "duplicate-name", "reserved-name"])
     def test_bad_parameter_exit_2(self, capsys, tmp_path, params, f1, message):
         # a fixed value is substituted while the entry is read, and its
         # name is still checked like any declared parameter's

@@ -413,9 +413,9 @@ class TestOdeSystem:
 
     def test_fixed_parameter_takes_declared_value(self):
         OdeSystem(n=1, rhs=(parse_expr("y/(a - 2)"),), params=("a",))
-        with pytest.raises(ValidationError, match="^s: division by zero in f1$"):
+        with pytest.raises(ValidationError, match="^s: 0 raised to a negative power in f1$"):
             parse_corpus("system s\n n 1\n param a = 2\n f1 = y/(a - 2)\n expect straight\nend")
-        with pytest.raises(ValidationError, match="^s: division by zero in conserved quantity 2$"):
+        with pytest.raises(ValidationError, match="^s: 0 raised to a negative power in conserved quantity 2$"):
             parse_corpus("system s\n n 1\n param a = 2\n f1 = y\n conserved y\n conserved 1/(a - 2)\n"
                          " expect straight\nend")
 
