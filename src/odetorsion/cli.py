@@ -17,10 +17,11 @@ to y'' = 0 also needs f_pppp = 0 (n = 1) or Fels's curvature S = 0.
 Exit codes: 0 when every entry matches its expectation (or has none),
 1 on any mismatch, 2 on a file that is not UTF-8 text, on parse errors
 (among them a division by a constant zero, y/0 or 0^-1, and groups
-nested deeper than 5,000 levels), on validation errors (a right-hand side or conserved quantity that no
-sample point evaluates, such as 1/(y-y)), on corpus files given together
-with --rhs and on a number overflowing the float range while reading,
-(2+i)^100000 or (1e-170*i)^-2, or while classifying.
+nested deeper than 5,000 levels), on validation errors (a right-hand
+side or conserved quantity that no sample point evaluates, such as
+1/(y-y)), on corpus files given together with --rhs and on a number
+overflowing the float range while reading, (2+i)^100000 or
+(1e-170*i)^-2, or while classifying.
 """
 
 from __future__ import annotations
