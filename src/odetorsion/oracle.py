@@ -27,7 +27,9 @@ An entry whose evaluation raises ``OverflowError`` (``cmath.exp`` of a
 huge argument) is not finite at that point; the error propagates only
 from a sample that no entry, on either path, wins.
 At each sample the first entry, in row-major order, that either path
-finds nonzero wins.
+finds nonzero wins.  The numeric path decides its first point alone and
+the rest as one block over its program (``expr.evaluate_block``), with
+the points, values and verdicts of deciding each point alone.
 
 A named parameter is one more variable.  No draw is 0 (|z| >= R_MIN on
 the annulus, a/b with a, b >= 1 on the exact path), so one declared
@@ -311,18 +313,49 @@ _SINGULAR = (complex(cmath.nan, cmath.nan), cmath.nan)  # a root's value where i
 
 
 class _Numeric(_Path):
-    """Annulus points, each root judged against its own cancellation scale."""
+    """Annulus points, each root judged against its own cancellation scale.
+
+    The first point is drawn and evaluated alone, since most nonzero
+    verdicts end there.  After it, whenever the points drawn ahead run
+    out, the stream's next points, one for each sample still to decide,
+    are drawn and evaluated as one block (``expr.evaluate_block``).  The
+    stream is the path's own, so drawing ahead moves no point, and each
+    block value is the one-point value.  A block that raises anywhere is
+    decided point by point.
+    """
+
+    def __init__(self, roots, at, cfg):
+        super().__init__(roots, at, cfg)
+        self.rounds = 0  # samples begun
+        self.ahead = []  # (point, its values or None), the next one last
+
+    def sample(self) -> Optional[list]:
+        self.rounds += 1
+        return super().sample()
 
     def draw(self) -> dict:
-        return sample_point(self.rng, self.variables)
+        if not self.ahead:
+            if self.rounds == 1:
+                points, block = [sample_point(self.rng, self.variables)], [None]
+            else:
+                points = [sample_point(self.rng, self.variables) for _ in range(self.samples - self.rounds + 1)]
+                try:
+                    block = ex.evaluate_block(self.prog, points)
+                except (ArithmeticError, ValueError):
+                    # singular or not finite at some point: each point is decided alone
+                    block = [None] * len(points)
+            self.ahead = list(zip(points, block))[::-1]
+        point, self.vals = self.ahead.pop()
+        return point
 
     def test(self) -> Optional[list]:
         self.overflow = None
-        try:
-            self.vals = ex.evaluate_roots(self.prog, self.point)
-        except (EvalSingular, OverflowError):
-            # root by root, so a root singular or overflowing here hides no other
-            self.vals = [self._value(e) for e in self.roots]
+        if self.vals is None:
+            try:
+                self.vals = ex.evaluate_roots(self.prog, self.point)
+            except (EvalSingular, OverflowError):
+                # root by root, so a root singular or overflowing here hides no other
+                self.vals = [self._value(e) for e in self.roots]
         valid = all(cmath.isfinite(v) for v, _ in self.vals)
         nonzero = []
         for pos, (v, scale) in enumerate(self.vals):

@@ -262,7 +262,13 @@ class OdeSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "rhs", tuple(self.rhs))
+        if isinstance(self.params, str):
+            # a string is a sequence of letters, not of names
+            raise TypeError(f"params must be a sequence of names, not the string {self.params!r}")
         object.__setattr__(self, "params", tuple(self.params))
+        for name in self.params:
+            if not isinstance(name, str):
+                raise TypeError(f"not a parameter name: {name!r}")
         if self.n < 1:
             raise ValidationError(f"{self.name}: n must be positive")
         if len(self.rhs) != self.n:

@@ -21,8 +21,9 @@ from odetorsion.oracle import (
     is_zero,
     is_zero_matrix,
 )
+from odetorsion.calculus import total_derivative
 from odetorsion.parsing import OdeSystem, parse_corpus, parse_expr
-from odetorsion.torsion import fels_torsion, quartic_test, tresse_torsion
+from odetorsion.torsion import _invariant_exprs, fels_torsion, is_straight, quartic_test, tresse_torsion
 
 x = X
 y = Y(1)
@@ -191,15 +192,23 @@ class TestExactSamples:
     def test_mixed_matrix_numeric_path_keeps_its_samples_and_stream(self, monkeypatch):
         exact_zero = ex.sub(ex.mul(x, y), ex.mul(x, y))
         numeric_zero = parse_expr("sin(y)^2 + cos(y)^2 - 1")
-        points, calls = [], []
-        evaluate_roots, exact_ratios = ex.evaluate_roots, ex.exact_ratios
+        points, blocks, calls = [], [], []
+        evaluate_roots, evaluate_block, exact_ratios = ex.evaluate_roots, ex.evaluate_block, ex.exact_ratios
+
+        def block(prog, pts):
+            blocks.append(len(pts))
+            points.extend(pts)
+            return evaluate_block(prog, pts)
+
         monkeypatch.setattr(ex, "evaluate_roots", lambda prog, pt: points.append(pt) or evaluate_roots(prog, pt))
+        monkeypatch.setattr(ex, "evaluate_block", block)
         monkeypatch.setattr(ex, "exact_ratios", lambda *a: calls.append(a) or exact_ratios(*a))
         cfg = OracleConfig(seed=3)
         v = is_zero_matrix([[exact_zero, numeric_zero]], cfg=cfg)
         # x*y + -1*x*y has degree 2
         assert v.is_zero and not v.exact and v.bound == oracle._miss_bound(2, 4)
-        assert len(calls) == 4 and len(points) == cfg.samples
+        # the first point alone, the other 31 as one block
+        assert len(calls) == 4 and len(points) == cfg.samples and blocks == [cfg.samples - 1]
         rng = random.Random(cfg.seed)
         assert points == [oracle.sample_point(rng, [Y(1)]) for _ in range(cfg.samples)]
 
@@ -278,6 +287,118 @@ class TestNumericPath:
         converted.clear()
         assert is_zero(e, cfg=OracleConfig(seed=1)).is_nonzero
         assert converted == []  # the root's program keeps them
+
+
+def _one_point_everywhere(monkeypatch):
+    """Make every block raise at once, so each point is decided alone."""
+    def refuse(prog, points):
+        raise OverflowError("no block")
+
+    monkeypatch.setattr(ex, "evaluate_block", refuse)
+
+
+class TestBlockSamples:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_values_are_the_one_point_values_on_the_corpus(self, seed):
+        # repr tells a -0.0 part (which picks sqrt's and log's branch) and a nan apart
+        root = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+        cfg = OracleConfig(seed=seed)
+        compared = 0
+        for name in ("table1.straight", "table2.notstraight", "table2.degenerate", "duals"):
+            for entry in parse_corpus((root / name).read_text()):
+                sys_ = entry.system
+                invariants = [_invariant_exprs(is_straight(sys_, cfg).invariant), quartic_test(sys_, cfg).invariant,
+                              [total_derivative(g, sys_) for g in entry.conserved]]
+                for exprs in invariants:
+                    roots = [e for e in exprs if type(e) is not ex.Const and not e.poly]
+                    if not roots:
+                        continue
+                    prog = ex.batch(roots)
+                    variables = sorted(set().union(*(e.free for e in roots)), key=str)
+                    rng = random.Random(seed)
+                    points = [oracle.sample_point(rng, variables) for _ in range(cfg.samples - 1)]
+                    block = ex.evaluate_block(prog, points)  # no corpus root is singular at these points
+                    assert [repr(at) for at in block] == [repr(ex.evaluate_roots(prog, pt)) for pt in points], sys_.name
+                    compared += len(roots)
+        assert compared == 16  # 15 invariant entries and one conserved quantity's derivative
+
+    def test_sums_and_products_fold_from_the_unit_in_order(self):
+        # 0j + (-0.0-0j) is 0j and (1+0j) * (-0.0-0j) is (0.0-0j), so a fold
+        # that skipped the unit would show in a part's sign of zero
+        roots = [parse_expr(t) for t in ("y + dy", "x + y + dy", "y*dy", "x*y*dy", "x*y*(y + dy)*exp(dy)")]
+        prog = ex.Program(roots)
+        parts = (complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 0j, -1j, 0.5 - 2j)
+        points = [{x: a, y: b, dy: c} for a in parts for b in parts for c in parts]
+        block = ex.evaluate_block(prog, points)
+        assert [repr(at) for at in block] == [repr(ex.evaluate_roots(prog, pt)) for pt in points]
+
+    def test_a_nonzero_first_point_draws_no_block(self, monkeypatch):
+        blocks = []
+        monkeypatch.setattr(ex, "evaluate_block", lambda prog, pts: blocks.append(pts))
+        assert is_zero(parse_expr("exp(y) - 1")).is_nonzero and blocks == []
+
+    def test_singular_block_point_is_decided_alone(self, monkeypatch):
+        # singular at exactly the 5th point of seed 0's stream, the 4th of the block
+        rng = random.Random(0)
+        c = [oracle.sample_point(rng, [y]) for _ in range(5)][-1][y]
+        pole = ex.pow_(ex.sub(y, ex.const(c)), -1)
+        e = ex.sub(ex.mul(parse_expr("exp(log(y))"), pole), ex.mul(y, pole))
+        blocks, raised = [], []
+        evaluate_block = ex.evaluate_block
+
+        def spy(prog, pts):
+            blocks.append(len(pts))
+            try:
+                return evaluate_block(prog, pts)
+            except ex.EvalSingular as err:
+                raised.append(err)
+                raise
+
+        monkeypatch.setattr(ex, "evaluate_block", spy)
+        v = is_zero(e)
+        # the redraw uses the block up, so one more point is drawn as a block of one
+        assert blocks == [31, 1] and len(raised) == 1
+        assert v.is_zero and v.samples_passed == 32
+        _one_point_everywhere(monkeypatch)
+        assert is_zero(e) == v
+
+    @pytest.mark.parametrize("text", [
+        # sqrt(y^2) is y where Re(y) > 0 and -y elsewhere, so the sum is zero
+        # at the first point (Re(y) = 0.09) and nonzero at the second
+        "sqrt(y^2)*exp(-500*y) - y*exp(-500*y)",
+        # zero wherever finite, so the first overflow, at the 6th point, is raised
+        "exp(-500*y)*(sin(y)^2 + cos(y)^2) - exp(-500*y)",
+    ])
+    def test_overflowing_block_points_are_decided_alone(self, monkeypatch, text):
+        # exp(-500*y) overflows where Re(y) < -1.42: at points 6, 26, 30, 31 and 32 of seed 0
+        e = parse_expr(text)
+        raised = []
+        evaluate_block = ex.evaluate_block
+
+        def spy(prog, pts):
+            try:
+                return evaluate_block(prog, pts)
+            except OverflowError as err:
+                raised.append(err)
+                raise
+
+        def outcome():
+            try:
+                return is_zero(e)
+            except OverflowError as err:
+                return repr(err)
+
+        monkeypatch.setattr(ex, "evaluate_block", spy)
+        v = outcome()
+        assert len(raised) == 1
+        if text.startswith("sqrt"):
+            assert v.is_nonzero and v.samples_passed == 1
+            rng = random.Random(0)
+            assert v.witness == [oracle.sample_point(rng, [y]) for _ in range(2)][1]
+        else:
+            assert v == repr(OverflowError("math range error"))
+        _one_point_everywhere(monkeypatch)
+        assert outcome() == v
 
 
 class TestDeterminism:

@@ -382,6 +382,21 @@ class TestOdeSystem:
         sys = OdeSystem(n=1, rhs=(parse_expr("a*y"),), params=("a",))
         assert sys.params == ("a",)
 
+    @pytest.mark.parametrize("params, match", [
+        # a string would be read as its letters: ("a", "b"), and "ab" undeclared
+        ("ab", "not the string 'ab'"),
+        ("a", "not the string 'a'"),
+        (("a", 1), "not a parameter name: 1"),
+        ([ex.Param("a")], "not a parameter name: <Expr a>"),
+    ])
+    def test_params_must_be_names(self, params, match):
+        with pytest.raises(TypeError, match=match):
+            OdeSystem(n=1, rhs=(parse_expr("a*y+b"),), params=params)
+
+    def test_params_may_be_any_sequence_of_names(self):
+        sys_ = OdeSystem(n=1, rhs=(parse_expr("ab*y"),), params=["ab"])
+        assert sys_.params == ("ab",)
+
     def test_reserved_parameter_name(self):
         with pytest.raises(ValidationError):
             OdeSystem(n=1, rhs=(y,), params=("dy7",))
