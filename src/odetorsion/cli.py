@@ -155,7 +155,7 @@ def cmd_analyze(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
-        cfg = OracleConfig(samples=args.samples, seed=args.seed, rel_tol=args.tol)
+        cfg = OracleConfig(samples=args.samples, seed=args.seed)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
     an.add_argument("--samples", type=int, default=32,
                     help="numeric oracle samples per verdict and the exact path's cap (default 32)")
-    an.add_argument("--tol", type=float, default=1e-9, help="relative zero tolerance (default 1e-9)")
     an.add_argument("--json", action="store_true", help="machine-readable output")
     an.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                     help="parallel corpus entries (default: logical cores)")

@@ -719,7 +719,12 @@ def _run(prog: Program, leaf: Callable[[Expr], Number], zero: Number, one: Numbe
             v = vals[kids[0]]
             if v == 0 and n.fn == "log":
                 raise EvalSingular("log(0)", n)
-            v = _CFUNCS[n.fn](v)
+            try:
+                v = _CFUNCS[n.fn](v)
+            except ValueError:
+                # cmath rejects an infinite argument, which only a sum or a
+                # product that overflowed silently makes: the value left the float range
+                raise OverflowError(f"{n.fn} of a value outside the float range") from None
         else:
             v = leaf(n)
         push(v)
@@ -785,7 +790,10 @@ def _run_block(prog: Program, points: Sequence[Mapping[Var, complex]]) -> list[l
             a = vals[kids[0]]
             if n.fn == "log" and 0 in a:
                 raise EvalSingular("log(0)", n)
-            v = list(map(_CFUNCS[n.fn], a))
+            try:
+                v = list(map(_CFUNCS[n.fn], a))
+            except ValueError:
+                raise OverflowError(f"{n.fn} of a value outside the float range") from None
         elif t is Const:
             v = [consts[n]] * len(points)
         else:

@@ -13,8 +13,9 @@ they share is evaluated once) and one stream of points:
 * everything else is sampled at random complex points drawn from the
   annulus R_MIN <= |z| <= R_MAX (avoiding both the origin's coordinate
   singularities and huge magnitudes), with a cancellation-aware relative
-  tolerance: a value counts as zero only relative to the magnitudes of
-  the top-level sum terms of its own entry, at ``cfg.samples`` points.
+  tolerance: a value counts as nonzero above REL_TOL and plainly zero
+  below NOISE_FLOOR, both relative to the magnitudes of the top-level sum
+  terms of its own entry, at ``cfg.samples`` points.
 
 Each path seeds its own stream with ``cfg.seed``, so the exact path
 stopping after k points shifts no point of the numeric path.
@@ -24,7 +25,8 @@ still decided by the entries that are finite and clearly nonzero there;
 when there is none, the point is redrawn for the whole path, up to
 MAX_RETRIES times, and it counts toward no entry's gray or clear votes.
 An entry whose evaluation raises ``OverflowError`` (``cmath.exp`` of a
-huge argument) is not finite at that point; the error propagates only
+huge argument, or a function of a value that already left the float
+range) is not finite at that point; the error propagates only
 from a sample that no entry, on either path, wins.
 At each sample the first entry, in row-major order, that either path
 finds nonzero wins.  The numeric path decides its first point alone and
@@ -60,17 +62,15 @@ INCONCLUSIVE = "inconclusive"
 
 R_MIN, R_MAX = 0.3, 2.0  # radii of the sampling annulus
 NOISE_FLOOR = 1e-13  # relative magnitude below which a value is plainly zero
+REL_TOL = 1e-9  # relative magnitude above which a value is nonzero; between the two, gray
 MAX_RETRIES = 8  # draws per sample before it counts as invalid
 
 @dataclass(frozen=True)
 class OracleConfig:
     samples: int = 32
     seed: int = 0
-    rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if not NOISE_FLOOR < self.rel_tol < 1:
-            raise ValueError(f"need {NOISE_FLOOR} < rel_tol < 1")
         if self.samples < 1:
             raise ValueError("need at least one sample")
 
@@ -236,7 +236,6 @@ class _Path:
         # parameters after the other variables, each group in name order
         self.variables = sorted(set().union(*(e.free for e in self.roots)),
                                 key=lambda v: (v.kind == Var.PARAM, str(v)))
-        self.rel_tol = cfg.rel_tol
         self.samples = cfg.samples
         self.rng = random.Random(cfg.seed)
         self.valid = 0
@@ -341,7 +340,7 @@ class _Numeric(_Path):
                 points = [sample_point(self.rng, self.variables) for _ in range(self.samples - self.rounds + 1)]
                 try:
                     block = ex.evaluate_block(self.prog, points)
-                except (ArithmeticError, ValueError):
+                except (EvalSingular, OverflowError):
                     # singular or not finite at some point: each point is decided alone
                     block = [None] * len(points)
             self.ahead = list(zip(points, block))[::-1]
@@ -364,7 +363,7 @@ class _Numeric(_Path):
                 # OverflowError from the errno an overflowed cmath.exp left
                 continue
             mag = abs(v)
-            if mag > self.rel_tol * scale:
+            if mag > REL_TOL * scale:
                 nonzero.append(pos)
             elif valid:  # an invalid point casts no vote
                 votes = self.clear if mag <= NOISE_FLOOR * scale else self.gray

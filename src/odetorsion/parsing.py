@@ -298,10 +298,15 @@ class OdeSystem:
         labelled holds (label, expression) pairs.  Such an input is
         undefined (1/(y-y), log(0*y)), however its torsion might cancel.  The
         points come from a generator of their own, so validation leaves
-        the oracle's seeded draws untouched.
+        the oracle's seeded draws untouched.  A polynomial over the
+        rationals (``poly``) is skipped: it is defined everywhere and only
+        ever evaluated exactly, so a constant beyond the float range, as
+        in 10^400*y, does not make it unevaluable.
         """
         rng = random.Random(0)
         for label, e in labelled:
+            if e.poly:
+                continue
             variables = sorted(ex.free_vars(e), key=str)
             for _ in range(_POINTS):
                 try:

@@ -209,7 +209,10 @@ def _all_rational(ls: LinearConstSystem) -> bool:
     )
 
 
-def classify_linear_const(ls: LinearConstSystem, tol: float = 1e-10) -> bool:
+_LINEAR_TOL = 1e-10  # relative tolerance of the float comparison in classify_linear_const
+
+
+def classify_linear_const(ls: LinearConstSystem) -> bool:
     """True iff B = aI - A^2/4 for some scalar a, i.e. B + A^2/4 is scalar."""
     n = ls.n
     exact = _all_rational(ls)
@@ -228,12 +231,7 @@ def classify_linear_const(ls: LinearConstSystem, tol: float = 1e-10) -> bool:
         return all(M[i][j] == (a if i == j else 0) for i in range(n) for j in range(n))
     scale = max(max(abs(v) for row in M for v in row), 1.0)
     a = sum(M[i][i] for i in range(n)) / n
-    for i in range(n):
-        for j in range(n):
-            target = a if i == j else 0
-            if abs(M[i][j] - target) > tol * scale:
-                return False
-    return True
+    return not any(abs(M[i][j] - (a if i == j else 0)) > _LINEAR_TOL * scale for i in range(n) for j in range(n))
 
 
 def linear_const_to_system(ls: LinearConstSystem, name: str = "linear-const") -> OdeSystem:

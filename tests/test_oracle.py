@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import pathlib
 import random
@@ -259,6 +260,13 @@ class TestNumericPath:
         assert v.outcome == INCONCLUSIVE
         assert v.samples_passed == 0 and "valid samples" in v.reason
 
+    def test_function_of_an_overflowed_value_is_an_overflow(self):
+        # 709.5/y0 for y0 the first point of seed 0: exp is 1.355e308 there,
+        # doubling it overflows to inf, and cmath's sin rejects inf
+        e = parse_expr("sin(2*exp((20.423497993441853+408.3013847936814*i)*y))")
+        with pytest.raises(OverflowError, match="sin of a value outside the float range"):
+            is_zero(e)
+
     def test_overflowing_complex_constant_rejected(self):
         with pytest.raises(OverflowError):
             parse_expr("(10^308+10^308*i)*(10^308+10^308*i)")
@@ -400,6 +408,37 @@ class TestBlockSamples:
         _one_point_everywhere(monkeypatch)
         assert outcome() == v
 
+    def test_function_of_an_overflowed_block_value_is_decided_alone(self, monkeypatch):
+        # at the 5th point of seed 0, the 4th of the block, c*y^2 = 709.5 - 500i:
+        # 2*exp(c*y^2) overflows to -inf + finite*i, whose sin cmath rejects;
+        # |exp(c*y^2)| is below 3e-7 at points 1-4, so the identity holds there
+        rng = random.Random(0)
+        y5 = [oracle.sample_point(rng, [y]) for _ in range(5)][-1][y]
+        w = ex.mul(ex.const(2), ex.apply("exp", ex.mul(ex.const((709.5 - 500j) / y5 ** 2), ex.pow_(y, 2))))
+        e = ex.sub(ex.add(ex.pow_(ex.apply("sin", w), 2), ex.pow_(ex.apply("cos", w), 2)), ex.const(1))
+        blocks = []
+        evaluate_block = ex.evaluate_block
+
+        def spy(prog, pts):
+            try:
+                return evaluate_block(prog, pts)
+            except (OverflowError, ValueError) as err:
+                blocks.append(err)
+                raise
+
+        def outcome():
+            try:
+                return is_zero(e)
+            except (OverflowError, ValueError) as err:
+                return repr(err)
+
+        monkeypatch.setattr(ex, "evaluate_block", spy)
+        v = outcome()
+        assert [type(err) for err in blocks] == [OverflowError]
+        assert v == repr(OverflowError("sin of a value outside the float range"))
+        _one_point_everywhere(monkeypatch)
+        assert outcome() == v
+
 
 class TestDeterminism:
     def test_same_seed_same_verdict(self):
@@ -436,9 +475,13 @@ class TestCanonicalInput:
 
 
 class TestConfig:
-    def test_rejects_floor_above_tol(self):
-        with pytest.raises(ValueError):
-            OracleConfig(rel_tol=1e-14)
+    def test_noise_floor_below_tolerance_below_one(self):
+        # the gray zone between the two thresholds is not empty, and a value
+        # as large as its scale is never zero
+        assert oracle.NOISE_FLOOR < oracle.REL_TOL < 1
+
+    def test_fields_are_samples_and_seed(self):
+        assert [f.name for f in dataclasses.fields(OracleConfig)] == ["samples", "seed"]
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
