@@ -46,7 +46,7 @@ def partial(e: Expr, v: Var) -> Expr:
             continue
         t = type(n)
         ds, waiting = [], False  # the children's partials, None where missing
-        for k in ex.children(n):
+        for k in n.kids:
             d = memo.get((id(k), v)) if v in k.free else ZERO
             if d is None:
                 if not waiting:
@@ -61,18 +61,18 @@ def partial(e: Expr, v: Var) -> Expr:
         elif t is Sum:
             out = ex.add(*ds)
         elif t is Product:
-            fs = n.factors
+            fs = n.kids
             out = ex.add(*[ex.mul(*fs[:i], d, *fs[i + 1 :]) for i, d in enumerate(ds) if d is not ZERO])
         elif t is Power:
-            out = ex.mul(ex.const(n.exponent), ex.pow_(n.base, n.exponent - 1), ds[0])
+            out = ex.mul(ex.const(n.exponent), ex.pow_(n.kids[0], n.exponent - 1), ds[0])
         elif n.fn == "exp":  # an Apply; a Const mentions no variable
             out = ex.mul(n, ds[0])
         elif n.fn == "log":
-            out = ex.mul(ds[0], ex.pow_(n.arg, -1))
+            out = ex.mul(ds[0], ex.pow_(n.kids[0], -1))
         elif n.fn == "sin":
-            out = ex.mul(ex.apply("cos", n.arg), ds[0])
+            out = ex.mul(ex.apply("cos", n.kids[0]), ds[0])
         elif n.fn == "cos":
-            out = ex.neg(ex.mul(ex.apply("sin", n.arg), ds[0]))
+            out = ex.neg(ex.mul(ex.apply("sin", n.kids[0]), ds[0]))
         else:  # sqrt
             out = ex.mul(_HALF, ds[0], ex.pow_(n, -1))
         memo[(id(n), v)] = out

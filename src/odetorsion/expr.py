@@ -14,9 +14,12 @@ a constant factor, and one by a constant zero raises
 ``ZeroDivisionError`` as ``0^-1`` does), units dropped and ``Power``
 exponents of one collapsed.  Deciding whether an expression vanishes is
 the zero oracle's job.  There is one division: ``quot(a, b)`` is
-``a * b^-1``.  A node carries its own metadata: ``free`` (variables),
-``poly`` (evaluable in integers: a polynomial over the rationals, with
-no negative power) and ``fns`` (function names), equal sets shared.
+``a * b^-1``.  A node's operands are held in one slot, the tuple
+``kids`` (empty for a ``Const`` or a ``Var``); ``Power.base`` and
+``Apply.arg`` read ``kids[0]``.  A node carries its own metadata:
+``free`` (variables), ``poly`` (evaluable in integers: a polynomial over
+the rationals, with no negative power) and ``fns`` (function names),
+equal sets shared.
 
 Interning is key-first: a constructor works out the intern key of its
 result and looks it up; only on a miss does it make the node, which
@@ -24,16 +27,20 @@ result and looks it up; only on a miss does it make the node, which
 therefore unique: identity is structural equality, so nodes compare and
 hash by identity (object's ``__eq__`` and ``__hash__``, in C), and every
 map over nodes is keyed by the node itself.  A copy of a node is the
-node, and a node pickles as its program's steps, which unpickling
-remakes through the constructors.  A rational
+node, and a node pickles as its program's steps.  ``_remake`` makes a
+node again from its class, what it holds besides its operands (``_own``)
+and new operands, through the constructors; unpickling and
+``substitute`` both remake nodes with it.  A rational
 ``Const`` also holds its lowest terms as the ints ``num`` and ``den``,
 and its intern key is ``("q", num, den)``, so ``const`` looks an ``int``
 or ``Fraction`` up, and ``add`` and ``mul`` fold rationals as integer
 pairs, with no ``Fraction`` built or hashed unless the result is a new
 constant.  Constants are folded only where two or more meet; once a
 complex one is among them the fold runs over their values from the unit,
-left to right (float rounding depends on the order).  A lone constant
-operand is kept as the node it is, and ``neg`` multiplies by the shared
+left to right (float rounding depends on the order).  A fold or power
+that leaves the float range, or underflows to 0, raises ``OverflowError``,
+as ``Program.constants`` does for such a rational.  A lone constant operand
+is kept as the node it is, and ``neg`` multiplies by the shared
 ``MINUS_ONE``.  A variable is one ``Var`` node, interned under
 ``("v", kind, index, name)``; ``X``, ``Y(i)``, ``YDot(i)`` and
 ``Param(name)`` return it.  That node is at once an expression's leaf, a
@@ -105,7 +112,7 @@ def _union(sets: Iterable[frozenset]) -> frozenset:
 
 
 class Expr:
-    __slots__ = ("free", "poly", "fns", "_prog")
+    __slots__ = ("kids", "free", "poly", "fns", "_prog")
 
     def __reduce__(self):
         # flat steps, so neither pickling nor unpickling recurses on depth
@@ -182,43 +189,51 @@ class Var(Expr):
 
 
 class Sum(Expr):
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __new__(cls, terms: Iterable[Expr]):
         return add(*terms)
 
     def _key(self):
-        return ("+", self.terms)
+        return ("+", self.kids)
 
 
 class Product(Expr):
-    __slots__ = ("factors",)
+    __slots__ = ()
 
     def __new__(cls, factors: Iterable[Expr]):
         return mul(*factors)
 
     def _key(self):
-        return ("*", self.factors)
+        return ("*", self.kids)
 
 
 class Power(Expr):
-    __slots__ = ("base", "exponent")
+    __slots__ = ("exponent",)
 
     def __new__(cls, base: Expr, exponent: int):
         return pow_(base, exponent)
 
+    @property
+    def base(self) -> Expr:
+        return self.kids[0]
+
     def _key(self):
-        return ("^", self.base, self.exponent)
+        return ("^", self.kids[0], self.exponent)
 
 
 class Apply(Expr):
-    __slots__ = ("fn", "arg")
+    __slots__ = ("fn",)
 
     def __new__(cls, fn: str, arg: Expr):
         return apply(fn, arg)
 
+    @property
+    def arg(self) -> Expr:
+        return self.kids[0]
+
     def _key(self):
-        return ("f", self.fn, self.arg)
+        return ("f", self.fn, self.kids[0])
 
 
 def _coerce_number(value) -> Number:
@@ -246,9 +261,10 @@ _intern: dict = {}
 
 
 def _mk(node: Expr, key: tuple, kids: tuple, poly: bool, fns: frozenset = _EMPTY, free=None) -> Expr:
-    """The one way a node is made: summarize node, its own slots filled,
-    and intern it under key.  One ``setdefault`` publishes the whole node,
-    so two threads interning equal nodes get one node."""
+    """The one way a node is made: store kids, summarize node, its own
+    slots filled, and intern it under key.  One ``setdefault`` publishes
+    the whole node, so two threads interning equal nodes get one node."""
+    node.kids = kids
     node.free = _union(k.free for k in kids) if free is None else free
     node.fns = _union([fns, *(k.fns for k in kids)])
     node.poly = poly
@@ -325,6 +341,8 @@ def _fold(consts: list, unit: int, op: Callable) -> Const:
             acc = unit
             for k in consts:
                 acc = op(acc, k.num if k.den == 1 else k.value)
+            if not acc and not adding and ZERO not in consts:
+                raise OverflowError("constant product outside the float range")  # it underflowed
             return const(acc)
         if not adding:
             num *= c.num
@@ -346,7 +364,7 @@ def add(*terms: Expr) -> Expr:
         tt = type(t)
         if tt is Sum:
             # canonical: at most one Const, and it is the last term
-            ts = t.terms
+            ts = t.kids
             if type(ts[-1]) is Const:
                 flat.extend(ts[:-1])
                 consts.append(ts[-1])
@@ -366,9 +384,7 @@ def add(*terms: Expr) -> Expr:
         return flat[0]
     node = _intern.get(key := ("+", tuple(flat)))
     if node is None:
-        node = object.__new__(Sum)
-        node.terms = ts = key[1]
-        node = _mk(node, key, ts, all(t.poly for t in ts))
+        node = _mk(object.__new__(Sum), key, key[1], all(t.poly for t in flat))
     return node
 
 
@@ -380,7 +396,7 @@ def mul(*factors: Expr) -> Expr:
         tf = type(f)
         if tf is Product:
             # canonical: at most one Const, and it is the first factor
-            fs = f.factors
+            fs = f.kids
             if type(fs[0]) is Const:
                 consts.append(fs[0])
                 flat.extend(fs[1:])
@@ -402,9 +418,7 @@ def mul(*factors: Expr) -> Expr:
         return flat[0]
     node = _intern.get(key := ("*", tuple(flat)))
     if node is None:
-        node = object.__new__(Product)
-        node.factors = fs = key[1]
-        node = _mk(node, key, fs, all(f.poly for f in fs))
+        node = _mk(object.__new__(Product), key, key[1], all(f.poly for f in flat))
     return node
 
 
@@ -427,16 +441,18 @@ def pow_(base: Expr, exponent: int) -> Expr:
         if v == 0 and exponent < 0:
             raise ZeroDivisionError("0 raised to a negative power")
         try:
-            v = v ** exponent
+            p = v ** exponent
         except (ZeroDivisionError, OverflowError):  # or v^-k where v^k underflowed
-            raise OverflowError("constant power outside the float range") from None
-        return const(v)
+            p = 0
+        if v and not p:  # the power overflowed, or underflowed to 0
+            raise OverflowError("constant power outside the float range")
+        return const(p)
     if isinstance(base, Power):
-        return pow_(base.base, base.exponent * exponent)
+        return pow_(base.kids[0], base.exponent * exponent)
     node = _intern.get(key := ("^", base, exponent))
     if node is None:
         node = object.__new__(Power)
-        node.base, node.exponent = base, exponent
+        node.exponent = exponent
         node = _mk(node, key, (base,), base.poly and exponent >= 0)
     return node
 
@@ -452,7 +468,7 @@ def apply(fn: str, arg: Expr) -> Expr:
         if fn not in FUNCTIONS:
             raise ValueError(f"unknown function {fn!r}")
         node = object.__new__(Apply)
-        node.fn, node.arg = fn, arg
+        node.fn = fn
         node = _mk(node, key, (arg,), False, _shared(frozenset((fn,))))
     return node
 
@@ -467,15 +483,7 @@ def build(e: Expr) -> Expr:
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, Sum):
-        return e.terms
-    if isinstance(e, Product):
-        return e.factors
-    if isinstance(e, Power):
-        return (e.base,)
-    if isinstance(e, Apply):
-        return (e.arg,)
-    return ()
+    return e.kids
 
 
 def free_vars(e: Expr) -> frozenset[Var]:
@@ -505,7 +513,7 @@ def node_count(e: Expr) -> int:
     seen = {e}
     todo = [e]
     while todo:
-        for k in children(todo.pop()):
+        for k in todo.pop().kids:
             if k not in seen:
                 seen.add(k)
                 todo.append(k)
@@ -527,16 +535,10 @@ def substitute(e: Expr, mapping: Mapping[Var, Expr]) -> Expr:
     for n, kids in Program((e,)).steps:
         if n.free.isdisjoint(mapping):  # every constant, and every unmapped variable
             new = n
-        elif isinstance(n, Var):
+        elif n in mapping:
             new = mapping[n]
-        elif isinstance(n, Sum):
-            new = add(*(out[k] for k in kids))
-        elif isinstance(n, Product):
-            new = mul(*(out[k] for k in kids))
-        elif isinstance(n, Power):
-            new = pow_(out[kids[0]], n.exponent)
         else:
-            new = apply(n.fn, out[kids[0]])
+            new = _remake(type(n), _own(n), [out[k] for k in kids])
         out.append(new)
     return out[-1]
 
@@ -550,19 +552,22 @@ def _own(n: Expr):
     return n.exponent if t is Power else n.fn if t is Apply else None
 
 
+def _remake(cls: type, own, kids: list) -> Expr:
+    """The node of class cls with ``_own`` data own and operands kids,
+    made through its constructor: canonical and interned."""
+    if cls is Sum or cls is Product:
+        return add(*kids) if cls is Sum else mul(*kids)
+    if cls is Power or cls is Apply:
+        return pow_(kids[0], own) if cls is Power else apply(own, kids[0])
+    return const(own) if cls is Const else Var(*own)
+
+
 def _rebuild(steps: tuple) -> Expr:
     """The node whose program steps are (class, ``_own``, child steps),
-    remade in order through the constructors: the interned node, in any
-    process."""
+    remade in order: the interned node, in any process."""
     out: list[Expr] = []
     for cls, own, kids in steps:
-        args = [out[k] for k in kids]
-        if cls is Const or cls is Var:
-            out.append(const(own) if cls is Const else Var(*own))
-        elif cls is Power or cls is Apply:
-            out.append(pow_(args[0], own) if cls is Power else apply(own, args[0]))
-        else:
-            out.append(add(*args) if cls is Sum else mul(*args))
+        out.append(_remake(cls, own, [out[k] for k in kids]))
     return out[-1]
 
 
@@ -590,7 +595,7 @@ _CFUNCS: dict[str, Callable[[complex], complex]] = {
 
 class Program:
     """The distinct nodes of a tuple of roots as steps (node, steps of its
-    children()), and the step of each root.
+    kids), and the step of each root.
 
     Depth-first post-order from each root in turn, so a node shared
     between roots is one step.  Evaluation stops at the first step that
@@ -610,7 +615,7 @@ class Program:
                 if n in step:
                     stack.pop()
                     continue
-                kids = children(n)
+                kids = n.kids
                 todo = [k for k in kids if k not in step]
                 if todo:
                     stack.extend(reversed(todo))
@@ -660,9 +665,14 @@ class Program:
         return self._degs
 
     def constants(self) -> dict[Const, complex]:
-        """The complex value of each constant step, by its node."""
+        """The complex value of each constant step, by its node;
+        OverflowError for one outside the float range, or nonzero and
+        converted to 0."""
         if self._consts is None:
-            self._consts = {n: _to_complex(n.value) for n, _ in self.steps if type(n) is Const}
+            consts = {n: _to_complex(n.value) for n, _ in self.steps if type(n) is Const}
+            if any(n.num and not v for n, v in consts.items()):
+                raise OverflowError("constant outside the float range")
+            self._consts = consts
         return self._consts
 
 

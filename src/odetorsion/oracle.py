@@ -314,37 +314,32 @@ _SINGULAR = (complex(cmath.nan, cmath.nan), cmath.nan)  # a root's value where i
 class _Numeric(_Path):
     """Annulus points, each root judged against its own cancellation scale.
 
-    The first point is drawn and evaluated alone, since most nonzero
-    verdicts end there.  After it, whenever the points drawn ahead run
-    out, the stream's next points, one for each sample still to decide,
-    are drawn and evaluated as one block (``expr.evaluate_block``).  The
-    stream is the path's own, so drawing ahead moves no point, and each
-    block value is the one-point value.  A block that raises anywhere is
-    decided point by point.
+    The points come from one stream, ``_points``: its first point alone,
+    since most nonzero verdicts end there, and after it, whenever asked,
+    one point for each sample still to decide, evaluated as one block
+    (``expr.evaluate_block``).  The stream is the path's own, so drawing
+    ahead moves no point, and each block value is the one-point value.  A
+    block that raises anywhere is decided point by point.
     """
 
     def __init__(self, roots, at, cfg):
         super().__init__(roots, at, cfg)
-        self.rounds = 0  # samples begun
-        self.ahead = []  # (point, its values or None), the next one last
+        self.stream = self._points()
 
-    def sample(self) -> Optional[list]:
-        self.rounds += 1
-        return super().sample()
+    def _points(self):
+        """(point, its values or None to evaluate it alone), in draw order."""
+        yield sample_point(self.rng, self.variables), None
+        while True:
+            points = [sample_point(self.rng, self.variables) for _ in range(self.samples - self.valid)]
+            try:
+                block = ex.evaluate_block(self.prog, points)
+            except (EvalSingular, OverflowError):
+                # singular or not finite at some point: each point is decided alone
+                block = [None] * len(points)
+            yield from zip(points, block)
 
     def draw(self) -> dict:
-        if not self.ahead:
-            if self.rounds == 1:
-                points, block = [sample_point(self.rng, self.variables)], [None]
-            else:
-                points = [sample_point(self.rng, self.variables) for _ in range(self.samples - self.rounds + 1)]
-                try:
-                    block = ex.evaluate_block(self.prog, points)
-                except (EvalSingular, OverflowError):
-                    # singular or not finite at some point: each point is decided alone
-                    block = [None] * len(points)
-            self.ahead = list(zip(points, block))[::-1]
-        point, self.vals = self.ahead.pop()
+        point, self.vals = next(self.stream)
         return point
 
     def test(self) -> Optional[list]:

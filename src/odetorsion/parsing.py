@@ -278,35 +278,39 @@ class OdeSystem:
         for name in self.params:
             if name in _RESERVED or _YVAR_RE.match(name):
                 raise ValidationError(f"{self.name}: parameter name {name!r} is reserved")
-        for f in self.rhs:
-            self.validate_expr(f)
-        self.require_evaluable((f"f{k}", f) for k, f in enumerate(self.rhs, start=1))
+        self.validate((f"f{k}", f) for k, f in enumerate(self.rhs, start=1))
 
-    def validate_expr(self, e: Expr):
-        if not isinstance(e, Expr):
-            raise TypeError(f"not an expression: {e!r}")
-        for v in sorted(ex.free_vars(e), key=str):
-            if v.kind in (Var.Y, Var.YDOT):
-                if not 1 <= v.index <= self.n:
-                    raise ValidationError(f"{self.name}: variable index {v.index} outside 1..{self.n}")
-            elif v.kind == Var.PARAM and v.name not in self.params:
-                raise ValidationError(f"{self.name}: undeclared parameter {v.name!r}")
+    def validate(self, labelled) -> None:
+        """Reject the first of labelled's (label, expression) pairs that
+        this system cannot take, checking every pair's variables before any
+        pair's evaluability.
 
-    def require_evaluable(self, labelled) -> None:
-        """Reject an expression that no sample point evaluates.
-
-        labelled holds (label, expression) pairs.  Such an input is
-        undefined (1/(y-y), log(0*y)), however its torsion might cancel.  The
-        points come from a generator of their own, so validation leaves
-        the oracle's seeded draws untouched.  A polynomial over the
-        rationals (``poly``) is skipped: it is defined everywhere and only
-        ever evaluated exactly, so a constant beyond the float range, as
-        in 10^400*y, does not make it unevaluable.
+        An expression that no sample point evaluates is undefined
+        (1/(y-y), log(0*y)), however its torsion might cancel, and so is one
+        with a constant outside the float range (10^400 or 10^-400).  The
+        points come from a generator of their own, so validation leaves the
+        oracle's seeded draws untouched.  A polynomial over the rationals
+        (``poly``) is skipped: it is defined everywhere and only ever
+        evaluated exactly, so 10^400*y is not unevaluable.
         """
+        labelled = list(labelled)
+        for _, e in labelled:
+            if not isinstance(e, Expr):
+                raise TypeError(f"not an expression: {e!r}")
+            for v in sorted(ex.free_vars(e), key=str):
+                if v.kind in (Var.Y, Var.YDOT):
+                    if not 1 <= v.index <= self.n:
+                        raise ValidationError(f"{self.name}: variable index {v.index} outside 1..{self.n}")
+                elif v.kind == Var.PARAM and v.name not in self.params:
+                    raise ValidationError(f"{self.name}: undeclared parameter {v.name!r}")
         rng = random.Random(0)
         for label, e in labelled:
             if e.poly:
                 continue
+            try:
+                ex.program(e).constants()
+            except OverflowError:
+                raise ValidationError(f"{self.name}: {label} has a constant outside the float range") from None
             variables = sorted(ex.free_vars(e), key=str)
             for _ in range(_POINTS):
                 try:
@@ -439,9 +443,7 @@ def _finish_entry(state) -> CorpusEntry:
         name=name,
     )
     conserved = tuple(fix(f"conserved quantity {k}", g) for k, g in enumerate(state["conserved"], start=1))
-    for g in conserved:
-        sys.validate_expr(g)
-    sys.require_evaluable((f"conserved quantity {k}", g) for k, g in enumerate(conserved, start=1))
+    sys.validate((f"conserved quantity {k}", g) for k, g in enumerate(conserved, start=1))
     return CorpusEntry(
         system=sys,
         expect=state["expect"],

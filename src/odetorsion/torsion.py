@@ -171,8 +171,7 @@ def is_straight(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionRe
 
 def check_conserved(sys: OdeSystem, g: Expr, cfg: OracleConfig = OracleConfig()) -> Verdict:
     """Zero iff g is constant along integral curves of sys."""
-    sys.validate_expr(g)
-    sys.require_evaluable([("conserved quantity", g)])
+    sys.validate([("conserved quantity", g)])
     return is_zero(total_derivative(g, sys), cfg)
 
 

@@ -126,18 +126,28 @@ class TestInline:
         assert out == ""
         assert err == "error: inline: sin of a value outside the float range\n"
 
-    @pytest.mark.parametrize("rhs, classification", [("10^400*y", "straight"), ("10^400*y^3", "not-straight")])
+    @pytest.mark.parametrize("rhs, classification", [("10^400*y", "straight"), ("10^400*y^3", "not-straight"),
+                                                     ("10^-400*y^3", "not-straight")])
     def test_polynomial_with_a_constant_beyond_the_float_range(self, capsys, rhs, classification):
         # the exact path never converts the constant to a float
         code, records, err = run_json(capsys, "analyze", "--rhs", rhs)
         assert code == 0 and err == ""
         assert records[0]["classification"] == classification
 
+    @pytest.mark.parametrize("rhs", ["exp(y)*10^-400", "1e-400*sin(y)", "y^3*10^400 + dy*exp(x)"])
+    def test_constant_outside_the_float_range_exit_2(self, capsys, rhs):
+        # a right-hand side that is not a polynomial is sampled in floats;
+        # 10^-400 would be 0 there, and 6*f_yy != 0 would read as straight
+        code, out, err = run(capsys, "analyze", "--rhs", rhs)
+        assert (code, out) == (2, "")
+        assert err == "error: inline: f1 has a constant outside the float range\n"
+
 
     @pytest.mark.parametrize("rhs", ["(2+i)^100000*y", "(10^308+10^308*i)*(10^308+10^308*i)*y",
-                                     "(" * 6000 + "y" + ")" * 6000, "(1e-170*i)^-2*y"],
+                                     "(" * 6000 + "y" + ")" * 6000, "(1e-170*i)^-2*y",
+                                     "(1e-170*i)^2*exp(y)", "(1e-170*i)*(1e-170*i)*exp(y)"],
                              ids=["complex-power-overflow", "complex-fold-overflow", "deep-nesting",
-                                  "tiny-complex-power"])
+                                  "tiny-complex-power", "tiny-complex-square", "tiny-complex-product"])
     def test_unreadable_input_exit_2(self, capsys, rhs):
         code, out, err = run(capsys, "analyze", "--rhs", rhs)
         assert code == 2
@@ -255,13 +265,13 @@ class TestCorpus:
 
     def test_negative_power_beyond_the_float_range_exit_2(self, capsys, tmp_path):
         # (a*y)^-1 passes validation, but the invariant's higher negative
-        # powers of a*y leave the float range at a sample no root wins
+        # powers of a*y hold the constant a^2 = 10^-340, which no float holds
         corpus = tmp_path / "tiny"
         corpus.write_text("system tiny\n n 1\n param a = 1e-170\n f1 = (a*y)^-1\n expect not-straight\nend\n")
         code, out, err = run(capsys, "analyze", str(corpus))
         assert code == 2
         assert out == ""
-        assert err == "error: tiny: negative power outside the float range\n"
+        assert err == "error: tiny: constant outside the float range\n"
 
     def test_duplicate_directive_exit_2(self, capsys, tmp_path):
         # a repeated directive is an input error, not an override of the first
@@ -274,9 +284,10 @@ class TestCorpus:
     @pytest.mark.parametrize("params, f1, message", [
         (" param a = 0", "y/a", "z: 0 raised to a negative power in f1"),
         (" param a = 1e-170*i", "a^-2*y", "z: constant power outside the float range in f1"),
+        (" param a = 1e-170*i", "a^2*exp(y)", "z: constant power outside the float range in f1"),
         (" param a generic\n param a = 2", "a*y", "z: duplicate parameter names"),
         (" param x = 2", "y", "z: parameter name 'x' is reserved"),
-    ], ids=["fixed-zero", "fixed-tiny-power", "duplicate-name", "reserved-name"])
+    ], ids=["fixed-zero", "fixed-tiny-power", "fixed-tiny-square", "duplicate-name", "reserved-name"])
     def test_bad_parameter_exit_2(self, capsys, tmp_path, params, f1, message):
         # a fixed value is substituted while the entry is read, and its
         # name is still checked like any declared parameter's

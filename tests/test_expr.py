@@ -65,8 +65,8 @@ class TestBuild:
     def test_no_nested_sums_or_products(self):
         out = Sum([Sum([X, Y(1)]), Sum([YDot(1), Const(1)])])
         assert isinstance(out, Sum)
-        assert not any(isinstance(t, Sum) for t in out.terms)
-        consts = [t for t in out.terms if isinstance(t, Const)]
+        assert not any(isinstance(t, Sum) for t in out.kids)
+        consts = [t for t in out.kids if isinstance(t, Const)]
         assert len(consts) == 1
 
 
@@ -218,13 +218,11 @@ def _loose(d):
         return d[1]
     n = object.__new__({"c": Const, "+": Sum, "*": Product, "^": Power}[tag])
     if tag == "c":
-        n.value, n.num, n.den = Fraction(d[1]), d[1], 1
-    elif tag == "+":
-        n.terms = tuple(_loose(t) for t in d[1])
-    elif tag == "*":
-        n.factors = tuple(_loose(f) for f in d[1])
+        n.kids, n.value, n.num, n.den = (), Fraction(d[1]), d[1], 1
+    elif tag == "^":
+        n.kids, n.exponent = (_loose(d[1]),), d[2]
     else:
-        n.base, n.exponent = _loose(d[1]), d[2]
+        n.kids = tuple(_loose(k) for k in d[1])
     return n
 
 
@@ -310,6 +308,15 @@ def test_node_summaries_and_one_evaluator(desc, values):
     for n in nodes:
         assert ex._intern[n._key()] is n
         assert (n.free, n.poly, n.fns) == _reference_summary(n)
+        # the operands live in kids alone: none for a leaf, and otherwise
+        # the ones its own constructor remakes it from
+        assert type(n.kids) is tuple and ex.children(n) is n.kids
+        if isinstance(n, (Const, Var)):
+            assert n.kids == ()
+        else:
+            assert ex._remake(type(n), ex._own(n), list(n.kids)) is n
+        if isinstance(n, (Power, Apply)):
+            assert len(n.kids) == 1 and (n.base if isinstance(n, Power) else n.arg) is n.kids[0]
     if not node.poly:
         return
     try:
@@ -411,6 +418,7 @@ def test_interning_is_race_free():
 
 def _ref_node(cls, kids, poly, **slots):
     node = object.__new__(cls)
+    node.kids = kids = tuple(kids)
     for name, value in slots.items():
         setattr(node, name, value)
     return ex._mk(node, node._key(), kids, poly)
@@ -432,7 +440,7 @@ def _ref_num(a, b, op):
 def _ref_flatten(operands, kind, unit, op):
     flat, acc = [], unit
     for o in operands:
-        for s in (o.terms if kind is Sum else o.factors) if isinstance(o, kind) else (o,):
+        for s in o.kids if isinstance(o, kind) else (o,):
             if isinstance(s, Const):
                 acc = _ref_num(acc, s.value, op)
             else:
@@ -448,7 +456,7 @@ def _ref_add(*terms):
         return ex.ZERO
     if len(flat) == 1:
         return flat[0]
-    return _ref_node(Sum, flat, all(t.poly for t in flat), terms=tuple(flat))
+    return _ref_node(Sum, flat, all(t.poly for t in flat))
 
 
 def _ref_mul(*factors):
@@ -461,7 +469,7 @@ def _ref_mul(*factors):
         return ex.ONE
     if len(flat) == 1:
         return flat[0]
-    return _ref_node(Product, flat, all(f.poly for f in flat), factors=tuple(flat))
+    return _ref_node(Product, flat, all(f.poly for f in flat))
 
 
 def _ref_neg(e):
@@ -478,8 +486,8 @@ def _ref_pow(base, exponent):
             raise ZeroDivisionError("0 raised to a negative power")
         return _ref_const(base.value ** exponent)
     if isinstance(base, Power):
-        return _ref_pow(base.base, base.exponent * exponent)
-    return _ref_node(Power, (base,), base.poly and exponent >= 0, base=base, exponent=exponent)
+        return _ref_pow(base.kids[0], base.exponent * exponent)
+    return _ref_node(Power, (base,), base.poly and exponent >= 0, exponent=exponent)
 
 
 def _ref_quot(numerator, denominator):
@@ -616,6 +624,21 @@ class TestConstantPairs:
                     build_op(*consts)
                 continue
             assert build_op(*consts) is want
+
+    def test_a_nonzero_constant_that_converts_to_zero_is_an_overflow(self):
+        # 10^-400 and (10^-170*i)^2 are 0 as floats, which would make the
+        # term they scale vanish at every sample point
+        tiny = ex.const(1e-170j)
+        with pytest.raises(OverflowError, match="constant power outside the float range"):
+            ex.pow_(tiny, 2)
+        with pytest.raises(OverflowError, match="constant product outside the float range"):
+            ex.mul(tiny, tiny)
+        assert ex.pow_(ex.ZERO, 2) is ex.ZERO and ex.mul(ex.ZERO, tiny, tiny) is ex.ZERO
+        exp_y = ex.apply("exp", Y(1))
+        with pytest.raises(OverflowError, match="constant outside the float range"):
+            ex.program(ex.mul(ex.const(Fraction(1, 10 ** 400)), exp_y)).constants()
+        subnormal = ex.const(Fraction(1, 10 ** 320))
+        assert ex.program(ex.mul(subnormal, exp_y)).constants()[subnormal] == 1e-320
 
     def test_no_intern_key_holds_a_fraction(self):
         from odetorsion.parsing import parse_expr

@@ -267,6 +267,14 @@ class TestNumericPath:
         with pytest.raises(OverflowError, match="sin of a value outside the float range"):
             is_zero(e)
 
+    def test_constant_that_converts_to_zero_is_an_overflow(self):
+        # 10^-400 is 0 as a float, so every value and scale of 10^-400*exp(y)
+        # would be 0, a clear zero vote; 10^-320 is a subnormal float
+        with pytest.raises(OverflowError, match="constant outside the float range"):
+            is_zero(parse_expr("exp(y)*10^-400"))
+        assert is_zero(parse_expr("10^-400*y^3")).is_nonzero  # decided exactly
+        assert is_zero(parse_expr("exp(y)*10^-320")).is_nonzero
+
     def test_overflowing_complex_constant_rejected(self):
         with pytest.raises(OverflowError):
             parse_expr("(10^308+10^308*i)*(10^308+10^308*i)")
