@@ -16,12 +16,16 @@ to y'' = 0 also needs f_pppp = 0 (n = 1) or Fels's curvature S = 0.
 
 Exit codes: 0 when every entry matches its expectation (or has none),
 1 on any mismatch, 2 on a file that is not UTF-8 text, on parse errors
-(among them a division by a constant zero, y/0 or 0^-1, and groups
-nested deeper than 5,000 levels), on validation errors (a right-hand
-side or conserved quantity that no sample point evaluates, such as
-1/(y-y)), on corpus files given together with --rhs and on a number
-overflowing the float range while reading, (2+i)^100000 or
-(1e-170*i)^-2, or while classifying.
+(among them a division by a constant zero, y/0 or 0^-1, groups nested
+deeper than 5,000 levels, and a constant leaving the float range while
+it is read, (2+i)^100000 or (1e-170*i)^-2, named by line and column),
+on validation errors (a right-hand side or conserved quantity that no
+sample point evaluates, such as 1/(y-y)), on corpus files given
+together with --rhs, on a number leaving the float range while
+classifying, named by the invariant, side check or conserved quantity
+it was met in, and on an output pipe closed before the records are
+written.  The oracle's seed is the one oracle option; its sample count
+is ``oracle.SAMPLES``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from .expr import Var, free_vars
-from .oracle import INCONCLUSIVE, NONZERO, ZERO, OracleConfig
+from .oracle import INCONCLUSIVE, NONZERO, SAMPLES, ZERO, OracleConfig
 from .parsing import (
     NOT_STRAIGHT,
     STRAIGHT,
@@ -65,20 +69,27 @@ def _serialize_witness(witness) -> dict:
     return {str(v): [value.real, value.imag] for v, value in sorted(witness.items(), key=lambda kv: str(kv[0]))}
 
 
-def analyze_entry(entry: CorpusEntry, cfg: OracleConfig, method: str = "auto") -> dict:
-    """Run the classifiers on one corpus entry and build its record."""
+def _named(where: str, classify, *args):
+    """classify(*args), an OverflowError naming where it was met."""
+    try:
+        return classify(*args)
+    except OverflowError as err:
+        raise OverflowError(f"{err} in {where}") from None
+
+
+def analyze_entry(entry: CorpusEntry, cfg: OracleConfig, method: str) -> dict:
+    """Run the classifiers on one corpus entry and build its record.
+
+    The classifiers are read from this module's namespace at each call, so
+    a function rebound there (as perfbench's tracer does) is the one run.
+    """
     sys_ = entry.system
     started = time.perf_counter()
-    if method == "auto":
-        report = is_straight(sys_, cfg)
-    elif method == TRESSE:
-        report = tresse_torsion(sys_, cfg)
-    elif method == FELS:
-        report = fels_torsion(sys_, cfg)
-    elif method == QUARTIC:
-        report = quartic_test(sys_, cfg)
-    else:
+    classify = {"auto": is_straight, TRESSE: tresse_torsion, FELS: fels_torsion, QUARTIC: quartic_test}.get(method)
+    if classify is None:
         raise ValueError(f"unknown method {method!r}")
+    invariant = (TRESSE if sys_.n == 1 else FELS) if method == "auto" else method
+    report = _named(f"the {invariant} invariant", classify, sys_, cfg)
 
     classification = _CLASSIFICATION[report.verdict.outcome]
     expected = entry.expect if entry.expect != UNSPECIFIED else None
@@ -90,7 +101,7 @@ def analyze_entry(entry: CorpusEntry, cfg: OracleConfig, method: str = "auto") -
         "expected": expected,
         "match": None if expected is None else classification == expected,
         "seed": cfg.seed,
-        "samples": cfg.samples,
+        "samples": SAMPLES,
         "expr_nodes": report.expr_nodes,
     }
     if report.verdict.witness is not None:
@@ -104,10 +115,11 @@ def analyze_entry(entry: CorpusEntry, cfg: OracleConfig, method: str = "auto") -
         record["branch_limited"] = True
 
     if method == "auto":
-        record["quartic"] = _CLASSIFICATION[quartic_test(sys_, cfg).verdict.outcome]
+        record["quartic"] = _CLASSIFICATION[_named("the quartic check", quartic_test, sys_, cfg).verdict.outcome]
         if entry.conserved:
             record["conserved"] = [
-                check_conserved(sys_, g, cfg).outcome for g in entry.conserved
+                _named(f"conserved quantity {k}", check_conserved, sys_, g, cfg).outcome
+                for k, g in enumerate(entry.conserved, 1)
             ]
     record["wall_ms"] = (time.perf_counter() - started) * 1000.0
     return record
@@ -154,11 +166,7 @@ def cmd_analyze(args) -> int:
     except (ParseError, ValidationError, OSError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    try:
-        cfg = OracleConfig(samples=args.samples, seed=args.seed)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    cfg = OracleConfig(seed=args.seed)
 
     def analyze(entry: CorpusEntry) -> dict:
         try:
@@ -177,11 +185,20 @@ def cmd_analyze(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    if args.json:
-        print(json.dumps(records, indent=2))
-    else:
-        for r in records:
-            print(_text_row(r))
+    try:
+        if args.json:
+            print(json.dumps(records, indent=2))
+        else:
+            for r in records:
+                print(_text_row(r))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: stdout goes to devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: output pipe closed", file=sys.stderr)
+        return 2
 
     mismatched = any(r["match"] is False for r in records)
     return 1 if mismatched else 0
@@ -198,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--rhs", action="append", default=None, metavar="EXPR",
                     help="inline right-hand side; repeat for systems (f1, f2, ...)")
     an.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
-    an.add_argument("--samples", type=int, default=32,
-                    help="numeric oracle samples per verdict and the exact path's cap (default 32)")
     an.add_argument("--json", action="store_true", help="machine-readable output")
     an.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                     help="parallel corpus entries (default: logical cores)")

@@ -319,10 +319,6 @@ def Param(name: str) -> Var:
     return Var(Var.PARAM, name=name)
 
 
-def _to_complex(v: Number) -> complex:
-    return complex(v) if isinstance(v, Fraction) else v
-
-
 def _fold(consts: list, unit: int, op: Callable) -> Const:
     """The constant node of two or more constant operands under op (add or
     mul), folded from the unit, left to right.
@@ -669,7 +665,7 @@ class Program:
         OverflowError for one outside the float range, or nonzero and
         converted to 0."""
         if self._consts is None:
-            consts = {n: _to_complex(n.value) for n, _ in self.steps if type(n) is Const}
+            consts = {n: complex(n.value) for n, _ in self.steps if type(n) is Const}
             if any(n.num and not v for n, v in consts.items()):
                 raise OverflowError("constant outside the float range")
             self._consts = consts

@@ -9,16 +9,18 @@ they share is evaluated once) and one stream of points:
 * polynomials over the rationals get a Schwartz-Zippel test at k random
   rational points, each decided on exact values (``expr.exact_ratios``):
   k is the least integer with (d/10^6)^k <= 2^-64 for d the largest root
-  degree, capped at ``cfg.samples`` (``_Exact`` derives the bound);
+  degree, capped at ``SAMPLES`` (``_Exact`` derives the bound);
 * everything else is sampled at random complex points drawn from the
   annulus R_MIN <= |z| <= R_MAX (avoiding both the origin's coordinate
   singularities and huge magnitudes), with a cancellation-aware relative
   tolerance: a value counts as nonzero above REL_TOL and plainly zero
   below NOISE_FLOOR, both relative to the magnitudes of the top-level sum
-  terms of its own entry, at ``cfg.samples`` points.
+  terms of its own entry, at ``SAMPLES`` points.
 
 Each path seeds its own stream with ``cfg.seed``, so the exact path
-stopping after k points shifts no point of the numeric path.
+stopping after k points shifts no point of the numeric path.  The seed is
+``OracleConfig``'s one field; ``SAMPLES``, the thresholds, ``MAX_RETRIES``
+and the annulus radii are module constants.
 The exact path runs in integers only and meets no singular point.  On
 the numeric path, a point where some entry is singular or not finite is
 still decided by the entries that are finite and clearly nonzero there;
@@ -64,15 +66,11 @@ R_MIN, R_MAX = 0.3, 2.0  # radii of the sampling annulus
 NOISE_FLOOR = 1e-13  # relative magnitude below which a value is plainly zero
 REL_TOL = 1e-9  # relative magnitude above which a value is nonzero; between the two, gray
 MAX_RETRIES = 8  # draws per sample before it counts as invalid
+SAMPLES = 32  # numeric points per verdict, and the cap on the exact path's k
 
 @dataclass(frozen=True)
 class OracleConfig:
-    samples: int = 32
     seed: int = 0
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
 
 
 @dataclass(frozen=True)
@@ -208,7 +206,7 @@ def _decide(roots: Sequence[Expr], cfg) -> tuple[Optional[int], Verdict]:
         return nonzero(first, witness={}, value=v)
     if not paths:
         # a zero constant: what sampling at degree 0 would report
-        k = _exact_samples(0, cfg.samples)
+        k = _exact_samples(0, SAMPLES)
         return None, Verdict(ZERO, seed=cfg.seed, samples_passed=k, exact=True, bound=_miss_bound(0, k))
     settled = sorted((k, path.settle(k, cfg)) for path in paths for k in path.at)
     for k, v in settled:
@@ -236,7 +234,7 @@ class _Path:
         # parameters after the other variables, each group in name order
         self.variables = sorted(set().union(*(e.free for e in self.roots)),
                                 key=lambda v: (v.kind == Var.PARAM, str(v)))
-        self.samples = cfg.samples
+        self.samples = SAMPLES
         self.rng = random.Random(cfg.seed)
         self.valid = 0
         self.clear = [0] * len(at)
@@ -293,7 +291,7 @@ class _Exact(_Path):
         super().__init__(roots, at, cfg)
         _, degs, _ = self.prog.degrees()
         d = max(degs[r] for r in self.prog.roots)
-        self.samples = _exact_samples(d, cfg.samples)
+        self.samples = _exact_samples(d, SAMPLES)
         self.bound = _miss_bound(d, self.samples)
 
     def draw(self) -> dict:

@@ -90,12 +90,6 @@ def _tokenize(text: str, line0: int = 1, col0: int = 1) -> list[tuple[str, str, 
     return tokens
 
 
-def _combine(op, operands: list[Expr]) -> Expr:
-    """A run of operands in one call to add or mul, which flattens it as a
-    left fold would without interning every prefix; one operand as it is."""
-    return operands[0] if len(operands) == 1 else op(*operands)
-
-
 _MAX_DEPTH = 5000  # open groups, parentheses and calls, one text may nest
 
 
@@ -113,6 +107,16 @@ def parse_expr(text: str, line: int = 1, col: int = 1) -> Expr:
     def fail(pos: int, expected):
         kind, tok, offset = tokens[pos]
         raise error(f"unexpected {'end of input' if kind == 'end' else repr(tok)}", offset, expected)
+
+    def combine(op, operands: list[Expr], offset: int) -> Expr:
+        """A run of operands in one call to add or mul, which flattens it as
+        a left fold would without interning every prefix; one operand as it
+        is.  A folded constant outside the float range is an error at
+        offset, the token that ends the run."""
+        try:
+            return operands[0] if len(operands) == 1 else op(*operands)
+        except OverflowError as err:
+            raise error(str(err), offset) from None
 
     # The innermost group's call (None for parentheses) and terms, the
     # current term's factors and sign, the offset of the "/" before the
@@ -162,7 +166,7 @@ def parse_expr(text: str, line: int = 1, col: int = 1) -> Expr:
                     raise error("zero exponent", offset)
                 try:
                     out = ex.pow_(out, -int(tok) if negative else int(tok))
-                except ZeroDivisionError as err:
+                except (ZeroDivisionError, OverflowError) as err:
                     raise error(str(err), offset) from None
             for _ in range(minuses):
                 out = ex.neg(out)
@@ -171,18 +175,20 @@ def parse_expr(text: str, line: int = 1, col: int = 1) -> Expr:
                     out = ex.pow_(out, -1)  # a/b is a*b^-1
                 except ZeroDivisionError:
                     raise error("division by zero", div) from None
+                except OverflowError as err:
+                    raise error(str(err), div) from None
             factors.append(out)
             op = tokens[pos][1]
             pos += 1
             if op == "*" or op == "/":
                 div, minuses = (tokens[pos - 1][2] if op == "/" else None), 0
                 break
-            term = _combine(ex.mul, factors)
+            term = combine(ex.mul, factors, tokens[pos - 1][2])
             terms.append(term if sign == "+" else ex.neg(term))
             if op == "+" or op == "-":
                 factors, sign, div, minuses = [], op, None, 0
                 break
-            out = _combine(ex.add, terms)
+            out = combine(ex.add, terms, tokens[pos - 1][2])
             if op == ")" and groups:
                 if fn is not None:
                     out = ex.apply(fn, out)

@@ -51,13 +51,13 @@ class DimensionError(ValueError):
 @dataclass
 class TorsionReport:
     method: str  # tresse | fels | quartic
-    invariant: object  # Expr, list of rows of Expr, or list of Expr
+    invariant: list[list[Expr]]  # rows; the verdict's entry (i, k) is invariant[i-1][k-1]
     verdict: Verdict
 
     @property
     def expr_nodes(self) -> int:
         """The invariant's DAG nodes, summed over its entries."""
-        return sum(ex.node_count(e) for e in _invariant_exprs(self.invariant))
+        return sum(ex.node_count(e) for row in self.invariant for e in row)
 
     @property
     def straight(self) -> Optional[bool]:
@@ -66,18 +66,6 @@ class TorsionReport:
         if self.verdict.outcome == NONZERO:
             return False
         return None
-
-
-def _invariant_exprs(invariant):
-    if isinstance(invariant, Expr):
-        return [invariant]
-    out = []
-    for item in invariant:
-        if isinstance(item, Expr):
-            out.append(item)
-        else:
-            out.extend(item)
-    return out
 
 
 def phi_matrix(sys: OdeSystem) -> list[list[Expr]]:
@@ -145,8 +133,7 @@ def tresse_torsion(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> Torsio
     if sys.n != 1:
         raise DimensionError(f"Tresse torsion needs n=1, got n={sys.n}")
     invariant = _tresse_expr(sys)
-    verdict = is_zero(invariant, cfg)
-    return TorsionReport(TRESSE, invariant, verdict)
+    return TorsionReport(TRESSE, [[invariant]], is_zero(invariant, cfg))
 
 
 def quartic_test(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionReport:
@@ -157,9 +144,7 @@ def quartic_test(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionR
     """
     combos = list(combinations_with_replacement([ex.YDot(j + 1) for j in range(sys.n)], 4))
     rows = [[nth_partial(f, combo) for combo in combos] for f in sys.rhs]
-    verdict = is_zero_matrix(rows, cfg)
-    invariant = [d4 for row in rows for d4 in row]
-    return TorsionReport(QUARTIC, invariant, verdict)
+    return TorsionReport(QUARTIC, rows, is_zero_matrix(rows, cfg))
 
 
 def is_straight(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionReport:
@@ -233,7 +218,7 @@ def classify_linear_const(ls: LinearConstSystem) -> bool:
     return not any(abs(M[i][j] - (a if i == j else 0)) > _LINEAR_TOL * scale for i in range(n) for j in range(n))
 
 
-def linear_const_to_system(ls: LinearConstSystem, name: str = "linear-const") -> OdeSystem:
+def linear_const_to_system(ls: LinearConstSystem) -> OdeSystem:
     """The OdeSystem d^2 y^I/dx^2 = sum_J A[I][J] dy^J + B[I][J] y^J."""
     n = ls.n
     rhs = []
@@ -243,4 +228,4 @@ def linear_const_to_system(ls: LinearConstSystem, name: str = "linear-const") ->
             terms.append(ex.mul(ex.const(ls.A[i][j]), ex.YDot(j + 1)))
             terms.append(ex.mul(ex.const(ls.B[i][j]), ex.Y(j + 1)))
         rhs.append(ex.add(*terms))
-    return OdeSystem(n=n, rhs=tuple(rhs), name=name)
+    return OdeSystem(n=n, rhs=tuple(rhs), name="linear-const")

@@ -102,7 +102,7 @@ def test_criterion_2_notstraight_table(table2):
         assert report.straight is False, entry.system.name
         v = report.verdict
         assert v.witness is not None, entry.system.name
-        got = ex.evaluate(report.invariant, dict(v.witness))
+        got = ex.evaluate(report.invariant[0][0], dict(v.witness))
         assert abs(got - v.value) <= 1e-6 * max(abs(v.value), 1.0), entry.system.name
         # reproducible: the same seed returns the identical witness
         again = is_straight(entry.system)
@@ -159,13 +159,12 @@ def _random_linear_pair(rng, n):
 @_criterion(5, "linear constant-coefficient form theorem, 100 + 100 cases")
 def test_criterion_5_linear_form():
     rng = random.Random(1105)
-    cfg = OracleConfig(samples=4)
     for trial in range(100):
         n = rng.choice((2, 3))
         A, B = _random_linear_pair(rng, n)
         ls = LinearConstSystem(A, B)
         assert classify_linear_const(ls), trial
-        assert fels_torsion(linear_const_to_system(ls), cfg).straight is True, trial
+        assert fels_torsion(linear_const_to_system(ls)).straight is True, trial
     for trial in range(100):
         n = rng.choice((2, 3))
         A, B = _random_linear_pair(rng, n)
@@ -176,7 +175,7 @@ def test_criterion_5_linear_form():
         B[i][j] += rand_fraction(rng, lo=1, hi=5)
         ls = LinearConstSystem(A, B)
         assert not classify_linear_const(ls), trial
-        assert fels_torsion(linear_const_to_system(ls), cfg).straight is False, trial
+        assert fels_torsion(linear_const_to_system(ls)).straight is False, trial
 
 
 @_criterion(6, "conserved quantities: known integrals zero, random g nonzero")
@@ -221,7 +220,7 @@ def test_criterion_8_structural():
             n=n,
             rhs=tuple(random_polynomial(rng, refs, max_degree=2, max_terms=3) for _ in range(n)),
         )
-        matrix = fels_torsion(sys_, OracleConfig(samples=2)).invariant
+        matrix = fels_torsion(sys_).invariant
         trace = ex.add(*(matrix[k][k] for k in range(n)))
         point = random_point(rng, refs)
         assert abs(ex.evaluate(trace, point)) < 1e-6, trial

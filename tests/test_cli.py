@@ -23,6 +23,16 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def rhs_argv(texts):
+    return [a for t in texts for a in ("--rhs", t)]
+
+
+def src_env():
+    """The environment of a child interpreter that imports odetorsion from this tree."""
+    src = str(pathlib.Path(odetorsion.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def strip_timing(records):
     return [{k: v for k, v in r.items() if k != "wall_ms"} for r in records]
 
@@ -72,6 +82,18 @@ class TestInline:
         assert records[0]["classification"] == "not-straight"
         assert records[0]["witness_value"][0] == pytest.approx(24.0)
 
+    @pytest.mark.parametrize("rhs, method, classification", [
+        (["6*y^2"], "tresse", "not-straight"),
+        (["x*y"], "tresse", "straight"),
+        (["y2*dy1", "0"], "fels", "not-straight"),
+        (["dy2^4", "0"], "fels", "straight"),
+    ])
+    def test_method_tresse_and_fels(self, capsys, rhs, method, classification):
+        code, records, _ = run_json(capsys, "analyze", *rhs_argv(rhs), "--method", method)
+        (r,) = records
+        assert (r["method"], r["classification"]) == (method, classification)
+        assert "quartic" not in r  # the side check runs under auto only
+
     def test_parse_error_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "--rhs", "6*y^^2")
         assert code == 2
@@ -93,12 +115,15 @@ class TestInline:
         assert out == ""
         assert err.startswith(message) and err.count("\n") == 1
 
-    @pytest.mark.parametrize("option", [("--samples", "0")])
+    @pytest.mark.parametrize("option", [("--samples", "16")])
     def test_bad_oracle_option_exit_2(self, capsys, option):
-        code, out, err = run(capsys, "analyze", "--rhs", "6*y^2", *option)
-        assert code == 2
+        # the sample count is the constant oracle.SAMPLES, not an option
+        with pytest.raises(SystemExit) as exit_:
+            main(["analyze", "--rhs", "6*y^2", *option])
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"error: unrecognized arguments: {option[0]}" in err
 
 
     def test_exact_witness_beyond_float_range(self, capsys):
@@ -124,7 +149,7 @@ class TestInline:
         code, out, err = run(capsys, "analyze", "--rhs", rhs)
         assert code == 2
         assert out == ""
-        assert err == "error: inline: sin of a value outside the float range\n"
+        assert err == "error: inline: sin of a value outside the float range in the tresse invariant\n"
 
     @pytest.mark.parametrize("rhs, classification", [("10^400*y", "straight"), ("10^400*y^3", "not-straight"),
                                                      ("10^-400*y^3", "not-straight")])
@@ -143,20 +168,53 @@ class TestInline:
         assert err == "error: inline: f1 has a constant outside the float range\n"
 
 
-    @pytest.mark.parametrize("rhs", ["(2+i)^100000*y", "(10^308+10^308*i)*(10^308+10^308*i)*y",
-                                     "(" * 6000 + "y" + ")" * 6000, "(1e-170*i)^-2*y",
-                                     "(1e-170*i)^2*exp(y)", "(1e-170*i)*(1e-170*i)*exp(y)"],
-                             ids=["complex-power-overflow", "complex-fold-overflow", "deep-nesting",
-                                  "tiny-complex-power", "tiny-complex-square", "tiny-complex-product"])
-    def test_unreadable_input_exit_2(self, capsys, rhs):
+    @pytest.mark.parametrize("rhs, message", [
+        ("(2+i)^100000*y", "constant power outside the float range at line 1, column 7"),
+        ("(10^308+10^308*i)*(10^308+10^308*i)*y", "constant (nan+infj) outside the float range at line 1, column 38"),
+        ("(" * 6000 + "y" + ")" * 6000, "nested deeper than 5000 levels at line 1, column 5001"),
+        ("(1e-170*i)^-2*y", "constant power outside the float range at line 1, column 13"),
+        ("(1e-170*i)^2*exp(y)", "constant power outside the float range at line 1, column 12"),
+        ("(1e-170*i)*(1e-170*i)*exp(y)", "constant product outside the float range at line 1, column 29"),
+        ("y/(1e-320*i)", "constant power outside the float range at line 1, column 2"),
+        ("(10^308+10^308*i) + (10^308+10^308*i) + y",
+         "constant (inf+infj) outside the float range at line 1, column 42"),
+    ], ids=["complex-power-overflow", "complex-fold-overflow", "deep-nesting", "tiny-complex-power",
+            "tiny-complex-square", "tiny-complex-product", "tiny-complex-divisor", "complex-sum-overflow"])
+    def test_unreadable_input_exit_2(self, capsys, rhs, message):
+        # a constant leaving the float range while it is read is placed as a
+        # parse error is: at its exponent, at its "/", or at the token that
+        # ends the run of factors or terms it was folded in
         code, out, err = run(capsys, "analyze", "--rhs", rhs)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_tiny_complex_power_is_an_overflow(self, capsys):
         _, _, err = run(capsys, "analyze", "--rhs", "(1e-170*i)^-2*y")
-        assert err == "error: constant power outside the float range\n"
+        assert err == "error: constant power outside the float range at line 1, column 13\n"
+
+    @pytest.mark.parametrize("rhs, message", [
+        (["sqrt(1+" * 600 + "y" + ")" * 600], "constant outside the float range in the tresse invariant"),
+        (["exp(1e-100*dy1)", "0"], "constant outside the float range in the quartic check"),
+    ], ids=["nested-sqrt-600", "quartic-check"])
+    def test_overflow_in_a_derived_expression_names_it(self, capsys, rhs, message):
+        # the input's own constants are in range: 2^-1076 in the 600-deep
+        # chain's invariant and (1e-100)^4 in the fourth dy1-partial are not
+        code, out, err = run(capsys, "analyze", *rhs_argv(rhs))
+        assert (code, out) == (2, "")
+        assert err == f"error: inline: {message}\n"
+
+    def test_closed_output_pipe_exit_2(self):
+        # stdout is a pipe whose read end is closed before the process starts
+        code = "import sys; from odetorsion.cli import main; sys.exit(main())"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            with subprocess.Popen([sys.executable, "-c", code, "analyze", "--rhs", "6*y^2"],
+                                  stdout=write, stderr=subprocess.PIPE, text=True, env=src_env()) as proc:
+                _, err = proc.communicate(timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, err) == (2, "error: output pipe closed\n")
 
     def test_deep_polynomial_at_the_default_recursion_limit(self, capsys):
         text = "y*(1+" * 1500 + "y" + ")" * 1500
@@ -172,9 +230,7 @@ class TestInline:
     def test_import_leaves_the_recursion_limit(self):
         code = ("import sys; before = sys.getrecursionlimit(); import odetorsion; "
                 "print(before == sys.getrecursionlimit())")
-        src = str(pathlib.Path(odetorsion.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), check=True)
         assert out.stdout == "True\n"
 
     def test_zero_to_a_negative_power_exit_2(self, capsys):
@@ -271,7 +327,23 @@ class TestCorpus:
         code, out, err = run(capsys, "analyze", str(corpus))
         assert code == 2
         assert out == ""
-        assert err == "error: tiny: constant outside the float range\n"
+        assert err == "error: tiny: constant outside the float range in the tresse invariant\n"
+
+    def test_conserved_quantity_with_a_derivative_beyond_the_float_range_exit_2(self, capsys, tmp_path):
+        # exp(a*dy) is in range, but its total derivative holds a^2 = 10^-340
+        corpus = tmp_path / "s"
+        corpus.write_text("system s\n n 1\n param a = 1e-170\n f1 = a*y\n conserved 1\n"
+                          " conserved exp(a*dy)\n expect straight\nend\n")
+        code, out, err = run(capsys, "analyze", str(corpus))
+        assert (code, out) == (2, "")
+        assert err == "error: s: constant outside the float range in conserved quantity 2\n"
+
+    def test_constant_outside_the_float_range_is_placed(self, capsys, tmp_path):
+        corpus = tmp_path / "s"
+        corpus.write_text("system s\n n 1\n f1 = (1e-170*i)^2*exp(y)\n expect straight\nend\n")
+        code, out, err = run(capsys, "analyze", str(corpus))
+        assert (code, out) == (2, "")
+        assert err == "error: constant power outside the float range at line 3, column 18\n"
 
     def test_duplicate_directive_exit_2(self, capsys, tmp_path):
         # a repeated directive is an input error, not an override of the first
@@ -333,11 +405,9 @@ class TestReproducibility:
         assert strip_timing(serial) == strip_timing(parallel)
 
     def test_seed_recorded_in_records(self, capsys):
-        _, records, _ = run_json(
-            capsys, "analyze", "--rhs", "6*y^2", "--seed", "42", "--samples", "16"
-        )
+        _, records, _ = run_json(capsys, "analyze", "--rhs", "6*y^2", "--seed", "42")
         assert records[0]["seed"] == 42
-        assert records[0]["samples"] == 16
+        assert records[0]["samples"] == 32  # oracle.SAMPLES
 
 
 class TestTextOutput:
@@ -346,6 +416,17 @@ class TestTextOutput:
         lines = [l for l in out.splitlines() if l.strip()]
         assert len(lines) == 7
         assert all("ok" in l for l in lines)
+
+    @pytest.mark.parametrize("rhs, method, extra", [
+        (["y2*dy1", "0"], "fels", " entry=(1, 1)"),
+        (["exp(dy) - (1 + 10^-11)*exp(dy)"], "quartic",
+         " entry=(1, 1) [entry (1,1): 32 of 32 samples in the gray zone]"),
+    ], ids=["witness-entry", "reason"])
+    def test_row_names_entry_and_reason(self, capsys, rhs, method, extra):
+        code, out, err = run(capsys, "analyze", *rhs_argv(rhs), "--method", method)
+        assert (code, err) == (0, "")
+        (line,) = out.splitlines()
+        assert line.startswith("inline ") and line.endswith(f"ms{extra}")
 
     def test_requires_input(self, capsys):
         with pytest.raises(SystemExit):

@@ -760,6 +760,19 @@ class TestEvaluate:
         with pytest.raises(OverflowError):
             evaluate(ex.pow_(ay, -1), {Param("a"): 1e-320, Y(1): 1j})
 
+    @pytest.mark.parametrize("text, at, message", [
+        ("(a*y)^-2", 1, "negative power outside the float range"),
+        ("sin(2*exp(y))", 709.5, "sin of a value outside the float range"),
+    ], ids=["negative-power", "function"])
+    def test_block_overflow_is_the_one_point_overflow(self, text, at, message):
+        # a = 1e-170: (a*y)^2 underflows to 0; exp(709.5) doubles to inf, which sin rejects
+        prog = ex.program(parse_expr(text))
+        point = {Param("a"): 1e-170 + 0j, Y(1): complex(at)}
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            ex.evaluate_roots(prog, point)
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            ex.evaluate_block(prog, [{Param("a"): 1 + 0j, Y(1): 1 + 0j}, point])
+
     def test_singular_error_names_subexpression(self):
         bad = ex.pow_(x, -1)
         e = ex.add(ex.mul(y1, bad), ex.ONE)

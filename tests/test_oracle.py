@@ -23,8 +23,8 @@ from odetorsion.oracle import (
     is_zero_matrix,
 )
 from odetorsion.calculus import total_derivative
-from odetorsion.parsing import OdeSystem, parse_corpus, parse_expr
-from odetorsion.torsion import _invariant_exprs, fels_torsion, is_straight, quartic_test, tresse_torsion
+from odetorsion.parsing import OdeSystem, ParseError, parse_corpus, parse_expr
+from odetorsion.torsion import fels_torsion, is_straight, quartic_test, tresse_torsion
 
 x = X
 y = Y(1)
@@ -178,7 +178,8 @@ class TestExactSamples:
         v = is_zero_matrix([roots])
         assert v.is_zero and v.samples_passed == len(calls) == 5
         assert v.bound == oracle._miss_bound(22, 5)
-        v = is_zero_matrix([roots], cfg=OracleConfig(samples=3))
+        monkeypatch.setattr(oracle, "SAMPLES", 3)  # k is capped at SAMPLES
+        v = is_zero_matrix([roots])
         assert v.is_zero and v.samples_passed == 3 and v.bound == oracle._miss_bound(22, 3)
 
     def test_a_constant_factor_adds_no_degree(self, monkeypatch):
@@ -209,9 +210,9 @@ class TestExactSamples:
         # x*y + -1*x*y has degree 2
         assert v.is_zero and not v.exact and v.bound == oracle._miss_bound(2, 4)
         # the first point alone, the other 31 as one block
-        assert len(calls) == 4 and len(points) == cfg.samples and blocks == [cfg.samples - 1]
+        assert len(calls) == 4 and len(points) == oracle.SAMPLES and blocks == [oracle.SAMPLES - 1]
         rng = random.Random(cfg.seed)
-        assert points == [oracle.sample_point(rng, [Y(1)]) for _ in range(cfg.samples)]
+        assert points == [oracle.sample_point(rng, [Y(1)]) for _ in range(oracle.SAMPLES)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_mixed_matrix_names_the_numeric_witness(self, seed):
@@ -276,8 +277,11 @@ class TestNumericPath:
         assert is_zero(parse_expr("exp(y)*10^-320")).is_nonzero
 
     def test_overflowing_complex_constant_rejected(self):
-        with pytest.raises(OverflowError):
+        # read from text, the product is an input error at the token ending it
+        with pytest.raises(ParseError, match="^constant .* outside the float range at line 1, column 36$"):
             parse_expr("(10^308+10^308*i)*(10^308+10^308*i)")
+        with pytest.raises(OverflowError):
+            ex.mul(ex.const(1e308 + 1e308j), ex.const(1e308 + 1e308j))
         with pytest.raises(OverflowError):
             ex.const(complex(math.inf, 1.0))
 
@@ -292,17 +296,15 @@ class TestNumericPath:
                    ex.neg(ex.apply("exp", y)))
         assert is_zero(e).is_zero
 
-    def test_constants_converted_once_per_program(self, monkeypatch):
+    def test_constants_converted_once_per_program(self):
         e = parse_expr("(3/7)*exp(y) + (1/3)*y^2 - 5*dy")
-        converted = []
-        to_complex = ex._to_complex
-        monkeypatch.setattr(ex, "_to_complex", lambda v: converted.append(v) or to_complex(v))
         first = is_zero(e)
         assert first.is_nonzero and not first.exact
-        assert sorted(converted) == [Fraction(-5), Fraction(1, 3), Fraction(3, 7)]
-        converted.clear()
+        converted = ex.program(e)._consts
+        assert sorted((n.value, v) for n, v in converted.items()) == [
+            (Fraction(-5), -5 + 0j), (Fraction(1, 3), complex(1 / 3)), (Fraction(3, 7), complex(3 / 7))]
         assert is_zero(e, cfg=OracleConfig(seed=1)).is_nonzero
-        assert converted == []  # the root's program keeps them
+        assert ex.program(e)._consts is converted  # the root's program keeps them
 
 
 def _one_point_everywhere(monkeypatch):
@@ -323,8 +325,9 @@ class TestBlockSamples:
         for name in ("table1.straight", "table2.notstraight", "table2.degenerate", "duals"):
             for entry in parse_corpus((root / name).read_text()):
                 sys_ = entry.system
-                invariants = [_invariant_exprs(is_straight(sys_, cfg).invariant), quartic_test(sys_, cfg).invariant,
-                              [total_derivative(g, sys_) for g in entry.conserved]]
+                invariants = [[e for row in report.invariant for e in row]
+                              for report in (is_straight(sys_, cfg), quartic_test(sys_, cfg))]
+                invariants.append([total_derivative(g, sys_) for g in entry.conserved])
                 for exprs in invariants:
                     roots = [e for e in exprs if type(e) is not ex.Const and not e.poly]
                     if not roots:
@@ -332,7 +335,7 @@ class TestBlockSamples:
                     prog = ex.batch(roots)
                     variables = sorted(set().union(*(e.free for e in roots)), key=str)
                     rng = random.Random(seed)
-                    points = [oracle.sample_point(rng, variables) for _ in range(cfg.samples - 1)]
+                    points = [oracle.sample_point(rng, variables) for _ in range(oracle.SAMPLES - 1)]
                     block = ex.evaluate_block(prog, points)  # no corpus root is singular at these points
                     assert [repr(at) for at in block] == [repr(ex.evaluate_roots(prog, pt)) for pt in points], sys_.name
                     compared += len(roots)
@@ -472,7 +475,7 @@ class TestCanonicalInput:
     def test_is_zero_does_not_rebuild_its_input(self, monkeypatch):
         corpus = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "duals"
         (entry,) = [e for e in parse_corpus(corpus.read_text()) if e.system.name == "hitchin-dual"]
-        invariant = tresse_torsion(entry.system).invariant
+        ((invariant,),) = tresse_torsion(entry.system).invariant
         before = len(ex._intern)
         made = []
         mk = ex._mk
@@ -488,12 +491,10 @@ class TestConfig:
         # as large as its scale is never zero
         assert oracle.NOISE_FLOOR < oracle.REL_TOL < 1
 
-    def test_fields_are_samples_and_seed(self):
-        assert [f.name for f in dataclasses.fields(OracleConfig)] == ["samples", "seed"]
-
-    def test_rejects_zero_samples(self):
-        with pytest.raises(ValueError):
-            OracleConfig(samples=0)
+    def test_seed_is_the_one_field(self):
+        # the sample count is the constant SAMPLES, as the tolerances are
+        assert [f.name for f in dataclasses.fields(OracleConfig)] == ["seed"]
+        assert oracle.SAMPLES == 32
 
 
 class TestSampler:
@@ -565,7 +566,7 @@ class TestModularPath:
         report = fels_torsion(sys_, cfg)
         assert report.straight is True and report.verdict.exact
         assert sum(type(e) is not ex.Const for row in report.invariant for e in row) >= 2
-        assert len(runs) <= cfg.samples + 1
+        assert len(runs) <= oracle.SAMPLES + 1
 
 
 def _assert_names_nonzero_entry(rows, verdict):
@@ -599,9 +600,7 @@ class TestMatrix:
                 for seed in range(2):
                     cfg = OracleConfig(seed=seed)
                     report = quartic_test(sys_, cfg)
-                    width = len(report.invariant) // sys_.n
-                    rows = [report.invariant[k:k + width] for k in range(0, len(report.invariant), width)]
-                    _assert_names_nonzero_entry(rows, report.verdict)
+                    _assert_names_nonzero_entry(report.invariant, report.verdict)
                     named += report.verdict.is_nonzero
         assert named
 
@@ -620,10 +619,7 @@ class TestMatrix:
             assert fels.verdict.is_nonzero
             _assert_names_nonzero_entry(fels.invariant, fels.verdict)
             quartic = quartic_test(sys_, cfg)
-            width = len(quartic.invariant) // n
-            _assert_names_nonzero_entry(
-                [quartic.invariant[k:k + width] for k in range(0, len(quartic.invariant), width)],
-                quartic.verdict)
+            _assert_names_nonzero_entry(quartic.invariant, quartic.verdict)
 
     def test_inconclusive_entry_reported(self):
         m = [[parse_expr("log(y - y)")]]
@@ -660,6 +656,22 @@ class TestMatrix:
         with pytest.raises(OverflowError):
             is_zero_matrix([[parse_expr("y^2 - y*y"), parse_expr("exp(y^400)")]])
 
+    def test_gray_zone_majority_is_inconclusive(self):
+        # |value| / scale is about 5e-12 at every point: between NOISE_FLOOR and REL_TOL
+        v = is_zero(parse_expr("exp(y) - (1 + 10^-11)*exp(y)"))
+        assert v.outcome == INCONCLUSIVE and not v.exact
+        assert v.reason == "32 of 32 samples in the gray zone"
+
+    @pytest.mark.parametrize("clear, gray, outcome, reason", [
+        (20, 12, ZERO, "12 gray-zone samples outvoted"),
+        (16, 16, INCONCLUSIVE, "16 of 32 samples in the gray zone"),
+    ], ids=["outvoted", "tie"])
+    def test_settle_counts_the_votes(self, clear, gray, outcome, reason):
+        path = oracle._Numeric([parse_expr("exp(y)")], [0], OracleConfig(seed=4))
+        path.valid, path.clear, path.gray = clear + gray, [clear], [gray]
+        v = path.settle(0, OracleConfig(seed=4))
+        assert (v.outcome, v.reason, v.samples_passed, v.seed) == (outcome, reason, clear + gray, 4)
+
     def test_invalid_point_casts_no_vote(self):
         # exp(y) - exp(y) wins nothing where log(y-y) is singular, and
         # such a point counts as neither clear nor gray for it
@@ -671,9 +683,10 @@ class TestMatrix:
         assert v.outcome == INCONCLUSIVE and v.samples_passed == 0 and v.entry == (1, 1)
 
 
-def test_empirical_false_zero_rate():
+def test_empirical_false_zero_rate(monkeypatch):
     """Schwartz-Zippel sanity: nonzero polynomials are essentially never
     misclassified, even with far fewer samples than the default."""
+    monkeypatch.setattr(oracle, "SAMPLES", 2)
     rng = random.Random(31337)
     refs = [X, Y(1), YDot(1)]
     trials = 10 ** 4
@@ -682,7 +695,7 @@ def test_empirical_false_zero_rate():
         e = random_polynomial(rng, refs, max_degree=4, max_terms=4)
         if isinstance(e, ex.Const) and e.value == 0:
             continue  # coefficients happened to cancel: actually zero
-        v = is_zero(e, cfg=OracleConfig(samples=2, seed=rng.randrange(2 ** 30)))
+        v = is_zero(e, cfg=OracleConfig(seed=rng.randrange(2 ** 30)))
         if v.is_zero:
             # only count it against the oracle if the polynomial is not
             # identically zero, checked at a deterministic probe point

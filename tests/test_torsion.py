@@ -6,11 +6,12 @@ import pytest
 from conftest import rand_fraction, random_point, random_polynomial
 from odetorsion import expr as ex
 from odetorsion.expr import X, Y, YDot
-from odetorsion.oracle import INCONCLUSIVE, OracleConfig
+from odetorsion.oracle import INCONCLUSIVE, NONZERO, ZERO, OracleConfig, Verdict
 from odetorsion.parsing import OdeSystem, parse_expr
 from odetorsion.torsion import (
     DimensionError,
     LinearConstSystem,
+    TorsionReport,
     check_conserved,
     classify_linear_const,
     fels_torsion,
@@ -61,7 +62,7 @@ class TestTresse:
     def test_constant_curvature_example(self):
         # f = 6 y^2: the invariant collapses to the constant 72
         report = tresse_torsion(_sys1("6*y^2"))
-        assert report.invariant == ex.const(72)
+        assert report.invariant == [[ex.const(72)]]
         assert report.straight is False
         assert report.verdict.value == 72
 
@@ -75,7 +76,7 @@ class TestTresse:
         report = tresse_torsion(sys)
         pt = (0.3, 1.2, 0.7)
         symbolic = ex.evaluate(
-            report.invariant, {X: pt[0], Y(1): pt[1], YDot(1): pt[2]}
+            report.invariant[0][0], {X: pt[0], Y(1): pt[1], YDot(1): pt[2]}
         )
         assert symbolic == pytest.approx(4 * pt[1], rel=1e-12)
         numeric = _numeric_tresse(lambda a, b, c: b * c, *pt)
@@ -92,7 +93,7 @@ class TestTresse:
         report = tresse_torsion(_sys1("6*y^2 + x"))
         assert report.straight is False
         v = report.verdict
-        got = ex.evaluate(report.invariant, dict(v.witness))
+        got = ex.evaluate(report.invariant[0][0], dict(v.witness))
         assert abs(got - v.value) <= 1e-9 * max(abs(v.value), 1.0)
 
     @pytest.mark.parametrize("text, straight", [("-y", True), ("6*y^2", False)])
@@ -113,7 +114,7 @@ class TestTresse:
         # and the invariant itself decides: compare with the numeric oracle
         numeric = _numeric_tresse(lambda a, b, c: c ** 3 + c, 0.2, 0.5, 0.4)
         symbolic = ex.evaluate(
-            report.invariant, {X: 0.2, Y(1): 0.5, YDot(1): 0.4}
+            report.invariant[0][0], {X: 0.2, Y(1): 0.5, YDot(1): 0.4}
         )
         assert numeric == pytest.approx(symbolic, rel=1e-3, abs=1e-4)
 
@@ -219,8 +220,8 @@ class TestQuartic:
         # one verdict over all partials; the first, the constant 24, needs
         # no evaluation and no later partial is tested
         assert len(calls) == 1 and runs == []
-        # every fourth partial is still built: 2 * C(5, 4)
-        assert len(report.invariant) == 10
+        # every fourth partial is still built: C(5, 4) for each of 2 rows
+        assert [len(row) for row in report.invariant] == [5, 5]
 
     def test_witness_names_row_and_partial(self):
         # f2's partials in combinations_with_replacement order: the 3rd is
@@ -339,10 +340,16 @@ class TestReport:
     def test_expr_nodes_sums_the_invariant_entries(self):
         sys = OdeSystem(n=2, rhs=(parse_expr("y1*dy2^4"), parse_expr("dy1^2")))
         tresse, fels, quartic = tresse_torsion(_sys1("6*y^2")), fels_torsion(sys), quartic_test(sys)
-        assert tresse.expr_nodes == ex.node_count(tresse.invariant)
-        assert fels.expr_nodes == sum(ex.node_count(e) for row in fels.invariant for e in row)
-        assert quartic.expr_nodes == sum(ex.node_count(e) for e in quartic.invariant)
+        assert tresse.expr_nodes == ex.node_count(tresse.invariant[0][0])
+        for report in (fels, quartic):
+            assert report.expr_nodes == sum(ex.node_count(e) for row in report.invariant for e in row)
         assert not hasattr(tresse, "telemetry")
+
+
+    @pytest.mark.parametrize("outcome, straight", [(ZERO, True), (NONZERO, False), (INCONCLUSIVE, None)])
+    def test_straight_follows_the_outcome(self, outcome, straight):
+        report = TorsionReport("tresse", [[ex.ONE]], Verdict(outcome, seed=0))
+        assert report.straight is straight
 
 
 class TestDeterminism:
@@ -351,4 +358,4 @@ class TestDeterminism:
         a = tresse_torsion(sys, OracleConfig(seed=3))
         b = tresse_torsion(sys, OracleConfig(seed=3))
         assert a.verdict == b.verdict
-        assert a.invariant is b.invariant  # interned
+        assert a.invariant[0][0] is b.invariant[0][0]  # interned
