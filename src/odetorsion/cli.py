@@ -131,7 +131,7 @@ def _load_entries(args) -> list[CorpusEntry]:
             raise ValidationError("give corpus files or --rhs, not both")
         rhs = tuple(parse_expr(t) for t in args.rhs)
         params = tuple(sorted({r.name for f in rhs for r in free_vars(f) if r.kind == Var.PARAM}))
-        sys_ = OdeSystem(n=len(rhs), rhs=rhs, params=params, name="inline")
+        sys_ = OdeSystem(rhs=rhs, params=params, name="inline")
         return [CorpusEntry(system=sys_)]
     entries: list[CorpusEntry] = []
     for path in args.files:

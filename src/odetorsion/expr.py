@@ -48,12 +48,14 @@ member of ``free``, a key of a sample point and the variable
 ``partial`` and ``substitute`` take.
 
 A program lists the distinct nodes of a tuple of roots in evaluation
-order, a node shared between roots once.  Each root caches its own
-program on first use; the oracle builds one over all the entries of a
-matrix.  Every walk runs in program order, children before parents, so
-none recurses on the nesting depth: ``evaluate`` and ``evaluate_roots``
-(complex), ``exact_ratios`` and ``evaluate_exact`` (rational) and
-``node_count`` run on cached programs, and ``substitute`` and
+order, a node shared between roots once.  There is one program table:
+``program(*roots)`` makes the program of a tuple of roots on first use
+and keeps it in ``_programs``, keyed by that tuple, whether it is one
+root's or the oracle's over all the entries of a matrix.  Every walk runs
+in program order, children before parents, so none recurses on the
+nesting depth: ``evaluate`` and ``evaluate_roots`` (complex),
+``exact_ratios`` and ``evaluate_exact`` (rational) and ``node_count`` run
+on programs from the table, and ``substitute``, pickling and
 ``parsing.to_str`` on a program made for the call.  The evaluators at
 one point share one loop, ``_run``.  ``evaluate_block`` runs a complex
 program at many points in one pass, ``_run_block``: each step's value
@@ -108,11 +110,11 @@ def _union(sets: Iterable[frozenset]) -> frozenset:
 #
 # A node class's constructor returns the interned node; it defines no
 # __init__, which Python would call on that node.  A node is never mutated
-# once _mk interned it, except that _prog caches its program when needed.
+# once _mk interned it.
 
 
 class Expr:
-    __slots__ = ("kids", "free", "poly", "fns", "_prog")
+    __slots__ = ("kids", "free", "poly", "fns")
 
     def __reduce__(self):
         # flat steps, so neither pickling nor unpickling recurses on depth
@@ -145,10 +147,6 @@ class Const(Expr):
     def __new__(cls, value):
         return const(value)
 
-    def _key(self):
-        # Fraction(2) == complex(2) under ==, but keep exactness distinct.
-        return ("q", self.num, self.den) if self.den else ("c", self.value)
-
 
 class Var(Expr):
     """x, y^I, dy^I or a named parameter.
@@ -177,9 +175,6 @@ class Var(Expr):
             node = _mk(node, key, (), True, free=_shared(frozenset((node,))))
         return node
 
-    def _key(self):
-        return ("v", self.kind, self.index, self.name)
-
     def __str__(self):
         if self.kind == Var.X:
             return "x"
@@ -194,18 +189,12 @@ class Sum(Expr):
     def __new__(cls, terms: Iterable[Expr]):
         return add(*terms)
 
-    def _key(self):
-        return ("+", self.kids)
-
 
 class Product(Expr):
     __slots__ = ()
 
     def __new__(cls, factors: Iterable[Expr]):
         return mul(*factors)
-
-    def _key(self):
-        return ("*", self.kids)
 
 
 class Power(Expr):
@@ -218,9 +207,6 @@ class Power(Expr):
     def base(self) -> Expr:
         return self.kids[0]
 
-    def _key(self):
-        return ("^", self.kids[0], self.exponent)
-
 
 class Apply(Expr):
     __slots__ = ("fn",)
@@ -231,9 +217,6 @@ class Apply(Expr):
     @property
     def arg(self) -> Expr:
         return self.kids[0]
-
-    def _key(self):
-        return ("f", self.fn, self.kids[0])
 
 
 def _coerce_number(value) -> Number:
@@ -268,7 +251,6 @@ def _mk(node: Expr, key: tuple, kids: tuple, poly: bool, fns: frozenset = _EMPTY
     node.free = _union(k.free for k in kids) if free is None else free
     node.fns = _union([fns, *(k.fns for k in kids)])
     node.poly = poly
-    node._prog = None
     return _intern.setdefault(key, node)
 
 
@@ -502,10 +484,11 @@ def is_polynomial(e: Expr) -> bool:
 
 
 def node_count(e: Expr) -> int:
-    """Number of distinct nodes in the (shared) expression DAG: e's cached
-    program's length, else a plain walk that caches nothing."""
-    if e._prog is not None:
-        return len(e._prog.steps)
+    """Number of distinct nodes in the (shared) expression DAG: the length
+    of e's program in the table, else a plain walk that caches nothing."""
+    prog = _programs.get((e,))
+    if prog is not None:
+        return len(prog.steps)
     seen = {e}
     todo = [e]
     while todo:
@@ -665,24 +648,26 @@ class Program:
         OverflowError for one outside the float range, or nonzero and
         converted to 0."""
         if self._consts is None:
-            consts = {n: complex(n.value) for n, _ in self.steps if type(n) is Const}
-            if any(n.num and not v for n, v in consts.items()):
-                raise OverflowError("constant outside the float range")
+            try:
+                consts = {n: complex(n.value) for n, _ in self.steps if type(n) is Const}
+                if any(n.num and not v for n, v in consts.items()):
+                    raise OverflowError  # it underflowed to 0
+            except OverflowError:
+                raise OverflowError("constant outside the float range") from None
             self._consts = consts
         return self._consts
 
 
-def program(e: Expr) -> Program:
-    """e's own program, made on first use and cached on e."""
-    prog = e._prog
+_programs: dict = {}  # tuple of roots -> their Program
+
+
+def program(*roots: Expr) -> Program:
+    """The one program over roots, made on first use and kept in
+    ``_programs``; two threads that both make it get equal programs."""
+    prog = _programs.get(roots)
     if prog is None:
-        prog = e._prog = Program((e,))
+        prog = _programs[roots] = Program(roots)
     return prog
-
-
-def batch(roots: Sequence[Expr]) -> Program:
-    """One program over roots: a single root's cached one, else a new one."""
-    return program(roots[0]) if len(roots) == 1 else Program(roots)
 
 
 def _run(prog: Program, leaf: Callable[[Expr], Number], zero: Number, one: Number,
@@ -721,6 +706,8 @@ def _run(prog: Program, leaf: Callable[[Expr], Number], zero: Number, one: Numbe
             except ZeroDivisionError:
                 # v^-k where v^k underflowed to 0: the value left the float range
                 raise OverflowError("negative power outside the float range") from None
+            except OverflowError:
+                raise OverflowError("power outside the float range") from None
         elif t is Apply:
             v = vals[kids[0]]
             if v == 0 and n.fn == "log":
@@ -731,6 +718,8 @@ def _run(prog: Program, leaf: Callable[[Expr], Number], zero: Number, one: Numbe
                 # cmath rejects an infinite argument, which only a sum or a
                 # product that overflowed silently makes: the value left the float range
                 raise OverflowError(f"{n.fn} of a value outside the float range") from None
+            except OverflowError:
+                raise OverflowError(f"{n.fn} value outside the float range") from None
         else:
             v = leaf(n)
         push(v)
@@ -792,6 +781,8 @@ def _run_block(prog: Program, points: Sequence[Mapping[Var, complex]]) -> list[l
                 v = [p ** k for p in a]
             except ZeroDivisionError:
                 raise OverflowError("negative power outside the float range") from None
+            except OverflowError:
+                raise OverflowError("power outside the float range") from None
         elif t is Apply:
             a = vals[kids[0]]
             if n.fn == "log" and 0 in a:
@@ -800,6 +791,8 @@ def _run_block(prog: Program, points: Sequence[Mapping[Var, complex]]) -> list[l
                 v = list(map(_CFUNCS[n.fn], a))
             except ValueError:
                 raise OverflowError(f"{n.fn} of a value outside the float range") from None
+            except OverflowError:
+                raise OverflowError(f"{n.fn} value outside the float range") from None
         elif t is Const:
             v = [consts[n]] * len(points)
         else:

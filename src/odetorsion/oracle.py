@@ -114,12 +114,12 @@ def sample_point(rng: random.Random, variables: Sequence[Var], draw: Callable = 
     return {r: draw(rng) for r in variables}
 
 
-def _exact_samples(d: int, cap: int) -> int:
-    """The least k >= 1 with (d/10^6)^k <= 2^-64, or cap when that is less.
-    The cap is tested in the loop: the bound needs millions of points for
-    d just below 10^6, and no k meets it from d = 10^6 on."""
+def _exact_samples(d: int) -> int:
+    """The least k >= 1 with (d/10^6)^k <= 2^-64, or SAMPLES when that is
+    less.  The cap is tested in the loop: the bound needs millions of
+    points for d just below 10^6, and no k meets it from d = 10^6 on."""
     k = 1
-    while k < cap and 2 ** 64 * d ** k > 10 ** (6 * k):
+    while k < SAMPLES and 2 ** 64 * d ** k > 10 ** (6 * k):
         k += 1
     return k
 
@@ -206,7 +206,7 @@ def _decide(roots: Sequence[Expr], cfg) -> tuple[Optional[int], Verdict]:
         return nonzero(first, witness={}, value=v)
     if not paths:
         # a zero constant: what sampling at degree 0 would report
-        k = _exact_samples(0, SAMPLES)
+        k = _exact_samples(0)
         return None, Verdict(ZERO, seed=cfg.seed, samples_passed=k, exact=True, bound=_miss_bound(0, k))
     settled = sorted((k, path.settle(k, cfg)) for path in paths for k in path.at)
     for k, v in settled:
@@ -230,7 +230,7 @@ class _Path:
     def __init__(self, roots, at, cfg):
         self.at = at  # the index of each root among all roots
         self.roots = [roots[k] for k in at]
-        self.prog = ex.batch(self.roots)
+        self.prog = ex.program(*self.roots)
         # parameters after the other variables, each group in name order
         self.variables = sorted(set().union(*(e.free for e in self.roots)),
                                 key=lambda v: (v.kind == Var.PARAM, str(v)))
@@ -291,7 +291,7 @@ class _Exact(_Path):
         super().__init__(roots, at, cfg)
         _, degs, _ = self.prog.degrees()
         d = max(degs[r] for r in self.prog.roots)
-        self.samples = _exact_samples(d, SAMPLES)
+        self.samples = _exact_samples(d)
         self.bound = _miss_bound(d, self.samples)
 
     def draw(self) -> dict:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
-from .expr import Expr, Var
+from .expr import EvalSingular, Expr, Var
 from .oracle import sample_point
 
 
@@ -259,9 +259,9 @@ _POINTS = 8  # sample points an expression gets to show it is defined
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """d^2 y^I / dx^2 = rhs[I-1](x, y, dy), I = 1..n, in the parameters named by params."""
+    """d^2 y^I / dx^2 = rhs[I-1](x, y, dy), I = 1..n, in the parameters
+    named by params; n is the number of right-hand sides."""
 
-    n: int
     rhs: tuple[Expr, ...]
     params: tuple[str, ...] = ()
     name: str = "system"
@@ -275,16 +275,18 @@ class OdeSystem:
         for name in self.params:
             if not isinstance(name, str):
                 raise TypeError(f"not a parameter name: {name!r}")
-        if self.n < 1:
-            raise ValidationError(f"{self.name}: n must be positive")
-        if len(self.rhs) != self.n:
-            raise ValidationError(f"{self.name}: expected {self.n} right-hand sides, got {len(self.rhs)}")
+        if not self.rhs:
+            raise ValidationError(f"{self.name}: no right-hand side")
         if len(set(self.params)) != len(self.params):
             raise ValidationError(f"{self.name}: duplicate parameter names")
         for name in self.params:
             if name in _RESERVED or _YVAR_RE.match(name):
                 raise ValidationError(f"{self.name}: parameter name {name!r} is reserved")
         self.validate((f"f{k}", f) for k, f in enumerate(self.rhs, start=1))
+
+    @property
+    def n(self) -> int:
+        return len(self.rhs)
 
     def validate(self, labelled) -> None:
         """Reject the first of labelled's (label, expression) pairs that
@@ -293,7 +295,8 @@ class OdeSystem:
 
         An expression that no sample point evaluates is undefined
         (1/(y-y), log(0*y)), however its torsion might cancel, and so is one
-        with a constant outside the float range (10^400 or 10^-400).  The
+        with a constant outside the float range (10^400 or 10^-400), or
+        with a constant-valued subexpression that leaves it (exp(1000)).  The
         points come from a generator of their own, so validation leaves the
         oracle's seeded draws untouched.  A polynomial over the rationals
         (``poly``) is skipped: it is defined everywhere and only ever
@@ -313,10 +316,15 @@ class OdeSystem:
         for label, e in labelled:
             if e.poly:
                 continue
+            prog = ex.program(e)
+            valued = ex.Program(n for n, _ in prog.steps if not n.free and type(n) is not ex.Const)
             try:
-                ex.program(e).constants()
+                prog.constants()
+                ex.evaluate_roots(valued, {})  # exp(1000) overflows at every point
             except OverflowError:
                 raise ValidationError(f"{self.name}: {label} has a constant outside the float range") from None
+            except EvalSingular:
+                pass  # log(0) is blamed on the sample points below
             variables = sorted(ex.free_vars(e), key=str)
             for _ in range(_POINTS):
                 try:
@@ -442,8 +450,9 @@ def _finish_entry(state) -> CorpusEntry:
     extra = [k for k in state["rhs"] if not 1 <= k <= n]
     if extra:
         raise ValidationError(f"{name}: f{extra[0]} outside n={n}")
+    if n < 1:
+        raise ValidationError(f"{name}: n must be positive")
     sys = OdeSystem(
-        n=n,
         rhs=tuple(fix(f"f{k}", state["rhs"][k]) for k in range(1, n + 1)),
         params=tuple(state["params"]),
         name=name,

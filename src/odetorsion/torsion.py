@@ -24,6 +24,10 @@ the zero oracle decides: for n >= 2 Fels's trace-free torsion (Proc. LMS
 choice, Tresse's fourth-order invariant (Tresse 1896; Cartan, Bull. SMF
 52, 1924).  Point-equivalence to y'' = 0 further needs the curvature
 S^I_JKL = 0 (n >= 2) or f_pppp = 0 (n = 1, the quartic check).
+
+Every verdict is the zero oracle's, Fels's [[0]] for n = 1 included.
+``classify_linear_const`` is the exact closed form for d^2 y/dx^2 =
+A dy + B y, so it agrees with ``fels_torsion`` on that system.
 """
 
 from __future__ import annotations
@@ -98,16 +102,14 @@ def fels_torsion(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionR
     if n == 1:
         # the single trace-adjusted entry is zero by definition
         matrix = [[ex.ZERO]]
-        verdict = Verdict(ZERO, seed=cfg.seed, exact=True)
-        return TorsionReport(FELS, matrix, verdict)
-    phi = phi_matrix(sys)
-    trace_over_n = ex.mul(ex.const(Fraction(-1, n)), ex.add(*(phi[k][k] for k in range(n))))
-    matrix = [
-        [ex.add(phi[i][j], trace_over_n) if i == j else phi[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    verdict = is_zero_matrix(matrix, cfg)
-    return TorsionReport(FELS, matrix, verdict)
+    else:
+        phi = phi_matrix(sys)
+        trace_over_n = ex.mul(ex.const(Fraction(-1, n)), ex.add(*(phi[k][k] for k in range(n))))
+        matrix = [
+            [ex.add(phi[i][j], trace_over_n) if i == j else phi[i][j] for j in range(n)]
+            for i in range(n)
+        ]
+    return TorsionReport(FELS, matrix, is_zero_matrix(matrix, cfg))
 
 
 def _tresse_expr(sys: OdeSystem) -> Expr:
@@ -184,38 +186,20 @@ class LinearConstSystem:
         return len(self.A)
 
 
-def _all_rational(ls: LinearConstSystem) -> bool:
-    return all(
-        isinstance(v, (int, Fraction))
-        for M in (ls.A, ls.B)
-        for row in M
-        for v in row
-    )
-
-
-_LINEAR_TOL = 1e-10  # relative tolerance of the float comparison in classify_linear_const
-
-
 def classify_linear_const(ls: LinearConstSystem) -> bool:
-    """True iff B = aI - A^2/4 for some scalar a, i.e. B + A^2/4 is scalar."""
+    """True iff B = aI - A^2/4 for some scalar a, i.e. B + A^2/4 is scalar.
+
+    Each entry is read exactly, as ``expr.const`` reads a real number (a
+    float by its binary value); a complex entry is a TypeError.
+    """
     n = ls.n
-    exact = _all_rational(ls)
-
-    def num(v):
-        return Fraction(v) if exact else complex(v)
-
-    A = [[num(v) for v in row] for row in ls.A]
-    M = [[num(v) for v in row] for row in ls.B]
-    quarter = Fraction(1, 4) if exact else 0.25
+    A = [[Fraction(v) for v in row] for row in ls.A]
+    M = [[Fraction(v) for v in row] for row in ls.B]
     for i in range(n):
         for j in range(n):
-            M[i][j] = M[i][j] + quarter * sum(A[i][k] * A[k][j] for k in range(n))
-    if exact:
-        a = M[0][0]
-        return all(M[i][j] == (a if i == j else 0) for i in range(n) for j in range(n))
-    scale = max(max(abs(v) for row in M for v in row), 1.0)
-    a = sum(M[i][i] for i in range(n)) / n
-    return not any(abs(M[i][j] - (a if i == j else 0)) > _LINEAR_TOL * scale for i in range(n) for j in range(n))
+            M[i][j] += Fraction(1, 4) * sum(A[i][k] * A[k][j] for k in range(n))
+    a = M[0][0]
+    return all(M[i][j] == (a if i == j else 0) for i in range(n) for j in range(n))
 
 
 def linear_const_to_system(ls: LinearConstSystem) -> OdeSystem:
@@ -228,4 +212,4 @@ def linear_const_to_system(ls: LinearConstSystem) -> OdeSystem:
             terms.append(ex.mul(ex.const(ls.A[i][j]), ex.YDot(j + 1)))
             terms.append(ex.mul(ex.const(ls.B[i][j]), ex.Y(j + 1)))
         rhs.append(ex.add(*terms))
-    return OdeSystem(n=n, rhs=tuple(rhs), name="linear-const")
+    return OdeSystem(rhs=tuple(rhs), name="linear-const")

@@ -125,13 +125,11 @@ def test_criterion_3_degenerate_loci():
 @_criterion(4, "oscillator dichotomy at 10 seeds each")
 def test_criterion_4_oscillators():
     shared = OdeSystem(
-        n=2,
         rhs=(parse_expr("-(w^2)*y1"), parse_expr("-(w^2)*y2")),
         params=("w",),
         name="oscillators-shared",
     )
     split = OdeSystem(
-        n=2,
         rhs=(parse_expr("-(w1^2)*y1"), parse_expr("-(w2^2)*y2")),
         params=("w1", "w2"),
         name="oscillators-split",
@@ -180,7 +178,7 @@ def test_criterion_5_linear_form():
 
 @_criterion(6, "conserved quantities: known integrals zero, random g nonzero")
 def test_criterion_6_conserved():
-    energy_sys = OdeSystem(n=1, rhs=(parse_expr("6*y^2"),), name="energy")
+    energy_sys = OdeSystem(rhs=(parse_expr("6*y^2"),), name="energy")
     assert check_conserved(energy_sys, parse_expr("dy^2 - 4*y^3")).is_zero
     (elliptic,) = [
         e for e in _entries("duals") if e.system.name == "elliptic-example"
@@ -217,7 +215,6 @@ def test_criterion_8_structural():
         n = rng.choice((2, 3))
         refs = [X] + [Y(i + 1) for i in range(n)] + [YDot(i + 1) for i in range(n)]
         sys_ = OdeSystem(
-            n=n,
             rhs=tuple(random_polynomial(rng, refs, max_degree=2, max_terms=3) for _ in range(n)),
         )
         matrix = fels_torsion(sys_).invariant
@@ -225,7 +222,7 @@ def test_criterion_8_structural():
         point = random_point(rng, refs)
         assert abs(ex.evaluate(trace, point)) < 1e-6, trial
     # n=1 matrix invariant is structurally zero, no sampling involved
-    one = OdeSystem(n=1, rhs=(parse_expr("exp(y)*dy^5"),))
+    one = OdeSystem(rhs=(parse_expr("exp(y)*dy^5"),))
     report = fels_torsion(one)
     assert report.invariant == [[ex.ZERO]]
     assert report.verdict.exact and report.verdict.is_zero
@@ -270,7 +267,7 @@ def test_criterion_9_quartic(table1):
     for entry in table1:
         report = quartic_test(entry.system)
         assert report.verdict.is_zero, entry.system.name
-    failing = quartic_test(OdeSystem(n=1, rhs=(parse_expr("dy^4"),)))
+    failing = quartic_test(OdeSystem(rhs=(parse_expr("dy^4"),)))
     assert failing.straight is False
     assert failing.verdict.value == 24
     assert failing.verdict.witness is not None

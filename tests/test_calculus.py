@@ -117,7 +117,7 @@ def test_leibniz_rule(rng):
 class TestTotalDerivative:
     def test_conserved_energy_is_exact_zero_numerically(self):
         # d/dx (dy^2 - 4 y^3) along y'' = 6 y^2 is identically zero
-        sys = OdeSystem(n=1, rhs=(parse_expr("6*y^2"),))
+        sys = OdeSystem(rhs=(parse_expr("6*y^2"),))
         g = parse_expr("dy^2 - 4*y^3")
         d = total_derivative(g, sys)
         rng = random.Random(5)
@@ -126,19 +126,19 @@ class TestTotalDerivative:
             assert abs(ex.evaluate(d, point)) < 1e-9
 
     def test_x_slot(self):
-        sys = OdeSystem(n=1, rhs=(ex.ZERO,))
+        sys = OdeSystem(rhs=(ex.ZERO,))
         assert total_derivative(x, sys) is ex.ONE
 
     def test_y_slot_uses_dy(self):
-        sys = OdeSystem(n=1, rhs=(ex.ZERO,))
+        sys = OdeSystem(rhs=(ex.ZERO,))
         assert total_derivative(y, sys) == dy
 
     def test_dy_slot_uses_rhs(self):
-        sys = OdeSystem(n=1, rhs=(parse_expr("6*y^2"),))
+        sys = OdeSystem(rhs=(parse_expr("6*y^2"),))
         assert total_derivative(dy, sys) == parse_expr("6*y^2")
 
     def test_multi_dimensional(self):
-        sys = OdeSystem(n=2, rhs=(parse_expr("y2"), parse_expr("y1")))
+        sys = OdeSystem(rhs=(parse_expr("y2"), parse_expr("y1")))
         g = parse_expr("y1*dy2")
         d = total_derivative(g, sys)
         # d/dx (y1 dy2) = dy1 dy2 + y1 f2 = dy1 dy2 + y1^2
@@ -150,7 +150,7 @@ class TestTotalDerivative:
 
     def test_matches_finite_difference_along_solutions(self):
         # integrate y'' = 6 y^2 a tiny step with RK4 and difference g
-        sys = OdeSystem(n=1, rhs=(parse_expr("6*y^2"),))
+        sys = OdeSystem(rhs=(parse_expr("6*y^2"),))
         g = parse_expr("x*dy + y^2")
         d = total_derivative(g, sys)
 

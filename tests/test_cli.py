@@ -159,10 +159,12 @@ class TestInline:
         assert code == 0 and err == ""
         assert records[0]["classification"] == classification
 
-    @pytest.mark.parametrize("rhs", ["exp(y)*10^-400", "1e-400*sin(y)", "y^3*10^400 + dy*exp(x)"])
+    @pytest.mark.parametrize("rhs", ["exp(y)*10^-400", "1e-400*sin(y)", "y^3*10^400 + dy*exp(x)",
+                                     "exp(1000)*y", "exp(1000+0*i)*y"])
     def test_constant_outside_the_float_range_exit_2(self, capsys, rhs):
         # a right-hand side that is not a polynomial is sampled in floats;
-        # 10^-400 would be 0 there, and 6*f_yy != 0 would read as straight
+        # 10^-400 would be 0 there, and 6*f_yy != 0 would read as straight;
+        # exp(1000) overflows wherever it is evaluated, at no sample point
         code, out, err = run(capsys, "analyze", "--rhs", rhs)
         assert (code, out) == (2, "")
         assert err == "error: inline: f1 has a constant outside the float range\n"
@@ -195,10 +197,16 @@ class TestInline:
     @pytest.mark.parametrize("rhs, message", [
         (["sqrt(1+" * 600 + "y" + ")" * 600], "constant outside the float range in the tresse invariant"),
         (["exp(1e-100*dy1)", "0"], "constant outside the float range in the quartic check"),
-    ], ids=["nested-sqrt-600", "quartic-check"])
+        (["10^308*exp(y)"], "constant outside the float range in the tresse invariant"),
+        (["exp(10^6*y)"], "exp value outside the float range in the tresse invariant"),
+        (["exp(y^400)"], "exp value outside the float range in the tresse invariant"),
+        (["exp(y)^100000"], "power outside the float range in the tresse invariant"),
+    ], ids=["nested-sqrt-600", "quartic-check", "rational-constant", "exp-value", "exp-of-a-power", "power"])
     def test_overflow_in_a_derived_expression_names_it(self, capsys, rhs, message):
         # the input's own constants are in range: 2^-1076 in the 600-deep
-        # chain's invariant and (1e-100)^4 in the fourth dy1-partial are not
+        # chain's invariant, (1e-100)^4 in the fourth dy1-partial and
+        # 6*10^308 in 6*f_yy are not; the last three invariants leave the
+        # float range where they are sampled, as exp or as a power
         code, out, err = run(capsys, "analyze", *rhs_argv(rhs))
         assert (code, out) == (2, "")
         assert err == f"error: inline: {message}\n"

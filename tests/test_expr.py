@@ -306,15 +306,13 @@ def test_node_summaries_and_one_evaluator(desc, values):
     nodes = _nodes(node)
     assert ex.node_count(node) == len(nodes)
     for n in nodes:
-        assert ex._intern[n._key()] is n
+        # interned: its own constructor remakes it from its class, its own
+        # data and its operands, which live in kids alone (none for a leaf)
+        assert ex._remake(type(n), ex._own(n), list(n.kids)) is n
         assert (n.free, n.poly, n.fns) == _reference_summary(n)
-        # the operands live in kids alone: none for a leaf, and otherwise
-        # the ones its own constructor remakes it from
         assert type(n.kids) is tuple and ex.children(n) is n.kids
         if isinstance(n, (Const, Var)):
             assert n.kids == ()
-        else:
-            assert ex._remake(type(n), ex._own(n), list(n.kids)) is n
         if isinstance(n, (Power, Apply)):
             assert len(n.kids) == 1 and (n.base if isinstance(n, Power) else n.arg) is n.kids[0]
     if not node.poly:
@@ -407,13 +405,27 @@ def test_interning_is_race_free():
     first, second = results
     assert len(first) == len(second) == 20000
     assert all(p is q for p, q in zip(first, second))
-    assert all(ex._intern[p._key()] is p for p in first)
+    assert all(ex._remake(type(p), ex._own(p), list(p.kids)) is p for p in first)
 
 
 # Node-first reference constructors: build the whole node, fold every
-# constant from the unit, then intern it through _mk under its own _key().
-# The smart constructors look the key up first and must return the very
-# same nodes.
+# constant from the unit, then intern it through _mk under the key
+# _ref_key works out from the whole node.  The smart constructors look
+# the key up first and must return the very same nodes.
+
+
+def _ref_key(node):
+    t = type(node)
+    if t is Const:
+        # Fraction(2) == complex(2) under ==, but keep exactness distinct.
+        return ("q", node.num, node.den) if node.den else ("c", node.value)
+    if t is Var:
+        return ("v", node.kind, node.index, node.name)
+    if t is Power:
+        return ("^", node.kids[0], node.exponent)
+    if t is Apply:
+        return ("f", node.fn, node.kids[0])
+    return ("+" if t is Sum else "*", node.kids)
 
 
 def _ref_node(cls, kids, poly, **slots):
@@ -421,7 +433,7 @@ def _ref_node(cls, kids, poly, **slots):
     node.kids = kids = tuple(kids)
     for name, value in slots.items():
         setattr(node, name, value)
-    return ex._mk(node, node._key(), kids, poly)
+    return ex._mk(node, _ref_key(node), kids, poly)
 
 
 def _ref_const(value):
@@ -728,6 +740,50 @@ class TestSubstitute:
             assert abs(direct - extended) <= 1e-12 * scale
 
 
+class TestProgramTable:
+    def test_one_program_per_tuple_of_roots(self):
+        a, b = parse_expr("y^2 + x"), parse_expr("exp(y) + x")
+        prog = ex.program(a, b)
+        assert ex.program(a, b) is prog and ex._programs[(a, b)] is prog
+        assert ex.program(b, a) is not prog
+        assert ex.program(a) is ex.program(a) is ex._programs[(a,)]
+        assert [prog.steps[r][0] for r in prog.roots] == [a, b]
+
+    def test_threads_sharing_the_table_get_equal_programs(self):
+        # two threads may both make one entry's program; either copy is correct
+        a = ex.Param("table_race")
+        roots = [(ex.mul(ex.const(k), a), ex.add(ex.const(k), a)) for k in range(2, 3002)]
+        results = ([], [], [], [])
+        start = threading.Barrier(len(results))
+
+        def work(out):
+            start.wait(timeout=10)
+            out.extend(ex.program(*r) for r in roots)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(out) == len(roots) for out in results)
+        for r, *progs in zip(roots, *results):
+            want = ex.Program(r)
+            assert all((p.steps, p.roots) == (want.steps, want.roots) for p in progs)
+            assert ex._programs[r] in progs
+
+    def test_node_count_reads_the_cached_program(self, monkeypatch):
+        e = parse_expr("y^3 + 7*dy")
+        assert ex.node_count(e) == len(ex.program(e).steps) == 6
+        monkeypatch.setitem(ex._programs, (e,), ex.Program((X,)))
+        assert ex.node_count(e) == 1
+
+
 class TestEvaluate:
     def test_square(self):
         assert evaluate(ex.pow_(x, 2), {X: 3}) == 9
@@ -763,9 +819,12 @@ class TestEvaluate:
     @pytest.mark.parametrize("text, at, message", [
         ("(a*y)^-2", 1, "negative power outside the float range"),
         ("sin(2*exp(y))", 709.5, "sin of a value outside the float range"),
-    ], ids=["negative-power", "function"])
+        ("exp(y)^200", 5, "power outside the float range"),
+        ("exp(500*y)", 2, "exp value outside the float range"),
+    ], ids=["negative-power", "function", "power", "function-value"])
     def test_block_overflow_is_the_one_point_overflow(self, text, at, message):
-        # a = 1e-170: (a*y)^2 underflows to 0; exp(709.5) doubles to inf, which sin rejects
+        # a = 1e-170: (a*y)^2 underflows to 0; exp(709.5) doubles to inf, which
+        # sin rejects; e^1000 overflows as exp(5)^200 and as exp(1000) itself
         prog = ex.program(parse_expr(text))
         point = {Param("a"): 1e-170 + 0j, Y(1): complex(at)}
         with pytest.raises(OverflowError, match=f"^{message}$"):

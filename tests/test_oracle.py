@@ -141,14 +141,15 @@ class TestExactPath:
 class TestExactSamples:
     @pytest.mark.parametrize("d, k", [(1, 4), (6, 4), (14, 4), (23, 5), (1000, 7)])
     def test_least_k_meeting_the_bound(self, d, k):
-        assert oracle._exact_samples(d, 32) == k
+        assert oracle._exact_samples(d) == k
         assert 2 ** 64 * d ** k <= 10 ** (6 * k) < 2 ** 64 * d ** (k - 1) * 10 ** 6
 
-    def test_cap_is_tested_in_the_loop(self):
+    def test_cap_is_tested_in_the_loop(self, monkeypatch):
         # uncapped, d = 999,999 would need tens of millions of steps
-        assert oracle._exact_samples(23, 2) == 2
-        assert oracle._exact_samples(999_999, 32) == 32
-        assert oracle._exact_samples(10 ** 6, 32) == 32
+        assert oracle._exact_samples(999_999) == oracle.SAMPLES == 32
+        assert oracle._exact_samples(10 ** 6) == 32
+        monkeypatch.setattr(oracle, "SAMPLES", 2)
+        assert oracle._exact_samples(23) == 2
 
     def test_bound(self):
         assert oracle._miss_bound(23, 5) == (23 / 10 ** 6) ** 5 <= 2.0 ** -64
@@ -160,7 +161,7 @@ class TestExactSamples:
         exact_ratios = ex.exact_ratios
         monkeypatch.setattr(ex, "exact_ratios", lambda *a: calls.append(a) or exact_ratios(*a))
         v = is_zero(ex.sub(term, term))
-        k = oracle._exact_samples(1, 32)
+        k = oracle._exact_samples(1)
         assert v.is_zero and v.exact and v.samples_passed == k == 4
         assert len(calls) == k  # every point, decided exactly
         assert v.bound == oracle._miss_bound(1, k)
@@ -332,7 +333,7 @@ class TestBlockSamples:
                     roots = [e for e in exprs if type(e) is not ex.Const and not e.poly]
                     if not roots:
                         continue
-                    prog = ex.batch(roots)
+                    prog = ex.program(*roots)
                     variables = sorted(set().union(*(e.free for e in roots)), key=str)
                     rng = random.Random(seed)
                     points = [oracle.sample_point(rng, variables) for _ in range(oracle.SAMPLES - 1)]
@@ -415,7 +416,7 @@ class TestBlockSamples:
             rng = random.Random(0)
             assert v.witness == [oracle.sample_point(rng, [y]) for _ in range(2)][1]
         else:
-            assert v == repr(OverflowError("math range error"))
+            assert v == repr(OverflowError("exp value outside the float range"))
         _one_point_everywhere(monkeypatch)
         assert outcome() == v
 
@@ -551,7 +552,7 @@ class TestModularPath:
         assert is_zero_matrix([[e]]).entry == (1, 1)
 
     def test_straight_fels_matrix_runs_one_program_per_sample(self, monkeypatch):
-        sys_ = OdeSystem(n=3, rhs=tuple(parse_expr(t) for t in (
+        sys_ = OdeSystem(rhs=tuple(parse_expr(t) for t in (
             "(3/2)*((-4)*y2 + 2*((-4)*x + y2)*dy2 + (x + 3)*(dy2)^2 + (2/3)*((-2)*(x)^2 + 3*y2"
             " + x*y2)*((-5)*y3 + 2*((-5)*x + y3)*dy3 + (x + 1)*(dy3)^2 + 2*((-5/2)*(x)^2 + y3"
             " + x*y3)*(18*x + (-3))))",
@@ -613,7 +614,7 @@ class TestMatrix:
             if trial % 2:
                 # a transcendental term sends entries to the numeric path
                 rhs[-1] = ex.add(rhs[-1], ex.apply("exp", ex.mul(Y(1), YDot(n))))
-            sys_ = OdeSystem(n=n, rhs=tuple(rhs))
+            sys_ = OdeSystem(rhs=tuple(rhs))
             cfg = OracleConfig(seed=trial)
             fels = fels_torsion(sys_, cfg)
             assert fels.verdict.is_nonzero

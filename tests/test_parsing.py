@@ -361,25 +361,25 @@ class TestOdeSystem:
 
     def test_a_non_expression_is_a_type_error(self):
         with pytest.raises(TypeError, match="not an expression: 3"):
-            OdeSystem(n=1, rhs=(3,))
+            OdeSystem(rhs=(3,))
 
     def test_deepcopy_keeps_the_nodes(self):
         import copy
 
         f = parse_expr("y^2 + a*dy")
-        sys_ = OdeSystem(n=1, rhs=(f,), params=("a",))
+        sys_ = OdeSystem(rhs=(f,), params=("a",))
         assert copy.deepcopy(sys_).rhs[0] is f
 
     def test_index_out_of_range(self):
         with pytest.raises(ValidationError):
-            OdeSystem(n=1, rhs=(parse_expr("y2"),))
+            OdeSystem(rhs=(parse_expr("y2"),))
 
     def test_undeclared_parameter(self):
         with pytest.raises(ValidationError):
-            OdeSystem(n=1, rhs=(parse_expr("a*y"),))
+            OdeSystem(rhs=(parse_expr("a*y"),))
 
     def test_declared_parameter_ok(self):
-        sys = OdeSystem(n=1, rhs=(parse_expr("a*y"),), params=("a",))
+        sys = OdeSystem(rhs=(parse_expr("a*y"),), params=("a",))
         assert sys.params == ("a",)
 
     @pytest.mark.parametrize("params, match", [
@@ -391,15 +391,15 @@ class TestOdeSystem:
     ])
     def test_params_must_be_names(self, params, match):
         with pytest.raises(TypeError, match=match):
-            OdeSystem(n=1, rhs=(parse_expr("a*y+b"),), params=params)
+            OdeSystem(rhs=(parse_expr("a*y+b"),), params=params)
 
     def test_params_may_be_any_sequence_of_names(self):
-        sys_ = OdeSystem(n=1, rhs=(parse_expr("ab*y"),), params=["ab"])
+        sys_ = OdeSystem(rhs=(parse_expr("ab*y"),), params=["ab"])
         assert sys_.params == ("ab",)
 
     def test_reserved_parameter_name(self):
         with pytest.raises(ValidationError):
-            OdeSystem(n=1, rhs=(y,), params=("dy7",))
+            OdeSystem(rhs=(y,), params=("dy7",))
 
     @pytest.mark.parametrize("text, index", [
         ("y5 + dy7 + y9 + dy3", 3),
@@ -412,9 +412,21 @@ class TestOdeSystem:
         with pytest.raises(ValidationError, match=f"variable index {index} outside 1..1$"):
             parse_corpus(f"system s\n n 1\n f1 = {text}\n expect straight\nend")
 
-    def test_rhs_count_mismatch(self):
-        with pytest.raises(ValidationError):
-            OdeSystem(n=2, rhs=(y,))
+    def test_n_is_the_number_of_right_hand_sides(self):
+        assert OdeSystem(rhs=(parse_expr("y2"), parse_expr("y1"))).n == 2
+        with pytest.raises(ValidationError, match="^empty: no right-hand side$"):
+            OdeSystem(rhs=(), name="empty")
+        with pytest.raises(TypeError):
+            OdeSystem(n=1, rhs=(y,))
+
+    @pytest.mark.parametrize("n, f, match", [
+        ("0", "", "^s: n must be positive$"),
+        ("-1", "", "^s: n must be positive$"),
+        ("0", " f1 = y\n", "^s: f1 outside n=0$"),
+    ])
+    def test_corpus_dimension_must_be_positive(self, n, f, match):
+        with pytest.raises(ValidationError, match=match):
+            parse_corpus(f"system s\n n {n}\n{f} expect straight\nend")
 
     @pytest.mark.parametrize("text, error, match", [
         # a division by a constant zero fails while parsing, at the "/"
@@ -424,10 +436,10 @@ class TestOdeSystem:
     ], ids=["y/0", "1/(y-y)", "log(0*y)"])
     def test_undefined_rhs_rejected(self, text, error, match):
         with pytest.raises(error, match=match):
-            OdeSystem(n=2, rhs=(parse_expr("y2"), parse_expr(text)), name="undefined")
+            OdeSystem(rhs=(parse_expr("y2"), parse_expr(text)), name="undefined")
 
     def test_fixed_parameter_takes_declared_value(self):
-        OdeSystem(n=1, rhs=(parse_expr("y/(a - 2)"),), params=("a",))
+        OdeSystem(rhs=(parse_expr("y/(a - 2)"),), params=("a",))
         with pytest.raises(ValidationError, match="^s: 0 raised to a negative power in f1$"):
             parse_corpus("system s\n n 1\n param a = 2\n f1 = y/(a - 2)\n expect straight\nend")
         with pytest.raises(ValidationError, match="^s: 0 raised to a negative power in conserved quantity 2$"):

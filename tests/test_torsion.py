@@ -6,7 +6,7 @@ import pytest
 from conftest import rand_fraction, random_point, random_polynomial
 from odetorsion import expr as ex
 from odetorsion.expr import X, Y, YDot
-from odetorsion.oracle import INCONCLUSIVE, NONZERO, ZERO, OracleConfig, Verdict
+from odetorsion.oracle import INCONCLUSIVE, NONZERO, ZERO, OracleConfig, Verdict, is_zero_matrix
 from odetorsion.parsing import OdeSystem, parse_expr
 from odetorsion.torsion import (
     DimensionError,
@@ -55,7 +55,7 @@ def _numeric_tresse(f, x, y, p, h=1e-2):
 
 
 def _sys1(text, params=()):
-    return OdeSystem(n=1, rhs=(parse_expr(text),), params=tuple(params))
+    return OdeSystem(rhs=(parse_expr(text),), params=tuple(params))
 
 
 class TestTresse:
@@ -103,7 +103,7 @@ class TestTresse:
         assert report.method == "tresse" and report.straight is straight
 
     def test_rejects_systems(self):
-        sys = OdeSystem(n=2, rhs=(parse_expr("y2"), parse_expr("y1")))
+        sys = OdeSystem(rhs=(parse_expr("y2"), parse_expr("y1")))
         with pytest.raises(DimensionError):
             tresse_torsion(sys)
 
@@ -124,15 +124,16 @@ class TestFels:
         report = fels_torsion(_sys1("exp(y)*dy^5"))
         assert report.method == "fels"
         assert report.invariant == [[ex.ZERO]]
+        # decided as every zero-constant matrix is, without sampling
+        assert report.verdict == is_zero_matrix([[ex.ZERO]])
         assert report.verdict.exact and report.verdict.is_zero
-        assert report.verdict.samples_passed == 0  # no sampling happened
+        assert (report.verdict.samples_passed, report.verdict.bound) == (1, 0.0)
 
     def test_trace_free(self, rng):
         for n in (2, 3):
             for _ in range(5):
                 refs = [X] + [Y(i + 1) for i in range(n)] + [YDot(i + 1) for i in range(n)]
                 sys = OdeSystem(
-                    n=n,
                     rhs=tuple(random_polynomial(rng, refs, max_degree=2) for _ in range(n)),
                 )
                 report = fels_torsion(sys)
@@ -142,14 +143,12 @@ class TestFels:
 
     def test_uncoupled_oscillators_straight_iff_equal_frequencies(self):
         shared = OdeSystem(
-            n=2,
             rhs=(parse_expr("-(w^2)*y1"), parse_expr("-(w^2)*y2")),
             params=("w",),
         )
         assert fels_torsion(shared).straight is True
 
         split = OdeSystem(
-            n=2,
             rhs=(parse_expr("-(w1^2)*y1"), parse_expr("-(w2^2)*y2")),
             params=("w1", "w2"),
         )
@@ -161,7 +160,6 @@ class TestFels:
         # for frequencies w1, w2 the (1,1) entry is (w1^2 - w2^2)/2 up to
         # the overall sign convention
         split = OdeSystem(
-            n=2,
             rhs=(parse_expr("-(w1^2)*y1"), parse_expr("-(w2^2)*y2")),
             params=("w1", "w2"),
         )
@@ -171,14 +169,14 @@ class TestFels:
         assert abs(got) == pytest.approx((9 - 4) / 2)
 
     def test_phi_matrix_shape(self):
-        sys = OdeSystem(n=3, rhs=(ex.ZERO, ex.ZERO, ex.ZERO))
+        sys = OdeSystem(rhs=(ex.ZERO, ex.ZERO, ex.ZERO))
         phi = phi_matrix(sys)
         assert len(phi) == 3 and all(len(row) == 3 for row in phi)
         assert all(e is ex.ZERO for row in phi for e in row)
 
     def test_dispatch(self):
         assert is_straight(_sys1("6*y^2")).method == "tresse"
-        sys2 = OdeSystem(n=2, rhs=(ex.ZERO, ex.ZERO))
+        sys2 = OdeSystem(rhs=(ex.ZERO, ex.ZERO))
         assert is_straight(sys2).method == "fels"
 
 
@@ -202,7 +200,7 @@ class TestQuartic:
 
     def test_mixed_partials_covered(self):
         # quartic only through a mixed monomial dy1^2 dy2^2
-        sys = OdeSystem(n=2, rhs=(parse_expr("dy1^2*dy2^2"), ex.ZERO))
+        sys = OdeSystem(rhs=(parse_expr("dy1^2*dy2^2"), ex.ZERO))
         report = quartic_test(sys)
         assert report.straight is False
 
@@ -210,7 +208,7 @@ class TestQuartic:
     def test_no_oracle_call_after_nonzero(self, monkeypatch):
         from odetorsion import oracle
 
-        sys = OdeSystem(n=2, rhs=(parse_expr("dy1^4"), parse_expr("dy2^4")))
+        sys = OdeSystem(rhs=(parse_expr("dy1^4"), parse_expr("dy2^4")))
         calls, runs = [], []
         decide, run = oracle._decide, ex._run
         monkeypatch.setattr(oracle, "_decide", lambda *a: calls.append(a) or decide(*a))
@@ -226,7 +224,7 @@ class TestQuartic:
     def test_witness_names_row_and_partial(self):
         # f2's partials in combinations_with_replacement order: the 3rd is
         # d^4/(ddy1 ddy1 ddy2 ddy2), the first nonzero one of dy1^2*dy2^2
-        sys = OdeSystem(n=2, rhs=(parse_expr("dy1^3"), parse_expr("dy1^2*dy2^2")))
+        sys = OdeSystem(rhs=(parse_expr("dy1^3"), parse_expr("dy1^2*dy2^2")))
         report = quartic_test(sys)
         assert report.straight is False
         assert report.verdict.entry == (2, 3)
@@ -320,16 +318,24 @@ class TestLinearConst:
             assert not classify_linear_const(ls2)
             assert fels_torsion(linear_const_to_system(ls2)).straight is False
 
-    def test_float_tolerance(self):
-        A = [[0.5, 0.1], [-0.2, 0.3]]
-        a = 1.25
+    @pytest.mark.parametrize("A, straight", [
+        # B computed in floats misses 1.25*I - A^2/4 by 1.69e-17 at (1, 1)
+        ([[0.5, 0.1], [-0.2, 0.3]], False),
+        # dyadic entries: every float operation below is exact
+        ([[0.5, 0.25], [-0.25, 0.5]], True),
+    ], ids=["float", "dyadic"])
+    def test_float_entries_are_read_exactly_and_agree_with_fels(self, A, straight):
         B = [
-            [a * (i == j) - 0.25 * sum(A[i][k] * A[k][j] for k in range(2)) for j in range(2)]
+            [1.25 * (i == j) - 0.25 * sum(A[i][k] * A[k][j] for k in range(2)) for j in range(2)]
             for i in range(2)
         ]
-        assert classify_linear_const(LinearConstSystem(A, B))
-        B[0][1] += 1e-6
-        assert not classify_linear_const(LinearConstSystem(A, B))
+        ls = LinearConstSystem(A, B)
+        assert classify_linear_const(ls) is straight
+        assert fels_torsion(linear_const_to_system(ls)).straight is straight
+
+    def test_complex_entry_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            classify_linear_const(LinearConstSystem([[1j]], [[0]]))
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
@@ -338,7 +344,7 @@ class TestLinearConst:
 
 class TestReport:
     def test_expr_nodes_sums_the_invariant_entries(self):
-        sys = OdeSystem(n=2, rhs=(parse_expr("y1*dy2^4"), parse_expr("dy1^2")))
+        sys = OdeSystem(rhs=(parse_expr("y1*dy2^4"), parse_expr("dy1^2")))
         tresse, fels, quartic = tresse_torsion(_sys1("6*y^2")), fels_torsion(sys), quartic_test(sys)
         assert tresse.expr_nodes == ex.node_count(tresse.invariant[0][0])
         for report in (fels, quartic):
