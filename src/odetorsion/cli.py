@@ -21,10 +21,11 @@ deeper than 5,000 levels, and a constant leaving the float range while
 it is read, (2+i)^100000 or (1e-170*i)^-2, named by line and column),
 on validation errors (a right-hand side or conserved quantity that no
 sample point evaluates, such as 1/(y-y)), on corpus files given
-together with --rhs, on a number leaving the float range while
-classifying, named by the invariant, side check or conserved quantity
-it was met in, and on an output pipe closed before the records are
-written.  The oracle's seed is the one oracle option; its sample count
+together with --rhs, on a --method the system's dimension does not fit
+and on a number leaving the float range while classifying, both named
+by the system and the second by the invariant, side check or conserved
+quantity it was met in, and on an output pipe closed before the records
+are written.  The oracle's seed is the one oracle option; its sample count
 is ``oracle.SAMPLES``.
 """
 
@@ -36,6 +37,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 
 from .expr import Var, free_vars
 from .oracle import INCONCLUSIVE, NONZERO, SAMPLES, ZERO, OracleConfig
@@ -69,12 +71,16 @@ def _serialize_witness(witness) -> dict:
     return {str(v): [value.real, value.imag] for v, value in sorted(witness.items(), key=lambda kv: str(kv[0]))}
 
 
-def _named(where: str, classify, *args):
-    """classify(*args), an OverflowError naming where it was met."""
+def _named(where: str, classify, system: OdeSystem, *args):
+    """classify(system, *args); a DimensionError or OverflowError it raises
+    is a ValidationError naming the system, and for an OverflowError where
+    it was met."""
     try:
-        return classify(*args)
+        return classify(system, *args)
+    except DimensionError as err:
+        raise ValidationError(f"{system.name}: {err}") from None
     except OverflowError as err:
-        raise OverflowError(f"{err} in {where}") from None
+        raise ValidationError(f"{system.name}: {err} in {where}") from None
 
 
 def analyze_entry(entry: CorpusEntry, cfg: OracleConfig, method: str) -> dict:
@@ -161,27 +167,16 @@ def _text_row(r: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
+    cfg = OracleConfig(seed=args.seed)
     try:
         entries = _load_entries(args)
-    except (ParseError, ValidationError, OSError, OverflowError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    cfg = OracleConfig(seed=args.seed)
-
-    def analyze(entry: CorpusEntry) -> dict:
-        try:
-            return analyze_entry(entry, cfg, args.method)
-        except OverflowError as err:
-            raise ValidationError(f"{entry.system.name}: {err}") from None
-
-    try:
         jobs = max(1, args.jobs)
         if jobs == 1 or len(entries) <= 1:
-            records = [analyze(e) for e in entries]
+            records = [analyze_entry(e, cfg, args.method) for e in entries]
         else:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                records = list(pool.map(analyze, entries))
-    except (DimensionError, ValidationError) as err:
+                records = list(pool.map(analyze_entry, entries, repeat(cfg), repeat(args.method)))
+    except (ParseError, ValidationError, OSError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -64,7 +64,10 @@ block, not once per point, and each value is bit for bit the one
 ``_run`` gives at its point.  The one-point loop stays, because a block
 of one point runs 3-4 times slower than it: the oracle decides its
 first point, and any point where a block fails, on it, and it is the
-reference the block runner is tested against.  A
+reference the block runner is tested against.  Both runners only
+compute, in one ``try`` around the step loop; ``_failure`` judges a
+failing step, zero test included: Python raises on 0^-k and log(0), so
+no step is tested for zero before it runs.  A
 ``poly`` program is evaluated exactly in integers over one common
 denominator S: a step of degree d holds its value times S^d, so no step
 builds or reduces a ``Fraction``.  Every other program runs in complex
@@ -678,52 +681,57 @@ def _run(prog: Program, leaf: Callable[[Expr], Number], zero: Number, one: Numbe
     ``degs`` (constants at 1, from ``Program.degrees``) the leaves are
     integers, each value times ``scale``, and a sum brings each term up
     to its own degree, so every step holds its value times scale^degree.
+    A step that fails raises what ``_failure`` makes of it.
     """
     vals: list = []
     push = vals.append
-    for n, kids in prog.steps:
-        t = type(n)
-        if t is Product:
-            v = one
-            for k in kids:
-                v *= vals[k]
-        elif t is Sum:
-            v = zero
-            if degs is None:
+    try:
+        for n, kids in prog.steps:
+            t = type(n)
+            if t is Product:
+                v = one
                 for k in kids:
-                    v += vals[k]
+                    v *= vals[k]
+            elif t is Sum:
+                v = zero
+                if degs is None:
+                    for k in kids:
+                        v += vals[k]
+                else:
+                    d = degs[len(vals)]
+                    for k in kids:
+                        gap = d - degs[k]
+                        v += vals[k] * scale ** gap if gap else vals[k]
+            elif t is Power:
+                v = vals[kids[0]] ** n.exponent
+            elif t is Apply:
+                v = _CFUNCS[n.fn](vals[kids[0]])
             else:
-                d = degs[len(vals)]
-                for k in kids:
-                    gap = d - degs[k]
-                    v += vals[k] * scale ** gap if gap else vals[k]
-        elif t is Power:
-            v = vals[kids[0]]
-            if v == 0 and n.exponent < 0:
-                raise EvalSingular("0 raised to a negative power", n)
-            try:
-                v = v ** n.exponent
-            except ZeroDivisionError:
-                # v^-k where v^k underflowed to 0: the value left the float range
-                raise OverflowError("negative power outside the float range") from None
-            except OverflowError:
-                raise OverflowError("power outside the float range") from None
-        elif t is Apply:
-            v = vals[kids[0]]
-            if v == 0 and n.fn == "log":
-                raise EvalSingular("log(0)", n)
-            try:
-                v = _CFUNCS[n.fn](v)
-            except ValueError:
-                # cmath rejects an infinite argument, which only a sum or a
-                # product that overflowed silently makes: the value left the float range
-                raise OverflowError(f"{n.fn} of a value outside the float range") from None
-            except OverflowError:
-                raise OverflowError(f"{n.fn} value outside the float range") from None
-        else:
-            v = leaf(n)
-        push(v)
+                v = leaf(n)
+            push(v)
+    except (ZeroDivisionError, OverflowError, ValueError, KeyError) as err:
+        raise _failure(n, err, vals[kids[0]] if kids else None) from None
     return vals
+
+
+def _failure(n: Expr, err: Exception, operand) -> Exception:
+    """What step n raises when it raised err, its operand's value being
+    operand (a list over a block's points): a missing variable, a singular
+    step (0^-k, log(0)) or a value outside the float range, such as a
+    negative power whose positive power underflowed, or a function of the
+    infinity that only a sum or a product overflowing silently makes."""
+    if type(err) is KeyError:
+        return KeyError(f"no assignment for {n}")
+    zero = 0 in operand if type(operand) is list else operand == 0
+    if type(n) is Power:
+        if zero and n.exponent < 0:
+            return EvalSingular("0 raised to a negative power", n)
+        what = "negative power" if type(err) is ZeroDivisionError else "power"
+    else:
+        if zero and n.fn == "log":
+            return EvalSingular("log(0)", n)
+        what = f"{n.fn} of a value" if type(err) is ValueError else f"{n.fn} value"
+    return OverflowError(f"{what} outside the float range")
 
 
 def evaluate_roots(prog: Program, assignment: Mapping[Var, complex]) -> list[tuple[complex, float]]:
@@ -732,12 +740,7 @@ def evaluate_roots(prog: Program, assignment: Mapping[Var, complex]) -> list[tup
     consts = prog.constants()
 
     def leaf(n: Expr) -> complex:
-        if type(n) is Const:
-            return consts[n]
-        try:
-            return assignment[n]
-        except KeyError:
-            raise KeyError(f"no assignment for {n}") from None
+        return consts[n] if type(n) is Const else assignment[n]
 
     vals = _run(prog, leaf, 0j, 1 + 0j)
     out = []
@@ -754,53 +757,38 @@ def _run_block(prog: Program, points: Sequence[Mapping[Var, complex]]) -> list[l
 
     Each value is bit-identical to ``_run``'s at that point: a sum or a
     product folds its operands from 0j or 1 + 0j, left to right, and a
-    power or a function is the same call.  A point singular or not
-    finite at some step raises for the whole block.
+    power or a function is the same call.  A step that fails at any
+    point raises what ``_failure`` makes of it, for the whole block.
     """
     consts = prog.constants()
     vals: list = []
     push = vals.append
-    for n, kids in prog.steps:
-        t = type(n)
-        if t is Product:
-            if len(kids) == 2:
-                v = [(1 + 0j) * p * q for p, q in zip(vals[kids[0]], vals[kids[1]])]
+    try:
+        for n, kids in prog.steps:
+            t = type(n)
+            if t is Product:
+                if len(kids) == 2:
+                    v = [(1 + 0j) * p * q for p, q in zip(vals[kids[0]], vals[kids[1]])]
+                else:
+                    v = [prod(c, start=1 + 0j) for c in zip(*[vals[k] for k in kids])]
+            elif t is Sum:
+                if len(kids) == 2:
+                    v = [0j + p + q for p, q in zip(vals[kids[0]], vals[kids[1]])]
+                else:
+                    # not builtin sum, whose complex rounding is not fixed across versions
+                    v = [reduce(operator.add, c, 0j) for c in zip(*[vals[k] for k in kids])]
+            elif t is Power:
+                k = n.exponent
+                v = [p ** k for p in vals[kids[0]]]
+            elif t is Apply:
+                v = list(map(_CFUNCS[n.fn], vals[kids[0]]))
+            elif t is Const:
+                v = [consts[n]] * len(points)
             else:
-                v = [prod(c, start=1 + 0j) for c in zip(*[vals[k] for k in kids])]
-        elif t is Sum:
-            if len(kids) == 2:
-                v = [0j + p + q for p, q in zip(vals[kids[0]], vals[kids[1]])]
-            else:
-                # not builtin sum, whose complex rounding is not fixed across versions
-                v = [reduce(operator.add, c, 0j) for c in zip(*[vals[k] for k in kids])]
-        elif t is Power:
-            a, k = vals[kids[0]], n.exponent
-            if k < 0 and 0 in a:
-                raise EvalSingular("0 raised to a negative power", n)
-            try:
-                v = [p ** k for p in a]
-            except ZeroDivisionError:
-                raise OverflowError("negative power outside the float range") from None
-            except OverflowError:
-                raise OverflowError("power outside the float range") from None
-        elif t is Apply:
-            a = vals[kids[0]]
-            if n.fn == "log" and 0 in a:
-                raise EvalSingular("log(0)", n)
-            try:
-                v = list(map(_CFUNCS[n.fn], a))
-            except ValueError:
-                raise OverflowError(f"{n.fn} of a value outside the float range") from None
-            except OverflowError:
-                raise OverflowError(f"{n.fn} value outside the float range") from None
-        elif t is Const:
-            v = [consts[n]] * len(points)
-        else:
-            try:
                 v = [p[n] for p in points]
-            except KeyError:
-                raise KeyError(f"no assignment for {n}") from None
-        push(v)
+            push(v)
+    except (ZeroDivisionError, OverflowError, ValueError, KeyError) as err:
+        raise _failure(n, err, vals[kids[0]] if kids else None) from None
     return vals
 
 

@@ -26,6 +26,7 @@ beginning with ``#`` are ignored.
 
 from __future__ import annotations
 
+import cmath
 import random
 import re
 from dataclasses import dataclass
@@ -108,15 +109,13 @@ def parse_expr(text: str, line: int = 1, col: int = 1) -> Expr:
         kind, tok, offset = tokens[pos]
         raise error(f"unexpected {'end of input' if kind == 'end' else repr(tok)}", offset, expected)
 
-    def combine(op, operands: list[Expr], offset: int) -> Expr:
-        """A run of operands in one call to add or mul, which flattens it as
-        a left fold would without interning every prefix; one operand as it
-        is.  A folded constant outside the float range is an error at
-        offset, the token that ends the run."""
+    def placed(offset: int, make, *args, zero: str = "") -> Expr:
+        """make(*args); a ZeroDivisionError or OverflowError it raises is an
+        error at offset, worded zero for a ZeroDivisionError if given."""
         try:
-            return operands[0] if len(operands) == 1 else op(*operands)
-        except OverflowError as err:
-            raise error(str(err), offset) from None
+            return make(*args)
+        except (ZeroDivisionError, OverflowError) as err:
+            raise error(zero if zero and type(err) is ZeroDivisionError else str(err), offset) from None
 
     # The innermost group's call (None for parentheses) and terms, the
     # current term's factors and sign, the offset of the "/" before the
@@ -164,31 +163,25 @@ def parse_expr(text: str, line: int = 1, col: int = 1) -> Expr:
                 pos += 1
                 if int(tok) == 0:
                     raise error("zero exponent", offset)
-                try:
-                    out = ex.pow_(out, -int(tok) if negative else int(tok))
-                except (ZeroDivisionError, OverflowError) as err:
-                    raise error(str(err), offset) from None
+                out = placed(offset, ex.pow_, out, -int(tok) if negative else int(tok))
             for _ in range(minuses):
                 out = ex.neg(out)
             if div is not None:
-                try:
-                    out = ex.pow_(out, -1)  # a/b is a*b^-1
-                except ZeroDivisionError:
-                    raise error("division by zero", div) from None
-                except OverflowError as err:
-                    raise error(str(err), div) from None
+                out = placed(div, ex.pow_, out, -1, zero="division by zero")  # a/b is a*b^-1
             factors.append(out)
             op = tokens[pos][1]
             pos += 1
             if op == "*" or op == "/":
                 div, minuses = (tokens[pos - 1][2] if op == "/" else None), 0
                 break
-            term = combine(ex.mul, factors, tokens[pos - 1][2])
+            # a run in one call to mul or add, flattened as a left fold would be
+            # without interning every prefix, and placed at the token ending it
+            term = factors[0] if len(factors) == 1 else placed(tokens[pos - 1][2], ex.mul, *factors)
             terms.append(term if sign == "+" else ex.neg(term))
             if op == "+" or op == "-":
                 factors, sign, div, minuses = [], op, None, 0
                 break
-            out = combine(ex.add, terms, tokens[pos - 1][2])
+            out = terms[0] if len(terms) == 1 else placed(tokens[pos - 1][2], ex.add, *terms)
             if op == ")" and groups:
                 if fn is not None:
                     out = ex.apply(fn, out)
@@ -293,10 +286,14 @@ class OdeSystem:
         this system cannot take, checking every pair's variables before any
         pair's evaluability.
 
-        An expression that no sample point evaluates is undefined
-        (1/(y-y), log(0*y)), however its torsion might cancel, and so is one
-        with a constant outside the float range (10^400 or 10^-400), or
-        with a constant-valued subexpression that leaves it (exp(1000)).  The
+        An expression that no sample point evaluates to a finite value is
+        undefined (1/(y-y), log(0*y)), however its torsion might cancel; if
+        it overflowed or was not finite at every point, it leaves the float
+        range (exp(700)*exp(700)*exp(y)).  So does one with a constant
+        outside the float range (10^400 or 10^-400), or with a
+        constant-valued subexpression that leaves it: exp(1000), or
+        exp(-800), a product, power, exp or sqrt step whose float is 0
+        while none of its operands is.  The
         points come from a generator of their own, so validation leaves the
         oracle's seeded draws untouched.  A polynomial over the rationals
         (``poly``) is skipped: it is defined everywhere and only ever
@@ -317,25 +314,37 @@ class OdeSystem:
             if e.poly:
                 continue
             prog = ex.program(e)
-            valued = ex.Program(n for n, _ in prog.steps if not n.free and type(n) is not ex.Const)
+            valued = [n for n, _ in prog.steps if not n.free and type(n) is not ex.Const]
             try:
-                prog.constants()
-                ex.evaluate_roots(valued, {})  # exp(1000) overflows at every point
+                value = dict(prog.constants())
+                # exp(1000) overflows at every point
+                value.update(zip(valued, (v for v, _ in ex.evaluate_roots(ex.Program(valued), {}))))
+                if any(not value[n] and all(value[k] for k in n.kids) for n in valued if _cannot_vanish(n)):
+                    raise OverflowError  # exp(-800) underflowed to 0
             except OverflowError:
                 raise ValidationError(f"{self.name}: {label} has a constant outside the float range") from None
             except EvalSingular:
                 pass  # log(0) is blamed on the sample points below
             variables = sorted(ex.free_vars(e), key=str)
+            overflows = 0
             for _ in range(_POINTS):
                 try:
-                    ex.evaluate(e, sample_point(rng, variables))
-                    break
+                    if cmath.isfinite(ex.evaluate(e, sample_point(rng, variables))):
+                        break
+                    overflows += 1
+                except OverflowError:
+                    overflows += 1
                 except ArithmeticError:
-                    continue
+                    pass
             else:
-                raise ValidationError(
-                    f"{self.name}: {label} cannot be evaluated at any of {_POINTS} sample points"
-                )
+                failed = "leaves the float range at all" if overflows == _POINTS else "cannot be evaluated at any of"
+                raise ValidationError(f"{self.name}: {label} {failed} {_POINTS} sample points")
+
+
+def _cannot_vanish(n: Expr) -> bool:
+    """Whether n is a product, a power, an exp or a sqrt: a step that is 0
+    only where one of its operands is."""
+    return type(n) in (ex.Product, ex.Power) or type(n) is ex.Apply and n.fn in ("exp", "sqrt")
 
 
 STRAIGHT = "straight"

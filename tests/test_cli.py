@@ -108,7 +108,10 @@ class TestInline:
         ("y/0", "error: division by zero at line 1, column 2\n"),
         ("1/(y-y)", "error: inline: f1 "),
         ("log(0*y)", "error: inline: f1 "),
-    ], ids=["y/0", "1/(y-y)", "log(0*y)"])
+        # infinite at every point, as a product of two constants near 10^304 is
+        ("exp(700)*exp(700)*exp(y)", "error: inline: f1 leaves the float range at all 8 sample points\n"),
+        ("exp(700)*exp(700)*dy", "error: inline: f1 leaves the float range at all 8 sample points\n"),
+    ], ids=["y/0", "1/(y-y)", "log(0*y)", "infinite-everywhere", "infinite-everywhere-dy"])
     def test_undefined_rhs_exit_2(self, capsys, rhs, message):
         code, out, err = run(capsys, "analyze", "--rhs", rhs)
         assert code == 2
@@ -160,15 +163,27 @@ class TestInline:
         assert records[0]["classification"] == classification
 
     @pytest.mark.parametrize("rhs", ["exp(y)*10^-400", "1e-400*sin(y)", "y^3*10^400 + dy*exp(x)",
-                                     "exp(1000)*y", "exp(1000+0*i)*y"])
+                                     "exp(1000)*y", "exp(1000+0*i)*y", "exp(-800)*y^3", "exp(y)*exp(-800)",
+                                     "y^3*exp(-746)", "exp(-400)^2*y^3", "sqrt(exp(-1500))*exp(y)",
+                                     "y+exp(-800)", "sin(exp(-400)*exp(-400))*y"])
     def test_constant_outside_the_float_range_exit_2(self, capsys, rhs):
         # a right-hand side that is not a polynomial is sampled in floats;
         # 10^-400 would be 0 there, and 6*f_yy != 0 would read as straight;
-        # exp(1000) overflows wherever it is evaluated, at no sample point
+        # exp(1000) overflows wherever it is evaluated, at no sample point;
+        # exp(-800), exp(-400)^2 and exp(-400)*exp(-400) underflow to 0,
+        # which no nonzero operand of a product, power, exp or sqrt gives,
+        # and are rejected even where the 0 does no harm (y+exp(-800))
         code, out, err = run(capsys, "analyze", "--rhs", rhs)
         assert (code, out) == (2, "")
         assert err == "error: inline: f1 has a constant outside the float range\n"
 
+
+    @pytest.mark.parametrize("rhs, classification", [("sin(0)*y^3", "straight"), ("y^3*exp(-745)", "not-straight")])
+    def test_constant_that_is_zero_or_subnormal_classifies(self, capsys, rhs, classification):
+        # sin(0) is 0 because its operand is, and exp(-745) is a subnormal, not 0
+        code, records, err = run_json(capsys, "analyze", "--rhs", rhs)
+        assert code == 0 and err == ""
+        assert records[0]["classification"] == classification
 
     @pytest.mark.parametrize("rhs, message", [
         ("(2+i)^100000*y", "constant power outside the float range at line 1, column 7"),
@@ -246,6 +261,12 @@ class TestInline:
         assert code == 2
         assert out == ""
         assert err == "error: 0 raised to a negative power at line 1, column 4\n"
+
+    @pytest.mark.parametrize("rhs", [["y", "y"], ["y2*dy1", "0"]])
+    def test_method_for_another_dimension_names_the_system(self, capsys, rhs):
+        code, out, err = run(capsys, "analyze", *rhs_argv(rhs), "--method", "tresse")
+        assert (code, out) == (2, "")
+        assert err == "error: inline: Tresse torsion needs n=1, got n=2\n"
 
     def test_files_and_rhs_together_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", str(CORPUS_DIR / "duals"), "--rhs", "y")

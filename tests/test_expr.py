@@ -5,6 +5,7 @@ import operator
 import os
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -816,21 +817,31 @@ class TestEvaluate:
         with pytest.raises(OverflowError):
             evaluate(ex.pow_(ay, -1), {Param("a"): 1e-320, Y(1): 1j})
 
-    @pytest.mark.parametrize("text, at, message", [
-        ("(a*y)^-2", 1, "negative power outside the float range"),
-        ("sin(2*exp(y))", 709.5, "sin of a value outside the float range"),
-        ("exp(y)^200", 5, "power outside the float range"),
-        ("exp(500*y)", 2, "exp value outside the float range"),
-    ], ids=["negative-power", "function", "power", "function-value"])
-    def test_block_overflow_is_the_one_point_overflow(self, text, at, message):
+    @pytest.mark.parametrize("text, at, other, error, message", [
+        ("(a*y)^-2", 1, 1, OverflowError, "negative power outside the float range"),
+        ("sin(2*exp(y))", 709.5, 1, OverflowError, "sin of a value outside the float range"),
+        ("exp(y)^200", 5, 1, OverflowError, "power outside the float range"),
+        ("exp(500*y)", 2, 1, OverflowError, "exp value outside the float range"),
+        ("(y-2)^400", 8, 2, OverflowError, "power outside the float range"),
+        ("(y-2)^-1", 2, 1, EvalSingular, "0 raised to a negative power"),
+        ("log(y-2)", 2, 1, EvalSingular, "log(0)"),
+        ("b*y", 1, 1, KeyError, "'no assignment for b'"),
+    ], ids=["negative-power", "function", "power", "function-value", "zero-base-positive-power",
+            "zero-to-a-negative-power", "log-zero", "missing-assignment"])
+    def test_block_overflow_is_the_one_point_overflow(self, text, at, other, error, message):
         # a = 1e-170: (a*y)^2 underflows to 0; exp(709.5) doubles to inf, which
-        # sin rejects; e^1000 overflows as exp(5)^200 and as exp(1000) itself
+        # sin rejects; e^1000 overflows as exp(5)^200 and as exp(1000) itself;
+        # 6^400 overflows in a block whose other point raises 0 to a positive
+        # power, which is not singular; the block's other point is regular
+        # unless it is that one
         prog = ex.program(parse_expr(text))
         point = {Param("a"): 1e-170 + 0j, Y(1): complex(at)}
-        with pytest.raises(OverflowError, match=f"^{message}$"):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as one:
             ex.evaluate_roots(prog, point)
-        with pytest.raises(OverflowError, match=f"^{message}$"):
-            ex.evaluate_block(prog, [{Param("a"): 1 + 0j, Y(1): 1 + 0j}, point])
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as block:
+            ex.evaluate_block(prog, [{Param("a"): 1 + 0j, Y(1): complex(other)}, point])
+        if error is EvalSingular:
+            assert one.value.subexpr is block.value.subexpr is parse_expr(text)
 
     def test_singular_error_names_subexpression(self):
         bad = ex.pow_(x, -1)
@@ -861,6 +872,14 @@ class TestEvaluate:
     def test_missing_assignment(self):
         with pytest.raises(KeyError):
             evaluate(y1, {X: 1})
+
+    def test_missing_assignment_on_the_exact_path_is_named(self):
+        # as the complex runners name it, not as the bare variable
+        e = ex.add(x, ex.pow_(y1, 2))
+        with pytest.raises(KeyError, match="^'no assignment for y1'$"):
+            evaluate_exact(e, {X: Fraction(1)})
+        with pytest.raises(KeyError, match="^'no assignment for y1'$"):
+            ex.exact_ratios(ex.program(e), {X: Fraction(1)})
 
 
 class TestIsPolynomial:
