@@ -61,7 +61,11 @@ one point share one loop, ``_run``.  ``evaluate_block`` runs a complex
 program at many points in one pass, ``_run_block``: each step's value
 is a list over the points, so a step's type is looked at once per
 block, not once per point, and each value is bit for bit the one
-``_run`` gives at its point.  The one-point loop stays, because a block
+``_run`` gives at its point.  A sum or a product folds each operand
+across the block with one ``map``, from the unit (0j or 1 + 0j) and left
+to right as ``_run`` does; the unit stays because it can change a sign of
+zero (0j + (-0.0-0j) is 0j), and a sign of zero picks the branch of
+``sqrt`` and ``log``.  The one-point loop stays, because a block
 of one point runs 3-4 times slower than it: the oracle decides its
 first point, and any point where a block fails, on it, and it is the
 reference the block runner is tested against.  Both runners only
@@ -80,8 +84,7 @@ from __future__ import annotations
 import cmath
 import operator
 from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Number = Union[Fraction, complex]
@@ -751,32 +754,35 @@ def evaluate_roots(prog: Program, assignment: Mapping[Var, complex]) -> list[tup
     return out
 
 
+_CHAIN = 256  # maps chained before a fold is made a list: each link is a C stack frame
+
+
 def _run_block(prog: Program, points: Sequence[Mapping[Var, complex]]) -> list[list]:
     """Every step's complex values at each of points, in program order:
     one pass over the steps, each step's value a list over the points.
 
     Each value is bit-identical to ``_run``'s at that point: a sum or a
-    product folds its operands from 0j or 1 + 0j, left to right, and a
-    power or a function is the same call.  A step that fails at any
-    point raises what ``_failure`` makes of it, for the whole block.
+    product folds each operand across the block with one ``map`` of
+    ``operator.add`` or ``operator.mul``, from 0j or 1 + 0j and left to
+    right, and a power or a function is the same call.  The unit is kept
+    because a sign of zero picks the branch of ``sqrt`` and ``log``, and
+    0j + (-0.0-0j) is 0j.  The maps chain lazily, ``_CHAIN`` operands at
+    a time.  A step that fails at any point raises what ``_failure``
+    makes of it, for the whole block.
     """
     consts = prog.constants()
+    ones, zeros = [1 + 0j] * len(points), [0j] * len(points)
     vals: list = []
     push = vals.append
     try:
         for n, kids in prog.steps:
             t = type(n)
-            if t is Product:
-                if len(kids) == 2:
-                    v = [(1 + 0j) * p * q for p, q in zip(vals[kids[0]], vals[kids[1]])]
-                else:
-                    v = [prod(c, start=1 + 0j) for c in zip(*[vals[k] for k in kids])]
-            elif t is Sum:
-                if len(kids) == 2:
-                    v = [0j + p + q for p, q in zip(vals[kids[0]], vals[kids[1]])]
-                else:
-                    # not builtin sum, whose complex rounding is not fixed across versions
-                    v = [reduce(operator.add, c, 0j) for c in zip(*[vals[k] for k in kids])]
+            if t is Product or t is Sum:
+                v, op = (ones, operator.mul) if t is Product else (zeros, operator.add)
+                for at in range(0, len(kids), _CHAIN):
+                    for k in kids[at:at + _CHAIN]:
+                        v = map(op, v, vals[k])
+                    v = list(v)
             elif t is Power:
                 k = n.exponent
                 v = [p ** k for p in vals[kids[0]]]
@@ -801,6 +807,8 @@ def evaluate_block(prog: Program, points: Sequence[Mapping[Var, complex]]) -> li
         n, kids = prog.steps[r]
         v = vals[r]
         if type(n) is Sum:
+            # builtin sum, as in evaluate_roots: from 3.12 it compensates a
+            # float sum, so a left-to-right fold would round differently
             out.append(zip(v, [sum(map(abs, c)) for c in zip(*[vals[k] for k in kids])]))
         else:
             out.append(zip(v, map(abs, v)))

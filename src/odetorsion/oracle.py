@@ -103,8 +103,11 @@ def _sample_rational(rng: random.Random) -> Fraction:
 
 
 def _sample_annulus(rng: random.Random) -> complex:
-    r = rng.uniform(R_MIN, R_MAX)
-    t = rng.uniform(0.0, 2.0 * pi)
+    """A point of the annulus: the radius, then the angle, each what
+    ``rng.uniform`` gives, spelled out (a + (b - a) * random()) to save
+    its call."""
+    r = R_MIN + (R_MAX - R_MIN) * rng.random()
+    t = 2.0 * pi * rng.random()
     return complex(r * cos(t), r * sin(t))
 
 

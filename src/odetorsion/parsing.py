@@ -291,9 +291,10 @@ class OdeSystem:
         it overflowed or was not finite at every point, it leaves the float
         range (exp(700)*exp(700)*exp(y)).  So does one with a constant
         outside the float range (10^400 or 10^-400), or with a
-        constant-valued subexpression that leaves it: exp(1000), or
-        exp(-800), a product, power, exp or sqrt step whose float is 0
-        while none of its operands is.  The
+        constant-valued subexpression that leaves it: exp(1000), a step
+        whose float is not finite (exp(700)*exp(700), which overflows
+        without raising), or exp(-800), a product, power, exp or sqrt step
+        whose float is 0 while none of its operands is.  The
         points come from a generator of their own, so validation leaves the
         oracle's seeded draws untouched.  A polynomial over the rationals
         (``poly``) is skipped: it is defined everywhere and only ever
@@ -319,8 +320,9 @@ class OdeSystem:
                 value = dict(prog.constants())
                 # exp(1000) overflows at every point
                 value.update(zip(valued, (v for v, _ in ex.evaluate_roots(ex.Program(valued), {}))))
-                if any(not value[n] and all(value[k] for k in n.kids) for n in valued if _cannot_vanish(n)):
-                    raise OverflowError  # exp(-800) underflowed to 0
+                if any(not cmath.isfinite(value[n]) or _cannot_vanish(n) and not value[n]
+                       and all(value[k] for k in n.kids) for n in valued):
+                    raise OverflowError  # exp(700)*exp(700) overflowed to inf, exp(-800) underflowed to 0
             except OverflowError:
                 raise ValidationError(f"{self.name}: {label} has a constant outside the float range") from None
             except EvalSingular:

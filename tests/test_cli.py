@@ -165,14 +165,15 @@ class TestInline:
     @pytest.mark.parametrize("rhs", ["exp(y)*10^-400", "1e-400*sin(y)", "y^3*10^400 + dy*exp(x)",
                                      "exp(1000)*y", "exp(1000+0*i)*y", "exp(-800)*y^3", "exp(y)*exp(-800)",
                                      "y^3*exp(-746)", "exp(-400)^2*y^3", "sqrt(exp(-1500))*exp(y)",
-                                     "y+exp(-800)", "sin(exp(-400)*exp(-400))*y"])
+                                     "y+exp(-800)", "sin(exp(-400)*exp(-400))*y", "exp(700)*exp(700)+y^3"])
     def test_constant_outside_the_float_range_exit_2(self, capsys, rhs):
         # a right-hand side that is not a polynomial is sampled in floats;
         # 10^-400 would be 0 there, and 6*f_yy != 0 would read as straight;
         # exp(1000) overflows wherever it is evaluated, at no sample point;
         # exp(-800), exp(-400)^2 and exp(-400)*exp(-400) underflow to 0,
         # which no nonzero operand of a product, power, exp or sqrt gives,
-        # and are rejected even where the 0 does no harm (y+exp(-800))
+        # and are rejected even where the 0 does no harm (y+exp(-800));
+        # exp(700)*exp(700) overflows to inf without raising
         code, out, err = run(capsys, "analyze", "--rhs", rhs)
         assert (code, out) == (2, "")
         assert err == "error: inline: f1 has a constant outside the float range\n"

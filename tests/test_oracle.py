@@ -344,13 +344,42 @@ class TestBlockSamples:
 
     def test_sums_and_products_fold_from_the_unit_in_order(self):
         # 0j + (-0.0-0j) is 0j and (1+0j) * (-0.0-0j) is (0.0-0j), so a fold
-        # that skipped the unit would show in a part's sign of zero
-        roots = [parse_expr(t) for t in ("y + dy", "x + y + dy", "y*dy", "x*y*dy", "x*y*(y + dy)*exp(dy)")]
+        # that skipped the unit would show in a part's sign of zero; the last
+        # two roots have the lengths of the Tresse invariant's product-rule terms
+        roots = [parse_expr(t) for t in ("y + dy", "x + y + dy", "y*dy", "x*y*dy", "x*y*(y + dy)*exp(dy)",
+                                         "x*y*dy*(y + dy)*exp(dy)*x*dy*y*(x + dy)",
+                                         "x + y + dy + x*y + y*dy + exp(x) + x + dy + y")]
+        assert [len(e.kids) for e in roots[-2:]] == [9, 9]
         prog = ex.Program(roots)
         parts = (complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 0j, -1j, 0.5 - 2j)
         points = [{x: a, y: b, dy: c} for a in parts for b in parts for c in parts]
         block = ex.evaluate_block(prog, points)
         assert [repr(at) for at in block] == [repr(ex.evaluate_roots(prog, pt)) for pt in points]
+
+    def test_folds_longer_than_one_chain_of_maps(self):
+        # a fold is made a list every ex._CHAIN operands, in the same order
+        n = 2 * ex._CHAIN + 3
+        terms = [(x, y, dy, ex.apply("exp", dy))[k % 4] for k in range(n)]
+        roots = [ex.add(*terms), ex.mul(*terms)]
+        assert [len(e.kids) for e in roots] == [n, n]
+        prog = ex.Program(roots)
+        parts = (complex(-0.0, -0.0), complex(-0.0, 0.0), 1 + 0j, -1j, 0.6 - 0.8j)
+        points = [{x: a, y: b, dy: c} for a in parts for b in parts for c in parts]
+        block = ex.evaluate_block(prog, points)
+        assert [repr(at) for at in block] == [repr(ex.evaluate_roots(prog, pt)) for pt in points]
+
+    def test_a_fold_of_100000_operands_runs(self):
+        # as one chain of maps it would overflow the C stack: run it in a
+        # child with bounded memory, so that such a crash fails this test alone
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = ("import resource\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from odetorsion import expr as ex\n"
+                "y = ex.Y(1)\n"
+                "prog = ex.Program([ex.add(*[y] * 100_000), ex.mul(*[y] * 100_000)])\n"
+                "points = [{y: 1j}, {y: -0.6 + 0.8j}]\n"
+                "assert repr(ex.evaluate_block(prog, points)) == repr([ex.evaluate_roots(prog, p) for p in points])\n")
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env={"PYTHONPATH": str(src)})
 
     def test_a_nonzero_first_point_draws_no_block(self, monkeypatch):
         blocks = []
@@ -511,6 +540,18 @@ class TestSampler:
         assert point == {Y(1): oracle._sample_annulus(rng), b: oracle._sample_annulus(rng)}
         exact = oracle.sample_point(random.Random(3), [a], oracle._sample_rational)
         assert exact == {a: oracle._sample_rational(random.Random(3))}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_annulus_draws_are_uniform_radius_then_angle(self, seed):
+        # _sample_annulus spells rng.uniform out; a rewrite that moved a bit
+        # of the point stream would move every numeric witness
+        rng, ref = random.Random(seed), random.Random(seed)
+        expected = []
+        for _ in range(1000):
+            r = ref.uniform(oracle.R_MIN, oracle.R_MAX)
+            t = ref.uniform(0.0, 2 * math.pi)
+            expected.append(repr(complex(r * math.cos(t), r * math.sin(t))))
+        assert [repr(oracle._sample_annulus(rng)) for _ in range(1000)] == expected
 
     @pytest.mark.parametrize("module", ["expr", "calculus", "oracle", "parsing", "torsion", "cli"])
     def test_module_imports_alone(self, module):
