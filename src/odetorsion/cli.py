@@ -146,7 +146,9 @@ def _load_entries(args) -> list[CorpusEntry]:
                 text = fh.read()
             except UnicodeDecodeError as err:
                 raise ValidationError(f"{path}: not UTF-8 text (byte {err.start})") from None
-        entries.extend(parse_corpus(text))
+        # a leading byte-order mark is no text; decoded as plain UTF-8, so a
+        # bad byte is still named by its offset in the file
+        entries.extend(parse_corpus(text.removeprefix("\ufeff")))
     return entries
 
 
@@ -212,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
     an.add_argument("--json", action="store_true", help="machine-readable output")
     an.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="parallel corpus entries (default: logical cores)")
+                    help="threads classifying corpus entries (default: logical cores); they share "
+                         "the interpreter lock, so they do not shorten a run")
     an.add_argument("--method", choices=["auto", TRESSE, FELS, QUARTIC], default="auto",
                     help="invariant whose vanishing 'straight' means (torsion-free, not flat): "
                          "tresse (Tresse's fourth-order invariant, n = 1), fels (Fels's trace-free "

@@ -17,9 +17,11 @@ the zero oracle's job.  There is one division: ``quot(a, b)`` is
 ``a * b^-1``.  A node's operands are held in one slot, the tuple
 ``kids`` (empty for a ``Const`` or a ``Var``); ``Power.base`` and
 ``Apply.arg`` read ``kids[0]``.  A node carries its own metadata:
-``free`` (variables), ``poly`` (evaluable in integers: a polynomial over
-the rationals, with no negative power) and ``fns`` (function names),
-equal sets shared.
+``free`` (variables, equal sets shared) and ``poly`` (evaluable in
+integers: a polynomial over the rationals, with no negative power).
+Which functions an expression applies is not stored: ``contains_fn``
+reads it off the root's distinct nodes as ``node_count`` counts them, a
+walk made only when the oracle asks whether a verdict is branch-limited.
 
 Interning is key-first: a constructor works out the intern key of its
 result and looks it up; only on a miss does it make the node, which
@@ -120,7 +122,7 @@ def _union(sets: Iterable[frozenset]) -> frozenset:
 
 
 class Expr:
-    __slots__ = ("kids", "free", "poly", "fns")
+    __slots__ = ("kids", "free", "poly")
 
     def __reduce__(self):
         # flat steps, so neither pickling nor unpickling recurses on depth
@@ -249,13 +251,12 @@ def _coerce_number(value) -> Number:
 _intern: dict = {}
 
 
-def _mk(node: Expr, key: tuple, kids: tuple, poly: bool, fns: frozenset = _EMPTY, free=None) -> Expr:
+def _mk(node: Expr, key: tuple, kids: tuple, poly: bool, free=None) -> Expr:
     """The one way a node is made: store kids, summarize node, its own
     slots filled, and intern it under key.  One ``setdefault`` publishes
     the whole node, so two threads interning equal nodes get one node."""
     node.kids = kids
     node.free = _union(k.free for k in kids) if free is None else free
-    node.fns = _union([fns, *(k.fns for k in kids)])
     node.poly = poly
     return _intern.setdefault(key, node)
 
@@ -453,7 +454,7 @@ def apply(fn: str, arg: Expr) -> Expr:
             raise ValueError(f"unknown function {fn!r}")
         node = object.__new__(Apply)
         node.fn = fn
-        node = _mk(node, key, (arg,), False, _shared(frozenset((fn,))))
+        node = _mk(node, key, (arg,), False)
     return node
 
 
@@ -475,7 +476,9 @@ def free_vars(e: Expr) -> frozenset[Var]:
 
 
 def contains_fn(e: Expr, fns: tuple[str, ...]) -> bool:
-    return not e.fns.isdisjoint(fns)
+    """True iff some node of e applies one of the functions fns, read off
+    e's distinct nodes as ``node_count`` reads them."""
+    return not {n.fn for n in _nodes(e) if type(n) is Apply}.isdisjoint(fns)
 
 
 def is_polynomial(e: Expr) -> bool:
@@ -490,11 +493,16 @@ def is_polynomial(e: Expr) -> bool:
 
 
 def node_count(e: Expr) -> int:
-    """Number of distinct nodes in the (shared) expression DAG: the length
-    of e's program in the table, else a plain walk that caches nothing."""
+    """Number of distinct nodes in the (shared) expression DAG."""
+    return len(_nodes(e))
+
+
+def _nodes(e: Expr) -> list[Expr] | set[Expr]:
+    """e's distinct nodes: the steps of its program in the table, else a
+    plain walk that caches nothing, so no program is made for the call."""
     prog = _programs.get((e,))
     if prog is not None:
-        return len(prog.steps)
+        return [n for n, _ in prog.steps]
     seen = {e}
     todo = [e]
     while todo:
@@ -502,7 +510,7 @@ def node_count(e: Expr) -> int:
             if k not in seen:
                 seen.add(k)
                 todo.append(k)
-    return len(seen)
+    return seen
 
 
 def substitute(e: Expr, mapping: Mapping[Var, Expr]) -> Expr:

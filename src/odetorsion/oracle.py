@@ -29,9 +29,13 @@ MAX_RETRIES times, and it counts toward no entry's gray or clear votes.
 An entry whose evaluation raises ``OverflowError`` (``cmath.exp`` of a
 huge argument, or a function of a value that already left the float
 range) is not finite at that point; the error propagates only
-from a sample that no entry, on either path, wins.
+from a sample that no entry, on either path, wins, and a nonzero constant
+entry wins every sample.
 At each sample the first entry, in row-major order, that either path
-finds nonzero wins.  The numeric path decides its first point alone and
+finds nonzero wins.  A verdict is ``branch_limited`` when it rests on a
+principal branch: ``_decide`` walks the numeric entries up to the one it
+names (all of them for a zero verdict) for a ``sqrt`` or ``log``, once
+the verdict is known.  The numeric path decides its first point alone and
 the rest as one block over its program (``expr.evaluate_block``), with
 the points, values and verdicts of deciding each point alone.
 
@@ -83,7 +87,7 @@ class Verdict:
     witness: Optional[dict] = None  # Var -> complex
     value: Optional[complex] = None
     reason: str = ""
-    branch_limited: bool = False
+    branch_limited: bool = False  # a numeric entry up to the one named applies sqrt or log
     exact: bool = False
     entry: Optional[tuple] = None  # set by is_zero_matrix
     bound: Optional[float] = None  # a zero verdict's (d/10^6)^k from the exact path
@@ -171,8 +175,14 @@ def _decide(roots: Sequence[Expr], cfg) -> tuple[Optional[int], Verdict]:
     one program and one point stream per path, and each point decides
     every root of its path.  At each sample the first root, in order, that
     either path finds nonzero wins; a sample no root wins re-raises an
-    ``OverflowError`` the numeric path met there.  A nonzero constant is
-    nonzero at the first point, so nothing after it is tested.
+    ``OverflowError`` the numeric path met there, unless a nonzero
+    constant wins it.  A nonzero constant is nonzero at the first point,
+    so nothing after it is tested.
+
+    Branch limitation is read from the roots once the verdict is known,
+    by walking them: a verdict naming root k is branch-limited when a
+    numeric root at or before k applies ``sqrt`` or ``log``, and a zero
+    verdict when any numeric root does.
     """
     first = None
     exact, numeric = [], []
@@ -185,11 +195,12 @@ def _decide(roots: Sequence[Expr], cfg) -> tuple[Optional[int], Verdict]:
             exact.append(k)
         else:
             numeric.append(k)
-    limited = [k for k in numeric if ex.contains_fn(roots[k], ("sqrt", "log"))]
+
+    def limited(k=inf) -> bool:
+        return any(ex.contains_fn(roots[j], ("sqrt", "log")) for j in numeric if j <= k)
 
     def nonzero(k, **fields) -> tuple[int, Verdict]:
-        # branch-limited when a root up to the one named is
-        return k, Verdict(NONZERO, seed=cfg.seed, branch_limited=bool(limited) and limited[0] <= k, **fields)
+        return k, Verdict(NONZERO, seed=cfg.seed, branch_limited=limited(k), **fields)
 
     paths = [path(roots, at, cfg) for path, at in ((_Exact, exact), (_Numeric, numeric)) if at]
     rounds = 1 if first is not None else max((path.samples for path in paths), default=0)
@@ -200,13 +211,11 @@ def _decide(roots: Sequence[Expr], cfg) -> tuple[Optional[int], Verdict]:
             k, path = min(hits)
             return nonzero(k, samples_passed=path.valid - 1, **path.witness(k))
         for path in paths:
-            if path.overflow is not None:
+            if path.overflow is not None and first is None:
                 raise path.overflow
     if first is not None:
-        v = roots[first].value
-        if isinstance(v, Fraction):
-            return nonzero(first, witness={}, value=_float(v.numerator, v.denominator), exact=True)
-        return nonzero(first, witness={}, value=v)
+        c = roots[first]  # a rational holds its lowest terms; a complex one has den 0
+        return nonzero(first, witness={}, value=_float(c.num, c.den) if c.den else c.value, exact=c.den > 0)
     if not paths:
         # a zero constant: what sampling at degree 0 would report
         k = _exact_samples(0)
@@ -214,11 +223,11 @@ def _decide(roots: Sequence[Expr], cfg) -> tuple[Optional[int], Verdict]:
     settled = sorted((k, path.settle(k, cfg)) for path in paths for k in path.at)
     for k, v in settled:
         if v.outcome == INCONCLUSIVE:
-            return k, replace(v, branch_limited=bool(limited) and limited[0] <= k)
+            return k, replace(v, branch_limited=limited(k))
     return None, Verdict(
         ZERO, seed=cfg.seed, samples_passed=min(p.valid for p in paths),
         reason=next((v.reason for _, v in settled if v.reason), ""),
-        branch_limited=bool(limited), exact=not numeric,
+        branch_limited=limited(), exact=not numeric,
         bound=next((path.bound for path in paths if path.exact), None),
     )
 

@@ -144,6 +144,17 @@ class TestInline:
         assert out == ""
         assert err.startswith("error: inline: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("rhs, entry", [(["exp(dy1^400)", "dy2^4"], [2, 5]),
+                                            (["dy2^4", "exp(dy1^400)"], [1, 5])],
+                             ids=["overflow-first", "constant-first"])
+    def test_nonzero_constant_wins_over_an_overflow(self, capsys, rhs, entry):
+        # dy2^4's fourth partial is the constant 24, nonzero at every sample,
+        # so the overflow of exp(dy1^400)'s partials propagates from none
+        code, records, err = run_json(capsys, "analyze", *rhs_argv(rhs), "--method", "quartic")
+        assert (code, err) == (0, "")
+        (r,) = records
+        assert (r["classification"], r["witness_entry"]) == ("not-straight", entry)
+
     def test_function_of_an_overflowed_value_exit_2(self, capsys):
         # the constant is 709.5/y0 for y0 the oracle's first point at seed 0:
         # exp is 1.355e308 there, doubling it overflows to inf, and cmath's
@@ -399,8 +410,9 @@ class TestCorpus:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("data, offset", [(b"\xffsystem s\n", 0), (b"system \xe9\n", 7)],
-                             ids=["first-byte", "later-byte"])
+    @pytest.mark.parametrize("data, offset", [(b"\xffsystem s\n", 0), (b"system \xe9\n", 7),
+                                              (b"\xef\xbb\xbfsystem \xe9\n", 10)],
+                             ids=["first-byte", "later-byte", "after-byte-order-mark"])
     def test_not_utf8_exit_2(self, capsys, tmp_path, data, offset):
         # an unreadable file is an input error (2), not a mismatch (1)
         corpus = tmp_path / "binary"
@@ -408,6 +420,17 @@ class TestCorpus:
         code, out, err = run(capsys, "analyze", str(corpus))
         assert (code, out) == (2, "")
         assert err == f"error: {corpus}: not UTF-8 text (byte {offset})\n"
+
+    @pytest.mark.parametrize("name", ["duals", "table2.notstraight"])
+    def test_byte_order_mark_dropped(self, capsys, tmp_path, name):
+        # a copy that starts with a UTF-8 byte-order mark classifies as the original
+        copy = tmp_path / name
+        copy.write_bytes(b"\xef\xbb\xbf" + (CORPUS_DIR / name).read_bytes())
+        code, want, err = run_json(capsys, "analyze", str(CORPUS_DIR / name))
+        assert (code, err) == (0, "")
+        code, got, err = run_json(capsys, "analyze", str(copy))
+        assert (code, err) == (0, "")
+        assert strip_timing(got) == strip_timing(want)
 
     def test_missing_file_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "no-such-file")

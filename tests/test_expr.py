@@ -310,7 +310,9 @@ def test_node_summaries_and_one_evaluator(desc, values):
         # interned: its own constructor remakes it from its class, its own
         # data and its operands, which live in kids alone (none for a leaf)
         assert ex._remake(type(n), ex._own(n), list(n.kids)) is n
-        assert (n.free, n.poly, n.fns) == _reference_summary(n)
+        free, poly, fns = _reference_summary(n)
+        assert (n.free, n.poly) == (free, poly)
+        assert [ex.contains_fn(n, (name,)) for name in ex.FUNCTIONS] == [name in fns for name in ex.FUNCTIONS]
         assert type(n.kids) is tuple and ex.children(n) is n.kids
         if isinstance(n, (Const, Var)):
             assert n.kids == ()
@@ -783,6 +785,16 @@ class TestProgramTable:
         assert ex.node_count(e) == len(ex.program(e).steps) == 6
         monkeypatch.setitem(ex._programs, (e,), ex.Program((X,)))
         assert ex.node_count(e) == 1
+
+    def test_contains_fn_reads_the_nodes_and_makes_no_program(self, monkeypatch):
+        e = parse_expr("y*sqrt(1 + exp(dy))")
+        before = dict(ex._programs)
+        assert ex.contains_fn(e, ("log", "sqrt")) and ex.contains_fn(e, ("exp",))
+        assert not ex.contains_fn(e, ("log", "sin", "cos"))
+        assert ex._programs == before
+        monkeypatch.setitem(ex._programs, (e,), ex.Program((X,)))
+        assert not ex.contains_fn(e, ("sqrt",))
+        assert not hasattr(e, "fns")
 
 
 class TestEvaluate:

@@ -698,6 +698,29 @@ class TestMatrix:
         with pytest.raises(OverflowError):
             is_zero_matrix([[parse_expr("y^2 - y*y"), parse_expr("exp(y^400)")]])
 
+    @pytest.mark.parametrize("row, entry", [
+        ([parse_expr("exp(y^400)"), ex.ONE], (1, 2)),
+        ([ex.ONE, parse_expr("exp(y^400)")], (1, 1)),
+    ])
+    def test_nonzero_constant_wins_over_an_overflow(self, row, entry):
+        # a nonzero constant wins every sample, so an overflow before it
+        # propagates from none
+        v = is_zero_matrix([row])
+        assert v.is_nonzero and v.entry == entry and v.value == 1 and v.exact
+
+    @pytest.mark.parametrize("row, outcome, entry, limited", [
+        # the sqrt entry comes after the one named
+        (["y^2", "sqrt(y)"], NONZERO, (1, 1), False),
+        (["sqrt(y)^2 - y", "exp(y)"], NONZERO, (1, 2), True),
+        (["sqrt(y)^2 - y", "y - y"], ZERO, None, True),
+        (["exp(y) - exp(y)", "y - y"], ZERO, None, False),
+        (["sqrt(y)*y/(y-y)"], INCONCLUSIVE, (1, 1), True),
+        (["y/(y-y)"], INCONCLUSIVE, (1, 1), False),
+    ])
+    def test_branch_limited_up_to_the_named_entry(self, row, outcome, entry, limited):
+        v = is_zero_matrix([[parse_expr(t) for t in row]])
+        assert (v.outcome, v.entry, v.branch_limited) == (outcome, entry, limited)
+
     def test_gray_zone_majority_is_inconclusive(self):
         # |value| / scale is about 5e-12 at every point: between NOISE_FLOOR and REL_TOL
         v = is_zero(parse_expr("exp(y) - (1 + 10^-11)*exp(y)"))
