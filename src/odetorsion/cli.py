@@ -25,8 +25,10 @@ together with --rhs, on a --method the system's dimension does not fit
 and on a number leaving the float range while classifying, both named
 by the system and the second by the invariant, side check or conserved
 quantity it was met in, and on an output pipe closed before the records
-are written.  The oracle's seed is the one oracle option; its sample count
-is ``oracle.SAMPLES``.
+are written.  A parse or validation error met while reading names its
+corpus file by path, or its ``--rhs`` as ``inline: fk``.  The oracle's
+seed is the one oracle option; its sample count is ``oracle.SAMPLES``.
+A ``--rhs`` value may start with ``-``.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def _load_entries(args) -> list[CorpusEntry]:
     if args.rhs:
         if args.files:
             raise ValidationError("give corpus files or --rhs, not both")
-        rhs = tuple(parse_expr(t) for t in args.rhs)
+        rhs = tuple(_read(f"inline: f{k}", parse_expr, text) for k, text in enumerate(args.rhs, 1))
         params = tuple(sorted({r.name for f in rhs for r in free_vars(f) if r.kind == Var.PARAM}))
         sys_ = OdeSystem(rhs=rhs, params=params, name="inline")
         return [CorpusEntry(system=sys_)]
@@ -148,8 +150,18 @@ def _load_entries(args) -> list[CorpusEntry]:
                 raise ValidationError(f"{path}: not UTF-8 text (byte {err.start})") from None
         # a leading byte-order mark is no text; decoded as plain UTF-8, so a
         # bad byte is still named by its offset in the file
-        entries.extend(parse_corpus(text.removeprefix("\ufeff")))
+        entries.extend(_read(path, parse_corpus, text.removeprefix("\ufeff")))
     return entries
+
+
+def _read(where: str, parse, text: str):
+    """parse(text); a ParseError or ValidationError it raises names where
+    it was met: a corpus file's path, or ``inline: fk`` for the k-th
+    ``--rhs``."""
+    try:
+        return parse(text)
+    except (ParseError, ValidationError) as err:
+        raise type(err)(f"{where}: {err}") from None
 
 
 def _text_row(r: dict) -> str:
@@ -225,9 +237,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_rhs(parser: argparse.ArgumentParser, argv: list) -> list:
+    """argv with each ``--rhs X`` passed as ``--rhs=X``, unless X is an
+    option string of the parser or of a subcommand: argparse would take an
+    X such as "-y^2" for an unknown option."""
+    commands = [p for action in parser._actions if isinstance(action.choices, dict) for p in action.choices.values()]
+    options = {s for p in (parser, *commands) for s in p._option_string_actions}
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] == "--rhs" and arg not in options:
+            joined[-1] = f"--rhs={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_rhs(parser, sys.argv[1:] if argv is None else argv))
     if args.command == "analyze" and not args.files and not args.rhs:
         parser.error("need a corpus file or --rhs")
     return args.func(args)

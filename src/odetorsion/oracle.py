@@ -35,9 +35,12 @@ At each sample the first entry, in row-major order, that either path
 finds nonzero wins.  A verdict is ``branch_limited`` when it rests on a
 principal branch: ``_decide`` walks the numeric entries up to the one it
 names (all of them for a zero verdict) for a ``sqrt`` or ``log``, once
-the verdict is known.  The numeric path decides its first point alone and
+the verdict is known.  The numeric path evaluates its first point alone and
 the rest as one block over its program (``expr.evaluate_block``), with
-the points, values and verdicts of deciding each point alone.
+the points, values and verdicts of deciding each point alone.  A point
+whose evaluation on the shared program raises is decided root by root.
+The exact path draws one point per round and decides it; only the
+numeric path redraws, votes and can leave a verdict inconclusive.
 
 A named parameter is one more variable.  No draw is 0 (|z| >= R_MIN on
 the annulus, a/b with a, b >= 1 on the exact path), so one declared
@@ -157,13 +160,15 @@ def is_zero(e: Expr, cfg: OracleConfig = OracleConfig()) -> Verdict:
 def is_zero_matrix(entries: Sequence[Sequence[Expr]], cfg: OracleConfig = OracleConfig()) -> Verdict:
     """Zero iff every entry is; the first entry, in row-major order, found
     nonzero at the first point where any is, wins, with its index."""
-    index = [(i + 1, j + 1) for i, row in enumerate(entries) for j in range(len(row))]
     k, v = _decide([e for row in entries for e in row], cfg)
     if k is None:
         # a zero matrix reports no entry's gray-zone note
         return replace(v, reason="") if v.reason else v
-    i, j = index[k]
-    return replace(v, entry=(i, j), reason=v.reason and f"entry ({i},{j}): {v.reason}")
+    for i, row in enumerate(entries, 1):
+        if k < len(row):
+            break
+        k -= len(row)
+    return replace(v, entry=(i, k + 1), reason=v.reason and f"entry ({i},{k + 1}): {v.reason}")
 
 
 def _decide(roots: Sequence[Expr], cfg) -> tuple[Optional[int], Verdict]:
@@ -177,7 +182,9 @@ def _decide(roots: Sequence[Expr], cfg) -> tuple[Optional[int], Verdict]:
     either path finds nonzero wins; a sample no root wins re-raises an
     ``OverflowError`` the numeric path met there, unless a nonzero
     constant wins it.  A nonzero constant is nonzero at the first point,
-    so nothing after it is tested.
+    so nothing after it is tested.  When no point shows a root nonzero,
+    the numeric path settles the verdict: the exact path only ever finds
+    zero there.
 
     Branch limitation is read from the roots once the verdict is known,
     by walking them: a verdict naming root k is branch-limited when a
@@ -196,94 +203,45 @@ def _decide(roots: Sequence[Expr], cfg) -> tuple[Optional[int], Verdict]:
         else:
             numeric.append(k)
 
-    def limited(k=inf) -> bool:
-        return any(ex.contains_fn(roots[j], ("sqrt", "log")) for j in numeric if j <= k)
+    def verdict(k, outcome=NONZERO, **fields) -> tuple[Optional[int], Verdict]:
+        limited = any(ex.contains_fn(roots[j], ("sqrt", "log")) for j in numeric if k is None or j <= k)
+        return k, Verdict(outcome, seed=cfg.seed, branch_limited=limited, **fields)
 
-    def nonzero(k, **fields) -> tuple[int, Verdict]:
-        return k, Verdict(NONZERO, seed=cfg.seed, branch_limited=limited(k), **fields)
-
-    paths = [path(roots, at, cfg) for path, at in ((_Exact, exact), (_Numeric, numeric)) if at]
+    exact_path = _Exact(roots, exact, cfg) if exact else None
+    numeric_path = _Numeric(roots, numeric, cfg) if numeric else None
+    paths = [path for path in (exact_path, numeric_path) if path]
     rounds = 1 if first is not None else max((path.samples for path in paths), default=0)
     for i in range(rounds):
         # each path lists its nonzero roots in order, so its first is its least
         hits = [(found[0], path) for path in paths if i < path.samples and (found := path.sample())]
         if hits:
             k, path = min(hits)
-            return nonzero(k, samples_passed=path.valid - 1, **path.witness(k))
-        for path in paths:
-            if path.overflow is not None and first is None:
-                raise path.overflow
+            return verdict(k, samples_passed=path.valid - 1, **path.witness(k))
+        if numeric_path and numeric_path.overflow and first is None:
+            raise numeric_path.overflow
     if first is not None:
         c = roots[first]  # a rational holds its lowest terms; a complex one has den 0
-        return nonzero(first, witness={}, value=_float(c.num, c.den) if c.den else c.value, exact=c.den > 0)
+        return verdict(first, witness={}, value=_float(c.num, c.den) if c.den else c.value, exact=c.den > 0)
     if not paths:
         # a zero constant: what sampling at degree 0 would report
         k = _exact_samples(0)
-        return None, Verdict(ZERO, seed=cfg.seed, samples_passed=k, exact=True, bound=_miss_bound(0, k))
-    settled = sorted((k, path.settle(k, cfg)) for path in paths for k in path.at)
-    for k, v in settled:
-        if v.outcome == INCONCLUSIVE:
-            return k, replace(v, branch_limited=limited(k))
-    return None, Verdict(
-        ZERO, seed=cfg.seed, samples_passed=min(p.valid for p in paths),
-        reason=next((v.reason for _, v in settled if v.reason), ""),
-        branch_limited=limited(), exact=not numeric,
-        bound=next((path.bound for path in paths if path.exact), None),
-    )
+        return verdict(None, ZERO, samples_passed=k, exact=True, bound=_miss_bound(0, k))
+    k, reason = numeric_path.settle() if numeric_path else (None, "")
+    if k is not None:
+        return verdict(k, INCONCLUSIVE, samples_passed=numeric_path.valid, reason=reason)
+    return verdict(None, ZERO, samples_passed=min(path.valid for path in paths), reason=reason,
+                   exact=not numeric, bound=exact_path and exact_path.bound)
 
 
-class _Path:
-    """The roots one evaluator decides: their program, point stream,
-    sample count and valid-point count."""
-
-    exact = False
-    overflow = None  # an OverflowError met at the last point; raised if no root wins the sample
-
-    def __init__(self, roots, at, cfg):
-        self.at = at  # the index of each root among all roots
-        self.roots = [roots[k] for k in at]
-        self.prog = ex.program(*self.roots)
-        # parameters after the other variables, each group in name order
-        self.variables = sorted(set().union(*(e.free for e in self.roots)),
-                                key=lambda v: (v.kind == Var.PARAM, str(v)))
-        self.samples = SAMPLES
-        self.rng = random.Random(cfg.seed)
-        self.valid = 0
-        self.clear = [0] * len(at)
-        self.gray = [0] * len(at)
-
-    def sample(self) -> Optional[list]:
-        """Draw until ``test`` decides a point, up to MAX_RETRIES times; the
-        indices of the roots nonzero there, or None when no point was
-        decided."""
-        for _ in range(MAX_RETRIES):
-            self.point = self.draw()
-            nonzero = self.test()
-            if nonzero is not None:
-                self.valid += 1
-                return [self.at[pos] for pos in nonzero]
-        return None
-
-    def settle(self, k: int, cfg: OracleConfig) -> Verdict:
-        """Root k's zero or inconclusive verdict when no point showed it
-        nonzero."""
-        pos = self.at.index(k)
-        valid, gray = self.valid, self.gray[pos]
-        fields = dict(seed=cfg.seed, samples_passed=valid, exact=self.exact)
-        if valid < self.samples / 2:
-            return Verdict(INCONCLUSIVE, reason=f"only {valid}/{self.samples} valid samples after retries",
-                           **fields)
-        if gray:
-            # gray-zone samples are resolved by majority; ties are never
-            # silently converted into a classification
-            if self.clear[pos] > gray:
-                return Verdict(ZERO, reason=f"{gray} gray-zone samples outvoted", **fields)
-            return Verdict(INCONCLUSIVE, reason=f"{gray} of {valid} samples in the gray zone", **fields)
-        return Verdict(ZERO, **fields)
+def _variables(roots: Sequence[Expr]) -> list:
+    """The roots' variables: parameters after the others, each group in
+    name order."""
+    return sorted(set().union(*(e.free for e in roots)), key=lambda v: (v.kind == Var.PARAM, str(v)))
 
 
-class _Exact(_Path):
-    """Rational points, each deciding every root on its exact value.
+class _Exact:
+    """Rational points, each deciding every root on its exact value: k
+    points, one per round, with nothing to redraw.
 
     ``_sample_rational`` draws each coordinate as a_i/b_i with a_i and
     b_i uniform in [1, 10^6].  d is the largest root degree from
@@ -297,21 +255,24 @@ class _Exact(_Path):
     bound holds whatever p's coefficients.
     """
 
-    exact = True
-
     def __init__(self, roots, at, cfg):
-        super().__init__(roots, at, cfg)
+        self.at = at  # the index of each root among all roots
+        own = [roots[k] for k in at]
+        self.prog = ex.program(*own)
+        self.variables = _variables(own)
+        self.rng = random.Random(cfg.seed)
+        self.valid = 0
         _, degs, _ = self.prog.degrees()
         d = max(degs[r] for r in self.prog.roots)
         self.samples = _exact_samples(d)
         self.bound = _miss_bound(d, self.samples)
 
-    def draw(self) -> dict:
-        return sample_point(self.rng, self.variables, _sample_rational)
-
-    def test(self) -> list:
+    def sample(self) -> list:
+        """Draw one point; the indices of the roots nonzero there."""
+        self.point = sample_point(self.rng, self.variables, _sample_rational)
         self.ratios = ex.exact_ratios(self.prog, self.point)
-        return [pos for pos, (num, _) in enumerate(self.ratios) if num]
+        self.valid += 1
+        return [k for k, (num, _) in zip(self.at, self.ratios) if num]
 
     def witness(self, k: int) -> dict:
         return dict(witness={r: _float(v.numerator, v.denominator) for r, v in self.point.items()},
@@ -321,7 +282,7 @@ class _Exact(_Path):
 _SINGULAR = (complex(cmath.nan, cmath.nan), cmath.nan)  # a root's value where its step fails
 
 
-class _Numeric(_Path):
+class _Numeric:
     """Annulus points, each root judged against its own cancellation scale.
 
     The points come from one stream, ``_points``: its first point alone,
@@ -329,54 +290,71 @@ class _Numeric(_Path):
     one point for each sample still to decide, evaluated as one block
     (``expr.evaluate_block``).  The stream is the path's own, so drawing
     ahead moves no point, and each block value is the one-point value.  A
-    block that raises anywhere is decided point by point.
+    point whose shared evaluation raises (the first point, or every point
+    of a block that raised) is decided root by root, so a root singular or
+    overflowing there hides no other; a node's value depends only on its
+    operands' values, so each value is the one the shared program gives.
+    A point at which some root is not finite is redrawn unless another
+    root wins it, up to MAX_RETRIES draws per sample.
     """
 
     def __init__(self, roots, at, cfg):
-        super().__init__(roots, at, cfg)
+        self.at = at  # the index of each root among all roots
+        self.roots = [roots[k] for k in at]
+        self.prog = ex.program(*self.roots)
+        self.variables = _variables(self.roots)
+        self.rng = random.Random(cfg.seed)
+        self.samples = SAMPLES
+        self.valid = 0
+        self.clear = [0] * len(at)
+        self.gray = [0] * len(at)
         self.stream = self._points()
 
     def _points(self):
-        """(point, its values or None to evaluate it alone), in draw order."""
-        yield sample_point(self.rng, self.variables), None
+        """(point, its values or None where the shared program raised
+        there), in draw order: the first point on ``evaluate_roots``, then
+        blocks, a last point alone still a block of one."""
+        first = True
         while True:
-            points = [sample_point(self.rng, self.variables) for _ in range(self.samples - self.valid)]
+            count = 1 if first else self.samples - self.valid
+            points = [sample_point(self.rng, self.variables) for _ in range(count)]
             try:
-                block = ex.evaluate_block(self.prog, points)
+                block = [ex.evaluate_roots(self.prog, points[0])] if first else ex.evaluate_block(self.prog, points)
             except (EvalSingular, OverflowError):
-                # singular or not finite at some point: each point is decided alone
+                # singular or not finite at some point: sample decides each point root by root
                 block = [None] * len(points)
+            first = False
             yield from zip(points, block)
 
-    def draw(self) -> dict:
-        point, self.vals = next(self.stream)
-        return point
-
-    def test(self) -> Optional[list]:
-        self.overflow = None
-        if self.vals is None:
-            try:
-                self.vals = ex.evaluate_roots(self.prog, self.point)
-            except (EvalSingular, OverflowError):
-                # root by root, so a root singular or overflowing here hides no other
+    def sample(self) -> Optional[list]:
+        """Draw until a point is decided, up to MAX_RETRIES times; the
+        indices of the roots nonzero there, or None when no point was
+        decided.  A point is decided when every root is finite there, when
+        some root wins it, or when a root overflowed there: that point is
+        not redrawn, and ``_decide`` raises the overflow unless some root
+        wins the sample."""
+        for _ in range(MAX_RETRIES):
+            self.point, self.vals = next(self.stream)
+            self.overflow = None  # an OverflowError _value meets at this point
+            if self.vals is None:
                 self.vals = [self._value(e) for e in self.roots]
-        valid = all(cmath.isfinite(v) for v, _ in self.vals)
-        nonzero = []
-        for pos, (v, scale) in enumerate(self.vals):
-            if not cmath.isfinite(v):
-                # no win, and the point casts no vote; abs(nan) can raise
-                # OverflowError from the errno an overflowed cmath.exp left
-                continue
-            mag = abs(v)
-            if mag > REL_TOL * scale:
-                nonzero.append(pos)
-            elif valid:  # an invalid point casts no vote
-                votes = self.clear if mag <= NOISE_FLOOR * scale else self.gray
-                votes[pos] += 1
-        if self.overflow is not None:
-            # no redraw: _decide raises the overflow unless some root wins this sample
-            return nonzero
-        return nonzero if valid or nonzero else None
+            valid = all(cmath.isfinite(v) for v, _ in self.vals)
+            nonzero = []
+            for pos, (v, scale) in enumerate(self.vals):
+                if not cmath.isfinite(v):
+                    # no win, and the point casts no vote; abs(nan) can raise
+                    # OverflowError from the errno an overflowed cmath.exp left
+                    continue
+                mag = abs(v)
+                if mag > REL_TOL * scale:
+                    nonzero.append(self.at[pos])
+                elif valid:  # an invalid point casts no vote
+                    votes = self.clear if mag <= NOISE_FLOOR * scale else self.gray
+                    votes[pos] += 1
+            if valid or nonzero or self.overflow:
+                self.valid += 1
+                return nonzero
+        return None
 
     def _value(self, e: Expr) -> tuple[complex, float]:
         try:
@@ -387,6 +365,18 @@ class _Numeric(_Path):
             # not finite here; raised from _decide when no root wins the sample
             self.overflow = err
             return _SINGULAR
+
+    def settle(self) -> tuple[Optional[int], str]:
+        """When no point showed a root nonzero: the first root left
+        undecided and why, or None and the first outvoted root's note."""
+        if self.valid < self.samples / 2:
+            return self.at[0], f"only {self.valid}/{self.samples} valid samples after retries"
+        for k, clear, gray in zip(self.at, self.clear, self.gray):
+            # gray-zone samples are resolved by majority; ties are never
+            # silently converted into a classification
+            if gray and clear <= gray:
+                return k, f"{gray} of {self.valid} samples in the gray zone"
+        return None, next((f"{gray} gray-zone samples outvoted" for gray in self.gray if gray), "")
 
     def witness(self, k: int) -> dict:
         return dict(witness=self.point, value=self.vals[self.at.index(k)][0])

@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -105,7 +107,7 @@ class TestInline:
 
     @pytest.mark.parametrize("rhs, message", [
         # a division by a constant zero is a parse error, at the "/"
-        ("y/0", "error: division by zero at line 1, column 2\n"),
+        ("y/0", "error: inline: f1: division by zero at line 1, column 2\n"),
         ("1/(y-y)", "error: inline: f1 "),
         ("log(0*y)", "error: inline: f1 "),
         # infinite at every point, as a product of two constants near 10^304 is
@@ -215,11 +217,11 @@ class TestInline:
         # ends the run of factors or terms it was folded in
         code, out, err = run(capsys, "analyze", "--rhs", rhs)
         assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
+        assert err == f"error: inline: f1: {message}\n"
 
     def test_tiny_complex_power_is_an_overflow(self, capsys):
         _, _, err = run(capsys, "analyze", "--rhs", "(1e-170*i)^-2*y")
-        assert err == "error: constant power outside the float range at line 1, column 13\n"
+        assert err == "error: inline: f1: constant power outside the float range at line 1, column 13\n"
 
     @pytest.mark.parametrize("rhs, message", [
         (["sqrt(1+" * 600 + "y" + ")" * 600], "constant outside the float range in the tresse invariant"),
@@ -272,7 +274,7 @@ class TestInline:
         code, out, err = run(capsys, "analyze", "--rhs", "0^-1")
         assert code == 2
         assert out == ""
-        assert err == "error: 0 raised to a negative power at line 1, column 4\n"
+        assert err == "error: inline: f1: 0 raised to a negative power at line 1, column 4\n"
 
     @pytest.mark.parametrize("rhs", [["y", "y"], ["y2*dy1", "0"]])
     def test_method_for_another_dimension_names_the_system(self, capsys, rhs):
@@ -285,6 +287,37 @@ class TestInline:
         assert code == 2
         assert out == ""
         assert err == "error: give corpus files or --rhs, not both\n"
+
+
+    def test_rhs_starting_with_a_minus(self, capsys):
+        # argparse alone takes "-(w1^2)*y1" for an unknown option
+        code, records, err = run_json(capsys, "analyze", "--rhs", "-(w1^2)*y1", "--rhs", "-(w2^2)*y2")
+        assert (code, err) == (0, "")
+        assert [r["n"] for r in records] == [2]
+        _, spaced, _ = run_json(capsys, "analyze", "--rhs", "-y^2")
+        _, joined, _ = run_json(capsys, "analyze", "--rhs=-y^2")
+        assert strip_timing(spaced) == strip_timing(joined)
+
+    def test_rhs_followed_by_an_option_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--rhs", "--json"])
+        assert exc.value.code == 2
+        assert "argument --rhs: expected one argument" in capsys.readouterr().err
+
+    def test_parse_error_names_its_rhs(self, capsys):
+        code, out, err = run(capsys, "analyze", "--rhs", "y", "--rhs", "y+")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: inline: f2: unexpected end of input at line 1, column 3 (")
+
+    def test_readme_examples_exit_0(self, capsys, monkeypatch):
+        # every "    odetorsion analyze ..." line of the README's CLI section
+        readme = (CORPUS_DIR.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        lines = re.findall(r"^    odetorsion (analyze .*)$", section, re.M)
+        assert len(lines) == 4
+        monkeypatch.chdir(CORPUS_DIR.parent)
+        for line in lines:
+            assert run(capsys, *shlex.split(line))[0] == 0, line
 
 
 class TestCorpus:
@@ -303,6 +336,19 @@ class TestCorpus:
         assert code == 0
         names = [r["name"] for r in records]
         assert "painleve6-special" in names and "picard-fuchs" in names
+
+    def test_input_error_names_its_file(self, capsys, tmp_path):
+        parse = tmp_path / "parse"
+        parse.write_text("system s\n n 1\n f1 = 6*y^2+\n expect straight\nend\n")
+        invalid = tmp_path / "invalid"
+        invalid.write_text("system s\n n 1\n f1 = 1/(y-y)\n expect straight\nend\n")
+        duals = str(CORPUS_DIR / "duals")
+        code, out, err = run(capsys, "analyze", duals, str(parse))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {parse}: unexpected end of input at line 3, column 13 (")
+        code, out, err = run(capsys, "analyze", duals, str(invalid))
+        assert (code, out) == (2, "")
+        assert err == f"error: {invalid}: s: f1 cannot be evaluated at any of 8 sample points\n"
 
     def test_conserved_reported(self, capsys):
         code, records, _ = run_json(capsys, "analyze", str(CORPUS_DIR / "duals"))
@@ -339,7 +385,7 @@ class TestCorpus:
         code, out, err = run(capsys, "analyze", str(corpus))
         assert code == 2
         assert out == ""
-        assert err == "error: s: conserved quantity 1 cannot be evaluated at any of 8 sample points\n"
+        assert err == f"error: {corpus}: s: conserved quantity 1 cannot be evaluated at any of 8 sample points\n"
 
     def test_conserved_quantity_beyond_the_float_range(self, capsys, tmp_path):
         corpus = tmp_path / "huge"
@@ -358,7 +404,7 @@ class TestCorpus:
         code, out, err = run(capsys, "analyze", str(corpus))
         assert code == 2
         assert out == ""
-        assert err == f"error: 0 raised to a negative power at {where}\n"
+        assert err == f"error: {corpus}: 0 raised to a negative power at {where}\n"
 
     def test_negative_power_beyond_the_float_range_exit_2(self, capsys, tmp_path):
         # (a*y)^-1 passes validation, but the invariant's higher negative
@@ -384,7 +430,7 @@ class TestCorpus:
         corpus.write_text("system s\n n 1\n f1 = (1e-170*i)^2*exp(y)\n expect straight\nend\n")
         code, out, err = run(capsys, "analyze", str(corpus))
         assert (code, out) == (2, "")
-        assert err == "error: constant power outside the float range at line 3, column 18\n"
+        assert err == f"error: {corpus}: constant power outside the float range at line 3, column 18\n"
 
     def test_duplicate_directive_exit_2(self, capsys, tmp_path):
         # a repeated directive is an input error, not an override of the first
@@ -392,7 +438,7 @@ class TestCorpus:
         corpus.write_text("system s\n n 2\n n 1\n f1 = 6*y^2\n expect straight\n expect not-straight\nend\n")
         code, out, err = run(capsys, "analyze", str(corpus))
         assert (code, out) == (2, "")
-        assert err == "error: duplicate n at line 3, column 1\n"
+        assert err == f"error: {corpus}: duplicate n at line 3, column 1\n"
 
     @pytest.mark.parametrize("params, f1, message", [
         (" param a = 0", "y/a", "z: 0 raised to a negative power in f1"),
@@ -408,7 +454,7 @@ class TestCorpus:
         corpus.write_text(f"system z\n n 1\n{params}\n f1 = {f1}\n expect straight\nend\n")
         code, out, err = run(capsys, "analyze", str(corpus))
         assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
+        assert err == f"error: {corpus}: {message}\n"
 
     @pytest.mark.parametrize("data, offset", [(b"\xffsystem s\n", 0), (b"system \xe9\n", 7),
                                               (b"\xef\xbb\xbfsystem \xe9\n", 10)],

@@ -731,10 +731,18 @@ class TestMatrix:
         (20, 12, ZERO, "12 gray-zone samples outvoted"),
         (16, 16, INCONCLUSIVE, "16 of 32 samples in the gray zone"),
     ], ids=["outvoted", "tie"])
-    def test_settle_counts_the_votes(self, clear, gray, outcome, reason):
+    def test_settle_counts_the_votes(self, clear, gray, outcome, reason, monkeypatch):
         path = oracle._Numeric([parse_expr("exp(y)")], [0], OracleConfig(seed=4))
         path.valid, path.clear, path.gray = clear + gray, [clear], [gray]
-        v = path.settle(0, OracleConfig(seed=4))
+        assert path.settle() == (None if outcome == ZERO else 0, reason)
+        # _decide makes the verdict from the settled votes, with the path's
+        # valid count and the seed
+        def votes(self):
+            self.valid, self.clear, self.gray, self.overflow = clear + gray, [clear], [gray], None
+            return []
+
+        monkeypatch.setattr(oracle._Numeric, "sample", votes)
+        v = is_zero(parse_expr("exp(y)"), cfg=OracleConfig(seed=4))
         assert (v.outcome, v.reason, v.samples_passed, v.seed) == (outcome, reason, clear + gray, 4)
 
     def test_invalid_point_casts_no_vote(self):
