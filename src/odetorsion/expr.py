@@ -590,9 +590,13 @@ class Program:
     """The distinct nodes of a tuple of roots as steps (node, steps of its
     kids), and the step of each root.
 
-    Depth-first post-order from each root in turn, so a node shared
-    between roots is one step.  Evaluation stops at the first step that
-    is singular.
+    Depth-first post-order from each root in turn, kids left to right,
+    so a node shared between roots is one step, made where it is first
+    reached.  Evaluation stops at the first step that is singular.
+
+    One pass over a stack: a node with kids and no step yet goes back on
+    it under a ``None`` marker and its kids, and takes its step when the
+    marker comes off, after every kid has one.
     """
 
     __slots__ = ("steps", "roots", "_degs", "_consts")
@@ -601,21 +605,20 @@ class Program:
         roots = tuple(roots)
         steps: list = []
         step: dict[Expr, int] = {}
-        for root in roots:
-            stack = [root]
-            while stack:
-                n = stack[-1]
-                if n in step:
-                    stack.pop()
-                    continue
-                kids = n.kids
-                todo = [k for k in kids if k not in step]
-                if todo:
-                    stack.extend(reversed(todo))
-                    continue
-                stack.pop()
-                step[n] = len(steps)
-                steps.append((n, tuple(step[k] for k in kids)))
+        stack = list(reversed(roots))
+        pop, push = stack.pop, stack.extend
+        while stack:
+            n = pop()
+            if n is None:
+                n = pop()
+            elif n in step:
+                continue
+            elif n.kids:
+                push((n, None))
+                push(reversed(n.kids))
+                continue
+            step[n] = len(steps)
+            steps.append((n, tuple(map(step.__getitem__, n.kids))))
         self.steps = steps
         self.roots = tuple(step[r] for r in roots)
         self._degs = self._consts = None
@@ -836,7 +839,8 @@ def exact_ratios(prog: Program, assignment: Mapping[Var, Fraction]) -> list[tupl
 
     The program runs in integers over S, the lcm of its constant
     denominators and the assigned values' denominators: D is S^d for a
-    root of degree d.
+    root of degree d.  On the oracle's grid a/10^6, S divides the lcm of
+    the constant denominators and 10^6, whatever the number of variables.
     """
     degs, _, den = prog.degrees()
     s = lcm(den, *(v.denominator for v in assignment.values()))

@@ -7,9 +7,10 @@ split into two paths, each with one program over all its entries (a node
 they share is evaluated once) and one stream of points:
 
 * polynomials over the rationals get a Schwartz-Zippel test at k random
-  rational points, each decided on exact values (``expr.exact_ratios``):
-  k is the least integer with (d/10^6)^k <= 2^-64 for d the largest root
-  degree, capped at ``SAMPLES`` (``_Exact`` derives the bound);
+  points of the grid a/GRID, a in [1, GRID] and GRID = 10^6, each decided
+  on exact values (``expr.exact_ratios``): k is the least integer with
+  (d/GRID)^k <= 2^-64 for d the largest root degree, capped at ``SAMPLES``
+  (``_Exact`` derives the bound);
 * everything else is sampled at random complex points drawn from the
   annulus R_MIN <= |z| <= R_MAX (avoiding both the origin's coordinate
   singularities and huge magnitudes), with a cancellation-aware relative
@@ -19,8 +20,8 @@ they share is evaluated once) and one stream of points:
 
 Each path seeds its own stream with ``cfg.seed``, so the exact path
 stopping after k points shifts no point of the numeric path.  The seed is
-``OracleConfig``'s one field; ``SAMPLES``, the thresholds, ``MAX_RETRIES``
-and the annulus radii are module constants.
+``OracleConfig``'s one field; ``SAMPLES``, the thresholds, ``MAX_RETRIES``,
+the annulus radii and the exact path's ``GRID`` are module constants.
 The exact path runs in integers only and meets no singular point.  On
 the numeric path, a point where some entry is singular or not finite is
 still decided by the entries that are finite and clearly nonzero there;
@@ -43,7 +44,7 @@ The exact path draws one point per round and decides it; only the
 numeric path redraws, votes and can leave a verdict inconclusive.
 
 A named parameter is one more variable.  No draw is 0 (|z| >= R_MIN on
-the annulus, a/b with a, b >= 1 on the exact path), so one declared
+the annulus, a/GRID with a >= 1 on the exact path), so one declared
 nonzero needs nothing more, and a fixed value is substituted before the
 oracle sees it.  ``sample_point`` is the one place points are drawn; the
 oracle's exact and numeric paths and ``OdeSystem`` validation use it.
@@ -74,6 +75,7 @@ NOISE_FLOOR = 1e-13  # relative magnitude below which a value is plainly zero
 REL_TOL = 1e-9  # relative magnitude above which a value is nonzero; between the two, gray
 MAX_RETRIES = 8  # draws per sample before it counts as invalid
 SAMPLES = 32  # numeric points per verdict, and the cap on the exact path's k
+GRID = 10 ** 6  # the exact path draws each coordinate as a/GRID, a uniform in [1, GRID]
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -93,7 +95,7 @@ class Verdict:
     branch_limited: bool = False  # a numeric entry up to the one named applies sqrt or log
     exact: bool = False
     entry: Optional[tuple] = None  # set by is_zero_matrix
-    bound: Optional[float] = None  # a zero verdict's (d/10^6)^k from the exact path
+    bound: Optional[float] = None  # a zero verdict's (d/GRID)^k from the exact path
 
 
     @property
@@ -106,7 +108,9 @@ class Verdict:
 
 
 def _sample_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+    """A point of the grid a/GRID, a uniform in [1, GRID]: one draw, in
+    (0, 1], so an exact witness coordinate w has a = round(GRID * w)."""
+    return Fraction(rng.randint(1, GRID), GRID)
 
 
 def _sample_annulus(rng: random.Random) -> complex:
@@ -125,18 +129,18 @@ def sample_point(rng: random.Random, variables: Sequence[Var], draw: Callable = 
 
 
 def _exact_samples(d: int) -> int:
-    """The least k >= 1 with (d/10^6)^k <= 2^-64, or SAMPLES when that is
+    """The least k >= 1 with (d/GRID)^k <= 2^-64, or SAMPLES when that is
     less.  The cap is tested in the loop: the bound needs millions of
-    points for d just below 10^6, and no k meets it from d = 10^6 on."""
+    points for d just below GRID, and no k meets it from d = GRID on."""
     k = 1
-    while k < SAMPLES and 2 ** 64 * d ** k > 10 ** (6 * k):
+    while k < SAMPLES and 2 ** 64 * d ** k > GRID ** k:
         k += 1
     return k
 
 
 def _miss_bound(d: int, k: int) -> float:
-    """(d/10^6)^k, or 1.0 (no bound) from d = 10^6 on."""
-    return (d / 10 ** 6) ** k if d < 10 ** 6 else 1.0
+    """(d/GRID)^k, or 1.0 (no bound) from d = GRID on."""
+    return (d / GRID) ** k if d < GRID else 1.0
 
 
 def _float(num: int, den: int) -> complex:
@@ -240,19 +244,20 @@ def _variables(roots: Sequence[Expr]) -> list:
 
 
 class _Exact:
-    """Rational points, each deciding every root on its exact value: k
+    """Grid points, each deciding every root on its exact value: k
     points, one per round, with nothing to redraw.
 
-    ``_sample_rational`` draws each coordinate as a_i/b_i with a_i and
-    b_i uniform in [1, 10^6].  d is the largest root degree from
+    ``_sample_rational`` draws each coordinate as a_i/GRID with a_i
+    uniform in [1, GRID]: the denominator is fixed and each numerator is
+    uniform over GRID values.  d is the largest root degree from
     ``Program.degrees``, which counts a constant as degree 0 and a sum as
-    its largest term, so d bounds the true degree from above.  Fix the
-    sampled denominators: each numerator is then uniform over 10^6 values.
-    For a root p not identically zero, q(a) = p(a_1/b_1, ...) is a nonzero
+    its largest term, so d bounds the true degree from above.  For a root
+    p not identically zero, q(a) = p(a_1/GRID, ...) is a nonzero
     polynomial of degree <= d in the numerators, so by the Schwartz-Zippel
-    lemma one point misses p with probability <= d/10^6, and k independent
-    points all miss it with probability <= (d/10^6)^k.  Every point is decided exactly, so the
-    bound holds whatever p's coefficients.
+    lemma one point misses p with probability <= d/GRID, and k
+    independent points all miss it with probability <= (d/GRID)^k.
+    Every point is decided exactly, so the bound holds whatever p's
+    coefficients.
     """
 
     def __init__(self, roots, at, cfg):

@@ -5,11 +5,16 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import odetorsion
+from odetorsion import expr as ex, oracle
 from odetorsion.cli import main
+from odetorsion.oracle import OracleConfig
+from odetorsion.parsing import parse_corpus
+from odetorsion.torsion import is_straight, quartic_test
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -132,7 +137,9 @@ class TestInline:
 
 
     def test_exact_witness_beyond_float_range(self, capsys):
-        code, out, err = run(capsys, "analyze", "--rhs", "y1^300*y2^300*dy1 + x",
+        # exact coordinates lie in (0, 1], so the value leaves the float
+        # range through its constant, not through a high degree
+        code, out, err = run(capsys, "analyze", "--rhs", "10^400*y1^3*dy1 + x",
                              "--rhs", "dy2^2*y1", "--json")
         assert code == 0 and err == ""
         (r,) = json.loads(out)
@@ -507,6 +514,36 @@ class TestReproducibility:
         _, records, _ = run_json(capsys, "analyze", "--rhs", "6*y^2", "--seed", "42")
         assert records[0]["seed"] == 42
         assert records[0]["samples"] == 32  # oracle.SAMPLES
+
+
+class TestExactWitness:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_witness_re_evaluates_from_json(self, capsys, seed):
+        # an exact coordinate w is a/GRID, so a = round(GRID * w) recovers
+        # the point, and the named entry's exact value there is the record's
+        files = sorted(CORPUS_DIR.iterdir())
+        entries = [e for f in files for e in parse_corpus(f.read_text(encoding="utf-8"))]
+        checked = 0
+        for method, classify in (("auto", is_straight), ("quartic", quartic_test)):
+            _, records, _ = run_json(capsys, "analyze", *map(str, files), "--seed", str(seed), "--method", method)
+            for entry, r in zip(entries, records, strict=True):
+                if r["classification"] != "not-straight":
+                    continue
+                i, k = r.get("witness_entry", (1, 1))
+                e = classify(entry.system, OracleConfig(seed=seed)).invariant[i - 1][k - 1]
+                if not e.poly:
+                    continue  # a numeric witness
+                names = {str(v): v for v in e.free}
+                point = {}
+                for name, (re_, im) in r["witness"].items():
+                    a = round(oracle.GRID * re_)
+                    assert im == 0.0 and 1 <= a <= oracle.GRID and abs(oracle.GRID * re_ - a) < 1e-6
+                    point[names[name]] = Fraction(a, oracle.GRID)
+                value = ex.evaluate_exact(e, point)
+                z = oracle._float(value.numerator, value.denominator)
+                assert [z.real, z.imag] == r["witness_value"], (method, entry.system.name)
+                checked += 1
+        assert checked
 
 
 class TestTextOutput:

@@ -12,7 +12,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from odetorsion import expr as ex
@@ -741,6 +741,49 @@ class TestSubstitute:
             extended = evaluate(e, {**point, a: inner})
             scale = max(abs(direct), abs(extended), 1.0)
             assert abs(direct - extended) <= 1e-12 * scale
+
+
+def _reference_program(roots):
+    """(steps, roots) of a plain recursive post-order from each root in
+    turn, kids left to right, a node placed where it is first reached."""
+    steps, step = [], {}
+
+    def go(n):
+        if n not in step:
+            for k in n.kids:
+                go(k)
+            step[n] = len(steps)
+            steps.append((n, tuple(step[k] for k in n.kids)))
+
+    for r in roots:
+        go(r)
+    return steps, tuple(step[r] for r in roots)
+
+
+# a DAG as a list of (op, picks): each op makes one node over earlier
+# nodes, picked by index modulo the pool, so kids repeat (y + y) and nodes
+# are shared; roots pick from the same pool, so a root can lie below another
+_picks = st.lists(st.integers(0, 63), min_size=1, max_size=3)
+_dag_ops = st.lists(st.tuples(st.sampled_from(["+", "*", "^", "exp"]), _picks), max_size=14)
+
+
+@given(_dag_ops, _picks)
+@example([("+", [1, 1]), ("*", [4, 1, 4])], [5, 4, 1])  # (y+y)*y*(y+y), then y + y and y below it
+def test_program_steps_are_the_recursive_post_order(ops, picks):
+    pool = [X, Y(1), YDot(1), Const(2)]
+    for op, at in ops:
+        kids = [pool[i % len(pool)] for i in at]
+        if op == "+":
+            pool.append(ex.add(*kids))
+        elif op == "*":
+            pool.append(ex.mul(*kids))
+        elif op == "^":
+            pool.append(Power(kids[0], 3))
+        else:
+            pool.append(Apply("exp", kids[0]))
+    roots = tuple(pool[i % len(pool)] for i in picks)
+    prog = ex.Program(roots)
+    assert (prog.steps, prog.roots) == _reference_program(roots)
 
 
 class TestProgramTable:

@@ -553,6 +553,15 @@ class TestSampler:
             expected.append(repr(complex(r * math.cos(t), r * math.sin(t))))
         assert [repr(oracle._sample_annulus(rng)) for _ in range(1000)] == expected
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_draws_are_one_randint_over_the_grid(self, seed):
+        # a rewrite that moved a draw would move every exact witness, and an
+        # exact witness coordinate w is recovered as round(GRID * w) / GRID
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert oracle.GRID == 10 ** 6
+        draws = [oracle._sample_rational(rng) for _ in range(1000)]
+        assert draws == [Fraction(ref.randint(1, 10 ** 6), 10 ** 6) for _ in range(1000)]
+
     @pytest.mark.parametrize("module", ["expr", "calculus", "oracle", "parsing", "torsion", "cli"])
     def test_module_imports_alone(self, module):
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
