@@ -6,12 +6,22 @@ sides f^I is
     dg/dx = dg/dx|_partial + sum_I dg/dy^I * dy^I + sum_I dg/ddy^I * f^I
 
 which is the only derivative operator the torsion constructions need.
+Its sums run over the variables g contains: a partial along a variable
+outside ``g.free`` is ZERO, a ZERO factor makes ``mul`` return ZERO and
+a ZERO term is a zero constant that ``add`` folds away, so leaving those
+terms out builds the node the full sum of 2n + 1 terms builds.
+
+``partials(e, vs, k)`` takes e's k-th partials along every nondecreasing
+k-tuple of vs, each prefix once, and knows a whole subtree of them is
+ZERO when the prefix's partial is; the quartic check takes its fourth
+dy-partials with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from math import comb
+from typing import Iterable, Sequence
 
 from . import expr as ex
 from .expr import ZERO, Apply, Expr, Power, Product, Sum, Var
@@ -20,7 +30,9 @@ _HALF = ex.const(Fraction(1, 2))
 
 # Partial derivatives are memoized across calls.  Every node is interned
 # and immutable, and the intern table keeps it alive, so no id() in a key
-# is reused and the cache is sound for the process lifetime.
+# is reused and the cache is sound for the process lifetime.  The key stays
+# (id(node), var), not (node, var): perfbench's tracer tests membership by
+# that key, so the two change together (ROADMAP item 4's benchmark change).
 _partial_cache: dict[tuple[int, Var], Expr] = {}
 
 
@@ -86,10 +98,44 @@ def nth_partial(e: Expr, vars: Iterable[Var]) -> Expr:
     return out
 
 
+def partials(e: Expr, vs: Sequence[Var], k: int) -> list[Expr]:
+    """e's k-th partials along every nondecreasing k-tuple of vs, in
+    ``combinations_with_replacement(vs, k)`` order: the list
+    ``[nth_partial(e, c) for c in combinations_with_replacement(vs, k)]``.
+
+    The tuples are walked as a prefix tree, each prefix's partial taken once.
+    A prefix whose partial is ZERO has ZERO below it: with m variables left
+    (its last one and those after it) and j orders to go, its C(m+j-1, j)
+    entries are filled with ZERO without a call."""
+    out: list[Expr] = []
+
+    def walk(g: Expr, start: int, j: int) -> None:
+        if j == 0:
+            out.append(g)
+            return
+        for i in range(start, len(vs)):
+            d = partial(g, vs[i])
+            if d is ZERO:  # m = len(vs) - i variables left, j - 1 orders to go
+                out.extend([ZERO] * comb(len(vs) - i + j - 2, j - 1))
+            else:
+                walk(d, i, j - 1)
+
+    walk(e, 0, k)
+    return out
+
+
 def total_derivative(g: Expr, sys) -> Expr:
-    """d/dx along solutions of sys (an OdeSystem)."""
+    """d/dx along solutions of sys (an OdeSystem).
+
+    The y^I and dy^I terms are added only for the variables g contains;
+    any other term is ZERO, which ``add`` would fold away, so the node
+    built is the one the full sum builds."""
+    free = g.free
     terms = [partial(g, ex.X)]
-    for i in range(1, sys.n + 1):
-        terms.append(ex.mul(partial(g, ex.Y(i)), ex.YDot(i)))
-        terms.append(ex.mul(partial(g, ex.YDot(i)), sys.rhs[i - 1]))
+    for i, f in enumerate(sys.rhs, start=1):
+        y, dy = ex.Y(i), ex.YDot(i)
+        if y in free:
+            terms.append(ex.mul(partial(g, y), dy))
+        if dy in free:
+            terms.append(ex.mul(partial(g, dy), f))
     return ex.add(*terms)

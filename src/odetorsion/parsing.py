@@ -301,15 +301,15 @@ class OdeSystem:
         evaluated exactly, so 10^400*y is not unevaluable.
         """
         labelled = list(labelled)
-        for _, e in labelled:
+        for label, e in labelled:
             if not isinstance(e, Expr):
                 raise TypeError(f"not an expression: {e!r}")
             for v in sorted(ex.free_vars(e), key=str):
                 if v.kind in (Var.Y, Var.YDOT):
                     if not 1 <= v.index <= self.n:
-                        raise ValidationError(f"{self.name}: variable index {v.index} outside 1..{self.n}")
+                        raise ValidationError(f"{self.name}: {label}: variable index {v.index} outside 1..{self.n}")
                 elif v.kind == Var.PARAM and v.name not in self.params:
-                    raise ValidationError(f"{self.name}: undeclared parameter {v.name!r}")
+                    raise ValidationError(f"{self.name}: {label}: undeclared parameter {v.name!r}")
         rng = random.Random(0)
         for label, e in labelled:
             if e.poly:

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Optional
 
 from . import expr as ex
-from .calculus import nth_partial, partial, total_derivative
+from .calculus import partial, partials, total_derivative
 from .expr import Expr
 from .oracle import NONZERO, ZERO, OracleConfig, Verdict, is_zero, is_zero_matrix
 from .parsing import OdeSystem
@@ -73,7 +72,11 @@ class TorsionReport:
 
 
 def phi_matrix(sys: OdeSystem) -> list[list[Expr]]:
-    """The pre-trace-adjustment matrix phi^I_J, K-sum expanded."""
+    """The pre-trace-adjustment matrix phi^I_J, K-sum expanded.
+
+    The K-sum takes only the terms whose two factors are both nonzero: a
+    ZERO factor makes ``mul`` return ZERO, which ``add`` folds away, so
+    the entry is the node the full sum builds."""
     n = sys.n
     f = sys.rhs
     dy = [ex.YDot(i + 1) for i in range(n)]
@@ -90,7 +93,8 @@ def phi_matrix(sys: OdeSystem) -> list[list[Expr]]:
                 ex.neg(partial(f[i], y[j])),
             ]
             for k in range(n):
-                terms.append(ex.mul(quarter, f_dy[i][k], f_dy[k][j]))
+                if f_dy[i][k] is not ex.ZERO and f_dy[k][j] is not ex.ZERO:
+                    terms.append(ex.mul(quarter, f_dy[i][k], f_dy[k][j]))
             row.append(ex.add(*terms))
         out.append(row)
     return out
@@ -142,10 +146,13 @@ def quartic_test(sys: OdeSystem, cfg: OracleConfig = OracleConfig()) -> TorsionR
     """All distinct fourth dy-partials of each right-hand side.
 
     Tested as one row per f^I, its partials in combinations_with_replacement
-    order, so a witness entry (I, k) names f^I's k-th partial.
+    order, so a witness entry (I, k) names f^I's k-th partial.  Each row is
+    taken by ``calculus.partials`` down the prefix tree of the dy-tuples:
+    each prefix's partial once, and every entry below a ZERO prefix ZERO
+    without a call.  Every entry is still tested.
     """
-    combos = list(combinations_with_replacement([ex.YDot(j + 1) for j in range(sys.n)], 4))
-    rows = [[nth_partial(f, combo) for combo in combos] for f in sys.rhs]
+    dys = [ex.YDot(j + 1) for j in range(sys.n)]
+    rows = [partials(f, dys, 4) for f in sys.rhs]
     return TorsionReport(QUARTIC, rows, is_zero_matrix(rows, cfg))
 
 

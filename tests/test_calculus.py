@@ -1,11 +1,14 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_point, random_polynomial
+from conftest import mixed_systems, random_point, random_polynomial
 from odetorsion import calculus
 from odetorsion import expr as ex
-from odetorsion.calculus import nth_partial, partial, total_derivative
+from odetorsion.calculus import nth_partial, partial, partials, total_derivative
 from odetorsion.expr import EvalSingular, X, Y, YDot
 from odetorsion.parsing import OdeSystem, parse_expr
 
@@ -112,6 +115,51 @@ def test_leibniz_rule(rng):
         a = ex.evaluate(lhs, dict(point))
         b = ex.evaluate(rhs, dict(point))
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), 1.0)
+
+
+@given(mixed_systems(), st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_partials_are_the_nth_partials_in_order(sys_, k):
+    # the prefix walk, ZERO-filled subtrees included, gives the very nodes
+    # nth_partial gives, in combinations_with_replacement order
+    dys = [YDot(i) for i in range(1, sys_.n + 1)]
+    for f in sys_.rhs:
+        got = partials(f, dys, k)
+        want = [nth_partial(f, c) for c in combinations_with_replacement(dys, k)]
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+
+
+def test_partials_take_each_prefix_once(monkeypatch):
+    # one call per prefix whose parent prefix is nonzero, none on a ZERO
+    f = parse_expr("dy1^2*dy2^2 + exp(dy3)*y1 + y2*dy1")
+    dys = [YDot(1), YDot(2), YDot(3)]
+    prefixes = [c for j in range(1, 5) for c in combinations_with_replacement(dys, j)]
+    wanted = sum(nth_partial(f, c[:-1]) is not ex.ZERO for c in prefixes)
+    calls = []
+    real = calculus.partial
+    monkeypatch.setattr(calculus, "partial", lambda e, v: calls.append(e) or real(e, v))
+    assert len(partials(f, dys, 4)) == 15
+    assert len(calls) == wanted < len(prefixes)
+    assert ex.ZERO not in calls
+
+
+def full_total_derivative(g, sys_):
+    """d/dx as the sum of all 2n + 1 terms, ZERO ones included."""
+    terms = [partial(g, X)]
+    for i in range(1, sys_.n + 1):
+        terms.append(ex.mul(partial(g, Y(i)), YDot(i)))
+        terms.append(ex.mul(partial(g, YDot(i)), sys_.rhs[i - 1]))
+    return ex.add(*terms)
+
+
+@given(mixed_systems())
+@settings(max_examples=150, deadline=None)
+def test_total_derivative_is_the_full_sum(sys_):
+    # summing over the variables g contains builds the node the full sum builds
+    gs = list(sys_.rhs) + [partial(f, v) for f in sys_.rhs for v in sorted(f.free, key=str)]
+    for g in gs:
+        assert total_derivative(g, sys_) is full_total_derivative(g, sys_)
 
 
 class TestTotalDerivative:

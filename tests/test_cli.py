@@ -316,6 +316,11 @@ class TestInline:
         assert (code, out) == (2, "")
         assert err.startswith("error: inline: f2: unexpected end of input at line 1, column 3 (")
 
+    def test_variable_error_names_its_rhs(self, capsys):
+        code, out, err = run(capsys, "analyze", "--rhs", "0", "--rhs", "y3")
+        assert (code, out) == (2, "")
+        assert err == "error: inline: f2: variable index 3 outside 1..2\n"
+
     def test_readme_examples_exit_0(self, capsys, monkeypatch):
         # every "    odetorsion analyze ..." line of the README's CLI section
         readme = (CORPUS_DIR.parent / "README.md").read_text(encoding="utf-8")
@@ -356,6 +361,13 @@ class TestCorpus:
         code, out, err = run(capsys, "analyze", duals, str(invalid))
         assert (code, out) == (2, "")
         assert err == f"error: {invalid}: s: f1 cannot be evaluated at any of 8 sample points\n"
+
+    def test_variable_error_names_its_conserved_quantity(self, capsys, tmp_path):
+        corpus = tmp_path / "undeclared"
+        corpus.write_text("system s\n n 2\n f1 = 0\n f2 = 0\n conserved y2 + b\n expect straight\nend\n")
+        code, out, err = run(capsys, "analyze", str(corpus))
+        assert (code, out) == (2, "")
+        assert err == f"error: {corpus}: s: conserved quantity 1: undeclared parameter 'b'\n"
 
     def test_conserved_reported(self, capsys):
         code, records, _ = run_json(capsys, "analyze", str(CORPUS_DIR / "duals"))

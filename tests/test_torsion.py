@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import rand_fraction, random_point, random_polynomial
+from conftest import mixed_systems, rand_fraction, random_point, random_polynomial
 from odetorsion import expr as ex
+from odetorsion.calculus import nth_partial, partial, total_derivative
 from odetorsion.expr import X, Y, YDot
 from odetorsion.oracle import INCONCLUSIVE, NONZERO, ZERO, OracleConfig, Verdict, is_zero_matrix
 from odetorsion.parsing import OdeSystem, parse_expr
@@ -229,6 +232,35 @@ class TestQuartic:
         assert report.straight is False
         assert report.verdict.entry == (2, 3)
         assert report.verdict.value == 4
+
+
+def _full_phi(sys_):
+    """phi^I_J with every K-sum term, ZERO products included."""
+    n, f = sys_.n, sys_.rhs
+    f_dy = [[partial(f[i], YDot(j + 1)) for j in range(n)] for i in range(n)]
+    return [[ex.add(ex.mul(ex.const(Fraction(1, 2)), total_derivative(f_dy[i][j], sys_)),
+                    ex.neg(partial(f[i], Y(j + 1))),
+                    *(ex.mul(ex.const(Fraction(-1, 4)), f_dy[i][k], f_dy[k][j]) for k in range(n)))
+             for j in range(n)] for i in range(n)]
+
+
+@given(mixed_systems())
+@settings(max_examples=100, deadline=None)
+def test_phi_matrix_is_the_full_k_sum(sys_):
+    got, want = phi_matrix(sys_), _full_phi(sys_)
+    assert all(a is b for got_row, want_row in zip(got, want) for a, b in zip(got_row, want_row))
+
+
+@given(mixed_systems())
+@settings(max_examples=60, deadline=None)
+def test_quartic_entries_are_the_fourth_partials(sys_):
+    # the prefix walk keeps every entry, in combinations_with_replacement
+    # order, so witness_entry names the partial it named before
+    dys = [YDot(i) for i in range(1, sys_.n + 1)]
+    want = [[nth_partial(f, c) for c in combinations_with_replacement(dys, 4)] for f in sys_.rhs]
+    got = quartic_test(sys_).invariant
+    assert [len(row) for row in got] == [len(row) for row in want]
+    assert all(a is b for got_row, want_row in zip(got, want) for a, b in zip(got_row, want_row))
 
 
 class TestConserved:
