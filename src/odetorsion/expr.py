@@ -37,9 +37,12 @@ and new operands, through the constructors; unpickling and
 and its intern key is ``("q", num, den)``, so ``const`` looks an ``int``
 or ``Fraction`` up, and ``add`` and ``mul`` fold rationals as integer
 pairs, with no ``Fraction`` built or hashed unless the result is a new
-constant.  Constants are folded only where two or more meet; once a
-complex one is among them the fold runs over their values from the unit,
-left to right (float rounding depends on the order).  A fold or power
+constant.  So does ``pow_``: a nonzero rational to the power k is
+(num^k, den^k), the pair swapped and its sign moved to the numerator for
+k < 0, which is how the parser's division by a constant folds.
+Constants are folded only where two or more meet; once a complex one is
+among them the fold runs over their values from the unit, left to right
+(float rounding depends on the order).  A fold or power
 that leaves the float range, or underflows to 0, raises ``OverflowError``,
 as ``Program.constants`` does for such a rational.  A lone constant operand
 is kept as the node it is, and ``neg`` multiplies by the shared
@@ -422,6 +425,13 @@ def pow_(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Const):
+        num, den = base.num, base.den
+        if den:  # rational: raised as an int pair, which stays coprime
+            if exponent < 0:
+                if not num:
+                    raise ZeroDivisionError("0 raised to a negative power")
+                num, den, exponent = (den, num, -exponent) if num > 0 else (-den, -num, -exponent)
+            return _rational(num ** exponent, den ** exponent)
         v = base.value
         if v == 0 and exponent < 0:
             raise ZeroDivisionError("0 raised to a negative power")
@@ -833,14 +843,16 @@ def evaluate(e: Expr, assignment: Mapping[Var, Number]) -> complex:
     return value
 
 
-def exact_ratios(prog: Program, assignment: Mapping[Var, Fraction]) -> list[tuple[int, int]]:
-    """Each root's (N, D), D > 0 and not reduced, with exact value N / D,
-    for a ``poly`` program (TypeError otherwise).
+def exact_ratios(prog: Program, assignment: Mapping[Var, Fraction]) -> tuple[list[int], int]:
+    """(each root's N, S) for a ``poly`` program (TypeError otherwise): a
+    root of degree d, its entry in the first list of ``degrees``, has the
+    exact value N / S^d, not reduced.
 
     The program runs in integers over S, the lcm of its constant
-    denominators and the assigned values' denominators: D is S^d for a
-    root of degree d.  On the oracle's grid a/10^6, S divides the lcm of
-    the constant denominators and 10^6, whatever the number of variables.
+    denominators and the assigned values' denominators.  On the oracle's
+    grid a/10^6, S divides the lcm of the constant denominators and 10^6,
+    whatever the number of variables.  S^d is left to the caller that
+    needs a root's value, since most only ask whether N is zero.
     """
     degs, _, den = prog.degrees()
     s = lcm(den, *(v.denominator for v in assignment.values()))
@@ -852,10 +864,11 @@ def exact_ratios(prog: Program, assignment: Mapping[Var, Fraction]) -> list[tupl
         return v.numerator * (s // v.denominator)
 
     vals = _run(prog, scaled, 0, 1, degs, s)
-    return [(vals[r], s ** degs[r]) for r in prog.roots]
+    return [vals[r] for r in prog.roots], s
 
 
 def evaluate_exact(e: Expr, assignment: Mapping[Var, Fraction]) -> Fraction:
     """Exact rational evaluation; TypeError unless is_polynomial(e)."""
-    ((num, den),) = exact_ratios(program(e), assignment)
-    return Fraction(num, den)
+    prog = program(e)
+    (num,), s = exact_ratios(prog, assignment)
+    return Fraction(num, s ** prog.degrees()[0][prog.roots[0]])

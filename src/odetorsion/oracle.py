@@ -275,13 +275,15 @@ class _Exact:
     def sample(self) -> list:
         """Draw one point; the indices of the roots nonzero there."""
         self.point = sample_point(self.rng, self.variables, _sample_rational)
-        self.ratios = ex.exact_ratios(self.prog, self.point)
+        self.nums, self.s = ex.exact_ratios(self.prog, self.point)
         self.valid += 1
-        return [k for k, (num, _) in zip(self.at, self.ratios) if num]
+        return [k for k, num in zip(self.at, self.nums) if num]
 
     def witness(self, k: int) -> dict:
+        i = self.at.index(k)
+        d = self.prog.degrees()[0][self.prog.roots[i]]  # root i's value is nums[i] / S^d
         return dict(witness={r: _float(v.numerator, v.denominator) for r, v in self.point.items()},
-                    value=_float(*self.ratios[self.at.index(k)]), exact=True)
+                    value=_float(self.nums[i], self.s ** d), exact=True)
 
 
 _SINGULAR = (complex(cmath.nan, cmath.nan), cmath.nan)  # a root's value where its step fails

@@ -16,6 +16,18 @@ A factor is an atom or a closed group, raised to its ``^`` integer, then
 negated once per unary minus before it, then inverted after a ``/``.
 ``to_str`` renders a node's program, children before parents.
 
+The tokens are plain strings from one pattern's ``findall`` (``_TOKENS``),
+with ``""`` as the end token; a token's kind is read off its first
+character, and each number or variable text is resolved to its node once
+per call.  No offset is kept.  A text holding a character that no token
+can start is turned away first, before any constant is folded, by
+``_tokenize``, the tokenizer that keeps offsets; it runs again only when
+an error is placed, to find the offset of the token to blame.  One
+``try`` around the loop places every ``ZeroDivisionError`` or
+``OverflowError`` a constructor raises: before each call that can raise
+one (a power, a division, a run of factors or terms), the loop notes the
+token to blame.
+
 Reserved identifiers: x, y, dy, yK, dyK (K >= 1 decimal), i, and the
 function names; anything else is a named parameter.  y and dy are
 aliases for y1 and dy1.
@@ -29,6 +41,7 @@ from __future__ import annotations
 import cmath
 import random
 import re
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,20 +67,25 @@ class ValidationError(ValueError):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_TOKEN_RE = re.compile(
-    r"""
-    \s*
-    (?:
-      (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-    | (?P<op>[-+*/^()])
-    | (?P<bad>\S)
-    )
-    """,
-    re.VERBOSE,
-)
+_KINDS = {  # each kind of token and its pattern, in the order they are tried
+    "number": r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?",
+    "ident": r"[A-Za-z][A-Za-z0-9_]*",
+    "op": r"[-+*/^()]",
+    "bad": r"\S",
+}
+_TOKEN_RE = re.compile(r"\s*(?:" + "|".join(f"(?P<{k}>{p})" for k, p in _KINDS.items()) + ")")
+# the same alternatives with no named group, so findall gives each
+# token's text; its kind is read off its first character: a (Unicode)
+# decimal digit starts a number, an ASCII letter an identifier
+_TOKENS = re.compile(r"\s*(" + "|".join(_KINDS.values()) + ")").findall
 
 _YVAR_RE = re.compile(r"^(dy|y)([0-9]+)?$")
+
+# the one-character tokens other than bad ones, but for the non-ASCII
+# decimal digits; a longer token is a number or an identifier.  A text
+# made of these and ASCII spaces, tabs and line ends has no bad token.
+_ONE_CHAR = frozenset("-+*/^()" + string.ascii_letters + string.digits)
+_PLAIN = _ONE_CHAR | frozenset(" \t\r\n")
 
 
 def _location(text: str, offset: int, line0: int, col0: int) -> tuple[int, int]:
@@ -79,7 +97,8 @@ def _location(text: str, offset: int, line0: int, col0: int) -> tuple[int, int]:
 
 def _tokenize(text: str, line0: int = 1, col0: int = 1) -> list[tuple[str, str, int]]:
     """(kind, text, offset) per token, kind one of number, ident, op and
-    a final end; whitespace is skipped."""
+    a final end; whitespace is skipped.  ``parse_expr`` calls it only to
+    raise a bad character's error or to place another."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -97,99 +116,110 @@ _MAX_DEPTH = 5000  # open groups, parentheses and calls, one text may nest
 def parse_expr(text: str, line: int = 1, col: int = 1) -> Expr:
     """Parse text, which starts at line line, column col, of its source.
 
-    An operator token's text is never that of another kind of token, so
-    ``tokens[pos][1] == "+"`` tests for the operator alone.
+    A token is its text, the end token ``""``; an operator token's text is
+    never that of another kind of token, so ``tokens[pos] == "+"`` tests
+    for the operator alone.
     """
-    tokens = _tokenize(text, line, col)
+    tokens = _TOKENS(text)
+    if not _PLAIN.issuperset(text) and any(
+            len(t) == 1 and t not in _ONE_CHAR and not t.isdecimal() for t in set(tokens)):
+        _tokenize(text, line, col)  # raises at the first bad character
+    tokens.append("")
 
-    def error(message: str, offset: int, expected=()) -> ParseError:
-        return ParseError(message, *_location(text, offset, line, col), expected)
+    def error(message: str, at: int, expected=()) -> ParseError:
+        """A ParseError at the token with index at."""
+        return ParseError(message, *_location(text, _tokenize(text)[at][2], line, col), expected)
 
-    def fail(pos: int, expected):
-        kind, tok, offset = tokens[pos]
-        raise error(f"unexpected {'end of input' if kind == 'end' else repr(tok)}", offset, expected)
-
-    def placed(offset: int, make, *args, zero: str = "") -> Expr:
-        """make(*args); a ZeroDivisionError or OverflowError it raises is an
-        error at offset, worded zero for a ZeroDivisionError if given."""
-        try:
-            return make(*args)
-        except (ZeroDivisionError, OverflowError) as err:
-            raise error(zero if zero and type(err) is ZeroDivisionError else str(err), offset) from None
+    def fail(at: int, expected):
+        raise error(f"unexpected {repr(tokens[at]) if tokens[at] else 'end of input'}", at, expected)
 
     # The innermost group's call (None for parentheses) and terms, the
-    # current term's factors and sign, the offset of the "/" before the
+    # current term's factors and sign, the index of the "/" before the
     # current factor (None after "*") and its unary minuses; groups holds
-    # those of the enclosing groups.
-    pos, groups = 0, []
+    # those of the enclosing groups.  atoms maps each number and variable
+    # text met to its node, and blame is the index of the token that a
+    # ZeroDivisionError or OverflowError from the constructor called next
+    # is placed at: the division's "/" (worded "division by zero"), the
+    # exponent of "^" or the token ending a run of factors or terms.
+    pos, groups, atoms, blame = 0, [], {}, 0
     fn, terms, factors, sign, div, minuses = None, [], [], "+", None, 0
-    while True:
-        kind, tok, offset = tokens[pos]
-        pos += 1
-        if tok == "-":
-            minuses += 1
-            continue
-        if kind == "number":
-            out = ex.const(int(tok) if tok.isdigit() else Fraction(tok))
-        elif tok == "i":
-            out = ex.const(1j)
-        elif tok == "x":
-            out = ex.X
-        elif kind == "ident" and tok not in ex.FUNCTIONS:
-            m = _YVAR_RE.match(tok)
-            index = int(m.group(2) or 1) if m else 1
-            if index < 1:
-                raise error(f"bad variable index in {tok!r}", offset)
-            out = ex.Param(tok) if not m else ex.YDot(index) if m.group(1) == "dy" else ex.Y(index)
-        elif tok == "(" or kind == "ident":
-            if kind == "ident" and tokens[pos][1] != "(":
-                fail(pos, ("(",))
-            pos += kind == "ident"
-            if len(groups) == _MAX_DEPTH:
-                raise error(f"nested deeper than {_MAX_DEPTH} levels", offset)
-            groups.append((fn, terms, factors, sign, div, minuses))
-            fn = tok if kind == "ident" else None
-            terms, factors, sign, div, minuses = [], [], "+", None, 0
-            continue
-        else:
-            fail(pos - 1, ("number", "identifier", "(", "-"))
-        while True:  # out is an atom or a closed group
-            if tokens[pos][1] == "^":
-                negative = tokens[pos + 1][1] == "-"  # the end token follows any "^"
-                pos += 2 if negative else 1
-                kind, tok, offset = tokens[pos]
-                if kind != "number" or not tok.isdigit():
-                    fail(pos, ("integer exponent",))
-                pos += 1
-                if int(tok) == 0:
-                    raise error("zero exponent", offset)
-                out = placed(offset, ex.pow_, out, -int(tok) if negative else int(tok))
-            for _ in range(minuses):
-                out = ex.neg(out)
-            if div is not None:
-                out = placed(div, ex.pow_, out, -1, zero="division by zero")  # a/b is a*b^-1
-            factors.append(out)
-            op = tokens[pos][1]
+    try:
+        while True:
+            tok = tokens[pos]
             pos += 1
-            if op == "*" or op == "/":
-                div, minuses = (tokens[pos - 1][2] if op == "/" else None), 0
-                break
-            # a run in one call to mul or add, flattened as a left fold would be
-            # without interning every prefix, and placed at the token ending it
-            term = factors[0] if len(factors) == 1 else placed(tokens[pos - 1][2], ex.mul, *factors)
-            terms.append(term if sign == "+" else ex.neg(term))
-            if op == "+" or op == "-":
-                factors, sign, div, minuses = [], op, None, 0
-                break
-            out = terms[0] if len(terms) == 1 else placed(tokens[pos - 1][2], ex.add, *terms)
-            if op == ")" and groups:
-                if fn is not None:
-                    out = ex.apply(fn, out)
-                fn, terms, factors, sign, div, minuses = groups.pop()
+            if tok == "-":
+                minuses += 1
                 continue
-            if groups or op:
-                fail(pos - 1, (")",) if groups else ("operator", "end of input"))
-            return out
+            out = atoms.get(tok)
+            if out is None:
+                if tok == "(" or tok in ex.FUNCTIONS:
+                    if tok != "(" and tokens[pos] != "(":
+                        fail(pos, ("(",))
+                    if len(groups) == _MAX_DEPTH:
+                        raise error(f"nested deeper than {_MAX_DEPTH} levels", pos - 1)
+                    pos += tok != "("
+                    groups.append((fn, terms, factors, sign, div, minuses))
+                    fn = None if tok == "(" else tok
+                    terms, factors, sign, div, minuses = [], [], "+", None, 0
+                    continue
+                if tok[:1].isdecimal():
+                    out = ex.const(int(tok) if tok.isdigit() else Fraction(tok))
+                elif tok == "i":
+                    out = ex.const(1j)
+                elif tok == "x":
+                    out = ex.X
+                elif tok[:1].isalpha():  # an identifier: no bad character is left
+                    m = _YVAR_RE.match(tok)
+                    index = int(m.group(2) or 1) if m else 1
+                    if index < 1:
+                        raise error(f"bad variable index in {tok!r}", pos - 1)
+                    out = ex.Param(tok) if not m else ex.YDot(index) if m.group(1) == "dy" else ex.Y(index)
+                else:
+                    fail(pos - 1, ("number", "identifier", "(", "-"))
+                atoms[tok] = out
+            while True:  # out is an atom or a closed group
+                if tokens[pos] == "^":
+                    negative = tokens[pos + 1] == "-"  # the end token follows any "^"
+                    pos += 2 if negative else 1
+                    tok = tokens[pos]
+                    if not tok.isdigit():  # no bad character, such as "²", is left
+                        fail(pos, ("integer exponent",))
+                    blame, k = pos, int(tok)
+                    pos += 1
+                    if k == 0:
+                        raise error("zero exponent", blame)
+                    out = ex.pow_(out, -k if negative else k)
+                for _ in range(minuses):
+                    out = ex.neg(out)
+                if div is not None:
+                    blame = div
+                    out = ex.pow_(out, -1)  # a/b is a*b^-1
+                factors.append(out)
+                op = tokens[pos]
+                blame = pos
+                pos += 1
+                if op == "*" or op == "/":
+                    div, minuses = (blame if op == "/" else None), 0
+                    break
+                # a run in one call to mul or add, flattened as a left fold would be
+                # without interning every prefix, and placed at the token ending it
+                term = factors[0] if len(factors) == 1 else ex.mul(*factors)
+                terms.append(term if sign == "+" else ex.neg(term))
+                if op == "+" or op == "-":
+                    factors, sign, div, minuses = [], op, None, 0
+                    break
+                out = terms[0] if len(terms) == 1 else ex.add(*terms)
+                if op == ")" and groups:
+                    if fn is not None:
+                        out = ex.apply(fn, out)
+                    fn, terms, factors, sign, div, minuses = groups.pop()
+                    continue
+                if groups or op:
+                    fail(pos - 1, (")",) if groups else ("operator", "end of input"))
+                return out
+    except (ZeroDivisionError, OverflowError) as err:
+        zero = type(err) is ZeroDivisionError and tokens[blame] == "/"
+        raise error("division by zero" if zero else str(err), blame) from None
 
 
 # ---------------------------------------------------------------------------

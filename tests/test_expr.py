@@ -365,7 +365,9 @@ def test_integer_exact_evaluation_matches_fraction_reference(desc, values):
         assert got == _reference_exact(root, point)
     if _ref_poly(desc):
         # the description's own structure, unflattened and unfolded, runs in the same integers
-        ((num, den),) = ex.exact_ratios(ex.Program((_loose(desc),)), point)
+        prog = ex.Program((_loose(desc),))
+        (num,), s = ex.exact_ratios(prog, point)
+        den = s ** prog.degrees()[0][prog.roots[0]]
         assert Fraction(num, den) == evaluate_exact(node, point) == _ref_value(desc, point, Fraction)
 
 
@@ -379,9 +381,12 @@ def test_integer_evaluation_meets_no_singular_step(desc, values):
         return
     point = dict(zip([X, Y(1), YDot(1), ex.Param("a")], values))
     roots = (node, ex.add(node, x))
-    got = ex.exact_ratios(ex.Program(roots), point)
-    # one program over both roots gives each its own exact value
-    assert [Fraction(*ratio) for ratio in got] == [_reference_exact(root, point) for root in roots]
+    prog = ex.Program(roots)
+    nums, s = ex.exact_ratios(prog, point)
+    degs = prog.degrees()[0]
+    # one program over both roots gives each its own exact value, N / S^d
+    assert [Fraction(num, s ** degs[r]) for num, r in zip(nums, prog.roots)] == [
+        _reference_exact(root, point) for root in roots]
 
 
 def test_interning_is_race_free():
@@ -625,6 +630,32 @@ class TestConstantPairs:
             else:
                 with pytest.raises(ZeroDivisionError):
                     ex.pow_(a, k)
+
+    @given(st.integers(-(10 ** 40), 10 ** 40) | st.sampled_from([10 ** 300, -(10 ** 300) - 1]),
+           st.integers(1, 10 ** 40) | st.just(7 ** 400),
+           st.integers(-9, 9))
+    @example(-3, 2, -3)
+    @example(0, 5, 3)
+    @example(0, 1, -2)
+    @settings(max_examples=300, deadline=None)
+    def test_rational_power_is_the_fraction_power(self, num, den, k):
+        # raised as an int pair, and looked up with the coprime pair and
+        # positive denominator that _rational takes
+        q = Fraction(num, den)
+        rational = ex._rational
+
+        def checked(n, d):
+            assert d > 0 and math.gcd(n, d) == 1, (n, d)
+            return rational(n, d)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ex, "_rational", checked)
+            if q == 0 and k < 0:
+                with pytest.raises(ZeroDivisionError, match="^0 raised to a negative power$"):
+                    ex.pow_(ex.const(q), k)
+                return
+            got = ex.pow_(ex.const(q), k)
+        assert got is ex.const(q ** k)
 
     @given(st.lists(_mixed, min_size=2, max_size=4))
     @settings(max_examples=300, deadline=None)

@@ -99,6 +99,87 @@ class TestParseExpr:
         assert err.value.expected
 
 
+class TestErrorSites:
+    """Every place parse_expr raises, with the text starting at line 3,
+    column 5 of its source."""
+
+    @pytest.mark.parametrize("text, message, line, col, expected", [
+        ("y + é", "unexpected character 'é'", 3, 9, ()),
+        ("y +\n  dy*é", "unexpected character 'é'", 4, 6, ()),
+        ("y + * x", "unexpected '*'", 3, 9, ("number", "identifier", "(", "-")),
+        ("y x", "unexpected 'x'", 3, 7, ("operator", "end of input")),
+        ("(y x", "unexpected 'x'", 3, 8, (")",)),
+        ("exp y", "unexpected 'y'", 3, 9, ("(",)),
+        ("exp", "unexpected end of input", 3, 8, ("(",)),
+        ("y^1.5", "unexpected '1.5'", 3, 7, ("integer exponent",)),
+        ("y^-x", "unexpected 'x'", 3, 8, ("integer exponent",)),
+        ("y^0", "zero exponent", 3, 7, ()),
+        ("y +\r\n dy^0", "zero exponent", 4, 5, ()),
+        ("x + y0", "bad variable index in 'y0'", 3, 9, ()),
+        ("y/0", "division by zero", 3, 6, ()),
+        ("0^-1", "0 raised to a negative power", 3, 8, ()),
+        ("(1e-170*i)^-2*y", "constant power outside the float range", 3, 17, ()),
+        ("1e200*i*1e200*y + x", "constant infj outside the float range", 3, 21, ()),
+        ("(y + 1e308*i + 1e308*i)*x", "constant infj outside the float range", 3, 27, ()),
+    ])
+    def test_message_place_and_expected(self, text, message, line, col, expected):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, 3, 5)
+        assert (str(err.value).split(" at line ")[0], err.value.line, err.value.col, err.value.expected) == (
+            message, line, col, expected)
+
+    def test_nesting_deeper_than_the_limit(self):
+        n = parsing._MAX_DEPTH + 1
+        with pytest.raises(ParseError) as err:
+            parse_expr("(" * n + "y" + ")" * n, 3, 5)
+        assert (str(err.value), err.value.line, err.value.col, err.value.expected) == (
+            "nested deeper than 5000 levels at line 3, column 5005", 3, 5005, ())
+
+    def test_a_bad_character_comes_before_a_division_by_zero(self):
+        with pytest.raises(ParseError, match=r"^unexpected character '\$' at line 3, column 9$"):
+            parse_expr("1/0 $", 3, 5)
+
+    def test_a_bad_character_comes_before_a_huge_power(self):
+        # the power, 10^42000000, would take minutes to fold
+        import time
+
+        start = time.process_time()
+        with pytest.raises(ParseError, match="^unexpected character 'é' at line 1, column 27$"):
+            parse_expr("(((10^300)^400)^50)^7*y + é")
+        assert time.process_time() - start < 1.0
+
+    def test_a_unicode_decimal_digit_is_a_number(self):
+        assert parse_expr("٣*y") is parse_expr("3*y")
+        assert parse_expr("y^٣") is parse_expr("y^3")
+
+    @pytest.mark.parametrize("text, col", [("²", 1), ("y^²", 3), ("2²", 2)])
+    def test_a_superscript_digit_is_a_bad_character(self, text, col):
+        with pytest.raises(ParseError, match=f"^unexpected character '²' at line 1, column {col}$"):
+            parse_expr(text)
+
+
+_pieces = st.sampled_from(
+    ["x", "y2", "dy", "exp", "a_b", "e", "E", "1", "25", "1.5", "3e-2", "1e", "2.", "٣", "١٢", "²", "½",
+     "+", "-", "*", "/", "^", "(", ")", " ", "\t", "\r\n", "\n", "\x0b", "\xa0", "\x1c",
+     ".", "_", "é", "ß", "π", "$", "#", ","]
+)
+
+
+@given(st.lists(_pieces, max_size=12).map("".join) | st.text(max_size=12))
+@settings(max_examples=500, deadline=None)
+def test_string_tokens_are_the_tokenizer_texts(text):
+    # a text the tokenizer turns away raises its error from parse_expr too
+    try:
+        want = [tok for _, tok, _ in parsing._tokenize(text, 3, 5)]
+    except ParseError as err:
+        assert str(err).startswith("unexpected character ")
+        with pytest.raises(ParseError) as got:
+            parse_expr(text, 3, 5)
+        assert (str(got.value), got.value.line, got.value.col) == (str(err), err.line, err.col)
+        return
+    assert parsing._TOKENS(text) + [""] == want
+
+
 _texts = st.sampled_from(
     [
         "6*y^2 + x",
