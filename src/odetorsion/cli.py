@@ -17,8 +17,9 @@ to y'' = 0 also needs f_pppp = 0 (n = 1) or Fels's curvature S = 0.
 Exit codes: 0 when every entry matches its expectation (or has none),
 1 on any mismatch, 2 on a file that is not UTF-8 text, on parse errors
 (among them a division by a constant zero, y/0 or 0^-1, groups nested
-deeper than 5,000 levels, and a constant leaving the float range while
-it is read, (2+i)^100000 or (1e-170*i)^-2, named by line and column),
+deeper than 5,000 levels, an integer text of more digits than ``int``
+reads, and a constant leaving the float range while it is read,
+(2+i)^100000 or (1e-170*i)^-2, named by line and column),
 on validation errors (a right-hand side or conserved quantity that no
 sample point evaluates, such as 1/(y-y)), on corpus files given
 together with --rhs, on a --method the system's dimension does not fit
@@ -29,6 +30,11 @@ are written.  A parse or validation error met while reading names its
 corpus file by path, or its ``--rhs`` as ``inline: fk``.  The oracle's
 seed is the one oracle option; its sample count is ``oracle.SAMPLES``.
 A ``--rhs`` value may start with ``-``.
+
+Entries are classified one after another on the calling thread.
+``--jobs N`` is accepted and ignored: threads would share the
+interpreter lock and shorten no run, and the option stays only until
+the benchmark stops passing it.
 """
 
 from __future__ import annotations
@@ -38,8 +44,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from itertools import repeat
 
 from .expr import Var, free_vars
 from .oracle import INCONCLUSIVE, NONZERO, SAMPLES, ZERO, OracleConfig
@@ -184,12 +188,7 @@ def cmd_analyze(args) -> int:
     cfg = OracleConfig(seed=args.seed)
     try:
         entries = _load_entries(args)
-        jobs = max(1, args.jobs)
-        if jobs == 1 or len(entries) <= 1:
-            records = [analyze_entry(e, cfg, args.method) for e in entries]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                records = list(pool.map(analyze_entry, entries, repeat(cfg), repeat(args.method)))
+        records = [analyze_entry(e, cfg, args.method) for e in entries]
     except (ParseError, ValidationError, OSError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -225,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="inline right-hand side; repeat for systems (f1, f2, ...)")
     an.add_argument("--seed", type=int, default=0, help="oracle seed (default 0)")
     an.add_argument("--json", action="store_true", help="machine-readable output")
-    an.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="threads classifying corpus entries (default: logical cores); they share "
-                         "the interpreter lock, so they do not shorten a run")
+    an.add_argument("--jobs", type=int, default=1,
+                    help="accepted and ignored: entries are classified one after another on the "
+                         "calling thread (kept until the benchmark stops passing it)")
     an.add_argument("--method", choices=["auto", TRESSE, FELS, QUARTIC], default="auto",
                     help="invariant whose vanishing 'straight' means (torsion-free, not flat): "
                          "tresse (Tresse's fourth-order invariant, n = 1), fels (Fels's trace-free "

@@ -58,10 +58,9 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import cos, inf, pi, sin
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import expr as ex
 from .expr import Const, EvalSingular, Expr, Var
@@ -77,13 +76,11 @@ MAX_RETRIES = 8  # draws per sample before it counts as invalid
 SAMPLES = 32  # numeric points per verdict, and the cap on the exact path's k
 GRID = 10 ** 6  # the exact path draws each coordinate as a/GRID, a uniform in [1, GRID]
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(NamedTuple):
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     outcome: str  # zero | nonzero | inconclusive
     seed: int
     # valid points before the witness, or in all when none was found; a
@@ -96,7 +93,6 @@ class Verdict:
     exact: bool = False
     entry: Optional[tuple] = None  # set by is_zero_matrix
     bound: Optional[float] = None  # a zero verdict's (d/GRID)^k from the exact path
-
 
     @property
     def is_zero(self) -> bool:
@@ -167,12 +163,12 @@ def is_zero_matrix(entries: Sequence[Sequence[Expr]], cfg: OracleConfig = Oracle
     k, v = _decide([e for row in entries for e in row], cfg)
     if k is None:
         # a zero matrix reports no entry's gray-zone note
-        return replace(v, reason="") if v.reason else v
+        return v._replace(reason="") if v.reason else v
     for i, row in enumerate(entries, 1):
         if k < len(row):
             break
         k -= len(row)
-    return replace(v, entry=(i, k + 1), reason=v.reason and f"entry ({i},{k + 1}): {v.reason}")
+    return v._replace(entry=(i, k + 1), reason=v.reason and f"entry ({i},{k + 1}): {v.reason}")
 
 
 def _decide(roots: Sequence[Expr], cfg) -> tuple[Optional[int], Verdict]:

@@ -24,9 +24,11 @@ can start is turned away first, before any constant is folded, by
 ``_tokenize``, the tokenizer that keeps offsets; it runs again only when
 an error is placed, to find the offset of the token to blame.  One
 ``try`` around the loop places every ``ZeroDivisionError`` or
-``OverflowError`` a constructor raises: before each call that can raise
-one (a power, a division, a run of factors or terms), the loop notes the
-token to blame.
+``OverflowError`` a constructor raises, and the ``ValueError`` of ``int``
+reading a number, exponent or variable index of more digits than
+``sys.get_int_max_str_digits()`` allows: before each call that can raise
+one (a power, a division, a run of factors or terms, reading a number or
+an identifier), the loop notes the token to blame.
 
 Reserved identifiers: x, y, dy, yK, dyK (K >= 1 decimal), i, and the
 function names; anything else is a named parameter.  y and dy are
@@ -41,9 +43,9 @@ from __future__ import annotations
 import cmath
 import random
 import re
-import string
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import expr as ex
 from .expr import EvalSingular, Expr, Var
@@ -84,7 +86,7 @@ _YVAR_RE = re.compile(r"^(dy|y)([0-9]+)?$")
 # the one-character tokens other than bad ones, but for the non-ASCII
 # decimal digits; a longer token is a number or an identifier.  A text
 # made of these and ASCII spaces, tabs and line ends has no bad token.
-_ONE_CHAR = frozenset("-+*/^()" + string.ascii_letters + string.digits)
+_ONE_CHAR = frozenset("-+*/^()abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
 _PLAIN = _ONE_CHAR | frozenset(" \t\r\n")
 
 
@@ -163,12 +165,14 @@ def parse_expr(text: str, line: int = 1, col: int = 1) -> Expr:
                     terms, factors, sign, div, minuses = [], [], "+", None, 0
                     continue
                 if tok[:1].isdecimal():
+                    blame = pos - 1
                     out = ex.const(int(tok) if tok.isdigit() else Fraction(tok))
                 elif tok == "i":
                     out = ex.const(1j)
                 elif tok == "x":
                     out = ex.X
                 elif tok[:1].isalpha():  # an identifier: no bad character is left
+                    blame = pos - 1
                     m = _YVAR_RE.match(tok)
                     index = int(m.group(2) or 1) if m else 1
                     if index < 1:
@@ -184,7 +188,8 @@ def parse_expr(text: str, line: int = 1, col: int = 1) -> Expr:
                     tok = tokens[pos]
                     if not tok.isdigit():  # no bad character, such as "²", is left
                         fail(pos, ("integer exponent",))
-                    blame, k = pos, int(tok)
+                    blame = pos
+                    k = int(tok)
                     pos += 1
                     if k == 0:
                         raise error("zero exponent", blame)
@@ -217,9 +222,19 @@ def parse_expr(text: str, line: int = 1, col: int = 1) -> Expr:
                 if groups or op:
                     fail(pos - 1, (")",) if groups else ("operator", "end of input"))
                 return out
+    except ParseError:
+        raise
+    except ValueError:  # int() of a number, exponent or index of too many digits
+        raise error(_too_many_digits(), blame) from None
     except (ZeroDivisionError, OverflowError) as err:
         zero = type(err) is ZeroDivisionError and tokens[blame] == "/"
         raise error("division by zero" if zero else str(err), blame) from None
+
+
+def _too_many_digits() -> str:
+    """The message for an integer text of more digits than ``int`` reads,
+    whose ValueError is the one a parse can meet."""
+    return f"integer of more than {sys.get_int_max_str_digits()} digits"
 
 
 # ---------------------------------------------------------------------------
@@ -280,32 +295,39 @@ _RESERVED = {"x", "y", "dy", "i"} | set(ex.FUNCTIONS)
 _POINTS = 8  # sample points an expression gets to show it is defined
 
 
-@dataclass(frozen=True)
-class OdeSystem:
-    """d^2 y^I / dx^2 = rhs[I-1](x, y, dy), I = 1..n, in the parameters
-    named by params; n is the number of right-hand sides."""
-
+class _OdeSystem(NamedTuple):
     rhs: tuple[Expr, ...]
     params: tuple[str, ...] = ()
     name: str = "system"
 
-    def __post_init__(self):
-        object.__setattr__(self, "rhs", tuple(self.rhs))
-        if isinstance(self.params, str):
+
+class OdeSystem(_OdeSystem):
+    """d^2 y^I / dx^2 = rhs[I-1](x, y, dy), I = 1..n, in the parameters
+    named by params; n is the number of right-hand sides.  A named tuple
+    whose constructor takes rhs and params as any sequences, and checks
+    and validates them."""
+
+    __slots__ = ()
+
+    def __new__(cls, rhs, params=(), name="system"):
+        rhs = tuple(rhs)
+        if isinstance(params, str):
             # a string is a sequence of letters, not of names
-            raise TypeError(f"params must be a sequence of names, not the string {self.params!r}")
-        object.__setattr__(self, "params", tuple(self.params))
-        for name in self.params:
-            if not isinstance(name, str):
-                raise TypeError(f"not a parameter name: {name!r}")
-        if not self.rhs:
-            raise ValidationError(f"{self.name}: no right-hand side")
-        if len(set(self.params)) != len(self.params):
-            raise ValidationError(f"{self.name}: duplicate parameter names")
-        for name in self.params:
-            if name in _RESERVED or _YVAR_RE.match(name):
-                raise ValidationError(f"{self.name}: parameter name {name!r} is reserved")
-        self.validate((f"f{k}", f) for k, f in enumerate(self.rhs, start=1))
+            raise TypeError(f"params must be a sequence of names, not the string {params!r}")
+        params = tuple(params)
+        for p in params:
+            if not isinstance(p, str):
+                raise TypeError(f"not a parameter name: {p!r}")
+        if not rhs:
+            raise ValidationError(f"{name}: no right-hand side")
+        if len(set(params)) != len(params):
+            raise ValidationError(f"{name}: duplicate parameter names")
+        for p in params:
+            if p in _RESERVED or _YVAR_RE.match(p):
+                raise ValidationError(f"{name}: parameter name {p!r} is reserved")
+        self = super().__new__(cls, rhs, params, name)
+        self.validate((f"f{k}", f) for k, f in enumerate(rhs, start=1))
+        return self
 
     @property
     def n(self) -> int:
@@ -384,8 +406,7 @@ NOT_STRAIGHT = "not-straight"
 UNSPECIFIED = "unspecified"
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     system: OdeSystem
     expect: str = UNSPECIFIED
     conserved: tuple[Expr, ...] = ()
@@ -443,7 +464,10 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             # a fixed name stays declared, so the name checks cover it
             state["params"].append(pname)
         elif re.fullmatch(r"f[0-9]+", word):
-            k = int(word[1:])
+            try:
+                k = int(word[1:])
+            except ValueError:
+                raise ParseError(_too_many_digits(), lineno, 1) from None
             if not rest.startswith("="):
                 raise ParseError(f"expected '{word} = <expr>'", lineno, 1, ("=",))
             if k in state["rhs"]:

@@ -32,9 +32,8 @@ A dy + B y, so it agrees with ``fels_torsion`` on that system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import expr as ex
 from .calculus import partial, partials, total_derivative
@@ -51,8 +50,7 @@ class DimensionError(ValueError):
     pass
 
 
-@dataclass
-class TorsionReport:
+class TorsionReport(NamedTuple):
     method: str  # tresse | fels | quartic
     invariant: list[list[Expr]]  # rows; the verdict's entry (i, k) is invariant[i-1][k-1]
     verdict: Verdict
@@ -172,21 +170,24 @@ def check_conserved(sys: OdeSystem, g: Expr, cfg: OracleConfig = OracleConfig())
 # ---------------------------------------------------------------------------
 # Linear constant-coefficient systems
 
-@dataclass(frozen=True)
-class LinearConstSystem:
-    """d^2 y/dx^2 = A dy + B y with constant square matrices A, B."""
-
+class _LinearConstSystem(NamedTuple):
     A: tuple
     B: tuple
 
-    def __post_init__(self):
-        A = tuple(tuple(row) for row in self.A)
-        B = tuple(tuple(row) for row in self.B)
+
+class LinearConstSystem(_LinearConstSystem):
+    """d^2 y/dx^2 = A dy + B y with constant square matrices A, B, each
+    taken as any sequence of rows and kept as a tuple of tuples."""
+
+    __slots__ = ()
+
+    def __new__(cls, A, B):
+        A = tuple(tuple(row) for row in A)
+        B = tuple(tuple(row) for row in B)
         n = len(A)
         if any(len(r) != n for r in A) or len(B) != n or any(len(r) != n for r in B):
             raise ValueError("A and B must be square with matching dimensions")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+        return super().__new__(cls, A, B)
 
     @property
     def n(self) -> int:

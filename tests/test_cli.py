@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pathlib
@@ -5,12 +6,13 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 import odetorsion
-from odetorsion import expr as ex, oracle
+from odetorsion import cli, expr as ex, oracle
 from odetorsion.cli import main
 from odetorsion.oracle import OracleConfig
 from odetorsion.parsing import parse_corpus
@@ -32,6 +34,13 @@ def run_json(capsys, *argv):
 
 def rhs_argv(texts):
     return [a for t in texts for a in ("--rhs", t)]
+
+
+# int() reads at most this many digits (0: no limit, and no limit before
+# sys.get_int_max_str_digits); LONG is an integer text one digit longer
+DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (DIGITS + 1)
+needs_digit_limit = pytest.mark.skipif(not DIGITS, reason="int() reads integers of any length")
 
 
 def src_env():
@@ -216,12 +225,18 @@ class TestInline:
         ("y/(1e-320*i)", "constant power outside the float range at line 1, column 2"),
         ("(10^308+10^308*i) + (10^308+10^308*i) + y",
          "constant (inf+infj) outside the float range at line 1, column 42"),
+        *(pytest.param(rhs, f"integer of more than {DIGITS} digits at line 1, column {col}", marks=needs_digit_limit)
+          for rhs, col in [(f"{LONG}*y", 1), (f"0.{LONG}*y", 1), (f"1e{LONG}*y", 1), (f"y^{LONG}", 3),
+                           (f"y^-{LONG}", 4), (f"y{LONG}", 1), (f"x + dy{LONG}", 5)]),
     ], ids=["complex-power-overflow", "complex-fold-overflow", "deep-nesting", "tiny-complex-power",
-            "tiny-complex-square", "tiny-complex-product", "tiny-complex-divisor", "complex-sum-overflow"])
+            "tiny-complex-square", "tiny-complex-product", "tiny-complex-divisor", "complex-sum-overflow",
+            "long-integer", "long-decimal", "long-exponent-notation", "long-power", "long-negative-power",
+            "long-y-index", "long-dy-index"])
     def test_unreadable_input_exit_2(self, capsys, rhs, message):
         # a constant leaving the float range while it is read is placed as a
         # parse error is: at its exponent, at its "/", or at the token that
-        # ends the run of factors or terms it was folded in
+        # ends the run of factors or terms it was folded in; so is an
+        # integer text longer than int() reads, at its number or identifier
         code, out, err = run(capsys, "analyze", "--rhs", rhs)
         assert (code, out) == (2, "")
         assert err == f"error: inline: f1: {message}\n"
@@ -276,6 +291,17 @@ class TestInline:
                 "print(before == sys.getrecursionlimit())")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), check=True)
         assert out.stdout == "True\n"
+
+    def test_import_loads_only_what_a_run_uses(self):
+        # no thread pool (concurrent.futures, logging), no dataclasses (and
+        # inspect), no string; modules the bare interpreter already holds,
+        # as site may preload some, are not the import's
+        code = ("import sys; before = set(sys.modules); import odetorsion.cli; "
+                "print(sorted(set(sys.modules) - before))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), check=True)
+        loaded = set(ast.literal_eval(out.stdout))
+        assert "odetorsion.cli" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect", "concurrent.futures", "logging", "string"})
 
     def test_zero_to_a_negative_power_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "--rhs", "0^-1")
@@ -501,6 +527,14 @@ class TestCorpus:
         code, out, err = run(capsys, "analyze", "no-such-file")
         assert code == 2
 
+    @needs_digit_limit
+    def test_long_right_hand_side_index_exit_2(self, capsys, tmp_path):
+        corpus = tmp_path / "long"
+        corpus.write_text(f"system s\n n 1\n f{LONG} = y\n expect straight\nend\n")
+        code, out, err = run(capsys, "analyze", str(corpus))
+        assert (code, out) == (2, "")
+        assert err == f"error: {corpus}: integer of more than {DIGITS} digits at line 3, column 1\n"
+
     def test_corrupt_corpus_exit_2(self, capsys, tmp_path):
         corpus = tmp_path / "corrupt"
         corpus.write_text("system s\n n 1\n f1 = 6*y^^2\n expect straight\nend\n")
@@ -521,6 +555,22 @@ class TestReproducibility:
         _, serial, _ = run_json(capsys, "analyze", path, "--jobs", "1")
         _, parallel, _ = run_json(capsys, "analyze", path, "--jobs", "4")
         assert strip_timing(serial) == strip_timing(parallel)
+
+    def test_entries_are_classified_on_the_calling_thread(self, capsys, monkeypatch):
+        # --jobs is accepted and ignored: no thread is started
+        threads, analyze = [], cli.analyze_entry
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return analyze(*args)
+
+        monkeypatch.setattr(cli, "analyze_entry", recorded)
+        before = threading.active_count()
+        code, out, err = run(capsys, "analyze", str(CORPUS_DIR / "table1.straight"), "--jobs", "4")
+        assert (code, err) == (0, "")
+        assert len(threads) == len(out.splitlines()) > 1
+        assert set(threads) == {threading.get_ident()}
+        assert threading.active_count() == before
 
     def test_seed_recorded_in_records(self, capsys):
         _, records, _ = run_json(capsys, "analyze", "--rhs", "6*y^2", "--seed", "42")

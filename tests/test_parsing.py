@@ -474,6 +474,14 @@ class TestOdeSystem:
         with pytest.raises(TypeError, match=match):
             OdeSystem(rhs=(parse_expr("a*y+b"),), params=params)
 
+    def test_a_system_is_a_named_tuple_of_its_fields(self):
+        f = parse_expr("a*y")
+        sys_ = OdeSystem([f], ["a"], "s")
+        assert sys_ == ((f,), ("a",), "s")
+        assert sys_._fields == ("rhs", "params", "name")
+        with pytest.raises(AttributeError):
+            sys_.name = "t"
+
     def test_params_may_be_any_sequence_of_names(self):
         sys_ = OdeSystem(rhs=(parse_expr("ab*y"),), params=["ab"])
         assert sys_.params == ("ab",)
