@@ -42,13 +42,10 @@ from .calculus import nth_partial, partial, total_derivative  # noqa: F401
 from .oracle import OracleConfig, Verdict, is_zero, is_zero_matrix  # noqa: F401
 from .torsion import (  # noqa: F401
     DimensionError,
-    LinearConstSystem,
     TorsionReport,
     check_conserved,
-    classify_linear_const,
     fels_torsion,
     is_straight,
-    linear_const_to_system,
     phi_matrix,
     quartic_test,
     tresse_torsion,

@@ -28,11 +28,12 @@ result and looks it up; only on a miss does it make the node, which
 ``_mk`` summarizes and inserts with its one ``setdefault``.  A node is
 therefore unique: identity is structural equality, so nodes compare and
 hash by identity (object's ``__eq__`` and ``__hash__``, in C), and every
-map over nodes is keyed by the node itself.  A copy of a node is the
-node, and a node pickles as its program's steps.  ``_remake`` makes a
-node again from its class, what it holds besides its operands (``_own``)
-and new operands, through the constructors; unpickling and
-``substitute`` both remake nodes with it.  A rational
+map over nodes is keyed by the node itself.  A node pickles as its
+program's steps (``__reduce__``), and ``copy.copy`` and ``copy.deepcopy``
+go through the same steps, so a copy of a node is the node.  ``_remake``
+makes a node again from its class, what it holds besides its operands
+(``_own``) and new operands, through the constructors; unpickling,
+copying and ``substitute`` remake nodes with it.  A rational
 ``Const`` also holds its lowest terms as the ints ``num`` and ``den``,
 and its intern key is ``("q", num, den)``, so ``const`` looks an ``int``
 or ``Fraction`` up, and ``add`` and ``mul`` fold rationals as integer
@@ -128,13 +129,9 @@ class Expr:
     __slots__ = ("kids", "free", "poly")
 
     def __reduce__(self):
-        # flat steps, so neither pickling nor unpickling recurses on depth
+        # flat steps, so neither pickling nor unpickling recurses on depth;
+        # copy.copy and copy.deepcopy rebuild through it to the interned node
         return _rebuild, (tuple((type(n), _own(n), kids) for n, kids in Program((self,)).steps),)
-
-    def __copy__(self, memo=None):
-        return self  # immutable and interned
-
-    __deepcopy__ = __copy__
 
     def __repr__(self):
         from .parsing import to_str

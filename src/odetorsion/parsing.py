@@ -20,15 +20,17 @@ The tokens are plain strings from one pattern's ``findall`` (``_TOKENS``),
 with ``""`` as the end token; a token's kind is read off its first
 character, and each number or variable text is resolved to its node once
 per call.  No offset is kept.  A text holding a character that no token
-can start is turned away first, before any constant is folded, by
-``_tokenize``, the tokenizer that keeps offsets; it runs again only when
-an error is placed, to find the offset of the token to blame.  One
-``try`` around the loop places every ``ZeroDivisionError`` or
-``OverflowError`` a constructor raises, and the ``ValueError`` of ``int``
-reading a number, exponent or variable index of more digits than
-``sys.get_int_max_str_digits()`` allows: before each call that can raise
-one (a power, a division, a run of factors or terms, reading a number or
-an identifier), the loop notes the token to blame.
+can start is turned away first, before any constant is folded, at the
+first such token.  An error is placed by walking the tokens before the
+one to blame: only whitespace lies between two tokens, so each starts
+where its text is next found, and the end token sits at the end of the
+text; the walk runs on the error path only.  One ``try`` around the loop
+places every ``ZeroDivisionError`` or ``OverflowError`` a constructor
+raises, and the ``ValueError`` of ``int`` reading a number, exponent or
+variable index of more digits than ``sys.get_int_max_str_digits()``
+allows: before each call that can raise one (a power, a division, a run
+of factors or terms, reading a number or an identifier), the loop notes
+the token to blame.
 
 Reserved identifiers: x, y, dy, yK, dyK (K >= 1 decimal), i, and the
 function names; anything else is a named parameter.  y and dy are
@@ -69,17 +71,12 @@ class ValidationError(ValueError):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_KINDS = {  # each kind of token and its pattern, in the order they are tried
-    "number": r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?",
-    "ident": r"[A-Za-z][A-Za-z0-9_]*",
-    "op": r"[-+*/^()]",
-    "bad": r"\S",
-}
-_TOKEN_RE = re.compile(r"\s*(?:" + "|".join(f"(?P<{k}>{p})" for k, p in _KINDS.items()) + ")")
-# the same alternatives with no named group, so findall gives each
+# each kind of token's pattern, in the order they are tried: a number,
+# an identifier, an operator and a bad character.  findall gives each
 # token's text; its kind is read off its first character: a (Unicode)
 # decimal digit starts a number, an ASCII letter an identifier
-_TOKENS = re.compile(r"\s*(" + "|".join(_KINDS.values()) + ")").findall
+_KINDS = (r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?", r"[A-Za-z][A-Za-z0-9_]*", r"[-+*/^()]", r"\S")
+_TOKENS = re.compile(r"\s*(" + "|".join(_KINDS) + ")").findall
 
 _YVAR_RE = re.compile(r"^(dy|y)([0-9]+)?$")
 
@@ -97,21 +94,6 @@ def _location(text: str, offset: int, line0: int, col0: int) -> tuple[int, int]:
     return line0 + text.count("\n", 0, offset), offset - nl + (col0 - 1 if nl < 0 else 0)
 
 
-def _tokenize(text: str, line0: int = 1, col0: int = 1) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) per token, kind one of number, ident, op and
-    a final end; whitespace is skipped.  ``parse_expr`` calls it only to
-    raise a bad character's error or to place another."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}",
-                             *_location(text, m.start(kind), line0, col0))
-        tokens.append((kind, m.group(kind), m.start(kind)))
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
 _MAX_DEPTH = 5000  # open groups, parentheses and calls, one text may nest
 
 
@@ -123,17 +105,25 @@ def parse_expr(text: str, line: int = 1, col: int = 1) -> Expr:
     for the operator alone.
     """
     tokens = _TOKENS(text)
-    if not _PLAIN.issuperset(text) and any(
-            len(t) == 1 and t not in _ONE_CHAR and not t.isdecimal() for t in set(tokens)):
-        _tokenize(text, line, col)  # raises at the first bad character
     tokens.append("")
 
     def error(message: str, at: int, expected=()) -> ParseError:
-        """A ParseError at the token with index at."""
-        return ParseError(message, *_location(text, _tokenize(text)[at][2], line, col), expected)
+        """A ParseError at the token with index at, found by walking the
+        tokens before it; the end token sits at the end of the text."""
+        end = 0
+        for tok in tokens[:at]:
+            end = text.index(tok, end) + len(tok)
+        start = text.index(tokens[at], end) if tokens[at] else len(text)
+        return ParseError(message, *_location(text, start, line, col), expected)
 
     def fail(at: int, expected):
         raise error(f"unexpected {repr(tokens[at]) if tokens[at] else 'end of input'}", at, expected)
+
+    # turn a bad character away before any constant is folded
+    if not _PLAIN.issuperset(text):
+        for at, tok in enumerate(tokens):
+            if len(tok) == 1 and tok not in _ONE_CHAR and not tok.isdecimal():
+                raise error(f"unexpected character {tok!r}", at)
 
     # The innermost group's call (None for parentheses) and terms, the
     # current term's factors and sign, the index of the "/" before the
@@ -245,7 +235,8 @@ def _fmt_number(v) -> str:
     if isinstance(v, Fraction):
         if v < 0:
             return "-" + _fmt_number(-v)
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        num = _fmt_int(v.numerator)
+        return num if v.denominator == 1 else f"{num}/{_fmt_int(v.denominator)}"
     re_, im = v.real, v.imag
     parts = []
     if re_ != 0 or im == 0:
@@ -254,6 +245,19 @@ def _fmt_number(v) -> str:
         parts.append(f"{im!r}*i")
     s = " + ".join(parts)
     return f"({s})" if len(parts) > 1 else s
+
+
+def _fmt_int(n: int) -> str:
+    """The decimal text of n >= 0 or, if n has more digits than ``str``
+    gives (``sys.get_int_max_str_digits()``), the sum (hi*10^k + lo) that
+    the parser folds back to n, hi and lo rendered alike, k about half of
+    n's digits: every literal stays within the limit."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # log10(2) is about 3/10
+        hi, lo = divmod(n, 10 ** k)
+        return f"({_fmt_int(hi)}*10^{k} + {_fmt_int(lo)})"
 
 
 def to_str(e: Expr) -> str:
@@ -438,28 +442,29 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
         if not line or line.startswith("#"):
             continue
         word, rest = (line.split(None, 1) + [""])[:2]  # at any whitespace
+        at = _column(raw, line)  # the directive word's column
         if state is None:
             if word != "system":
-                raise ParseError("expected 'system <name>'", lineno, 1, ("system",))
+                raise ParseError("expected 'system <name>'", lineno, at, ("system",))
             if not rest:
-                raise ParseError("missing system name", lineno, 1)
+                raise ParseError("missing system name", lineno, at)
             state = {"name": rest, "n": None, "params": [], "fixed": {}, "rhs": {},
-                     "conserved": [], "expect": None, "notes": [], "line": lineno}
+                     "conserved": [], "expect": None, "notes": [], "at": (lineno, at)}
             continue
         if word in ("n", "expect") and state[word] is not None:
-            raise ParseError(f"duplicate {word}", lineno, 1)
+            raise ParseError(f"duplicate {word}", lineno, at)
         if word == "n":
             try:
                 state["n"] = int(rest)
             except ValueError:
-                raise ParseError(f"bad dimension {rest!r}", lineno, 1) from None
+                raise ParseError(f"bad dimension {rest!r}", lineno, at) from None
         elif word == "param":
             pname, policy = (rest.split(None, 1) + ["", ""])[:2]
             if policy.startswith("="):
                 text = policy[1:].strip()
                 state["fixed"][ex.Param(pname)] = _parse_fixed_value(text, lineno, _column(raw, text))
             elif policy not in ("generic", "generic-nonzero"):
-                raise ParseError(f"bad parameter policy {policy!r}", lineno, 1,
+                raise ParseError(f"bad parameter policy {policy!r}", lineno, at,
                                  ("generic", "generic-nonzero", "= <value>"))
             # a fixed name stays declared, so the name checks cover it
             state["params"].append(pname)
@@ -467,18 +472,18 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             try:
                 k = int(word[1:])
             except ValueError:
-                raise ParseError(_too_many_digits(), lineno, 1) from None
+                raise ParseError(_too_many_digits(), lineno, at) from None
             if not rest.startswith("="):
-                raise ParseError(f"expected '{word} = <expr>'", lineno, 1, ("=",))
+                raise ParseError(f"expected '{word} = <expr>'", lineno, at, ("=",))
             if k in state["rhs"]:
-                raise ParseError(f"duplicate {word}", lineno, 1)
+                raise ParseError(f"duplicate {word}", lineno, at)
             text = rest[1:].strip()
             state["rhs"][k] = parse_expr(text, lineno, _column(raw, text))
         elif word == "conserved":
             state["conserved"].append(parse_expr(rest, lineno, _column(raw, rest)))
         elif word == "expect":
             if rest not in (STRAIGHT, NOT_STRAIGHT, UNSPECIFIED):
-                raise ParseError(f"bad expectation {rest!r}", lineno, 1,
+                raise ParseError(f"bad expectation {rest!r}", lineno, at,
                                  (STRAIGHT, NOT_STRAIGHT, UNSPECIFIED))
             state["expect"] = rest
         elif word == "note":
@@ -487,9 +492,9 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             entries.append(_finish_entry(state))
             state = None
         else:
-            raise ParseError(f"unknown directive {word!r}", lineno, 1)
+            raise ParseError(f"unknown directive {word!r}", lineno, at)
     if state is not None:
-        raise ParseError(f"system {state['name']!r} not closed with 'end'", state["line"], 1)
+        raise ParseError(f"system {state['name']!r} not closed with 'end'", *state["at"])
     return entries
 
 

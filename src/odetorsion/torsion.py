@@ -26,8 +26,9 @@ choice, Tresse's fourth-order invariant (Tresse 1896; Cartan, Bull. SMF
 S^I_JKL = 0 (n >= 2) or f_pppp = 0 (n = 1, the quartic check).
 
 Every verdict is the zero oracle's, Fels's [[0]] for n = 1 included.
-``classify_linear_const`` is the exact closed form for d^2 y/dx^2 =
-A dy + B y, so it agrees with ``fels_torsion`` on that system.
+The exact closed form for the linear system d^2 y/dx^2 = A dy + B y
+(straight iff B + A^2/4 is scalar) lives beside the tests, which check
+``fels_torsion`` against it.
 """
 
 from __future__ import annotations
@@ -165,59 +166,3 @@ def check_conserved(sys: OdeSystem, g: Expr, cfg: OracleConfig = OracleConfig())
     """Zero iff g is constant along integral curves of sys."""
     sys.validate([("conserved quantity", g)])
     return is_zero(total_derivative(g, sys), cfg)
-
-
-# ---------------------------------------------------------------------------
-# Linear constant-coefficient systems
-
-class _LinearConstSystem(NamedTuple):
-    A: tuple
-    B: tuple
-
-
-class LinearConstSystem(_LinearConstSystem):
-    """d^2 y/dx^2 = A dy + B y with constant square matrices A, B, each
-    taken as any sequence of rows and kept as a tuple of tuples."""
-
-    __slots__ = ()
-
-    def __new__(cls, A, B):
-        A = tuple(tuple(row) for row in A)
-        B = tuple(tuple(row) for row in B)
-        n = len(A)
-        if any(len(r) != n for r in A) or len(B) != n or any(len(r) != n for r in B):
-            raise ValueError("A and B must be square with matching dimensions")
-        return super().__new__(cls, A, B)
-
-    @property
-    def n(self) -> int:
-        return len(self.A)
-
-
-def classify_linear_const(ls: LinearConstSystem) -> bool:
-    """True iff B = aI - A^2/4 for some scalar a, i.e. B + A^2/4 is scalar.
-
-    Each entry is read exactly, as ``expr.const`` reads a real number (a
-    float by its binary value); a complex entry is a TypeError.
-    """
-    n = ls.n
-    A = [[Fraction(v) for v in row] for row in ls.A]
-    M = [[Fraction(v) for v in row] for row in ls.B]
-    for i in range(n):
-        for j in range(n):
-            M[i][j] += Fraction(1, 4) * sum(A[i][k] * A[k][j] for k in range(n))
-    a = M[0][0]
-    return all(M[i][j] == (a if i == j else 0) for i in range(n) for j in range(n))
-
-
-def linear_const_to_system(ls: LinearConstSystem) -> OdeSystem:
-    """The OdeSystem d^2 y^I/dx^2 = sum_J A[I][J] dy^J + B[I][J] y^J."""
-    n = ls.n
-    rhs = []
-    for i in range(n):
-        terms = []
-        for j in range(n):
-            terms.append(ex.mul(ex.const(ls.A[i][j]), ex.YDot(j + 1)))
-            terms.append(ex.mul(ex.const(ls.B[i][j]), ex.Y(j + 1)))
-        rhs.append(ex.add(*terms))
-    return OdeSystem(rhs=tuple(rhs), name="linear-const")

@@ -41,6 +41,47 @@ def random_point(rng: random.Random, refs, r_min=0.4, r_max=1.6) -> dict:
     return out
 
 
+def random_linear_pair(rng: random.Random, n: int):
+    """Random rational n x n rows A and B = aI - A^2/4, a straight pair."""
+    A = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
+    a = rand_fraction(rng)
+    B = [
+        [
+            (a if i == j else 0)
+            - Fraction(1, 4) * sum(A[i][k] * A[k][j] for k in range(n))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return A, B
+
+
+def linear_const_straight(A, B) -> bool:
+    """The closed form for d^2 y/dx^2 = A dy + B y, A and B constant square
+    matrices given as rows: straight iff B = aI - A^2/4 for some scalar a,
+    that is, iff B + A^2/4 is scalar.  Each entry is read exactly, as
+    ``expr.const`` reads a real number (a float by its binary value)."""
+    n = len(A)
+    A = [[Fraction(v) for v in row] for row in A]
+    M = [[Fraction(v) for v in row] for row in B]
+    for i in range(n):
+        for j in range(n):
+            M[i][j] += Fraction(1, 4) * sum(A[i][k] * A[k][j] for k in range(n))
+    a = M[0][0]
+    return all(M[i][j] == (a if i == j else 0) for i in range(n) for j in range(n))
+
+
+def linear_const_system(A, B) -> OdeSystem:
+    """The OdeSystem d^2 y^I/dx^2 = sum_J A[I][J] dy^J + B[I][J] y^J."""
+    rhs = []
+    for row_a, row_b in zip(A, B):
+        terms = []
+        for j, (a, b) in enumerate(zip(row_a, row_b), start=1):
+            terms += [ex.mul(ex.const(a), ex.YDot(j)), ex.mul(ex.const(b), ex.Y(j))]
+        rhs.append(ex.add(*terms))
+    return OdeSystem(rhs=tuple(rhs), name="linear-const")
+
+
 _TERM_KINDS = ("dy-free", "cubic", "quartic", "exp")
 
 

@@ -9,23 +9,26 @@ import inspect
 import pathlib
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
-from conftest import rand_fraction, random_point, random_polynomial
+from conftest import (
+    linear_const_straight,
+    linear_const_system,
+    rand_fraction,
+    random_linear_pair,
+    random_point,
+    random_polynomial,
+)
 from odetorsion import expr as ex
 from odetorsion.calculus import nth_partial, partial, total_derivative
 from odetorsion.expr import X, Y, YDot
 from odetorsion.oracle import OracleConfig, is_zero
 from odetorsion.parsing import OdeSystem, parse_corpus, parse_expr
 from odetorsion.torsion import (
-    LinearConstSystem,
     check_conserved,
-    classify_linear_const,
     fels_torsion,
     is_straight,
-    linear_const_to_system,
     quartic_test,
     tresse_torsion,
 )
@@ -140,40 +143,24 @@ def test_criterion_4_oscillators():
         assert fels_torsion(split, cfg).straight is False, seed
 
 
-def _random_linear_pair(rng, n):
-    A = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
-    a = rand_fraction(rng)
-    B = [
-        [
-            (a if i == j else 0)
-            - Fraction(1, 4) * sum(A[i][k] * A[k][j] for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return A, B
-
-
 @_criterion(5, "linear constant-coefficient form theorem, 100 + 100 cases")
 def test_criterion_5_linear_form():
     rng = random.Random(1105)
     for trial in range(100):
         n = rng.choice((2, 3))
-        A, B = _random_linear_pair(rng, n)
-        ls = LinearConstSystem(A, B)
-        assert classify_linear_const(ls), trial
-        assert fels_torsion(linear_const_to_system(ls)).straight is True, trial
+        A, B = random_linear_pair(rng, n)
+        assert linear_const_straight(A, B), trial
+        assert fels_torsion(linear_const_system(A, B)).straight is True, trial
     for trial in range(100):
         n = rng.choice((2, 3))
-        A, B = _random_linear_pair(rng, n)
+        A, B = random_linear_pair(rng, n)
         # a non-scalar rational perturbation: hit one off-diagonal slot
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
         j = j if j < i else j + 1
         B[i][j] += rand_fraction(rng, lo=1, hi=5)
-        ls = LinearConstSystem(A, B)
-        assert not classify_linear_const(ls), trial
-        assert fels_torsion(linear_const_to_system(ls)).straight is False, trial
+        assert not linear_const_straight(A, B), trial
+        assert fels_torsion(linear_const_system(A, B)).straight is False, trial
 
 
 @_criterion(6, "conserved quantities: known integrals zero, random g nonzero")

@@ -483,7 +483,7 @@ class TestCorpus:
         corpus.write_text("system s\n n 2\n n 1\n f1 = 6*y^2\n expect straight\n expect not-straight\nend\n")
         code, out, err = run(capsys, "analyze", str(corpus))
         assert (code, out) == (2, "")
-        assert err == f"error: {corpus}: duplicate n at line 3, column 1\n"
+        assert err == f"error: {corpus}: duplicate n at line 3, column 2\n"
 
     @pytest.mark.parametrize("params, f1, message", [
         (" param a = 0", "y/a", "z: 0 raised to a negative power in f1"),
@@ -533,7 +533,7 @@ class TestCorpus:
         corpus.write_text(f"system s\n n 1\n f{LONG} = y\n expect straight\nend\n")
         code, out, err = run(capsys, "analyze", str(corpus))
         assert (code, out) == (2, "")
-        assert err == f"error: {corpus}: integer of more than {DIGITS} digits at line 3, column 1\n"
+        assert err == f"error: {corpus}: integer of more than {DIGITS} digits at line 3, column 2\n"
 
     def test_corrupt_corpus_exit_2(self, capsys, tmp_path):
         corpus = tmp_path / "corrupt"

@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,28 @@ class TestErrorSites:
             parse_expr(text)
 
 
+# The reference tokenizer: each token's kind from the named group that
+# matched it, the groups tried in order, and its offset from the match.
+_REFERENCE_RE = re.compile(r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+                           r"|(?P<op>[-+*/^()])|(?P<bad>\S))")
+
+
+def _tokenize(text, line0=1, col0=1):
+    """(kind, text, offset) per token, kind one of number, ident, op and a
+    final end at the end of the text; whitespace is skipped, and the first
+    bad character raises its ParseError, text starting at line line0,
+    column col0."""
+    tokens = []
+    for m in _REFERENCE_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}",
+                             *parsing._location(text, m.start(kind), line0, col0))
+        tokens.append((kind, m.group(kind), m.start(kind)))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
 _pieces = st.sampled_from(
     ["x", "y2", "dy", "exp", "a_b", "e", "E", "1", "25", "1.5", "3e-2", "1e", "2.", "٣", "١٢", "²", "½",
      "+", "-", "*", "/", "^", "(", ")", " ", "\t", "\r\n", "\n", "\x0b", "\xa0", "\x1c",
@@ -170,14 +193,20 @@ _pieces = st.sampled_from(
 def test_string_tokens_are_the_tokenizer_texts(text):
     # a text the tokenizer turns away raises its error from parse_expr too
     try:
-        want = [tok for _, tok, _ in parsing._tokenize(text, 3, 5)]
+        want = _tokenize(text, 3, 5)
     except ParseError as err:
         assert str(err).startswith("unexpected character ")
         with pytest.raises(ParseError) as got:
             parse_expr(text, 3, 5)
         assert (str(got.value), got.value.line, got.value.col) == (str(err), err.line, err.col)
         return
-    assert parsing._TOKENS(text) + [""] == want
+    assert parsing._TOKENS(text) + [""] == [tok for _, tok, _ in want]
+    # any other error sits at the first character of a token, or at the
+    # end of the text for the end token
+    try:
+        parse_expr(text, 3, 5)
+    except ParseError as err:
+        assert (err.line, err.col) in {parsing._location(text, at, 3, 5) for _, _, at in want}
 
 
 _texts = st.sampled_from(
@@ -203,13 +232,29 @@ def test_to_str_round_trips(text):
     assert parse_expr(to_str(e)) == e
 
 
+@pytest.mark.parametrize("text", ["10^5000*y", "y/3^9000", "(2^20000+1)*y", "y - 7^-9000", "exp(-3^10000*dy)"])
+def test_to_str_renders_constants_beyond_the_digit_limit(text):
+    # a numerator or denominator that str() would refuse is rendered as
+    # a sum the parser folds back to it, each literal within the limit
+    e = parse_expr(text)
+    rendered = to_str(e)
+    assert parse_expr(rendered) is e
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert max(map(len, re.findall(r"[0-9]+", rendered))) <= (limit or len(rendered))
+    assert repr(e) == f"<Expr {rendered}>"
+
+
+def test_to_str_keeps_constants_within_the_digit_limit_as_digits():
+    assert to_str(parse_expr("10^300*y - 3^-400")) == f"{10 ** 300}*y1 + -1/{3 ** 400}"
+
+
 class _FoldParser:
     """The reference: recursive descent over the grammar in the module
     docstring, each operand folded into the result so far.  Any input it
     rejects raises ParseError, whatever the message."""
 
     def __init__(self, text):
-        self.tokens = parsing._tokenize(text)
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self):
@@ -604,8 +649,26 @@ class TestParseCorpus:
     def test_a_second_directive_line_is_an_error(self, line, word):
         # each directive before "end" holds one value; a repeat is not a silent override
         text = f"system s\n n 1\n f1 = 6*y^2\n expect straight\n{line}\nend"
-        with pytest.raises(ParseError, match=f"^duplicate {word} at line 5, column 1$"):
+        with pytest.raises(ParseError, match=f"^duplicate {word} at line 5, column 2$"):
             parse_corpus(text)
+
+    @pytest.mark.parametrize("block, line, col, message", [
+        ("system s\n   n two\n", 2, 4, "bad dimension 'two'"),
+        ("system s\n n 1\n\tparam a sometimes\n", 3, 2, "bad parameter policy 'sometimes'"),
+        ("system s\n n 1\n  f1 y\n", 3, 3, "expected 'f1 = <expr>'"),
+        ("system s\n n 1\n  f1 = y\n  f1 = y\n", 4, 3, "duplicate f1"),
+        ("system s\n n 1\n  expect maybe\n", 3, 3, "bad expectation 'maybe'"),
+        ("system s\n n 1\n  bogus 3\n", 3, 3, "unknown directive 'bogus'"),
+        ("system s\n n 1\n f1 = y\n expect straight\nend\n  sytem t\n", 6, 3, "expected 'system <name>'"),
+        ("  system\n", 1, 3, "missing system name"),
+        ("# two systems\n  system s\n n 1\n", 2, 3, "system 's' not closed with 'end'"),
+    ], ids=["dimension", "policy", "no-equals", "duplicate-f1", "expectation", "unknown",
+            "not-system", "no-name", "not-closed"])
+    def test_a_directive_error_is_placed_at_the_directive_word(self, block, line, col, message):
+        # an indented directive's error is at its first character, not at column 1
+        with pytest.raises(ParseError) as err:
+            parse_corpus(block)
+        assert str(err.value).startswith(f"{message} at line {line}, column {col}")
 
     def test_tabs_separate_directives_from_arguments(self):
         text = "system\ttabbed\n n\t2\n f1\t=\ty1\n f2 \t= \tdy1\n param\ta\tgeneric\n expect\tstraight\nend"

@@ -5,7 +5,14 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings
 
-from conftest import mixed_systems, rand_fraction, random_point, random_polynomial
+from conftest import (
+    linear_const_straight,
+    linear_const_system,
+    mixed_systems,
+    random_linear_pair,
+    random_point,
+    random_polynomial,
+)
 from odetorsion import expr as ex
 from odetorsion.calculus import nth_partial, partial, total_derivative
 from odetorsion.expr import X, Y, YDot
@@ -13,13 +20,10 @@ from odetorsion.oracle import INCONCLUSIVE, NONZERO, ZERO, OracleConfig, Verdict
 from odetorsion.parsing import OdeSystem, parse_expr
 from odetorsion.torsion import (
     DimensionError,
-    LinearConstSystem,
     TorsionReport,
     check_conserved,
-    classify_linear_const,
     fels_torsion,
     is_straight,
-    linear_const_to_system,
     phi_matrix,
     quartic_test,
     tresse_torsion,
@@ -313,42 +317,26 @@ class TestDeepInput:
 
 
 class TestLinearConst:
-    def _random_pair(self, rng, n):
-        A = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
-        a = rand_fraction(rng)
-        # B = a I - A^2 / 4
-        B = [
-            [
-                (a if i == j else 0)
-                - Fraction(1, 4) * sum(A[i][k] * A[k][j] for k in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return A, B
-
     def test_straight_form_detected(self, rng):
         for n in (2, 3):
             for _ in range(10):
-                A, B = self._random_pair(rng, n)
-                assert classify_linear_const(LinearConstSystem(A, B))
+                A, B = random_linear_pair(rng, n)
+                assert linear_const_straight(A, B)
 
     def test_nonscalar_perturbation_detected(self, rng):
         for n in (2, 3):
             for _ in range(10):
-                A, B = self._random_pair(rng, n)
+                A, B = random_linear_pair(rng, n)
                 B[0][min(1, n - 1)] += Fraction(1, 3)
-                assert not classify_linear_const(LinearConstSystem(A, B))
+                assert not linear_const_straight(A, B)
 
     def test_agrees_with_fels(self, rng):
         for _ in range(5):
-            A, B = self._random_pair(rng, 2)
-            ls = LinearConstSystem(A, B)
-            assert fels_torsion(linear_const_to_system(ls)).straight is True
+            A, B = random_linear_pair(rng, 2)
+            assert fels_torsion(linear_const_system(A, B)).straight is True
             B[1][0] += 1
-            ls2 = LinearConstSystem(A, B)
-            assert not classify_linear_const(ls2)
-            assert fels_torsion(linear_const_to_system(ls2)).straight is False
+            assert not linear_const_straight(A, B)
+            assert fels_torsion(linear_const_system(A, B)).straight is False
 
     @pytest.mark.parametrize("A, straight", [
         # B computed in floats misses 1.25*I - A^2/4 by 1.69e-17 at (1, 1)
@@ -361,17 +349,8 @@ class TestLinearConst:
             [1.25 * (i == j) - 0.25 * sum(A[i][k] * A[k][j] for k in range(2)) for j in range(2)]
             for i in range(2)
         ]
-        ls = LinearConstSystem(A, B)
-        assert classify_linear_const(ls) is straight
-        assert fels_torsion(linear_const_to_system(ls)).straight is straight
-
-    def test_complex_entry_is_a_type_error(self):
-        with pytest.raises(TypeError):
-            classify_linear_const(LinearConstSystem([[1j]], [[0]]))
-
-    def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
-            LinearConstSystem([[1, 2]], [[1]])
+        assert linear_const_straight(A, B) is straight
+        assert fels_torsion(linear_const_system(A, B)).straight is straight
 
 
 class TestReport:
