@@ -34,13 +34,17 @@ go through the same steps, so a copy of a node is the node.  ``_remake``
 makes a node again from its class, what it holds besides its operands
 (``_own``) and new operands, through the constructors; unpickling,
 copying and ``substitute`` remake nodes with it.  A rational
-``Const`` also holds its lowest terms as the ints ``num`` and ``den``,
-and its intern key is ``("q", num, den)``, so ``const`` looks an ``int``
-or ``Fraction`` up, and ``add`` and ``mul`` fold rationals as integer
-pairs, with no ``Fraction`` built or hashed unless the result is a new
-constant.  So does ``pow_``: a nonzero rational to the power k is
-(num^k, den^k), the pair swapped and its sign moved to the numerator for
-k < 0, which is how the parser's division by a constant folds.
+``Const`` is stored once, as its lowest terms, the ints ``num`` and
+``den``; its intern key is ``("q", num, den)``, and its ``value``, a
+``Fraction``, is made from the pair when read.  ``const`` only converts
+its argument to the pair (a float through ``as_integer_ratio``) and
+``_rational`` makes the node from it, so ``add`` and ``mul`` fold
+rationals as integer pairs, and no ``Fraction`` is built.  So does
+``pow_``: a nonzero rational to the power k is (num^k, den^k), the pair
+swapped and its sign moved to the numerator for k < 0, which is how the
+parser's division by a constant folds; a power whose numerator or
+denominator would pass ``MAX_CONSTANT_BITS`` (2^22) bits raises
+``OverflowError`` before it is computed.
 Constants are folded only where two or more meet; once a complex one is
 among them the fold runs over their values from the unit, left to right
 (float rounding depends on the order).  A fold or power
@@ -59,22 +63,22 @@ order, a node shared between roots once.  There is one program table:
 and keeps it in ``_programs``, keyed by that tuple, whether it is one
 root's or the oracle's over all the entries of a matrix.  Every walk runs
 in program order, children before parents, so none recurses on the
-nesting depth: ``evaluate`` and ``evaluate_roots`` (complex),
+nesting depth: ``evaluate`` and ``evaluate_block`` (complex),
 ``exact_ratios`` and ``evaluate_exact`` (rational) and ``node_count`` run
 on programs from the table, and ``substitute``, pickling and
-``parsing.to_str`` on a program made for the call.  The evaluators at
-one point share one loop, ``_run``.  ``evaluate_block`` runs a complex
-program at many points in one pass, ``_run_block``: each step's value
-is a list over the points, so a step's type is looked at once per
-block, not once per point, and each value is bit for bit the one
-``_run`` gives at its point.  A sum or a product folds each operand
-across the block with one ``map``, from the unit (0j or 1 + 0j) and left
-to right as ``_run`` does; the unit stays because it can change a sign of
-zero (0j + (-0.0-0j) is 0j), and a sign of zero picks the branch of
-``sqrt`` and ``log``.  The one-point loop stays, because a block
-of one point runs 3-4 times slower than it: the oracle decides its
-first point, and any point where a block fails, on it, and it is the
-reference the block runner is tested against.  Both runners only
+``parsing.to_str`` on a program made for the call.  ``evaluate_block``
+is the one complex entry, for any number of points.  It runs one point
+on ``_run``, the loop the exact evaluator shares, and two or more in one
+pass, ``_run_block``: each step's value is a list over the points, so a
+step's type is looked at once per block, not once per point, and each
+value is bit for bit the one ``_run`` gives at its point.  A sum or a
+product folds each operand across the block with one ``map``, from the
+unit (0j or 1 + 0j) and left to right as ``_run`` does; the unit stays
+because it can change a sign of zero (0j + (-0.0-0j) is 0j), and a sign
+of zero picks the branch of ``sqrt`` and ``log``.  The one-point loop stays, because a block
+of one point runs 3-4 times slower than it: the oracle's first point, a
+point it draws alone and a point where a block fails run on it, and it
+is the reference the block runner is tested against.  Both runners only
 compute, in one ``try`` around the step loop; ``_failure`` judges a
 failing step, zero test included: Python raises on 0^-k and log(0), so
 no step is tested for zero before it runs.  A
@@ -96,6 +100,10 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 Number = Union[Fraction, complex]
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
+
+# a rational constant's power whose numerator or denominator would pass
+# this many bits raises OverflowError before it is computed
+MAX_CONSTANT_BITS = 2 ** 22
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +153,20 @@ class Expr:
 class Const(Expr):
     """A rational (exact) or complex (inexact) literal.
 
-    ``value`` is a ``Fraction`` or a complex; a rational value's lowest
-    terms are also kept as the ints ``num`` and ``den`` (den > 0), which
-    fold and key the constant.  A complex constant has ``den`` 0.
+    A rational constant is stored once, as its lowest terms: the ints
+    ``num`` and ``den`` (den > 0), which fold and key it.  A complex
+    constant has ``num`` and ``den`` 0 and keeps its complex.  ``value``
+    is derived: ``Fraction(num, den)``, or the complex.
     """
 
-    __slots__ = ("value", "num", "den")
+    __slots__ = ("num", "den", "_complex")
 
     def __new__(cls, value):
         return const(value)
+
+    @property
+    def value(self) -> Number:
+        return Fraction(self.num, self.den) if self.den else self._complex
 
 
 class Var(Expr):
@@ -227,24 +240,6 @@ class Apply(Expr):
         return self.kids[0]
 
 
-def _coerce_number(value) -> Number:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        # Decimal-point literals convert exactly (0.5 -> 1/2).
-        return Fraction(value)
-    if isinstance(value, complex):
-        if not cmath.isfinite(value):
-            # a fold that left the float range; no sample could test it
-            raise OverflowError(f"constant {value} outside the float range")
-        if value.imag == 0.0:
-            return Fraction(value.real)
-        return value
-    raise TypeError(f"not a constant: {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # Interning
 
@@ -266,28 +261,38 @@ def _mk(node: Expr, key: tuple, kids: tuple, poly: bool, free=None) -> Expr:
 
 
 def const(value) -> Const:
-    t = type(value)
-    if t is int:
-        key = ("q", value, 1)
-    elif t is Fraction:
-        key = ("q", value.numerator, value.denominator)
-    else:
-        value = _coerce_number(value)
-        key = ("q", value.numerator, value.denominator) if type(value) is Fraction else ("c", value)
-    node = _intern.get(key)
+    """The constant node of value: an int (a bool too) or a ``Fraction``,
+    a float converted exactly (0.5 is 1/2), or a finite complex, rational
+    when its imaginary part is zero."""
+    if isinstance(value, (int, Fraction)):
+        return _rational(value.numerator, value.denominator)
+    if isinstance(value, float):
+        return _rational(*value.as_integer_ratio())
+    if not isinstance(value, complex):
+        raise TypeError(f"not a constant: {value!r}")
+    if not cmath.isfinite(value):
+        # a fold that left the float range; no sample could test it
+        raise OverflowError(f"constant {value} outside the float range")
+    if not value.imag:
+        return _rational(*value.real.as_integer_ratio())
+    node = _intern.get(key := ("c", value))
     if node is None:
         node = object.__new__(Const)
-        node.value = _coerce_number(value)
-        node.num, node.den = key[1:] if key[0] == "q" else (0, 0)
-        node = _mk(node, key, (), node.den != 0)
+        node.num = node.den = 0
+        node._complex = value
+        node = _mk(node, key, (), False)
     return node
 
 
 def _rational(num: int, den: int) -> Const:
-    """The constant num/den, for coprime num and den > 0; a Fraction is
-    built only when the constant is new."""
-    node = _intern.get(("q", num, den))
-    return node if node is not None else const(Fraction(num, den))
+    """The constant num/den, for coprime num and den > 0, made straight
+    from the pair."""
+    node = _intern.get(key := ("q", num, den))
+    if node is None:
+        node = object.__new__(Const)
+        node.num, node.den = num, den
+        node = _mk(node, key, (), True)
+    return node
 
 
 ZERO = const(0)
@@ -428,6 +433,8 @@ def pow_(base: Expr, exponent: int) -> Expr:
                 if not num:
                     raise ZeroDivisionError("0 raised to a negative power")
                 num, den, exponent = (den, num, -exponent) if num > 0 else (-den, -num, -exponent)
+            if max(abs(num).bit_length(), den.bit_length()) * exponent > MAX_CONSTANT_BITS:
+                raise OverflowError(f"constant power of more than {MAX_CONSTANT_BITS} bits")
             return _rational(num ** exponent, den ** exponent)
         v = base.value
         if v == 0 and exponent < 0:
@@ -673,7 +680,8 @@ class Program:
         converted to 0."""
         if self._consts is None:
             try:
-                consts = {n: complex(n.value) for n, _ in self.steps if type(n) is Const}
+                consts = {n: complex(n.num / n.den) if n.den else n._complex
+                          for n, _ in self.steps if type(n) is Const}
                 if any(n.num and not v for n, v in consts.items()):
                     raise OverflowError  # it underflowed to 0
             except OverflowError:
@@ -755,23 +763,6 @@ def _failure(n: Expr, err: Exception, operand) -> Exception:
     return OverflowError(f"{what} outside the float range")
 
 
-def evaluate_roots(prog: Program, assignment: Mapping[Var, complex]) -> list[tuple[complex, float]]:
-    """Each root's complex value and cancellation scale: the sum of its
-    terms' magnitudes for a sum, its own magnitude otherwise."""
-    consts = prog.constants()
-
-    def leaf(n: Expr) -> complex:
-        return consts[n] if type(n) is Const else assignment[n]
-
-    vals = _run(prog, leaf, 0j, 1 + 0j)
-    out = []
-    for r in prog.roots:
-        n, kids = prog.steps[r]
-        v = vals[r]
-        out.append((v, sum(abs(vals[k]) for k in kids) if type(n) is Sum else abs(v)))
-    return out
-
-
 _CHAIN = 256  # maps chained before a fold is made a list: each link is a C stack frame
 
 
@@ -817,26 +808,36 @@ def _run_block(prog: Program, points: Sequence[Mapping[Var, complex]]) -> list[l
 
 
 def evaluate_block(prog: Program, points: Sequence[Mapping[Var, complex]]) -> list[list[tuple[complex, float]]]:
-    """``evaluate_roots`` at each of points, in one pass over the program;
-    raises where it would raise at any of them."""
+    """Each root's complex value and cancellation scale at each of points:
+    the sum of its terms' magnitudes for a sum, its own magnitude
+    otherwise.  One point runs on ``_run``, two or more in one pass of
+    ``_run_block``; raises where the run raises."""
+    if len(points) == 1:
+        consts, (point,) = prog.constants(), points
+        vals = _run(prog, lambda n: consts[n] if type(n) is Const else point[n], 0j, 1 + 0j)
+        # scalars, not the block's lists of one: wrapping them cost about 8% a point
+        row = []
+        for r in prog.roots:
+            n, kids = prog.steps[r]
+            row.append((vals[r], sum(abs(vals[k]) for k in kids) if type(n) is Sum else abs(vals[r])))
+        return [row]
     vals = _run_block(prog, points)
-    out = []
+    out = [[] for _ in points]
     for r in prog.roots:
         n, kids = prog.steps[r]
         v = vals[r]
-        if type(n) is Sum:
-            # builtin sum, as in evaluate_roots: from 3.12 it compensates a
-            # float sum, so a left-to-right fold would round differently
-            out.append(zip(v, [sum(map(abs, c)) for c in zip(*[vals[k] for k in kids])]))
-        else:
-            out.append(zip(v, map(abs, v)))
-    return [list(at) for at in zip(*out)]
+        # builtin sum, as at one point: from 3.12 it compensates a float
+        # sum, so a left-to-right fold would round differently
+        scales = [sum(map(abs, c)) for c in zip(*[vals[k] for k in kids])] if type(n) is Sum else map(abs, v)
+        for row, pair in zip(out, zip(v, scales)):
+            row.append(pair)
+    return out
 
 
 def evaluate(e: Expr, assignment: Mapping[Var, Number]) -> complex:
     """Evaluate with standard complex arithmetic, each assigned value taken
     as a complex; principal branches."""
-    ((value, _),) = evaluate_roots(program(e), {k: complex(v) for k, v in assignment.items()})
+    [[(value, _)]] = evaluate_block(program(e), [{k: complex(v) for k, v in assignment.items()}])
     return value
 
 

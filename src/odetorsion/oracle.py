@@ -36,10 +36,12 @@ At each sample the first entry, in row-major order, that either path
 finds nonzero wins.  A verdict is ``branch_limited`` when it rests on a
 principal branch: ``_decide`` walks the numeric entries up to the one it
 names (all of them for a zero verdict) for a ``sqrt`` or ``log``, once
-the verdict is known.  The numeric path evaluates its first point alone and
-the rest as one block over its program (``expr.evaluate_block``), with
-the points, values and verdicts of deciding each point alone.  A point
-whose evaluation on the shared program raises is decided root by root.
+the verdict is known.  The numeric path draws one point, then one for
+each sample still to decide, and passes each batch to
+``expr.evaluate_block``, which runs a lone point on its one-point loop
+and more as one block, with the points, values and verdicts of deciding
+each point alone.  A point whose evaluation on the shared program raises
+is decided root by root.
 The exact path draws one point per round and decides it; only the
 numeric path redraws, votes and can leave a verdict inconclusive.
 
@@ -288,15 +290,15 @@ _SINGULAR = (complex(cmath.nan, cmath.nan), cmath.nan)  # a root's value where i
 class _Numeric:
     """Annulus points, each root judged against its own cancellation scale.
 
-    The points come from one stream, ``_points``: its first point alone,
-    since most nonzero verdicts end there, and after it, whenever asked,
-    one point for each sample still to decide, evaluated as one block
-    (``expr.evaluate_block``).  The stream is the path's own, so drawing
+    The points come from one stream, ``_points``: one point, since most
+    nonzero verdicts end there, and after it, whenever asked, one point
+    for each sample still to decide, each batch evaluated by
+    ``expr.evaluate_block``.  The stream is the path's own, so drawing
     ahead moves no point, and each block value is the one-point value.  A
-    point whose shared evaluation raises (the first point, or every point
-    of a block that raised) is decided root by root, so a root singular or
-    overflowing there hides no other; a node's value depends only on its
-    operands' values, so each value is the one the shared program gives.
+    point whose shared evaluation raises (every point of a batch that
+    raised) is decided root by root, so a root singular or overflowing
+    there hides no other; a node's value depends only on its operands'
+    values, so each value is the one the shared program gives.
     A point at which some root is not finite is redrawn unless another
     root wins it, up to MAX_RETRIES draws per sample.
     """
@@ -315,19 +317,19 @@ class _Numeric:
 
     def _points(self):
         """(point, its values or None where the shared program raised
-        there), in draw order: the first point on ``evaluate_roots``, then
-        blocks, a last point alone still a block of one."""
-        first = True
+        there), in draw order: one point, then, each time the stream runs
+        dry, one for each sample still to decide, each batch evaluated by
+        ``expr.evaluate_block``."""
+        count = 1
         while True:
-            count = 1 if first else self.samples - self.valid
             points = [sample_point(self.rng, self.variables) for _ in range(count)]
             try:
-                block = [ex.evaluate_roots(self.prog, points[0])] if first else ex.evaluate_block(self.prog, points)
+                block = ex.evaluate_block(self.prog, points)
             except (EvalSingular, OverflowError):
                 # singular or not finite at some point: sample decides each point root by root
                 block = [None] * len(points)
-            first = False
             yield from zip(points, block)
+            count = self.samples - self.valid
 
     def sample(self) -> Optional[list]:
         """Draw until a point is decided, up to MAX_RETRIES times; the
@@ -361,7 +363,7 @@ class _Numeric:
 
     def _value(self, e: Expr) -> tuple[complex, float]:
         try:
-            return ex.evaluate_roots(ex.program(e), self.point)[0]
+            return ex.evaluate_block(ex.program(e), [self.point])[0][0]
         except EvalSingular:
             return _SINGULAR
         except OverflowError as err:

@@ -26,11 +26,12 @@ one to blame: only whitespace lies between two tokens, so each starts
 where its text is next found, and the end token sits at the end of the
 text; the walk runs on the error path only.  One ``try`` around the loop
 places every ``ZeroDivisionError`` or ``OverflowError`` a constructor
-raises, and the ``ValueError`` of ``int`` reading a number, exponent or
-variable index of more digits than ``sys.get_int_max_str_digits()``
-allows: before each call that can raise one (a power, a division, a run
-of factors or terms, reading a number or an identifier), the loop notes
-the token to blame.
+raises (a constant power past ``expr.MAX_CONSTANT_BITS`` among them, at
+its exponent), and the ``ValueError`` of ``int`` reading a number,
+exponent or variable index of more digits than
+``sys.get_int_max_str_digits()`` allows: before each call that can raise
+one (a power, a division, a run of factors or terms, reading a number or
+an identifier), the loop notes the token to blame.
 
 Reserved identifiers: x, y, dy, yK, dyK (K >= 1 decimal), i, and the
 function names; anything else is a named parameter.  y and dy are
@@ -289,7 +290,7 @@ def _wrapped(e: Expr) -> bool:
     constant with both parts."""
     if isinstance(e, ex.Sum):
         return True
-    return isinstance(e, ex.Const) and not isinstance(e.value, Fraction) and e.value.real != 0 and e.value.imag != 0
+    return isinstance(e, ex.Const) and not e.den and e.value.real != 0 and e.value.imag != 0
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +351,11 @@ class OdeSystem(_OdeSystem):
         constant-valued subexpression that leaves it: exp(1000), a step
         whose float is not finite (exp(700)*exp(700), which overflows
         without raising), or exp(-800), a product, power, exp or sqrt step
-        whose float is 0 while none of its operands is.  The
-        points come from a generator of their own, so validation leaves the
-        oracle's seeded draws untouched.  A polynomial over the rationals
+        whose float is 0 while none of its operands is.  Both checks pass
+        ``expr.evaluate_block`` one point: the empty point for the
+        constant-valued steps, then each sample point.  The points come
+        from a generator of their own, so validation leaves the oracle's
+        seeded draws untouched.  A polynomial over the rationals
         (``poly``) is skipped: it is defined everywhere and only ever
         evaluated exactly, so 10^400*y is not unevaluable.
         """
@@ -375,7 +378,7 @@ class OdeSystem(_OdeSystem):
             try:
                 value = dict(prog.constants())
                 # exp(1000) overflows at every point
-                value.update(zip(valued, (v for v, _ in ex.evaluate_roots(ex.Program(valued), {}))))
+                value.update(zip(valued, (v for v, _ in ex.evaluate_block(ex.Program(valued), [{}])[0])))
                 if any(not cmath.isfinite(value[n]) or _cannot_vanish(n) and not value[n]
                        and all(value[k] for k in n.kids) for n in valued):
                     raise OverflowError  # exp(700)*exp(700) overflowed to inf, exp(-800) underflowed to 0

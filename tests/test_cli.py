@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -47,6 +48,17 @@ def src_env():
     """The environment of a child interpreter that imports odetorsion from this tree."""
     src = str(pathlib.Path(odetorsion.__file__).resolve().parent.parent)
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def run_child(*argv):
+    """(exit code, stdout, stderr, CPU seconds) of the CLI run in a child
+    interpreter, given 10 s."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    p = subprocess.run([sys.executable, "-m", "odetorsion.cli", *argv], capture_output=True, text=True,
+                       timeout=10, env=src_env())
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    return p.returncode, p.stdout, p.stderr, cpu
 
 
 def strip_timing(records):
@@ -244,6 +256,33 @@ class TestInline:
     def test_tiny_complex_power_is_an_overflow(self, capsys):
         _, _, err = run(capsys, "analyze", "--rhs", "(1e-170*i)^-2*y")
         assert err == "error: inline: f1: constant power outside the float range at line 1, column 13\n"
+
+    @pytest.mark.parametrize("rhs, col", [("25e10400^400", 10), ("((((10^300)^400)^50)^7)*y", 18),
+                                          ("((10^300)^400)^50*y", 16)])
+    def test_constant_power_beyond_the_bit_budget_exit_2(self, rhs, col):
+        # 25*10^10400 has 34,553 bits, so its 400th power about 13.8 million,
+        # and (10^300)^400 has 398,632 bits, so its 50th power about 19.9
+        # million: past 2^22, they are turned away at their exponent before
+        # the power is computed, where folding them took seconds or more
+        code, out, err, cpu = run_child("analyze", "--rhs", rhs)
+        assert (code, out) == (2, "") and cpu < 2
+        assert err == f"error: inline: f1: constant power of more than {ex.MAX_CONSTANT_BITS} bits at line 1, column {col}\n"
+
+    @pytest.mark.parametrize("rhs, classification", [
+        ("10^5000*y", "straight"), ("y/3^9000", "straight"), ("(2^20000+1)*y", "straight"),
+        ("10^400*y1^3*dy1 + x", "not-straight"), ("(10^300)^400*y", "straight"),
+        ("((10^300)^400)^10*y", "straight"),
+    ])
+    def test_constant_power_within_the_bit_budget_classifies(self, capsys, rhs, classification):
+        # ((10^300)^400)^10 has 3,986,320 bits, within 2^22
+        code, records, err = run_json(capsys, "analyze", "--rhs", rhs)
+        want = {"name": "inline", "n": 1, "method": "tresse", "classification": classification,
+                "expected": None, "match": None, "seed": 0, "samples": 32, "expr_nodes": 1, "quartic": "straight"}
+        if classification == "not-straight":
+            # exact: the witness lies on the grid a/10^6, and its value leaves the float range
+            want.update(expr_nodes=11, witness={"dy1": [0.885441, 0.0], "y1": [0.403959, 0.0]},
+                        witness_value=[float("inf"), 0.0])
+        assert (code, err) == (0, "") and strip_timing(records) == [want]
 
     @pytest.mark.parametrize("rhs, message", [
         (["sqrt(1+" * 600 + "y" + ")" * 600], "constant outside the float range in the tresse invariant"),

@@ -219,7 +219,7 @@ def _loose(d):
         return d[1]
     n = object.__new__({"c": Const, "+": Sum, "*": Product, "^": Power}[tag])
     if tag == "c":
-        n.kids, n.value, n.num, n.den = (), Fraction(d[1]), d[1], 1
+        n.kids, n.num, n.den = (), d[1], 1
     elif tag == "^":
         n.kids, n.exponent = (_loose(d[1]),), d[2]
     else:
@@ -445,10 +445,16 @@ def _ref_node(cls, kids, poly, **slots):
 
 
 def _ref_const(value):
-    v = ex._coerce_number(value)
-    rational = isinstance(v, Fraction)
-    return _ref_node(Const, (), rational, value=v, num=v.numerator if rational else 0,
-                     den=v.denominator if rational else 0)
+    # a finite complex with a zero imaginary part is its real part, and an
+    # int, float or Fraction is held as its Fraction's lowest terms
+    if isinstance(value, complex):
+        if not cmath.isfinite(value):
+            raise OverflowError(f"constant {value} outside the float range")
+        if value.imag:
+            return _ref_node(Const, (), False, num=0, den=0, _complex=value)
+        value = value.real
+    v = Fraction(value)
+    return _ref_node(Const, (), True, num=v.numerator, den=v.denominator)
 
 
 def _ref_num(a, b, op):
@@ -685,6 +691,55 @@ class TestConstantPairs:
             ex.program(ex.mul(ex.const(Fraction(1, 10 ** 400)), exp_y)).constants()
         subnormal = ex.const(Fraction(1, 10 ** 320))
         assert ex.program(ex.mul(subnormal, exp_y)).constants()[subnormal] == 1e-320
+
+    @pytest.mark.parametrize("value, key, want", [
+        (3, ("q", 3, 1), Fraction(3)), (True, ("q", 1, 1), Fraction(1)), (Fraction(-6, 4), ("q", -3, 2), Fraction(-3, 2)),
+        (0.1, ("q", 3602879701896397, 36028797018963968), Fraction(0.1)), (-0.0, ("q", 0, 1), Fraction(0)),
+        (2 + 0j, ("q", 2, 1), Fraction(2)), (1 + 2j, ("c", 1 + 2j), 1 + 2j),
+    ])
+    def test_const_converts_its_argument(self, value, key, want):
+        c = ex.const(value)
+        assert c is ex._intern[key] and type(c.num) is int and type(c.den) is int
+        assert (c.num, c.den) == (key[1:] if key[0] == "q" else (0, 0))
+        assert type(c.value) is type(want) and c.value == want
+        assert c.poly == (key[0] == "q") and ex.Const(value) is c
+
+    @pytest.mark.parametrize("value, error, message", [
+        (float("inf"), OverflowError, "cannot convert Infinity to integer ratio"),
+        (float("nan"), ValueError, "cannot convert NaN to integer ratio"),
+        (complex("inf"), OverflowError, "constant (inf+0j) outside the float range"),
+        ("1", TypeError, "not a constant: '1'"),
+    ])
+    def test_const_rejects_what_no_constant_holds(self, value, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ex.const(value)
+
+    def test_a_new_rational_builds_no_fraction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        fresh = [(10 ** 40 + 1, 7), (-(3 ** 90), 2 ** 70)]  # coprime pairs no other test makes
+        half_fresh = ex.const(Fraction(5 ** 60, 2 ** 61 - 1))  # its argument is the one Fraction
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        nodes = [ex._rational(*pair) for pair in fresh]
+        nodes += [ex.const(7 ** 50), ex.const(0.1 ** 7), ex.pow_(half_fresh, -3),
+                  ex.add(ex.const(11 ** 30), half_fresh), ex.mul(nodes[0], nodes[1])]
+        monkeypatch.undo()
+        assert [(c.num, c.den) for c in nodes[:2]] == fresh
+        assert [c.value for c in nodes[2:]] == [Fraction(7 ** 50), Fraction(0.1 ** 7), Fraction(5 ** 60, 2 ** 61 - 1) ** -3,
+                                                11 ** 30 + Fraction(5 ** 60, 2 ** 61 - 1),
+                                                Fraction(10 ** 40 + 1, 7) * Fraction(-(3 ** 90), 2 ** 70)]
+
+    def test_new_constants_round_trip(self):
+        from odetorsion.parsing import to_str
+
+        consts = [ex._rational(13 ** 41, 2 ** 80 + 1), ex._rational(-(17 ** 33), 1), ex.const(Fraction(-1, 3 ** 50)),
+                  ex.const(-0.375 + 2.5j), ex.const(1e-3 - 7j)]
+        for c in consts:
+            assert pickle.loads(pickle.dumps(c)) is c
+            assert copy.copy(c) is c and copy.deepcopy(c) is c
+            assert parse_expr(to_str(c)) is c
+            assert type(ex._own(c)) is type(c.value) and ex._own(c) == c.value
 
     def test_no_intern_key_holds_a_fraction(self):
         from odetorsion.parsing import parse_expr
@@ -923,7 +978,7 @@ class TestEvaluate:
         prog = ex.program(parse_expr(text))
         point = {Param("a"): 1e-170 + 0j, Y(1): complex(at)}
         with pytest.raises(error, match=f"^{re.escape(message)}$") as one:
-            ex.evaluate_roots(prog, point)
+            ex.evaluate_block(prog, [point])
         with pytest.raises(error, match=f"^{re.escape(message)}$") as block:
             ex.evaluate_block(prog, [{Param("a"): 1 + 0j, Y(1): complex(other)}, point])
         if error is EvalSingular:
@@ -949,9 +1004,29 @@ class TestEvaluate:
         for k in ex.children(bad):
             evaluate(k, {X: 1, Y(1): 2})  # its own step fails, not a child's
 
+    def test_one_point_runs_on_the_one_point_loop(self, monkeypatch):
+        # a root's value and scale as the one-point loop gives them: the sum
+        # of its terms' magnitudes for a sum, its own magnitude otherwise
+        def one_point(prog, point):
+            consts = prog.constants()
+            vals = ex._run(prog, lambda n: consts[n] if type(n) is Const else point[n], 0j, 1 + 0j)
+            return [(vals[r], sum(abs(vals[k]) for k in prog.steps[r][1]) if type(prog.steps[r][0]) is Sum
+                     else abs(vals[r])) for r in prog.roots]
+
+        def refuse(prog, points):
+            raise AssertionError("a lone point runs on _run")
+
+        roots = [parse_expr(t) for t in ("x^2 - x*y + 1/3", "exp(y)*sqrt(x)", "sin(x)^2 + cos(x)^2 - 1", "log(-y)")]
+        prog = ex.Program(roots)
+        points = [{X: a, Y(1): b} for a in (0.5 - 1j, complex(-0.0, 0.0), 3 + 0j) for b in (1j, complex(-2, -0.0))]
+        monkeypatch.setattr(ex, "_run_block", refuse)
+        for point in points:
+            assert repr(ex.evaluate_block(prog, [point])) == repr([one_point(prog, point)])
+        assert ex.evaluate_block(ex.Program([]), [{}]) == [[]]  # no root: one empty row
+
     def test_cancellation_scale(self):
         e = ex.add(ex.pow_(x, 2), ex.mul(ex.const(-1), ex.pow_(x, 2)), ex.ONE)
-        ((value, scale),) = ex.evaluate_roots(ex.program(e), {X: 10})
+        [[(value, scale)]] = ex.evaluate_block(ex.program(e), [{X: 10}])
         assert value == 1
         assert scale == pytest.approx(201.0)
 

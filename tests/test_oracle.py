@@ -57,7 +57,7 @@ class TestExactPath:
         def unused(*_):
             raise AssertionError("a constant needs no sample")
 
-        for name in ("evaluate", "evaluate_exact", "exact_ratios", "evaluate_roots"):
+        for name in ("evaluate", "evaluate_exact", "exact_ratios", "evaluate_block"):
             monkeypatch.setattr(ex, name, unused)
         monkeypatch.setattr(oracle.random, "Random", unused)
         assert is_zero(ex.const(value), cfg=OracleConfig(seed=5)) == want
@@ -195,22 +195,21 @@ class TestExactSamples:
         exact_zero = ex.sub(ex.mul(x, y), ex.mul(x, y))
         numeric_zero = parse_expr("sin(y)^2 + cos(y)^2 - 1")
         points, blocks, calls = [], [], []
-        evaluate_roots, evaluate_block, exact_ratios = ex.evaluate_roots, ex.evaluate_block, ex.exact_ratios
+        evaluate_block, exact_ratios = ex.evaluate_block, ex.exact_ratios
 
         def block(prog, pts):
             blocks.append(len(pts))
             points.extend(pts)
             return evaluate_block(prog, pts)
 
-        monkeypatch.setattr(ex, "evaluate_roots", lambda prog, pt: points.append(pt) or evaluate_roots(prog, pt))
         monkeypatch.setattr(ex, "evaluate_block", block)
         monkeypatch.setattr(ex, "exact_ratios", lambda *a: calls.append(a) or exact_ratios(*a))
         cfg = OracleConfig(seed=3)
         v = is_zero_matrix([[exact_zero, numeric_zero]], cfg=cfg)
         # x*y + -1*x*y has degree 2
         assert v.is_zero and not v.exact and v.bound == oracle._miss_bound(2, 4)
-        # the first point alone, the other 31 as one block
-        assert len(calls) == 4 and len(points) == oracle.SAMPLES and blocks == [oracle.SAMPLES - 1]
+        # a batch of one point, then the other 31
+        assert len(calls) == 4 and len(points) == oracle.SAMPLES and blocks == [1, oracle.SAMPLES - 1]
         rng = random.Random(cfg.seed)
         assert points == [oracle.sample_point(rng, [Y(1)]) for _ in range(oracle.SAMPLES)]
 
@@ -308,11 +307,12 @@ class TestNumericPath:
 
 
 def _one_point_everywhere(monkeypatch):
-    """Make every block raise at once, so each point is decided alone."""
+    """Make every block of two or more points raise at once, so each point
+    is decided alone, on the one-point loop."""
     def refuse(prog, points):
         raise OverflowError("no block")
 
-    monkeypatch.setattr(ex, "evaluate_block", refuse)
+    monkeypatch.setattr(ex, "_run_block", refuse)
 
 
 class TestBlockSamples:
@@ -337,7 +337,7 @@ class TestBlockSamples:
                     rng = random.Random(seed)
                     points = [oracle.sample_point(rng, variables) for _ in range(oracle.SAMPLES - 1)]
                     block = ex.evaluate_block(prog, points)  # no corpus root is singular at these points
-                    assert [repr(at) for at in block] == [repr(ex.evaluate_roots(prog, pt)) for pt in points], sys_.name
+                    assert [repr(at) for at in block] == [repr(ex.evaluate_block(prog, [pt])[0]) for pt in points], sys_.name
                     compared += len(roots)
         assert compared == 16  # 15 invariant entries and one conserved quantity's derivative
 
@@ -353,7 +353,7 @@ class TestBlockSamples:
         parts = (complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 0j, -1j, 0.5 - 2j)
         points = [{x: a, y: b, dy: c} for a in parts for b in parts for c in parts]
         block = ex.evaluate_block(prog, points)
-        assert [repr(at) for at in block] == [repr(ex.evaluate_roots(prog, pt)) for pt in points]
+        assert [repr(at) for at in block] == [repr(ex.evaluate_block(prog, [pt])[0]) for pt in points]
 
     def test_folds_longer_than_one_chain_of_maps(self):
         # a fold is made a list every ex._CHAIN operands, in the same order
@@ -365,7 +365,7 @@ class TestBlockSamples:
         parts = (complex(-0.0, -0.0), complex(-0.0, 0.0), 1 + 0j, -1j, 0.6 - 0.8j)
         points = [{x: a, y: b, dy: c} for a in parts for b in parts for c in parts]
         block = ex.evaluate_block(prog, points)
-        assert [repr(at) for at in block] == [repr(ex.evaluate_roots(prog, pt)) for pt in points]
+        assert [repr(at) for at in block] == [repr(ex.evaluate_block(prog, [pt])[0]) for pt in points]
 
     def test_a_fold_of_100000_operands_runs(self):
         # as one chain of maps it would overflow the C stack: run it in a
@@ -377,13 +377,15 @@ class TestBlockSamples:
                 "y = ex.Y(1)\n"
                 "prog = ex.Program([ex.add(*[y] * 100_000), ex.mul(*[y] * 100_000)])\n"
                 "points = [{y: 1j}, {y: -0.6 + 0.8j}]\n"
-                "assert repr(ex.evaluate_block(prog, points)) == repr([ex.evaluate_roots(prog, p) for p in points])\n")
+                "assert repr(ex.evaluate_block(prog, points)) == repr([ex.evaluate_block(prog, [p])[0] for p in points])\n")
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env={"PYTHONPATH": str(src)})
 
     def test_a_nonzero_first_point_draws_no_block(self, monkeypatch):
-        blocks = []
-        monkeypatch.setattr(ex, "evaluate_block", lambda prog, pts: blocks.append(pts))
-        assert is_zero(parse_expr("exp(y) - 1")).is_nonzero and blocks == []
+        batches, blocks = [], []
+        evaluate_block, run_block = ex.evaluate_block, ex._run_block
+        monkeypatch.setattr(ex, "evaluate_block", lambda prog, pts: batches.append(len(pts)) or evaluate_block(prog, pts))
+        monkeypatch.setattr(ex, "_run_block", lambda prog, pts: blocks.append(pts) or run_block(prog, pts))
+        assert is_zero(parse_expr("exp(y) - 1")).is_nonzero and batches == [1] and blocks == []
 
     def test_singular_block_point_is_decided_alone(self, monkeypatch):
         # singular at exactly the 5th point of seed 0's stream, the 4th of the block
@@ -392,20 +394,21 @@ class TestBlockSamples:
         pole = ex.pow_(ex.sub(y, ex.const(c)), -1)
         e = ex.sub(ex.mul(parse_expr("exp(log(y))"), pole), ex.mul(y, pole))
         blocks, raised = [], []
-        evaluate_block = ex.evaluate_block
+        run_block = ex._run_block
 
         def spy(prog, pts):
             blocks.append(len(pts))
             try:
-                return evaluate_block(prog, pts)
+                return run_block(prog, pts)
             except ex.EvalSingular as err:
                 raised.append(err)
                 raise
 
-        monkeypatch.setattr(ex, "evaluate_block", spy)
+        monkeypatch.setattr(ex, "_run_block", spy)
         v = is_zero(e)
-        # the redraw uses the block up, so one more point is drawn as a block of one
-        assert blocks == [31, 1] and len(raised) == 1
+        # the redraw uses the block up, so one more point is drawn alone,
+        # on the one-point loop, as are the points decided root by root
+        assert blocks == [31] and len(raised) == 1
         assert v.is_zero and v.samples_passed == 32
         _one_point_everywhere(monkeypatch)
         assert is_zero(e) == v
@@ -421,11 +424,11 @@ class TestBlockSamples:
         # exp(-500*y) overflows where Re(y) < -1.42: at points 6, 26, 30, 31 and 32 of seed 0
         e = parse_expr(text)
         raised = []
-        evaluate_block = ex.evaluate_block
+        run_block = ex._run_block
 
         def spy(prog, pts):
             try:
-                return evaluate_block(prog, pts)
+                return run_block(prog, pts)
             except OverflowError as err:
                 raised.append(err)
                 raise
@@ -436,7 +439,7 @@ class TestBlockSamples:
             except OverflowError as err:
                 return repr(err)
 
-        monkeypatch.setattr(ex, "evaluate_block", spy)
+        monkeypatch.setattr(ex, "_run_block", spy)
         v = outcome()
         assert len(raised) == 1
         if text.startswith("sqrt"):
@@ -457,11 +460,11 @@ class TestBlockSamples:
         w = ex.mul(ex.const(2), ex.apply("exp", ex.mul(ex.const((709.5 - 500j) / y5 ** 2), ex.pow_(y, 2))))
         e = ex.sub(ex.add(ex.pow_(ex.apply("sin", w), 2), ex.pow_(ex.apply("cos", w), 2)), ex.const(1))
         blocks = []
-        evaluate_block = ex.evaluate_block
+        run_block = ex._run_block
 
         def spy(prog, pts):
             try:
-                return evaluate_block(prog, pts)
+                return run_block(prog, pts)
             except (OverflowError, ValueError) as err:
                 blocks.append(err)
                 raise
@@ -472,7 +475,7 @@ class TestBlockSamples:
             except (OverflowError, ValueError) as err:
                 return repr(err)
 
-        monkeypatch.setattr(ex, "evaluate_block", spy)
+        monkeypatch.setattr(ex, "_run_block", spy)
         v = outcome()
         assert [type(err) for err in blocks] == [OverflowError]
         assert v == repr(OverflowError("sin of a value outside the float range"))
